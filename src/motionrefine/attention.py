@@ -5,7 +5,10 @@ sub-window of the history forms a key (first ``query_len`` frames) and a
 value (the full ``query_len + future_len`` frames, kept in pose space).
 Two small rectified conv nets embed query and keys, raw scores are plain
 dot products (nonnegative by construction) and the summary is the
-score-normalized convex combination of the value windows.
+score-normalized convex combination of the value windows.  The key net
+runs once over the whole key span: its convs are valid-only with stride 1,
+so each output column is one key window's code, and codes already computed
+for a prefix of the history can be passed back in and reused.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, SkeletonError
 from .kinematics import PoseSequence
-from .tensor import Tensor, as_tensor, conv1d, mul, relu, reshape, tensor_sum, transpose, sliding_windows
+from .tensor import Tensor, as_tensor, concat, conv1d, matmul, relu, reshape, tensor_sum
 
 
 def sequence_to_channels(seq: PoseSequence) -> np.ndarray:
@@ -77,6 +80,7 @@ class AttentionParams:
 class MotionSummary:
     values: Tensor             # (..., joints*3, query_len + future_len)
     attention_weights: Tensor  # (..., window_count), simplex rows
+    key_codes: Tensor          # (..., latent_dim, window_count)
     used_fallback: bool = False
 
 
@@ -104,24 +108,35 @@ def init_attention_params(pose_dim: int, query_len: int, latent_dim: int,
     return AttentionParams(query_net=nets[0], key_net=nets[1])
 
 
+def encode_span(net: WindowEncoder, span) -> Tensor:
+    """(..., pose_dim, frames) span -> (..., latent_dim, frames - query_len + 1) codes.
+
+    Both conv layers are valid-only with stride 1, so output column i is the
+    code of the query-length window that starts at frame i.
+    """
+    hidden = relu(conv1d(span, net.first.kernels, net.first.bias))
+    return relu(conv1d(hidden, net.second.kernels, net.second.bias))
+
+
 def encode(net: WindowEncoder, window) -> Tensor:
     """(..., pose_dim, query_len) window -> (..., latent_dim) code."""
     window = as_tensor(window)
     if window.shape[-1] != net.receptive_field:
         raise DimensionError(
             f"window has {window.shape[-1]} frames, encoder expects {net.receptive_field}")
-    hidden = relu(conv1d(window, net.first.kernels, net.first.bias))
-    out = relu(conv1d(hidden, net.second.kernels, net.second.bias))
-    # both conv layers are valid-only, so the temporal axis is length 1 here
+    out = encode_span(net, window)
     return reshape(out, out.shape[:-1])
 
 
 def summarize_history(history, params: AttentionParams, query_len: int,
-                      future_len: int) -> MotionSummary:
+                      future_len: int, key_codes=None) -> MotionSummary:
     """Attention core over channel-major history tensors.
 
     history: (pose_dim, frames) or (batch, pose_dim, frames) with
-    frames >= query_len + future_len.
+    frames >= query_len + future_len.  key_codes, when given, holds the codes
+    of the first key windows of this history, shaped like the summary's
+    ``key_codes`` ((latent_dim, cached) or (batch, latent_dim, cached));
+    only the windows after them are encoded.
     """
     history = as_tensor(history)
     single = history.ndim == 2
@@ -129,7 +144,7 @@ def summarize_history(history, params: AttentionParams, query_len: int,
         history = reshape(history, (1,) + history.shape)
     if history.ndim != 3:
         raise DimensionError(f"history must be 2-D or 3-D, got {history.shape}")
-    batch, pose_dim, frames = history.shape
+    batch, _, frames = history.shape
     window = query_len + future_len
     count = frames - window + 1
     if count < 1:
@@ -140,13 +155,21 @@ def summarize_history(history, params: AttentionParams, query_len: int,
     query_code = encode(params.query_net, query)                      # (B, d)
     latent = params.key_net.latent_dim
 
-    key_span = history[:, :, :count + query_len - 1]
-    key_windows = sliding_windows(key_span, query_len)                # (B, P, count, L)
-    key_windows = transpose(key_windows, (0, 2, 1, 3))
-    key_windows = reshape(key_windows, (batch * count, pose_dim, query_len))
-    key_codes = reshape(encode(params.key_net, key_windows), (batch, count, latent))
+    cached = 0
+    if key_codes is not None:
+        key_codes = as_tensor(key_codes)
+        cached = key_codes.shape[-1]
+        expected = (latent,) if single else (batch, latent)
+        if key_codes.shape[:-1] != expected or cached > count:
+            raise DimensionError(f"key codes {key_codes.shape} are not a prefix "
+                                 f"of this history's {expected + (count,)} codes")
+        key_codes = reshape(key_codes, (batch, latent, cached))
+    codes = key_codes
+    if cached < count:
+        fresh = encode_span(params.key_net, history[:, :, cached:count + query_len - 1])
+        codes = fresh if key_codes is None else concat([key_codes, fresh], axis=2)
 
-    scores = tensor_sum(mul(reshape(query_code, (batch, 1, latent)), key_codes), axis=2)
+    scores = reshape(matmul(reshape(query_code, (batch, 1, latent)), codes), (batch, count))
     denom = tensor_sum(scores, axis=1, keepdims=True)                 # (B, 1)
     zero_rows = denom.data == 0.0
     if zero_rows.any():
@@ -158,14 +181,17 @@ def summarize_history(history, params: AttentionParams, query_len: int,
         weights = scores / denom
         used_fallback = False
 
-    value_windows = sliding_windows(history, window)                  # (B, P, count, L+F)
-    spread = reshape(weights, (batch, 1, count, 1))
-    summary = tensor_sum(mul(spread, value_windows), axis=2)          # (B, P, L+F)
+    # value window i is history[..., i:i+window], so summary frame t is the
+    # weighted sum of the frames history[..., t:t+count]
+    column = reshape(weights, (batch, count, 1))
+    summary = concat([matmul(history[:, :, t:t + count], column)
+                      for t in range(window)], axis=2)                # (B, P, L+F)
 
     if single:
         summary = reshape(summary, summary.shape[1:])
         weights = reshape(weights, (count,))
-    return MotionSummary(summary, weights, used_fallback)
+        codes = reshape(codes, codes.shape[1:])
+    return MotionSummary(summary, weights, codes, used_fallback)
 
 
 def summarize(history: PoseSequence, params: AttentionParams, query_len: int,

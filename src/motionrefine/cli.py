@@ -77,10 +77,12 @@ def _coerce(key: str, value, default) -> object:
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ConfigurationError(f"{key}: expected a boolean, got {value!r}")
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
+        if isinstance(default, (int, float)):
+            try:
+                return type(default)(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{key}: expected {type(default).__name__}, got {value!r}") from None
         return value
     if isinstance(default, bool) and not isinstance(value, bool):
         raise ConfigurationError(f"{key}: expected a boolean, got {value!r}")
@@ -220,7 +222,7 @@ def _apply_ablation(ckpt, overrides: list[str]):
             raise ConfigurationError(
                 f"--ablation key {key!r} not in {ABLATION_KEYS}")
         if key == "stages":
-            stages = int(value)
+            stages = _coerce(key, value, ckpt.model_config.stages)
             if not 1 <= stages <= ckpt.model_config.stages:
                 raise ConfigurationError(
                     f"stages override {stages} outside [1, {ckpt.model_config.stages}]")
@@ -261,7 +263,11 @@ def cmd_eval(args) -> int:
         raise SkeletonError(
             f"dataset skeleton {dataset.skeleton.name!r} does not match "
             f"checkpoint skeleton {ckpt.skeleton.name!r}")
-    frames_ms = [float(tok) for tok in args.frames_ms.split(",") if tok.strip()]
+    try:
+        frames_ms = [float(tok) for tok in args.frames_ms.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigurationError(
+            f"--frames-ms expects comma-separated numbers, got {args.frames_ms!r}") from None
     if not frames_ms:
         raise ConfigurationError("--frames-ms lists no frames")
     record = evaluate(dataset, ckpt.params, model_config, frames_ms,

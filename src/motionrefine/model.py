@@ -9,7 +9,6 @@ from .attention import (
     AttentionParams,
     MotionSummary,
     init_attention_params,
-    kernel_widths,
     summarize_history,
 )
 from .errors import ConfigurationError
@@ -137,11 +136,13 @@ class ModelOutput:
 
 
 def model_forward(params: ModelParams, histories, config: ModelConfig,
-                  basis: DctBasis, mode: Mode) -> ModelOutput:
+                  basis: DctBasis, mode: Mode, key_codes=None) -> ModelOutput:
     """Summarize the history, then refine the padded query stage by stage.
 
     histories: (pose_dim, frames) or (batch, pose_dim, frames); any frame
     count >= query_len + future_len works, not just the training length.
+    key_codes: an earlier summary's ``key_codes`` for a prefix of these
+    histories, so only the later key windows are encoded.
     In copy mode the summary is simply the padded query.
     """
     histories = as_tensor(histories)
@@ -151,8 +152,8 @@ def model_forward(params: ModelParams, histories, config: ModelConfig,
     query = histories[..., -config.query_len:]
     summary = None
     if config.attention_mode == "attention":
-        summary = summarize_history(histories, params.attention,
-                                    config.query_len, config.future_len)
+        summary = summarize_history(histories, params.attention, config.query_len,
+                                    config.future_len, key_codes=key_codes)
         summary_values = summary.values
     else:
         summary_values = pad_query(query, config.future_len)
@@ -172,7 +173,3 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def config_from_dict(payload: dict) -> ModelConfig:
     return ModelConfig(**payload)
-
-
-def attention_widths(config: ModelConfig) -> tuple[int, int]:
-    return kernel_widths(config.query_len)

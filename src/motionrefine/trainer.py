@@ -274,7 +274,8 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
     """Repeatedly refine and append the predicted future until ``horizon`` frames.
 
     Eval mode throughout: batch-norm running statistics stay frozen, so
-    repeated calls are bit-identical.
+    repeated calls are bit-identical.  Each pass reuses the key codes of the
+    previous one, so it encodes only the future_len windows the new frames add.
     """
     if horizon < 0:
         raise ConfigurationError("horizon must be nonnegative")
@@ -287,10 +288,14 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
     basis = dct_basis(config.window)
     work = history
     passes = math.ceil(horizon / config.future_len)
+    key_codes = None
     with no_grad():
         for _ in range(passes):
             channels = sequence_to_channels(work)
-            out = model_forward(params, Tensor(channels), config, basis, Mode.eval())
+            out = model_forward(params, Tensor(channels), config, basis, Mode.eval(),
+                                key_codes=key_codes)
+            if out.summary is not None:
+                key_codes = out.summary.key_codes
             future = out.prediction.data[:, -config.future_len:]
             work = extend_history(work, channels_to_sequence(future, work.frame_rate))
     coords = work.coords[history.frames:history.frames + horizon].copy()

@@ -8,6 +8,7 @@ from motionrefine.attention import (
     WindowEncoder,
     channels_to_sequence,
     encode,
+    encode_span,
     extend_history,
     init_attention_params,
     kernel_widths,
@@ -188,6 +189,60 @@ def test_gradients_through_summary():
         summary = summarize_history(history, params, 4, 3)
         return tensor_sum(summary.values * summary.values)
     assert_gradients_match(build, tensors)
+
+
+def test_encode_span_columns_are_window_codes():
+    rng = np.random.default_rng(14)
+    params = init_attention_params(pose_dim=6, query_len=5, latent_dim=7, rng=rng)
+    net = params.key_net
+    span = rng.normal(size=(2, 6, 17))
+    batched = encode_span(net, Tensor(span)).data
+    single = encode_span(net, Tensor(span[1])).data
+    assert batched.shape == (2, 7, 13) and single.shape == (7, 13)
+    assert batched.any()
+    for i in range(13):
+        window = span[..., i:i + 5]
+        assert np.abs(batched[..., i] - encode(net, Tensor(window)).data).max() < 1e-12
+        assert np.abs(single[:, i] - encode(net, Tensor(window[1])).data).max() < 1e-12
+
+
+def _assert_same_summary(cached, full):
+    assert cached.used_fallback == full.used_fallback
+    for name in ("values", "attention_weights", "key_codes"):
+        a, b = getattr(cached, name).data, getattr(full, name).data
+        assert a.shape == b.shape and np.abs(a - b).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("shape", [(6, 19), (3, 6, 19)])
+def test_key_code_prefix_matches_uncached(shape):
+    rng = np.random.default_rng(15)
+    params = init_attention_params(pose_dim=6, query_len=4, latent_dim=8, rng=rng)
+    history = rng.normal(size=shape)
+    full = summarize_history(Tensor(history), params, 4, 3)
+    assert full.key_codes.shape == shape[:-2] + (8, 13)
+    prefix = summarize_history(Tensor(history[..., :15]), params, 4, 3).key_codes
+    for codes in (prefix, full.key_codes.data[..., :0], full.key_codes):
+        cached = summarize_history(Tensor(history), params, 4, 3, key_codes=codes)
+        _assert_same_summary(cached, full)
+
+
+def test_key_code_prefix_keeps_uniform_fallback():
+    params = _constant_code_params(2, 3, 4)
+    history = Tensor(np.zeros((2, 12)))
+    full = summarize_history(history, params, 3, 2)
+    prefix = summarize_history(history[:, :9], params, 3, 2).key_codes
+    cached = summarize_history(history, params, 3, 2, key_codes=prefix)
+    assert cached.used_fallback
+    _assert_same_summary(cached, full)
+
+
+def test_key_codes_that_do_not_fit_are_rejected():
+    rng = np.random.default_rng(16)
+    params = init_attention_params(pose_dim=3, query_len=3, latent_dim=4, rng=rng)
+    history = Tensor(rng.normal(size=(2, 3, 10)))       # 6 key windows
+    for bad in (np.zeros((2, 4, 7)), np.zeros((2, 5, 3)), np.zeros((4, 3))):
+        with pytest.raises(DimensionError, match="key codes"):
+            summarize_history(history, params, 3, 2, key_codes=bad)
 
 
 class TestExtendHistory:

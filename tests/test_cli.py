@@ -63,6 +63,14 @@ class TestConfigResolution:
         with pytest.raises(ConfigurationError):
             resolve_config(None, ["use_velocity=maybe"])
 
+    @pytest.mark.parametrize("item", ["epochs=abc", "lr=fast"])
+    def test_bad_number_exits_2_with_one_error_line(self, corpus, capsys, item):
+        rc = main(["train", "--data", str(corpus), "--dry-run", "--set", item])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert item.partition("=")[2] in err
+
 
 class TestGenSynth:
     def test_count_zero_writes_only_skeleton(self, tmp_path):
@@ -166,6 +174,17 @@ class TestEval:
                    "--frames-ms", "40", "--ablation", "latent_dim=8"])
         assert rc == 2
         assert "latent_dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--frames-ms", "40,abc"], "abc"),
+        (["--ablation", "stages=two"], "two"),
+    ])
+    def test_bad_value_exits_2_with_one_error_line(self, corpus, trained, capsys,
+                                                   flags, named):
+        rc = main(["eval", str(trained / "checkpoint.mckpt"), str(corpus), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
     def test_non_integral_frame_exits_2(self, corpus, trained, capsys):
         rc = main(["eval", str(trained / "checkpoint.mckpt"), str(corpus),

@@ -12,8 +12,10 @@ from motionrefine.model import (
     model_forward,
     named_parameters,
 )
-from motionrefine.tensor import Mode, Tensor
+from motionrefine.tensor import Mode, Tensor, no_grad
+from motionrefine import attention as attention_module
 from motionrefine import trainer as trainer_module
+from motionrefine.attention import sequence_to_channels
 from motionrefine.trainer import (
     AdamState,
     OptimizerConfig,
@@ -195,6 +197,64 @@ class TestAutoregressive:
             return real(*args, **kwargs)
         monkeypatch.setattr(trainer_module, "model_forward", counting)
         return calls
+
+
+class TestKeyCodeCache:
+    """predict_autoregressive reuses each pass's key codes in the next pass."""
+
+    @staticmethod
+    def _model(config):
+        rng = np.random.default_rng(21)
+        params = init_model_params(config, rng)
+        # a fresh model repeats the last pose whatever its summary; random output
+        # weights make every predicted frame depend on the attention
+        for glm in params.refinement.stages:
+            glm.output_gc.weights.data = rng.uniform(-1.0, 1.0, glm.output_gc.weights.shape)
+        warmup = rng.normal(size=(4, config.pose_dim, config.history_len))
+        model_forward(params, Tensor(warmup), config, model_basis(config), Mode.train(rng))
+        return params
+
+    @staticmethod
+    def _uncached_passes(history, params, config, horizon):
+        channels = sequence_to_channels(history)
+        with no_grad():
+            while channels.shape[1] < history.frames + horizon:
+                out = model_forward(params, Tensor(channels), config, model_basis(config),
+                                    Mode.eval())
+                future = out.prediction.data[:, -config.future_len:]
+                channels = np.concatenate([channels, future], axis=1)
+        return channels[:, history.frames:history.frames + horizon]
+
+    @pytest.mark.parametrize("frames", [20, 300])
+    @pytest.mark.parametrize("mode", ["attention", "copy"])
+    def test_matches_uncached_passes(self, frames, mode):
+        config = tiny_config(history_len=20, query_len=10, future_len=10, latent_dim=16,
+                             attention_mode=mode)
+        params = self._model(config)
+        rng = np.random.default_rng(frames)
+        history = PoseSequence(10.0 * rng.normal(size=(frames, config.joints, 3)))
+        cached = predict_autoregressive(history, params, config, 25)
+        expected = self._uncached_passes(history, params, config, 25)
+        assert cached.frames == 25
+        assert np.abs(sequence_to_channels(cached) - expected).max() < 1e-9
+
+    def test_reference_config_encodes_each_key_window_once(self, monkeypatch):
+        config = ModelConfig(joints=22)
+        params = self._model(config)
+        encoded = {"windows": 0}
+        real = attention_module.encode_span
+
+        def counting(net, span):
+            codes = real(net, span)
+            if net is params.attention.key_net:
+                encoded["windows"] += codes.shape[-1]
+            return codes
+        monkeypatch.setattr(attention_module, "encode_span", counting)
+        history = PoseSequence(np.random.default_rng(3).normal(size=(50, 22, 3)))
+        predict_autoregressive(history, params, config, 200)
+        # 31 windows in the first pass, then future_len new ones in each of 19
+        # more; re-encoding every pass would take 31 + 41 + ... + 221 = 2520
+        assert encoded["windows"] == 31 + 19 * 10
 
 
 class TestEvaluate:
