@@ -211,8 +211,11 @@ def cmd_predict(args) -> int:
 
 
 def _apply_ablation(ckpt, overrides: list[str]):
-    """Loss/stage switch overrides on a loaded checkpoint, shape-safe only."""
-    model_config, loss_config = ckpt.model_config, ckpt.loss_config
+    """Loss/stage switch overrides on a loaded checkpoint, shape-safe only.
+
+    Returns (params, model_config, loss_config); the checkpoint is left as loaded.
+    """
+    params, model_config, loss_config = ckpt.params, ckpt.model_config, ckpt.loss_config
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"--ablation expects KEY=VALUE, got {item!r}")
@@ -227,7 +230,8 @@ def _apply_ablation(ckpt, overrides: list[str]):
                 raise ConfigurationError(
                     f"stages override {stages} outside [1, {ckpt.model_config.stages}]")
             model_config = dataclasses.replace(model_config, stages=stages)
-            ckpt.params.refinement.stages = ckpt.params.refinement.stages[:stages]
+            params = dataclasses.replace(params, refinement=dataclasses.replace(
+                params.refinement, stages=params.refinement.stages[:stages]))
         elif key == "attention_mode":
             if value == "attention" and ckpt.params.attention is None:
                 raise ConfigurationError(
@@ -238,7 +242,7 @@ def _apply_ablation(ckpt, overrides: list[str]):
             default = getattr(LossConfig(), key)
             loss_config = dataclasses.replace(
                 loss_config, **{key: _coerce(key, value, default)})
-    return model_config, loss_config
+    return params, model_config, loss_config
 
 
 def _print_table(record: dict):
@@ -257,7 +261,7 @@ def _print_table(record: dict):
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    model_config, loss_config = _apply_ablation(ckpt, args.ablation or [])
+    params, model_config, loss_config = _apply_ablation(ckpt, args.ablation or [])
     dataset = load_dataset(args.data)
     if dataset.skeleton.joint_count != ckpt.skeleton.joint_count:
         raise SkeletonError(
@@ -270,7 +274,7 @@ def cmd_eval(args) -> int:
             f"--frames-ms expects comma-separated numbers, got {args.frames_ms!r}") from None
     if not frames_ms:
         raise ConfigurationError("--frames-ms lists no frames")
-    record = evaluate(dataset, ckpt.params, model_config, frames_ms,
+    record = evaluate(dataset, params, model_config, frames_ms,
                       stride=args.stride, per_stage=args.stages,
                       loss_config=loss_config)
     record["checkpoint"] = str(args.checkpoint)

@@ -232,8 +232,12 @@ def skeleton_from_text(text: str, source: str = "<text>") -> Skeleton:
             joints_part, sep, bones_part = value.partition("|")
             if not sep:
                 raise FormatError(f"{source}: chain line missing '|': {line!r}")
-            indices = tuple(int(tok) for tok in joints_part.split())
-            bones = tuple(float(tok) for tok in bones_part.split())
+            try:
+                indices = tuple(int(tok) for tok in joints_part.split())
+                bones = tuple(float(tok) for tok in bones_part.split())
+            except ValueError:
+                raise FormatError(f"{source}: chain line has a non-numeric token: "
+                                  f"{line!r}") from None
             chains.append(KinematicChain(indices, bones))
         else:
             fields[key] = value
@@ -243,6 +247,9 @@ def skeleton_from_text(text: str, source: str = "<text>") -> Skeleton:
         names = tuple(name.strip() for name in fields["joint_names"].split(","))
     except KeyError as missing:
         raise FormatError(f"{source}: missing field {missing}") from None
+    except ValueError:
+        raise FormatError(
+            f"{source}: joint_count {fields['joint_count']!r} is not an integer") from None
     try:
         return Skeleton(joint_count, names, tuple(chains), units)
     except ConfigurationError as bad:

@@ -4,9 +4,12 @@ Every operation on tracked tensors records its inputs and a backward
 closure on the result, so the operation graph doubles as the gradient
 tape: inputs always precede their consumers (topological order by
 construction).  ``backward`` on a scalar walks that graph once in
-reverse, accumulates a gradient per differentiable node and returns the
-resulting map.  A graph can be walked only once; rebuilding the forward
-pass resets the tape.
+reverse and returns the gradients of the leaves (the tracked tensors no
+op produced, such as parameters), which also keep them in ``.grad``.
+The gradient of each intermediate result is released as soon as its
+backward closure has run, so a sweep holds only the gradients still
+waiting to be consumed.  A graph can be walked only once; rebuilding the
+forward pass resets the tape.
 
 Tensors are immutable by convention once created (optimizers mutate
 parameter ``data`` between steps, never mid-graph).  All math is 64-bit.
@@ -182,8 +185,10 @@ def add(a, b) -> Tensor:
     out = _result(a.data + b.data, (a, b), "add")
     if out.requires_grad:
         def _bw():
-            _accum(a, _unbroadcast(out.grad, a.shape))
-            _accum(b, _unbroadcast(out.grad, b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(out.grad, a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(out.grad, b.shape))
         out._backward = _bw
     return out
 
@@ -194,8 +199,10 @@ def sub(a, b) -> Tensor:
     out = _result(a.data - b.data, (a, b), "sub")
     if out.requires_grad:
         def _bw():
-            _accum(a, _unbroadcast(out.grad, a.shape))
-            _accum(b, _unbroadcast(-out.grad, b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(out.grad, a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(-out.grad, b.shape))
         out._backward = _bw
     return out
 
@@ -206,8 +213,10 @@ def mul(a, b) -> Tensor:
     out = _result(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
         def _bw():
-            _accum(a, _unbroadcast(out.grad * b.data, a.shape))
-            _accum(b, _unbroadcast(out.grad * a.data, b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(out.grad * b.data, a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(out.grad * a.data, b.shape))
         out._backward = _bw
     return out
 
@@ -218,8 +227,10 @@ def div(a, b) -> Tensor:
     out = _result(a.data / b.data, (a, b), "div")
     if out.requires_grad:
         def _bw():
-            _accum(a, _unbroadcast(out.grad / b.data, a.shape))
-            _accum(b, _unbroadcast(-out.grad * out.data / b.data, b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(out.grad / b.data, a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(-out.grad * out.data / b.data, b.shape))
         out._backward = _bw
     return out
 
@@ -238,8 +249,16 @@ def matmul(a, b) -> Tensor:
     if out.requires_grad:
         def _bw():
             g = out.grad
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            if b.requires_grad:
+                if b.ndim == 2:
+                    # a weight shared by every batch entry: one GEMM over the
+                    # flattened batch, never a (batch, K, N) stack to sum away
+                    k, n = b.shape
+                    _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                else:
+                    _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
         out._backward = _bw
     return out
 
@@ -488,6 +507,7 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis
     Train mode uses batch statistics and folds them into ``stats`` with the
     configured momentum (unbiased variance, like the usual convention).
     Eval mode is deterministic and requires initialized running stats.
+    The op is one tape node with the closed-form gradient.
     """
     inputs = as_tensor(inputs)
     gamma = as_tensor(gamma)
@@ -499,25 +519,46 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis
             f"gamma/beta must be ({channels},), got {gamma.shape} and {beta.shape}")
     bshape = [1] * inputs.ndim
     bshape[axis] = channels
-    gamma_b = reshape(gamma, bshape)
-    beta_b = reshape(beta, bshape)
     pooled = tuple(i for i in range(inputs.ndim) if i != axis)
+    n = inputs.size // channels
+    x = inputs.data
     if mode.training:
-        mu = tensor_mean(inputs, axis=pooled, keepdims=True)
-        centered = sub(inputs, mu)
-        var = tensor_mean(mul(centered, centered), axis=pooled, keepdims=True)
-        normalized = div(centered, sqrt(add(var, stats.eps)))
-        n = inputs.size // channels
-        batch_var = var.data.reshape(channels)
+        mu = x.sum(axis=pooled, keepdims=True) * (1.0 / n)
+        centered = x - mu
+        var = (centered * centered).sum(axis=pooled, keepdims=True) * (1.0 / n)
+        std = np.sqrt(var + stats.eps)
+        normalized = centered / std
+        batch_var = var.reshape(channels)
         unbiased = batch_var * (n / (n - 1)) if n > 1 else batch_var
-        stats.update(mu.data.reshape(channels), unbiased)
+        stats.update(mu.reshape(channels), unbiased)
     else:
         if not stats.initialized:
             raise StateError("eval-mode batchnorm before any training batch")
-        mean_b = stats.mean.reshape(bshape)
-        std_b = np.sqrt(stats.var + stats.eps).reshape(bshape)
-        normalized = div(sub(inputs, Tensor(mean_b)), Tensor(std_b))
-    return add(mul(gamma_b, normalized), beta_b)
+        std = np.sqrt(stats.var + stats.eps).reshape(bshape)
+        normalized = (x - stats.mean.reshape(bshape)) / std
+    gamma_b = gamma.data.reshape(bshape)
+    out = _result(gamma_b * normalized + beta.data.reshape(bshape),
+                  (inputs, gamma, beta), "batchnorm")
+    if out.requires_grad:
+        training = mode.training
+        def _bw():
+            g = out.grad
+            dbeta = g.sum(axis=pooled, keepdims=True)
+            dgamma = (g * normalized).sum(axis=pooled, keepdims=True)
+            _accum(gamma, dgamma.reshape(channels))
+            _accum(beta, dbeta.reshape(channels))
+            if inputs.requires_grad:
+                if training:
+                    # gamma/std * (g - mean(g) - normalized * mean(g * normalized))
+                    dx = normalized * (dgamma * (-1.0 / n))
+                    dx += g
+                    dx -= dbeta * (1.0 / n)
+                    dx *= gamma_b / std
+                else:
+                    dx = g * (gamma_b / std)
+                _accum(inputs, dx)
+        out._backward = _bw
+    return out
 
 
 def dropout(inputs, rate: float, rng: np.random.Generator | None, mode: Mode) -> Tensor:
@@ -536,9 +577,12 @@ def dropout(inputs, rate: float, rng: np.random.Generator | None, mode: Mode) ->
 def backward(loss: Tensor) -> dict:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns a map from every reachable differentiable tensor to its
-    gradient (leaves keep it in ``.grad`` as well).  A second sweep over
-    the same graph raises; rebuild the forward pass instead.
+    Returns a map from every reachable leaf (a tracked tensor that no op
+    produced) to its gradient; leaves keep it in ``.grad`` as well.  The
+    ``.grad`` of every intermediate result is set to None as soon as its
+    backward closure has run, so intermediates are absent from the map.
+    A second sweep over the same graph raises; rebuild the forward pass
+    instead.
     """
     if not isinstance(loss, Tensor):
         raise TapeError("backward expects a Tensor")
@@ -571,6 +615,7 @@ def backward(loss: Tensor) -> dict:
         if node._backward is not None:
             node._done = True
             node._backward()
+            node.grad = None
     return {node: node.grad for node in topo if node.grad is not None}
 
 

@@ -484,7 +484,10 @@ def load_checkpoint(path) -> Checkpoint:
     (header_len,) = struct.unpack("<I", raw[8:12])
     if len(raw) < 12 + header_len:
         raise FormatError(f"{path}: truncated header")
-    header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+    except ValueError as bad:  # UnicodeDecodeError or JSONDecodeError
+        raise FormatError(f"{path}: header is not UTF-8 JSON: {bad}") from None
     payload = raw[12 + header_len:]
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise FormatError(f"{path}: payload hash mismatch, file is corrupt")
@@ -511,21 +514,25 @@ def load_checkpoint(path) -> Checkpoint:
     params = init_model_params(model_config, np.random.default_rng(0))
     named = named_parameters(params)
     adam = AdamState(named)
-    for name, tensor in named.items():
-        key = f"param.{name}"
+
+    def array(key: str, shape: tuple) -> np.ndarray:
         if key not in arrays:
             raise FormatError(f"{path}: missing array {key}")
-        if arrays[key].shape != tensor.data.shape:
+        if arrays[key].shape != shape:
             raise FormatError(f"{path}: array {key} has shape {arrays[key].shape}, "
-                              f"expected {tensor.data.shape}")
-        tensor.data = arrays[key]
-        adam.m[name] = arrays[f"adam.m.{name}"]
-        adam.v[name] = arrays[f"adam.v.{name}"]
+                              f"expected {shape}")
+        return arrays[key]
+
+    for name, tensor in named.items():
+        shape = tensor.data.shape
+        tensor.data = array(f"param.{name}", shape)
+        adam.m[name] = array(f"adam.m.{name}", shape)
+        adam.v[name] = array(f"adam.v.{name}", shape)
     for name, stats in named_running_stats(params).items():
         mean_key = f"stats.{name}.mean"
         if mean_key in arrays:
             stats.mean = arrays[mean_key]
-            stats.var = arrays[f"stats.{name}.var"]
+            stats.var = array(f"stats.{name}.var", stats.mean.shape)
     adam.step = header["adam_step"]
     rng = np.random.default_rng(0)
     rng.bit_generator.state = header["rng_state"]

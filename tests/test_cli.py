@@ -1,11 +1,14 @@
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 
-from motionrefine.cli import main, resolve_config
+from motionrefine.cli import _apply_ablation, main, resolve_config
 from motionrefine.data import load_dataset, load_sequence
 from motionrefine.errors import ConfigurationError
+from motionrefine.trainer import load_checkpoint
 
 
 TINY_MODEL = ["--set", "history_len=14", "--set", "query_len=4", "--set", "future_len=4",
@@ -107,6 +110,24 @@ class TestTrain:
         assert json.loads(out[:out.index("parameter count:")])["latent_dim"] == 12
         assert list(tmp_path.glob("**/*.mckpt")) == []
 
+    @pytest.mark.parametrize("field, bad", [
+        (r"joint_count: \d+", "joint_count: four"),
+        (r"\| [\d.]+", "| long"),
+    ], ids=["joint_count", "chain_token"])
+    def test_malformed_skeleton_exits_1_with_one_error_line(self, corpus, capsys, tmp_path,
+                                                          field, bad):
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data)
+        mskel = data / "skeleton.mskel"
+        text, replaced = re.subn(field, bad, mskel.read_text(), count=1)
+        assert replaced == 1
+        mskel.write_text(text)
+        rc = main(["train", "--data", str(data), "--dry-run", *TINY_MODEL])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert bad.split()[-1] in err
+
     def test_train_writes_echoed_config_metrics_and_checkpoint(self, trained):
         assert (trained / "checkpoint.mckpt").exists()
         resolved = json.loads((trained / "config.resolved.json").read_text())
@@ -141,6 +162,19 @@ class TestPredict:
         assert "skeleton-3j-1c" in err and "skeleton-4j-1c" in err
 
 
+    def test_non_utf8_checkpoint_header_exits_1_with_one_error_line(
+            self, corpus, trained, tmp_path, capsys):
+        blob = bytearray((trained / "checkpoint.mckpt").read_bytes())
+        blob[20] = 0xFF  # inside the JSON header, which the payload hash does not cover
+        ckpt = tmp_path / "bad.mckpt"
+        ckpt.write_bytes(bytes(blob))
+        rc = main(["predict", str(ckpt), str(corpus / "sinusoid_000.mseq"),
+                   str(tmp_path / "x.mseq"), "--horizon", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "header" in err
+
+
 class TestEval:
     def test_table_and_record_round_trip(self, corpus, trained, tmp_path, capsys):
         out = tmp_path / "evalout"
@@ -168,6 +202,13 @@ class TestEval:
         ablated = json.loads((out_abl / "eval_record.json").read_text())
         assert ablated["mean_loss"] != full["mean_loss"]
         assert ablated["mpjpe"][0] != full["mpjpe"][0]  # one stage instead of two
+
+    def test_stage_ablation_leaves_checkpoint_params_intact(self, trained):
+        ckpt = load_checkpoint(trained / "checkpoint.mckpt")
+        params, model_config, _ = _apply_ablation(ckpt, ["stages=1"])
+        assert model_config.stages == 1 and len(params.refinement.stages) == 1
+        assert ckpt.model_config.stages == 2
+        assert len(ckpt.params.refinement.stages) == 2
 
     def test_bad_ablation_key_exits_2(self, corpus, trained, capsys):
         rc = main(["eval", str(trained / "checkpoint.mckpt"), str(corpus),

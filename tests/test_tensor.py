@@ -17,7 +17,9 @@ from motionrefine.tensor import (
     relu,
     scale,
     sliding_windows,
+    sqrt,
     tanh,
+    tensor_mean,
     tensor_sum,
 )
 
@@ -49,6 +51,24 @@ class TestMatmul:
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         assert_gradients_match(lambda: tensor_sum(tanh(matmul(a, b))), [a, b])
+
+    # (B, M, K) @ (K, N) is test_batched_gradcheck above
+    @pytest.mark.parametrize("a_shape", [(2, 3, 2, 4), (3, 4)])
+    def test_shared_matrix_gradcheck(self, a_shape):
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        assert_gradients_match(lambda: tensor_sum(tanh(matmul(a, b))), [a, b])
+
+    def test_constant_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(4, 5)))
+        mask = Tensor(rng.normal(size=(2, 3, 5)))
+        backward(tensor_sum(matmul(x, weights) * mask))
+        assert x.grad is not None
+        assert weights.grad is None
+        assert mask.grad is None
 
 
 class TestConv1d:
@@ -181,6 +201,94 @@ class TestBatchnorm:
         assert_gradients_match(build, [x, gamma, beta])
 
 
+def _op_chain_batchnorm(inputs, gamma, beta, stats, mode, channel_axis):
+    """Batch norm built from elementwise tape ops, the fused node's reference."""
+    axis = channel_axis % inputs.ndim
+    channels = inputs.shape[axis]
+    bshape = [1] * inputs.ndim
+    bshape[axis] = channels
+    pooled = tuple(i for i in range(inputs.ndim) if i != axis)
+    if mode.training:
+        mu = tensor_mean(inputs, axis=pooled, keepdims=True)
+        centered = inputs - mu
+        var = tensor_mean(centered * centered, axis=pooled, keepdims=True)
+        normalized = centered / sqrt(var + stats.eps)
+        n = inputs.size // channels
+        batch_var = var.data.reshape(channels)
+        stats.update(mu.data.reshape(channels),
+                     batch_var * (n / (n - 1)) if n > 1 else batch_var)
+    else:
+        normalized = ((inputs - Tensor(stats.mean.reshape(bshape)))
+                      / Tensor(np.sqrt(stats.var + stats.eps).reshape(bshape)))
+    return gamma.reshape(bshape) * normalized + beta.reshape(bshape)
+
+
+class TestFusedBatchnorm:
+    @pytest.mark.parametrize("channel_axis", [0, 1, -1])
+    def test_train_gradcheck_3d(self, channel_axis):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        channels = x.shape[channel_axis]
+        gamma = Tensor(rng.uniform(0.5, 1.5, channels), requires_grad=True)
+        beta = Tensor(rng.normal(size=channels), requires_grad=True)
+
+        def build():
+            return tensor_sum(tanh(batchnorm(x, gamma, beta, RunningStats(),
+                                             Mode.train(None), channel_axis)))
+        assert_gradients_match(build, [x, gamma, beta])
+
+    def test_eval_gradcheck_with_tracked_input_gamma_beta(self):
+        rng = np.random.default_rng(21)
+        stats = RunningStats()
+        batchnorm(Tensor(rng.normal(size=(6, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                  stats, Mode.train(None), channel_axis=-1)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
+        beta = Tensor(rng.normal(size=3), requires_grad=True)
+
+        def build():
+            return tensor_sum(tanh(batchnorm(x, gamma, beta, stats, Mode.eval(),
+                                             channel_axis=-1)))
+        assert_gradients_match(build, [x, gamma, beta])
+
+    def test_single_sample_train_gives_zero_input_gradient(self):
+        x = Tensor(np.array([[0.5, -2.0, 3.0]]), requires_grad=True)
+        stats = RunningStats()
+        out = batchnorm(x, Tensor(np.array([1.5, 0.5, 2.0])), Tensor(np.zeros(3)),
+                        stats, Mode.train(None), channel_axis=-1)
+        backward(tensor_sum(tanh(out) * Tensor([1.0, -3.0, 2.0])))
+        assert np.array_equal(x.grad, np.zeros((1, 3)))
+        assert np.array_equal(stats.var, np.full(3, 0.9))
+
+    @pytest.mark.parametrize("channel_axis", [0, -1])
+    def test_forward_and_stats_equal_op_chain_bitwise(self, channel_axis):
+        rng = np.random.default_rng(22)
+        channels = 5
+        shape = (channels, 7, 3) if channel_axis == 0 else (4, 7, channels)
+        gamma = Tensor(rng.uniform(0.5, 1.5, channels))
+        beta = Tensor(rng.normal(size=channels))
+        fused, chain = RunningStats(), RunningStats()
+        for _ in range(2):
+            x = Tensor(rng.normal(loc=2.0, scale=3.0, size=shape))
+            out = batchnorm(x, gamma, beta, fused, Mode.train(None), channel_axis)
+            ref = _op_chain_batchnorm(x, gamma, beta, chain, Mode.train(None), channel_axis)
+            assert np.array_equal(out.data, ref.data)
+        assert np.array_equal(fused.mean, chain.mean)
+        assert np.array_equal(fused.var, chain.var)
+        x = Tensor(rng.normal(size=shape))
+        out = batchnorm(x, gamma, beta, fused, Mode.eval(), channel_axis)
+        ref = _op_chain_batchnorm(x, gamma, beta, chain, Mode.eval(), channel_axis)
+        assert np.array_equal(out.data, ref.data)
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        out = batchnorm(x, Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3)),
+                        RunningStats(), Mode.train(None), channel_axis=-1)
+        assert out._op == "batchnorm"
+        assert all(p._op == "leaf" for p in out._parents)
+
+
 class TestDropout:
     def test_rate_zero_identity_both_modes(self):
         x = Tensor(np.arange(6.0))
@@ -243,8 +351,10 @@ class TestBackward:
         loss = tensor_sum(y)
         grads = backward(loss)
         assert grads[x].shape == x.shape
-        assert grads[y].shape == y.shape
-        assert grads[loss].shape == loss.shape
+        assert grads[x] is x.grad
+        # intermediates are released during the sweep
+        assert y not in grads and y.grad is None
+        assert loss not in grads and loss.grad is None
 
     def test_untracked_inputs_never_join_the_tape(self):
         a = Tensor([1.0], requires_grad=True)

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -355,6 +359,60 @@ class TestCheckpoint:
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="hash"):
+            load_checkpoint(path)
+
+    @pytest.fixture(scope="class")
+    def checkpoint_bytes(self, tmp_path_factory):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        result = train(ds, cfg, LossConfig(), OptimizerConfig(),
+                       TrainSettings(epochs=1, batch_size=4, seed=0, val_fraction=0.0))
+        path = tmp_path_factory.mktemp("ckpt") / "model.mckpt"
+        save_checkpoint(path, result.params, result.adam, result.rng, 1, cfg,
+                        LossConfig(), OptimizerConfig(),
+                        result.settings.replay_fields(), ds.skeleton)
+        return path.read_bytes()
+
+    @staticmethod
+    def _split(blob: bytes):
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        return blob[:8], blob[12:12 + header_len], blob[12 + header_len:]
+
+    @pytest.mark.parametrize("edit", ["non_utf8", "non_json"])
+    def test_unreadable_header_raises_format_error(self, checkpoint_bytes, tmp_path, edit):
+        magic, header, payload = self._split(checkpoint_bytes)
+        header = (header[:5] + b"\xff" + header[6:] if edit == "non_utf8"
+                  else b"x" + header[1:])
+        path = tmp_path / "bad.mckpt"
+        path.write_bytes(magic + struct.pack("<I", len(header)) + header + payload)
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("prefix, suffix", [
+        ("adam.m.", ""), ("adam.v.", ""), ("stats.", ".var"),
+    ])
+    def test_missing_state_array_raises_format_error(self, checkpoint_bytes, tmp_path,
+                                                     prefix, suffix):
+        magic, header, payload = self._split(checkpoint_bytes)
+        meta = json.loads(header)
+        offset, kept, chunks = 0, [], []
+        missing = None
+        for entry in meta["arrays"]:
+            size = 8 * int(np.prod(entry["shape"]))
+            name = entry["name"]
+            if missing is None and name.startswith(prefix) and name.endswith(suffix):
+                missing = name
+            else:
+                kept.append(entry)
+                chunks.append(payload[offset:offset + size])
+            offset += size
+        payload = b"".join(chunks)
+        meta["arrays"] = kept
+        meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        header = json.dumps(meta).encode("utf-8")
+        path = tmp_path / "bad.mckpt"
+        path.write_bytes(magic + struct.pack("<I", len(header)) + header + payload)
+        with pytest.raises(FormatError, match=f"missing array {missing}"):
             load_checkpoint(path)
 
     def test_resume_under_different_config_rejected(self, tmp_path):
