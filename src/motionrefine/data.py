@@ -81,7 +81,10 @@ def load_sequence(path) -> tuple[str, PoseSequence]:
 
     joints, frames, rate_mhz = struct.unpack("<III", pull(12))
     (name_len,) = struct.unpack("<I", pull(4))
-    name = pull(name_len).decode("utf-8")
+    try:
+        name = pull(name_len).decode("utf-8")
+    except UnicodeDecodeError as bad:
+        raise FormatError(f"{path}: skeleton name is not UTF-8: {bad}") from None
     payload = pull(frames * joints * 3 * 4)
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")

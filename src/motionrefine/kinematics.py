@@ -257,4 +257,8 @@ def skeleton_from_text(text: str, source: str = "<text>") -> Skeleton:
 
 
 def load_skeleton(path) -> Skeleton:
-    return skeleton_from_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as bad:
+        raise FormatError(f"{path}: not UTF-8 text: {bad}") from None
+    return skeleton_from_text(text, source=str(path))

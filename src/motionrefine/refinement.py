@@ -4,9 +4,9 @@ Each stage converts the running summary and prediction into frequency
 coefficients, runs a residual graph learning module over their channel
 concatenation, and converts both halves back to pose space.  The graph
 convolution is adjacency @ input @ weights with both factors learnable;
-a block follows it with batch normalization, tanh and dropout, and each
-module closes with a bare graph convolution restoring the coefficient
-channel count.
+a block follows it with batch normalization, tanh and dropout (recorded as
+one tape node, ``tensor.graph_block``), and each module closes with a bare
+graph convolution restoring the coefficient channel count.
 
 The final convolution's weight matrix starts at zero, so a freshly
 initialized model is exactly the repeat-last-pose baseline (only the
@@ -26,11 +26,9 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
-    batchnorm,
     concat,
-    dropout,
+    graph_block,
     matmul,
-    tanh,
 )
 from .transforms import DctBasis, dct, idct
 from .attention import MotionSummary
@@ -78,9 +76,7 @@ def pad_query(query, future_len: int) -> Tensor:
     return concat([query] + [last] * future_len, axis=-1)
 
 
-def graph_conv(g, layer: GraphLayerParams) -> Tensor:
-    """adjacency @ g @ weights over (..., pose_dim, channels) inputs."""
-    g = as_tensor(g)
+def _check_graph_input(g: Tensor, layer: GraphLayerParams):
     if g.shape[-1] != layer.weights.shape[0]:
         raise DimensionError(
             f"graph conv expects {layer.weights.shape[0]} channels, got {g.shape[-1]}")
@@ -88,15 +84,22 @@ def graph_conv(g, layer: GraphLayerParams) -> Tensor:
         raise DimensionError(
             f"graph conv expects {layer.adjacency.shape[0]} joints-coords rows, "
             f"got {g.shape[-2]}")
+
+
+def graph_conv(g, layer: GraphLayerParams) -> Tensor:
+    """adjacency @ g @ weights over (..., pose_dim, channels) inputs."""
+    g = as_tensor(g)
+    _check_graph_input(g, layer)
     return matmul(matmul(layer.adjacency, g), layer.weights)
 
 
 def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
                          dropout_rate: float = 0.3) -> Tensor:
-    h = graph_conv(g, layer)
-    h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode, channel_axis=-1)
-    h = tanh(h)
-    return dropout(h, dropout_rate, mode.rng, mode)
+    """Graph conv, batch norm over channels, tanh and dropout: one tape node."""
+    g = as_tensor(g)
+    _check_graph_input(g, layer)
+    return graph_block(g, layer.adjacency, layer.weights, layer.gamma, layer.beta,
+                       layer.stats, mode, dropout_rate)
 
 
 def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:

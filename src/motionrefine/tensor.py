@@ -248,19 +248,28 @@ def matmul(a, b) -> Tensor:
     out = _result(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
         def _bw():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-            if b.requires_grad:
-                if b.ndim == 2:
-                    # a weight shared by every batch entry: one GEMM over the
-                    # flattened batch, never a (batch, K, N) stack to sum away
-                    k, n = b.shape
-                    _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
-                else:
-                    _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            grad_a, grad_b = _matmul_grads(a.data, b.data, out.grad,
+                                           a.requires_grad, b.requires_grad)
+            _accum(a, grad_a)
+            _accum(b, grad_b)
         out._backward = _bw
     return out
+
+
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, need_b: bool):
+    """Gradients of ``a @ b`` for the upstream gradient ``g``, None where not needed."""
+    grad_a = grad_b = None
+    if need_a:
+        grad_a = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+    if need_b:
+        if b.ndim == 2:
+            # a weight shared by every batch entry: one GEMM over the
+            # flattened batch, never a (batch, K, N) stack to sum away
+            k, n = b.shape
+            grad_b = a.reshape(-1, k).T @ g.reshape(-1, n)
+        else:
+            grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+    return grad_a, grad_b
 
 
 def tanh(a) -> Tensor:
@@ -501,6 +510,80 @@ class RunningStats:
         )
 
 
+def _check_affine(gamma: Tensor, beta: Tensor, channels: int):
+    if gamma.shape != (channels,) or beta.shape != (channels,):
+        raise DimensionError(
+            f"gamma/beta must be ({channels},), got {gamma.shape} and {beta.shape}")
+
+
+def _channel_layout(ndim: int, axis: int, channels: int):
+    """Broadcast shape of a per-channel vector, and the axes pooled over."""
+    bshape = [1] * ndim
+    bshape[axis] = channels
+    return bshape, tuple(i for i in range(ndim) if i != axis)
+
+
+def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       stats: RunningStats, training: bool, axis: int,
+                       keep_normalized: bool = True):
+    """Batch-normalize ``x`` per channel along ``axis``, overwriting it.
+
+    ``x`` is left holding the normalized activations.  Returns the affine
+    output ``gamma * normalized + beta`` and the per-channel std; the output
+    is a new array, except in eval mode without ``keep_normalized``, where it
+    is written over ``x``.  Train mode normalizes with the batch statistics
+    and folds them into ``stats`` (unbiased variance); eval mode uses the
+    running ones.
+    """
+    if not training and not stats.initialized:
+        raise StateError("eval-mode batchnorm before any training batch")
+    channels = x.shape[axis]
+    bshape, pooled = _channel_layout(x.ndim, axis, channels)
+    # train mode needs the second buffer for the centered squares anyway
+    out = np.empty_like(x) if training or keep_normalized else x
+    if training:
+        n = x.size // channels
+        mu = x.sum(axis=pooled, keepdims=True) * (1.0 / n)
+        centered = np.subtract(x, mu, out=x)
+        var = np.multiply(centered, centered, out=out).sum(axis=pooled, keepdims=True) * (1.0 / n)
+        std = np.sqrt(var + stats.eps)
+        batch_var = var.reshape(channels)
+        stats.update(mu.reshape(channels), batch_var * (n / (n - 1)) if n > 1 else batch_var)
+    else:
+        std = np.sqrt(stats.var + stats.eps).reshape(bshape)
+        np.subtract(x, stats.mean.reshape(bshape), out=x)
+    normalized = np.divide(x, std, out=x)
+    np.multiply(gamma.reshape(bshape), normalized, out=out)
+    out += beta.reshape(bshape)
+    return out, std
+
+
+def _batchnorm_backward(g: np.ndarray, normalized: np.ndarray, gamma: np.ndarray,
+                        std: np.ndarray, training: bool, axis: int, need_input: bool):
+    """Closed-form batch-norm gradients ``(dgamma, dbeta, dx)`` for upstream ``g``.
+
+    ``dx`` is None unless ``need_input``; it is written over ``normalized``,
+    which the forward pass left to this one backward call.
+    """
+    channels = g.shape[axis]
+    bshape, pooled = _channel_layout(g.ndim, axis, channels)
+    dbeta = g.sum(axis=pooled, keepdims=True)
+    dgamma = (g * normalized).sum(axis=pooled, keepdims=True)
+    dx = None
+    if need_input:
+        scale = gamma.reshape(bshape) / std
+        if training:
+            # gamma/std * (g - mean(g) - normalized * mean(g * normalized))
+            n = g.size // channels
+            dx = np.multiply(normalized, dgamma * (-1.0 / n), out=normalized)
+            dx += g
+            dx -= dbeta * (1.0 / n)
+            dx *= scale
+        else:
+            dx = np.multiply(g, scale, out=normalized)
+    return dgamma.reshape(channels), dbeta.reshape(channels), dx
+
+
 def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis: int = 0) -> Tensor:
     """Normalize per channel over every other axis, then apply the affine pair.
 
@@ -513,65 +596,117 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis
     gamma = as_tensor(gamma)
     beta = as_tensor(beta)
     axis = channel_axis % inputs.ndim
-    channels = inputs.shape[axis]
-    if gamma.shape != (channels,) or beta.shape != (channels,):
-        raise DimensionError(
-            f"gamma/beta must be ({channels},), got {gamma.shape} and {beta.shape}")
-    bshape = [1] * inputs.ndim
-    bshape[axis] = channels
-    pooled = tuple(i for i in range(inputs.ndim) if i != axis)
-    n = inputs.size // channels
-    x = inputs.data
-    if mode.training:
-        mu = x.sum(axis=pooled, keepdims=True) * (1.0 / n)
-        centered = x - mu
-        var = (centered * centered).sum(axis=pooled, keepdims=True) * (1.0 / n)
-        std = np.sqrt(var + stats.eps)
-        normalized = centered / std
-        batch_var = var.reshape(channels)
-        unbiased = batch_var * (n / (n - 1)) if n > 1 else batch_var
-        stats.update(mu.reshape(channels), unbiased)
-    else:
-        if not stats.initialized:
-            raise StateError("eval-mode batchnorm before any training batch")
-        std = np.sqrt(stats.var + stats.eps).reshape(bshape)
-        normalized = (x - stats.mean.reshape(bshape)) / std
-    gamma_b = gamma.data.reshape(bshape)
-    out = _result(gamma_b * normalized + beta.data.reshape(bshape),
-                  (inputs, gamma, beta), "batchnorm")
+    _check_affine(gamma, beta, inputs.shape[axis])
+    normalized = inputs.data.copy()
+    data, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats, mode.training, axis)
+    out = _result(data, (inputs, gamma, beta), "batchnorm")
     if out.requires_grad:
         training = mode.training
         def _bw():
-            g = out.grad
-            dbeta = g.sum(axis=pooled, keepdims=True)
-            dgamma = (g * normalized).sum(axis=pooled, keepdims=True)
-            _accum(gamma, dgamma.reshape(channels))
-            _accum(beta, dbeta.reshape(channels))
-            if inputs.requires_grad:
-                if training:
-                    # gamma/std * (g - mean(g) - normalized * mean(g * normalized))
-                    dx = normalized * (dgamma * (-1.0 / n))
-                    dx += g
-                    dx -= dbeta * (1.0 / n)
-                    dx *= gamma_b / std
-                else:
-                    dx = g * (gamma_b / std)
-                _accum(inputs, dx)
+            dgamma, dbeta, dx = _batchnorm_backward(out.grad, normalized, gamma.data, std,
+                                                    training, axis, inputs.requires_grad)
+            _accum(gamma, dgamma)
+            _accum(beta, dbeta)
+            _accum(inputs, dx)
         out._backward = _bw
     return out
+
+
+def _dropout_active(rate: float, rng: np.random.Generator | None, mode: Mode) -> bool:
+    """Validate an inverted-dropout call; False where it is the identity (eval or rate 0)."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
+    if not mode.training or rate == 0.0:
+        return False
+    if rng is None:
+        raise ConfigurationError("train-mode dropout needs an rng")
+    return True
+
+
+def _dropout_draw(shape: tuple, rate: float, rng: np.random.Generator):
+    """The uniform draw of one dropout call and its bool keep mask ``draw >= rate``."""
+    draw = rng.random(shape)
+    return draw, draw >= rate
 
 
 def dropout(inputs, rate: float, rng: np.random.Generator | None, mode: Mode) -> Tensor:
     """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, eval identity."""
     inputs = as_tensor(inputs)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-    if not mode.training or rate == 0.0:
+    if not _dropout_active(rate, rng, mode):
         return inputs
-    if rng is None:
-        raise ConfigurationError("train-mode dropout needs an rng")
-    mask = (rng.random(inputs.shape) >= rate) / (1.0 - rate)
-    return mul(inputs, Tensor(mask))
+    _, keep = _dropout_draw(inputs.shape, rate, rng)
+    return mul(inputs, Tensor(keep / (1.0 - rate)))
+
+
+def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: Mode,
+                rate: float) -> Tensor:
+    """``dropout(tanh(batchnorm(adjacency @ g @ weights)))`` as one tape node.
+
+    g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out); batch norm
+    runs over the last (channel) axis and dropout draws ``mode.rng``.  The
+    arithmetic, its order and the dropout draw are those of the composed
+    ``matmul``, ``batchnorm``, ``tanh`` and ``dropout`` ops, so values,
+    running statistics and gradients are bit-identical to theirs.  The
+    node keeps ``adjacency @ g`` (for the weight gradient), the normalized
+    activations, the tanh output and a bool keep mask; the pre-norm product
+    and the batch-norm output are overwritten in place.  Off the tape (under
+    ``no_grad`` or with no tracked input) nothing is kept and eval mode runs
+    the whole epilogue in the buffer of the pre-norm product.
+    """
+    g, adjacency, weights, gamma, beta = (
+        as_tensor(t) for t in (g, adjacency, weights, gamma, beta))
+    _check_affine(gamma, beta, weights.shape[-1])
+    dropping = _dropout_active(rate, mode.rng, mode)
+    tracked = _grad_enabled and any(t.requires_grad for t in (g, adjacency, weights, gamma, beta))
+    mixed = adjacency.data @ g.data
+    normalized = mixed @ weights.data
+    if not tracked:
+        mixed = None  # no backward will read it: free it before the batch-norm buffer
+    axis = normalized.ndim - 1
+    activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats,
+                                        mode.training, axis, keep_normalized=tracked)
+    np.tanh(activated, out=activated)
+    if dropping:
+        data, keep = _dropout_draw(activated.shape, rate, mode.rng)
+        scale = 1.0 / (1.0 - rate)
+        np.multiply(activated, keep, out=data)  # the draw's buffer takes the output
+        data *= scale
+    else:
+        data, keep = activated, None
+    out = _result(data, (g, adjacency, weights, gamma, beta), "graph_block")
+    if out.requires_grad:
+        training = mode.training
+        def _bw():
+            # gradient at the batch-norm output: the dropout mask, then tanh's 1 - t*t
+            if keep is None:
+                grad = activated * activated        # activated is out.data: left intact
+                np.subtract(1.0, grad, out=grad)
+                grad *= out.grad
+            else:
+                slope = np.multiply(activated, activated, out=activated)
+                np.subtract(1.0, slope, out=slope)
+                grad = np.multiply(out.grad, keep)
+                grad *= scale
+                grad *= slope
+            need_mixed = adjacency.requires_grad or g.requires_grad
+            dgamma, dbeta, dx = _batchnorm_backward(
+                grad, normalized, gamma.data, std, training, axis,
+                need_mixed or weights.requires_grad)
+            del grad  # release it before the matmul gradients allocate theirs
+            _accum(gamma, dgamma)
+            _accum(beta, dbeta)
+            if dx is None:
+                return
+            grad_mixed, grad_weights = _matmul_grads(mixed, weights.data, dx,
+                                                     need_mixed, weights.requires_grad)
+            _accum(weights, grad_weights)
+            if need_mixed:
+                grad_adjacency, grad_g = _matmul_grads(adjacency.data, g.data, grad_mixed,
+                                                       adjacency.requires_grad, g.requires_grad)
+                _accum(adjacency, grad_adjacency)
+                _accum(g, grad_g)
+        out._backward = _bw
+    return out
 
 
 def backward(loss: Tensor) -> dict:

@@ -40,6 +40,9 @@ from .tensor import Mode, Tensor, backward, no_grad, transpose, zero_grads
 from .transforms import dct_basis
 
 CKPT_MAGIC = b"MCKPT001"
+CKPT_HEADER_FIELDS = ("payload_sha256", "arrays", "model_config", "loss_config",
+                      "optimizer_config", "skeleton", "adam_step", "rng_state", "epoch",
+                      "replay_settings", "config_hash")
 
 
 @dataclass
@@ -488,6 +491,11 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[12:12 + header_len].decode("utf-8"))
     except ValueError as bad:  # UnicodeDecodeError or JSONDecodeError
         raise FormatError(f"{path}: header is not UTF-8 JSON: {bad}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    missing = [field for field in CKPT_HEADER_FIELDS if field not in header]
+    if missing:
+        raise FormatError(f"{path}: header lacks field(s) {', '.join(missing)}")
     payload = raw[12 + header_len:]
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise FormatError(f"{path}: payload hash mismatch, file is corrupt")

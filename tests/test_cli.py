@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -136,6 +137,70 @@ class TestTrain:
                    (trained / "metrics.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in records] == [0, 1, 2]
         assert all("train_loss" in r and "train_mpjpe" in r for r in records)
+
+
+def _non_utf8_skeleton(data):
+    mskel = data / "skeleton.mskel"
+    mskel.write_bytes(mskel.read_bytes().replace(b"units", b"un\xffts", 1))
+
+
+def _non_utf8_sequence_name(data):
+    mseq = data / "sinusoid_000.mseq"
+    blob = bytearray(mseq.read_bytes())
+    blob[24] = 0xFF  # first byte of the skeleton name, after magic and four u32s
+    mseq.write_bytes(bytes(blob))
+
+
+def _truncated_sequence(data):
+    mseq = data / "sinusoid_000.mseq"
+    mseq.write_bytes(mseq.read_bytes()[:-5])
+
+
+def _checkpoint_without(field):
+    def edit(data):
+        ckpt = data / "checkpoint.mckpt"
+        blob = ckpt.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        meta = json.loads(blob[12:12 + header_len])
+        del meta[field]
+        header = json.dumps(meta).encode("utf-8")
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                         + blob[12 + header_len:])
+    return edit
+
+
+def _train_dry_run(data):
+    return ["train", "--data", str(data), "--dry-run", *TINY_MODEL]
+
+
+def _predict(data):
+    return ["predict", str(data / "checkpoint.mckpt"), str(data / "sinusoid_000.mseq"),
+            str(data / "out.mseq"), "--horizon", "4"]
+
+
+# (bad file, command reading it): every format fails at its boundary
+BAD_FILES = {
+    "mskel_non_utf8": (_non_utf8_skeleton, _train_dry_run),
+    "mseq_non_utf8_name": (_non_utf8_sequence_name, _train_dry_run),
+    "mseq_truncated": (_truncated_sequence, _train_dry_run),
+    "mseq_predict_source": (_non_utf8_sequence_name, _predict),
+    "mckpt_no_payload_sha256": (_checkpoint_without("payload_sha256"), _predict),
+    "mckpt_no_rng_state": (_checkpoint_without("rng_state"), _predict),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_bad_file_exits_1_with_one_error_line(corpus, trained, tmp_path, capsys, case):
+    corrupt, command = BAD_FILES[case]
+    data = tmp_path / "data"
+    shutil.copytree(corpus, data)
+    shutil.copy(trained / "checkpoint.mckpt", data / "checkpoint.mckpt")
+    corrupt(data)
+    rc = main(command(data))
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestPredict:

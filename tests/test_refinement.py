@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
+from motionrefine import refinement
 from motionrefine.errors import ConfigurationError, DimensionError
+from motionrefine.model import ModelConfig, init_model_params, model_forward
 from motionrefine.refinement import (
     GraphLayerParams,
     glm_forward,
@@ -13,7 +15,18 @@ from motionrefine.refinement import (
     refine,
     split_channels,
 )
-from motionrefine.tensor import Mode, RunningStats, Tensor, concat, tensor_sum
+from motionrefine.tensor import (
+    Mode,
+    RunningStats,
+    Tensor,
+    backward,
+    batchnorm,
+    concat,
+    dropout,
+    no_grad,
+    tanh,
+    tensor_sum,
+)
 from motionrefine.transforms import dct_basis, dct, idct
 
 
@@ -76,6 +89,176 @@ class TestGraphLearningBlock:
         layer = GraphLayerParams(Tensor(np.eye(3)), Tensor(np.zeros((5, 2))))
         with pytest.raises(DimensionError):
             graph_conv(Tensor(np.zeros((3, 4))), layer)
+
+
+def _composed_block(g, layer, mode, dropout_rate=0.3):
+    """The block as separate tape ops, the fused node's reference."""
+    h = graph_conv(g, layer)
+    h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode, channel_axis=-1)
+    return dropout(tanh(h), dropout_rate, mode.rng, mode)
+
+
+def _tracked_layer(rng, rows, channels_in, channels_out, stats):
+    return GraphLayerParams(
+        adjacency=Tensor(rng.normal(size=(rows, rows)), requires_grad=True),
+        weights=Tensor(rng.normal(size=(channels_in, channels_out)), requires_grad=True),
+        gamma=Tensor(rng.uniform(0.5, 1.5, channels_out), requires_grad=True),
+        beta=Tensor(rng.normal(size=channels_out), requires_grad=True),
+        stats=stats)
+
+
+def _clone_layer(layer):
+    return GraphLayerParams(*(Tensor(t.data.copy(), requires_grad=True)
+                              for t in (layer.adjacency, layer.weights,
+                                        layer.gamma, layer.beta)),
+                            stats=layer.stats.copy())
+
+
+def _layer_tensors(layer):
+    return [layer.adjacency, layer.weights, layer.gamma, layer.beta]
+
+
+# (training, dropout rate, input shape): 2-D (P, C) and batched (B, P, C)
+FUSED_CASES = [(training, rate, shape)
+               for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
+               for shape in ((5, 4), (3, 5, 4))]
+
+
+def _fused_case(training, shape):
+    rng = np.random.default_rng(31)
+    stats = RunningStats()
+    if not training:
+        stats.update(rng.normal(size=6), rng.uniform(0.5, 2.0, 6))
+    layer = _tracked_layer(rng, shape[-2], shape[-1], 6, stats)
+    return rng, layer, rng.normal(size=shape)
+
+
+class TestFusedGraphBlock:
+    @pytest.mark.parametrize("training, rate, shape", FUSED_CASES)
+    def test_equals_composed_chain_bitwise(self, training, rate, shape):
+        rng, layer, x = _fused_case(training, shape)
+        reference = _clone_layer(layer)
+        upstream = Tensor(rng.normal(size=shape[:-1] + (6,)))
+        results = []
+        for block, params in ((graph_learning_block, layer), (_composed_block, reference)):
+            g = Tensor(x.copy(), requires_grad=True)
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            out = block(g, params, mode, dropout_rate=rate)
+            backward(tensor_sum(out * upstream))
+            results.append((out.data, params.stats, g.grad,
+                            [t.grad for t in _layer_tensors(params)]))
+        (out, stats, grad_g, grads), (ref, ref_stats, ref_grad_g, ref_grads) = results
+        assert np.array_equal(out, ref)
+        assert np.array_equal(stats.mean, ref_stats.mean)
+        assert np.array_equal(stats.var, ref_stats.var)
+        assert np.array_equal(grad_g, ref_grad_g)
+        for grad, ref_grad in zip(grads, ref_grads):
+            assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_untracked_forward_equals_composed_chain_bitwise(self, training):
+        _rng, layer, x = _fused_case(training, (3, 5, 4))
+        reference = _clone_layer(layer)
+        outs = []
+        for block, params in ((graph_learning_block, layer), (_composed_block, reference)):
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            with no_grad():
+                outs.append(block(Tensor(x), params, mode).data)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(layer.stats.var, reference.stats.var)
+
+    @pytest.mark.parametrize("training, rate, shape", FUSED_CASES)
+    def test_gradcheck(self, training, rate, shape):
+        _rng, layer, x = _fused_case(training, shape)
+        g = Tensor(x, requires_grad=True)
+        stats = layer.stats
+
+        def build():
+            layer.stats = stats.copy()
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            return tensor_sum(tanh(graph_learning_block(g, layer, mode, dropout_rate=rate)))
+        assert_gradients_match(build, [g] + _layer_tensors(layer))
+
+    def test_single_row_gives_zero_input_gradient(self):
+        rng = np.random.default_rng(32)
+        layer = _tracked_layer(rng, 1, 4, 3, RunningStats())
+        g = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(0)),
+                                   dropout_rate=0.0)
+        backward(tensor_sum(out * Tensor([[1.0, -3.0, 2.0]])))
+        assert np.array_equal(g.grad, np.zeros((1, 4)))
+        assert np.array_equal(layer.weights.grad, np.zeros((4, 3)))
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(33)
+        layer = _tracked_layer(rng, 3, 4, 5, RunningStats())
+        g = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(0)))
+        assert out._op == "graph_block"
+        assert all(p._op == "leaf" for p in out._parents)
+
+    def test_bad_dropout_rate_leaves_stats_untouched(self):
+        rng = np.random.default_rng(34)
+        layer = _tracked_layer(rng, 3, 4, 5, RunningStats())
+        with pytest.raises(ConfigurationError):
+            graph_learning_block(Tensor(rng.normal(size=(3, 4))), layer,
+                                 Mode.train(np.random.default_rng(0)), dropout_rate=1.0)
+        assert not layer.stats.initialized
+
+
+def _retained_bytes(loss):
+    """Bytes of the distinct arrays a loss's tape keeps alive until backward.
+
+    Counts every node's ``.data`` and every array or tensor its backward
+    closure holds (also inside a list or tuple), each underlying buffer once.
+    """
+    buffers = {}
+
+    def keep(value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                keep(item)
+            return
+        if isinstance(value, Tensor):
+            value = value.data
+        if not isinstance(value, np.ndarray):
+            return
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        buffers[id(value)] = value.nbytes
+
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes[id(node)] = node
+        keep(node.data)
+        for cell in (node._backward.__closure__ or ()) if node._backward else ():
+            keep(cell.cell_contents)
+        stack.extend(node._parents)
+    return sum(buffers.values()), list(nodes.values())
+
+
+class TestTapeMemory:
+    def test_fused_blocks_retain_a_quarter_less_than_composed_ops(self, monkeypatch):
+        # refinement-heavy like the reference config: short history, 24 pose rows
+        config = ModelConfig(joints=8, history_len=12, query_len=5, future_len=5,
+                             stages=2, glb_pairs=2, latent_dim=32)
+        params = init_model_params(config, np.random.default_rng(0))
+        histories = Tensor(np.random.default_rng(1).normal(size=(8, 24, 12)))
+
+        def forward_loss():
+            out = model_forward(params, histories, config, dct_basis(config.window),
+                                Mode.train(np.random.default_rng(2)))
+            return tensor_sum(out.prediction * out.prediction)
+
+        fused_bytes, fused_nodes = _retained_bytes(forward_loss())
+        monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
+        composed_bytes, _ = _retained_bytes(forward_loss())
+        blocks = sum(node._op == "graph_block" for node in fused_nodes)
+        assert blocks == config.stages * (1 + 2 * config.glb_pairs)
+        assert fused_bytes <= 0.75 * composed_bytes, (fused_bytes, composed_bytes)
 
 
 class TestGlmForward:

@@ -21,6 +21,7 @@ from motionrefine import attention as attention_module
 from motionrefine import trainer as trainer_module
 from motionrefine.attention import sequence_to_channels
 from motionrefine.trainer import (
+    CKPT_HEADER_FIELDS,
     AdamState,
     OptimizerConfig,
     TrainSettings,
@@ -413,6 +414,18 @@ class TestCheckpoint:
         path = tmp_path / "bad.mckpt"
         path.write_bytes(magic + struct.pack("<I", len(header)) + header + payload)
         with pytest.raises(FormatError, match=f"missing array {missing}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", CKPT_HEADER_FIELDS)
+    def test_missing_header_field_raises_format_error(self, checkpoint_bytes, tmp_path,
+                                                      field):
+        magic, header, payload = self._split(checkpoint_bytes)
+        meta = json.loads(header)
+        del meta[field]
+        header = json.dumps(meta).encode("utf-8")
+        path = tmp_path / "bad.mckpt"
+        path.write_bytes(magic + struct.pack("<I", len(header)) + header + payload)
+        with pytest.raises(FormatError, match=f"lacks field.*{field}"):
             load_checkpoint(path)
 
     def test_resume_under_different_config_rejected(self, tmp_path):
