@@ -1,7 +1,7 @@
 """Model configuration, parameter container and the end-to-end forward pass."""
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .attention import (
     init_attention_params,
     summarize_history,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FormatError
 from .refinement import (
     RefineResult,
     RefinementParams,
@@ -171,5 +171,32 @@ def config_to_dict(config: ModelConfig) -> dict:
     return asdict(config)
 
 
-def config_from_dict(payload: dict) -> ModelConfig:
-    return ModelConfig(**payload)
+# JSON types a config field of each annotated type accepts (a bool is no number)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def config_from_dict(cls, payload, what: str):
+    """Build the config dataclass ``cls`` from a JSON object read from a file.
+
+    Raises FormatError, naming ``what``, for a payload that is not an
+    object, a missing or unknown key, a value of the wrong JSON type, or a
+    value ``cls`` itself rejects.
+    """
+    if not isinstance(payload, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    names = [f.name for f in fields(cls)]
+    missing = [name for name in names if name not in payload]
+    unknown = sorted(set(payload) - set(names))
+    problems = ([f"lacks key(s) {', '.join(missing)}"] if missing else []) + \
+        ([f"has unknown key(s) {', '.join(unknown)}"] if unknown else [])
+    if problems:
+        raise FormatError(f"{what} {' and '.join(problems)}")
+    for f in fields(cls):
+        value = payload[f.name]
+        if (isinstance(value, bool) != (f.type == "bool")
+                or not isinstance(value, _JSON_TYPES[f.type])):
+            raise FormatError(f"{what}: {f.name} must be {f.type}, got {value!r}")
+    try:
+        return cls(**payload)
+    except ConfigurationError as bad:
+        raise FormatError(f"{what}: {bad}") from None

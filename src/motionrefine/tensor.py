@@ -4,12 +4,19 @@ Every operation on tracked tensors records its inputs and a backward
 closure on the result, so the operation graph doubles as the gradient
 tape: inputs always precede their consumers (topological order by
 construction).  ``backward`` on a scalar walks that graph once in
-reverse and returns the gradients of the leaves (the tracked tensors no
-op produced, such as parameters), which also keep them in ``.grad``.
-The gradient of each intermediate result is released as soon as its
-backward closure has run, so a sweep holds only the gradients still
-waiting to be consumed.  A graph can be walked only once; rebuilding the
-forward pass resets the tape.
+reverse, hands each node's closure the node's gradient and returns the
+gradients of the leaves (the tracked tensors no op produced, such as
+parameters), which also keep them in ``.grad``.
+
+A closure holds its operand tensors and the arrays it needs (the output
+array where ``tanh``, ``sqrt`` and ``div`` need it), never the tensor it
+belongs to, so a graph holds no reference cycle: reference counting
+frees it with its last tensor, swept or not.  The sweep drops each
+closure, its edges and the node's gradient as soon as the closure has
+run, so the arrays a node saved and the gradients already consumed are
+released during the sweep.  A closure never writes into the gradient it
+receives, which may be shared with other operands.  A graph can be
+walked only once; rebuilding the forward pass resets the tape.
 
 Tensors are immutable by convention once created (optimizers mutate
 parameter ``data`` between steps, never mid-graph).  All math is 64-bit.
@@ -184,11 +191,11 @@ def add(a, b) -> Tensor:
     _broadcast_data(a, b, "add")
     out = _result(a.data + b.data, (a, b), "add")
     if out.requires_grad:
-        def _bw():
+        def _bw(grad):
             if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad, a.shape))
+                _accum(a, _unbroadcast(grad, a.shape))
             if b.requires_grad:
-                _accum(b, _unbroadcast(out.grad, b.shape))
+                _accum(b, _unbroadcast(grad, b.shape))
         out._backward = _bw
     return out
 
@@ -198,11 +205,11 @@ def sub(a, b) -> Tensor:
     _broadcast_data(a, b, "sub")
     out = _result(a.data - b.data, (a, b), "sub")
     if out.requires_grad:
-        def _bw():
+        def _bw(grad):
             if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad, a.shape))
+                _accum(a, _unbroadcast(grad, a.shape))
             if b.requires_grad:
-                _accum(b, _unbroadcast(-out.grad, b.shape))
+                _accum(b, _unbroadcast(-grad, b.shape))
         out._backward = _bw
     return out
 
@@ -212,11 +219,11 @@ def mul(a, b) -> Tensor:
     _broadcast_data(a, b, "mul")
     out = _result(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
-        def _bw():
+        def _bw(grad):
             if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad * b.data, a.shape))
+                _accum(a, _unbroadcast(grad * b.data, a.shape))
             if b.requires_grad:
-                _accum(b, _unbroadcast(out.grad * a.data, b.shape))
+                _accum(b, _unbroadcast(grad * a.data, b.shape))
         out._backward = _bw
     return out
 
@@ -224,13 +231,14 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_data(a, b, "div")
-    out = _result(a.data / b.data, (a, b), "div")
+    data = a.data / b.data
+    out = _result(data, (a, b), "div")
     if out.requires_grad:
-        def _bw():
+        def _bw(grad):
             if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad / b.data, a.shape))
+                _accum(a, _unbroadcast(grad / b.data, a.shape))
             if b.requires_grad:
-                _accum(b, _unbroadcast(-out.grad * out.data / b.data, b.shape))
+                _accum(b, _unbroadcast(-grad * data / b.data, b.shape))
         out._backward = _bw
     return out
 
@@ -247,8 +255,8 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out = _result(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
-        def _bw():
-            grad_a, grad_b = _matmul_grads(a.data, b.data, out.grad,
+        def _bw(grad):
+            grad_a, grad_b = _matmul_grads(a.data, b.data, grad,
                                            a.requires_grad, b.requires_grad)
             _accum(a, grad_a)
             _accum(b, grad_b)
@@ -256,28 +264,34 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, need_b: bool):
-    """Gradients of ``a @ b`` for the upstream gradient ``g``, None where not needed."""
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, need_b: bool,
+                  out_a: np.ndarray | None = None, out_b: np.ndarray | None = None):
+    """Gradients of ``a @ b`` for the upstream gradient ``g``, None where not needed.
+
+    ``out_a`` and ``out_b``, where given, are spent buffers of the GEMM's
+    full (unsummed) shape that receive it instead of a new array.
+    """
     grad_a = grad_b = None
     if need_a:
-        grad_a = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+        grad_a = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2), out=out_a), a.shape)
     if need_b:
         if b.ndim == 2:
             # a weight shared by every batch entry: one GEMM over the
             # flattened batch, never a (batch, K, N) stack to sum away
             k, n = b.shape
-            grad_b = a.reshape(-1, k).T @ g.reshape(-1, n)
+            grad_b = np.matmul(a.reshape(-1, k).T, g.reshape(-1, n), out=out_b)
         else:
-            grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+            grad_b = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g, out=out_b), b.shape)
     return grad_a, grad_b
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = _result(np.tanh(a.data), (a,), "tanh")
+    data = np.tanh(a.data)
+    out = _result(data, (a,), "tanh")
     if out.requires_grad:
-        def _bw():
-            _accum(a, out.grad * (1.0 - out.data * out.data))
+        def _bw(grad):
+            _accum(a, grad * (1.0 - data * data))
         out._backward = _bw
     return out
 
@@ -286,22 +300,23 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     out = _result(np.maximum(a.data, 0.0), (a,), "relu")
     if out.requires_grad:
-        def _bw():
+        def _bw(grad):
             # subgradient at exactly 0 is 0
-            _accum(a, out.grad * (a.data > 0.0))
+            _accum(a, grad * (a.data > 0.0))
         out._backward = _bw
     return out
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
-    out = _result(np.sqrt(a.data), (a,), "sqrt")
+    data = np.sqrt(a.data)
+    out = _result(data, (a,), "sqrt")
     if out.requires_grad:
-        def _bw():
-            positive = out.data > 0.0
-            denom = np.where(positive, out.data, 1.0)
+        def _bw(grad):
+            positive = data > 0.0
+            denom = np.where(positive, data, 1.0)
             # subgradient pinned to 0 at the origin to keep training finite
-            _accum(a, np.where(positive, 0.5 * out.grad / denom, 0.0))
+            _accum(a, np.where(positive, 0.5 * grad / denom, 0.0))
         out._backward = _bw
     return out
 
@@ -310,13 +325,12 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum")
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(grad):
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 for ax in sorted(ax % a.ndim for ax in axes):
-                    g = np.expand_dims(g, ax)
-            _accum(a, np.broadcast_to(g, a.shape).copy())
+                    grad = np.expand_dims(grad, ax)
+            _accum(a, np.broadcast_to(grad, a.shape).copy())
         out._backward = _bw
     return out
 
@@ -339,8 +353,8 @@ def reshape(a, *shape) -> Tensor:
         shape = tuple(shape[0])
     out = _result(a.data.reshape(shape), (a,), "reshape")
     if out.requires_grad:
-        def _bw():
-            _accum(a, out.grad.reshape(a.shape))
+        def _bw(grad):
+            _accum(a, grad.reshape(a.shape))
         out._backward = _bw
     return out
 
@@ -355,8 +369,8 @@ def transpose(a, *axes) -> Tensor:
     out = _result(np.transpose(a.data, axes), (a,), "transpose")
     if out.requires_grad:
         inverse = tuple(np.argsort(axes))
-        def _bw():
-            _accum(a, np.transpose(out.grad, inverse))
+        def _bw(grad):
+            _accum(a, np.transpose(grad, inverse))
         out._backward = _bw
     return out
 
@@ -373,9 +387,9 @@ def take(a, key) -> Tensor:
     _check_basic_index(key)
     out = _result(a.data[key].copy(), (a,), "take")
     if out.requires_grad:
-        def _bw():
+        def _bw(grad):
             g = np.zeros_like(a.data)
-            g[key] = out.grad
+            g[key] = grad
             _accum(a, g)
         out._backward = _bw
     return out
@@ -389,12 +403,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out = _result(data, tuple(tensors), "concat")
     if out.requires_grad:
         sizes = [t.shape[axis] for t in tensors]
-        def _bw():
+        def _bw(grad):
             offset = 0
-            index = [slice(None)] * out.ndim
+            index = [slice(None)] * grad.ndim
             for t, size in zip(tensors, sizes):
                 index[axis] = slice(offset, offset + size)
-                _accum(t, out.grad[tuple(index)])
+                _accum(t, grad[tuple(index)])
                 offset += size
         out._backward = _bw
     return out
@@ -415,10 +429,10 @@ def sliding_windows(a, width: int) -> Tensor:
     out = _result(data, (a,), "windows")
     if out.requires_grad:
         steps = length - width + 1
-        def _bw():
+        def _bw(grad):
             g = np.zeros_like(a.data)
             for offset in range(width):
-                g[..., offset:offset + steps] += out.grad[..., :, offset]
+                g[..., offset:offset + steps] += grad[..., :, offset]
             _accum(a, g)
         out._backward = _bw
     return out
@@ -559,16 +573,18 @@ def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def _batchnorm_backward(g: np.ndarray, normalized: np.ndarray, gamma: np.ndarray,
-                        std: np.ndarray, training: bool, axis: int, need_input: bool):
+                        std: np.ndarray, training: bool, axis: int, need_input: bool,
+                        spare: np.ndarray | None = None):
     """Closed-form batch-norm gradients ``(dgamma, dbeta, dx)`` for upstream ``g``.
 
     ``dx`` is None unless ``need_input``; it is written over ``normalized``,
-    which the forward pass left to this one backward call.
+    which the forward pass left to this one backward call.  ``spare``, a
+    spent buffer of ``g``'s shape, takes the product ``g * normalized``.
     """
     channels = g.shape[axis]
     bshape, pooled = _channel_layout(g.ndim, axis, channels)
     dbeta = g.sum(axis=pooled, keepdims=True)
-    dgamma = (g * normalized).sum(axis=pooled, keepdims=True)
+    dgamma = np.multiply(g, normalized, out=spare).sum(axis=pooled, keepdims=True)
     dx = None
     if need_input:
         scale = gamma.reshape(bshape) / std
@@ -602,8 +618,8 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis
     out = _result(data, (inputs, gamma, beta), "batchnorm")
     if out.requires_grad:
         training = mode.training
-        def _bw():
-            dgamma, dbeta, dx = _batchnorm_backward(out.grad, normalized, gamma.data, std,
+        def _bw(grad):
+            dgamma, dbeta, dx = _batchnorm_backward(grad, normalized, gamma.data, std,
                                                     training, axis, inputs.requires_grad)
             _accum(gamma, dgamma)
             _accum(beta, dbeta)
@@ -649,7 +665,9 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     running statistics and gradients are bit-identical to theirs.  The
     node keeps ``adjacency @ g`` (for the weight gradient), the normalized
     activations, the tanh output and a bool keep mask; the pre-norm product
-    and the batch-norm output are overwritten in place.  Off the tape (under
+    and the batch-norm output are overwritten in place, and the backward
+    writes its full-size gradients over the saved buffers it has finished
+    with.  Off the tape (under
     ``no_grad`` or with no tracked input) nothing is kept and eval mode runs
     the whole epilogue in the buffer of the pre-norm product.
     """
@@ -676,33 +694,38 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     out = _result(data, (g, adjacency, weights, gamma, beta), "graph_block")
     if out.requires_grad:
         training = mode.training
-        def _bw():
+        def _bw(grad_out):
             # gradient at the batch-norm output: the dropout mask, then tanh's 1 - t*t
             if keep is None:
-                grad = activated * activated        # activated is out.data: left intact
+                grad = activated * activated        # activated is the output: left intact
                 np.subtract(1.0, grad, out=grad)
-                grad *= out.grad
+                grad *= grad_out
+                spare = None
             else:
                 slope = np.multiply(activated, activated, out=activated)
                 np.subtract(1.0, slope, out=slope)
-                grad = np.multiply(out.grad, keep)
+                grad = np.multiply(grad_out, keep)
                 grad *= scale
                 grad *= slope
+                spare = slope  # spent: it takes the batch-norm backward's product
             need_mixed = adjacency.requires_grad or g.requires_grad
             dgamma, dbeta, dx = _batchnorm_backward(
                 grad, normalized, gamma.data, std, training, axis,
-                need_mixed or weights.requires_grad)
-            del grad  # release it before the matmul gradients allocate theirs
+                need_mixed or weights.requires_grad, spare)
+            del grad  # release it before the matmul gradients
             _accum(gamma, dgamma)
             _accum(beta, dbeta)
             if dx is None:
                 return
-            grad_mixed, grad_weights = _matmul_grads(mixed, weights.data, dx,
-                                                     need_mixed, weights.requires_grad)
+            # the weight gradient first: mixed is then spent and takes grad_mixed,
+            # and dx, once spent, takes the input gradient where it has g's shape
+            _, grad_weights = _matmul_grads(mixed, weights.data, dx, False, weights.requires_grad)
             _accum(weights, grad_weights)
             if need_mixed:
-                grad_adjacency, grad_g = _matmul_grads(adjacency.data, g.data, grad_mixed,
-                                                       adjacency.requires_grad, g.requires_grad)
+                grad_mixed, _ = _matmul_grads(mixed, weights.data, dx, True, False, out_a=mixed)
+                grad_adjacency, grad_g = _matmul_grads(
+                    adjacency.data, g.data, grad_mixed, adjacency.requires_grad,
+                    g.requires_grad, out_b=dx if dx.shape == g.shape else None)
                 _accum(adjacency, grad_adjacency)
                 _accum(g, grad_g)
         out._backward = _bw
@@ -713,10 +736,11 @@ def backward(loss: Tensor) -> dict:
     """Reverse-mode sweep from a scalar loss.
 
     Returns a map from every reachable leaf (a tracked tensor that no op
-    produced) to its gradient; leaves keep it in ``.grad`` as well.  The
-    ``.grad`` of every intermediate result is set to None as soon as its
-    backward closure has run, so intermediates are absent from the map.
-    A second sweep over the same graph raises; rebuild the forward pass
+    produced) to its gradient; leaves keep it in ``.grad`` as well.  Each
+    intermediate result's closure is called with the result's gradient and
+    then dropped with the node's edges and gradient, so intermediates are
+    absent from the map and what they saved is freed during the sweep.  A
+    second sweep over the same graph raises; rebuild the forward pass
     instead.
     """
     if not isinstance(loss, Tensor):
@@ -742,16 +766,21 @@ def backward(loss: Tensor) -> dict:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    if any(node._done for node in topo if node._backward is not None):
+    if any(node._done for node in topo):
         raise TapeError("this graph was already consumed by backward; rebuild the forward pass")
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._done = True
-            node._backward()
-            node.grad = None
-    return {node: node.grad for node in topo if node.grad is not None}
+    leaves = []
+    while topo:  # popping releases each node once its consumers have run
+        node = topo.pop()
+        if node._backward is None:
+            leaves.append(node)
+            continue
+        node._done = True
+        node._backward(node.grad)
+        node.grad = node._backward = None
+        node._parents = ()
+    return {leaf: leaf.grad for leaf in reversed(leaves) if leaf.grad is not None}
 
 
 def zero_grads(tensors):

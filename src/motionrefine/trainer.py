@@ -40,9 +40,25 @@ from .tensor import Mode, Tensor, backward, no_grad, transpose, zero_grads
 from .transforms import dct_basis
 
 CKPT_MAGIC = b"MCKPT001"
-CKPT_HEADER_FIELDS = ("payload_sha256", "arrays", "model_config", "loss_config",
-                      "optimizer_config", "skeleton", "adam_step", "rng_state", "epoch",
-                      "replay_settings", "config_hash")
+
+
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _array_index(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(entry, dict) and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list) and all(map(_count, entry["shape"]))
+        for entry in value)
+
+
+# each required header field -> the type or the validator its JSON value must pass
+CKPT_HEADER_FIELDS = {
+    "payload_sha256": str, "arrays": _array_index, "model_config": dict,
+    "loss_config": dict, "optimizer_config": dict, "skeleton": str, "adam_step": _count,
+    "rng_state": dict, "epoch": _count, "replay_settings": dict, "config_hash": str,
+}
 
 
 @dataclass
@@ -496,6 +512,12 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [field for field in CKPT_HEADER_FIELDS if field not in header]
     if missing:
         raise FormatError(f"{path}: header lacks field(s) {', '.join(missing)}")
+    mistyped = [field for field, rule in CKPT_HEADER_FIELDS.items()
+                if not (isinstance(header[field], rule) if isinstance(rule, type)
+                        else rule(header[field]))]
+    if mistyped:
+        raise FormatError(
+            f"{path}: header field(s) {', '.join(mistyped)} have a wrong type or value")
     payload = raw[12 + header_len:]
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise FormatError(f"{path}: payload hash mismatch, file is corrupt")
@@ -513,9 +535,10 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
 
-    model_config = config_from_dict(header["model_config"])
-    loss_config = LossConfig(**header["loss_config"])
-    optimizer_config = OptimizerConfig(**header["optimizer_config"])
+    model_config, loss_config, optimizer_config = (
+        config_from_dict(cls, header[field], f"{path}: {field}")
+        for cls, field in ((ModelConfig, "model_config"), (LossConfig, "loss_config"),
+                           (OptimizerConfig, "optimizer_config")))
     skeleton = skeleton_from_text(header["skeleton"], source=str(path))
 
     # rebuild the parameter structure from the config, then load values by name
@@ -543,7 +566,10 @@ def load_checkpoint(path) -> Checkpoint:
             stats.var = array(f"stats.{name}.var", stats.mean.shape)
     adam.step = header["adam_step"]
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = header["rng_state"]
+    try:
+        rng.bit_generator.state = header["rng_state"]
+    except (KeyError, TypeError, ValueError) as bad:
+        raise FormatError(f"{path}: rng_state is not a generator state: {bad}") from None
     return Checkpoint(params, adam, rng, header["epoch"], model_config, loss_config,
                       optimizer_config, header["replay_settings"], skeleton,
                       header["config_hash"])

@@ -18,7 +18,7 @@ from motionrefine.attention import (
 )
 from motionrefine.errors import DimensionError, SkeletonError
 from motionrefine.kinematics import PoseSequence
-from motionrefine.tensor import Tensor, tensor_sum
+from motionrefine.tensor import Tensor, concat, tensor_sum
 
 
 def test_kernel_widths_match_known_config():
@@ -145,6 +145,39 @@ def test_zero_scores_fall_back_to_uniform():
     n = 8 - 5 + 1
     assert np.allclose(summary.attention_weights.data, np.full(n, 1.0 / n), atol=1e-12)
     assert abs(summary.attention_weights.data.sum() - 1.0) < 1e-12
+
+
+def test_uniform_fallback_gradcheck():
+    # the probe channel is zero, so every code and score is 0 and stays 0 when
+    # the other channel or the key kernels move: the fallback holds throughout
+    params = _constant_code_params(2, 3, 4)
+    for layer in (params.key_net.first, params.key_net.second):
+        layer.kernels.requires_grad = True
+    other = Tensor(np.random.default_rng(17).normal(size=(1, 8)), requires_grad=True)
+    upstream = Tensor(np.random.default_rng(18).normal(size=(2, 5)))
+
+    def build():
+        history = concat([Tensor(np.zeros((1, 8))), other], axis=0)
+        summary = summarize_history(history, params, 3, 2)
+        assert summary.used_fallback
+        return tensor_sum(summary.values * upstream)
+    assert_gradients_match(build, [other, params.key_net.first.kernels,
+                                   params.key_net.second.kernels])
+
+
+def test_one_tiny_positive_score_takes_no_fallback():
+    query_len, future_len, frames = 3, 2, 9
+    history = np.zeros((2, frames))
+    history[0, 2] = 1e-300                       # key window 2 scores 1e-300
+    history[0, frames - query_len] = 1.0         # query code = 1
+    history[1] = np.arange(frames)
+    summary = summarize_history(Tensor(history), _constant_code_params(2, query_len, 4),
+                                query_len, future_len)
+    weights = summary.attention_weights.data
+    assert not summary.used_fallback
+    assert np.isfinite(weights).all() and (weights >= 0).all()
+    assert np.array_equal(weights, np.eye(frames - query_len - future_len + 1)[2])
+    assert np.array_equal(summary.values.data, history[:, 2:7])
 
 
 def test_shift_by_one_frame_changes_window_set():

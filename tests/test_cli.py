@@ -156,17 +156,21 @@ def _truncated_sequence(data):
     mseq.write_bytes(mseq.read_bytes()[:-5])
 
 
-def _checkpoint_without(field):
+def _checkpoint_header(change):
     def edit(data):
         ckpt = data / "checkpoint.mckpt"
         blob = ckpt.read_bytes()
         (header_len,) = struct.unpack("<I", blob[8:12])
         meta = json.loads(blob[12:12 + header_len])
-        del meta[field]
+        change(meta)
         header = json.dumps(meta).encode("utf-8")
         ckpt.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
                          + blob[12 + header_len:])
     return edit
+
+
+def _checkpoint_without(field):
+    return _checkpoint_header(lambda meta: meta.pop(field))
 
 
 def _train_dry_run(data):
@@ -186,6 +190,10 @@ BAD_FILES = {
     "mseq_predict_source": (_non_utf8_sequence_name, _predict),
     "mckpt_no_payload_sha256": (_checkpoint_without("payload_sha256"), _predict),
     "mckpt_no_rng_state": (_checkpoint_without("rng_state"), _predict),
+    "mckpt_empty_model_config": (
+        _checkpoint_header(lambda meta: meta.update(model_config={})), _predict),
+    "mckpt_joints_not_a_number": (
+        _checkpoint_header(lambda meta: meta["model_config"].update(joints="four")), _predict),
 }
 
 

@@ -14,7 +14,7 @@ from motionrefine.losses import (
     spatial_factors,
     temporal_factors,
 )
-from motionrefine.tensor import Tensor
+from motionrefine.tensor import Tensor, backward
 
 
 def two_bone_skeleton(bone=100.0):
@@ -202,6 +202,22 @@ class TestLossTotal:
         pred_t = Tensor(pred, requires_grad=True)
         assert_gradients_match(
             lambda: loss_total(pred_t, Tensor(truth), w, config, F), [pred_t])
+
+    def test_sqrt_subgradient_is_zero_where_poses_coincide(self, toy):
+        skeleton, L, F, pred, _ = toy
+        config = LossConfig()
+        w = build_loss_weights(skeleton, L, F, config)
+        pred_t = Tensor(pred, requires_grad=True)
+        backward(loss_total(pred_t, Tensor(pred.copy()), w, config, F))
+        assert np.array_equal(pred_t.grad, np.zeros_like(pred))
+        # one joint off in one frame: finite everywhere, 0 away from its distances
+        truth = pred.copy()
+        truth[1, 2] += 5.0
+        pred_t = Tensor(pred, requires_grad=True)
+        backward(loss_total(pred_t, Tensor(truth), w, config, F))
+        assert np.isfinite(pred_t.grad).all()
+        assert np.array_equal(pred_t.grad[:, :2], np.zeros_like(pred[:, :2]))
+        assert np.abs(pred_t.grad[1, 2]).max() > 0.0
 
 
 class TestNormalizationInvariant:

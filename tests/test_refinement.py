@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
+from tape_memory import retained_bytes
 from motionrefine import refinement
 from motionrefine.errors import ConfigurationError, DimensionError
 from motionrefine.model import ModelConfig, init_model_params, model_forward
@@ -118,10 +119,12 @@ def _layer_tensors(layer):
     return [layer.adjacency, layer.weights, layer.gamma, layer.beta]
 
 
-# (training, dropout rate, input shape): 2-D (P, C) and batched (B, P, C)
+# (training, dropout rate, input shape): 2-D (P, C) and batched (B, P, C), with
+# C_in 4 to C_out 6 and then square (the backward reuses a buffer for dx)
 FUSED_CASES = [(training, rate, shape)
+               for channels_in in (4, 6)
                for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
-               for shape in ((5, 4), (3, 5, 4))]
+               for shape in ((5, channels_in), (3, 5, channels_in))]
 
 
 def _fused_case(training, shape):
@@ -206,40 +209,6 @@ class TestFusedGraphBlock:
         assert not layer.stats.initialized
 
 
-def _retained_bytes(loss):
-    """Bytes of the distinct arrays a loss's tape keeps alive until backward.
-
-    Counts every node's ``.data`` and every array or tensor its backward
-    closure holds (also inside a list or tuple), each underlying buffer once.
-    """
-    buffers = {}
-
-    def keep(value):
-        if isinstance(value, (list, tuple)):
-            for item in value:
-                keep(item)
-            return
-        if isinstance(value, Tensor):
-            value = value.data
-        if not isinstance(value, np.ndarray):
-            return
-        while isinstance(value.base, np.ndarray):
-            value = value.base
-        buffers[id(value)] = value.nbytes
-
-    nodes, stack = {}, [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in nodes:
-            continue
-        nodes[id(node)] = node
-        keep(node.data)
-        for cell in (node._backward.__closure__ or ()) if node._backward else ():
-            keep(cell.cell_contents)
-        stack.extend(node._parents)
-    return sum(buffers.values()), list(nodes.values())
-
-
 class TestTapeMemory:
     def test_fused_blocks_retain_a_quarter_less_than_composed_ops(self, monkeypatch):
         # refinement-heavy like the reference config: short history, 24 pose rows
@@ -253,9 +222,9 @@ class TestTapeMemory:
                                 Mode.train(np.random.default_rng(2)))
             return tensor_sum(out.prediction * out.prediction)
 
-        fused_bytes, fused_nodes = _retained_bytes(forward_loss())
+        fused_bytes, _, fused_nodes = retained_bytes(forward_loss())
         monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
-        composed_bytes, _ = _retained_bytes(forward_loss())
+        composed_bytes = retained_bytes(forward_loss()).total
         blocks = sum(node._op == "graph_block" for node in fused_nodes)
         assert blocks == config.stages * (1 + 2 * config.glb_pairs)
         assert fused_bytes <= 0.75 * composed_bytes, (fused_bytes, composed_bytes)

@@ -1,26 +1,38 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match, finite_difference_gradient, relative_error
+from motionrefine import tensor as tensor_module
 from motionrefine.errors import ConfigurationError, DimensionError, StateError, TapeError
 from motionrefine.tensor import (
     Mode,
     RunningStats,
     Tensor,
+    add,
     backward,
     batchnorm,
     concat,
     conv1d,
+    div,
     dropout,
+    graph_block,
     matmul,
+    mul,
     no_grad,
     relu,
+    reshape,
     scale,
     sliding_windows,
     sqrt,
+    sub,
+    take,
     tanh,
     tensor_mean,
     tensor_sum,
+    transpose,
 )
 
 
@@ -433,3 +445,60 @@ class TestOpGradients:
         rng = np.random.default_rng(200)
         x = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
         assert_gradients_match(lambda: (x * x).sum(axis=-1).sqrt().mean(), [x])
+
+
+def _tracked(rng, *shape, low=-1.0, high=1.0):
+    return Tensor(rng.uniform(low, high, shape), requires_grad=True)
+
+
+def _graph_block_case(rng):
+    # C_in == C_out: the backward writes the input gradient over its dx buffer
+    def forward(g, adjacency, weights, gamma, beta):
+        return graph_block(g, adjacency, weights, gamma, beta, RunningStats(),
+                           Mode.train(np.random.default_rng(0)), 0.3)
+    return forward, [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3), _tracked(rng, 4, 4),
+                     _tracked(rng, 4, low=0.5, high=1.5), _tracked(rng, 4)]
+
+
+# tape op name (as passed to ``_result``) -> (forward, tracked inputs), checked
+# directly against finite differences under a random upstream gradient
+DIRECT_GRADCHECKS = {
+    "add": lambda rng: (add, [_tracked(rng, 3, 4), _tracked(rng, 4)]),
+    "sub": lambda rng: (sub, [_tracked(rng, 3, 1), _tracked(rng, 3, 4)]),
+    "mul": lambda rng: (mul, [_tracked(rng, 3, 4), _tracked(rng, 1, 4)]),
+    "div": lambda rng: (div, [_tracked(rng, 3, 4), _tracked(rng, 1, 4, low=0.5, high=2.0)]),
+    "matmul": lambda rng: (matmul, [_tracked(rng, 2, 3, 4), _tracked(rng, 2, 4, 5)]),
+    "tanh": lambda rng: (tanh, [_tracked(rng, 3, 4, low=-2.0, high=2.0)]),
+    "relu": lambda rng: (relu, [Tensor([[-1.2, 0.4, -0.3], [0.8, -0.6, 1.5]],
+                                       requires_grad=True)]),
+    "sqrt": lambda rng: (sqrt, [_tracked(rng, 3, 4, low=0.5, high=2.0)]),
+    "sum": lambda rng: (lambda x: tensor_sum(x, axis=(0, 2)), [_tracked(rng, 2, 3, 4)]),
+    "reshape": lambda rng: (lambda x: reshape(x, (3, 4)), [_tracked(rng, 2, 6)]),
+    "transpose": lambda rng: (lambda x: transpose(x, (2, 0, 1)), [_tracked(rng, 2, 3, 4)]),
+    "take": lambda rng: (lambda x: take(x, (slice(1, None), slice(None, None, 2))),
+                         [_tracked(rng, 3, 5)]),
+    "concat": lambda rng: (lambda a, b: concat([a, b], axis=1),
+                           [_tracked(rng, 2, 3), _tracked(rng, 2, 2)]),
+    "windows": lambda rng: (lambda x: sliding_windows(x, 3), [_tracked(rng, 2, 6)]),
+    "batchnorm": lambda rng: (
+        lambda x, gamma, beta: batchnorm(x, gamma, beta, RunningStats(), Mode.train(None),
+                                         channel_axis=-1),
+        [_tracked(rng, 4, 3), _tracked(rng, 3, low=0.5, high=1.5), _tracked(rng, 3)]),
+    "graph_block": _graph_block_case,
+}
+
+
+class TestDirectGradchecks:
+    @pytest.mark.parametrize("op", list(DIRECT_GRADCHECKS))
+    def test_op_gradient_matches_finite_differences(self, op):
+        rng = np.random.default_rng(300)
+        forward, inputs = DIRECT_GRADCHECKS[op](rng)
+        out = forward(*inputs)
+        assert out._op == op
+        upstream = Tensor(rng.normal(size=out.shape))
+        assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
+
+    def test_every_tape_op_has_a_row(self):
+        source = Path(tensor_module.__file__).read_text()
+        ops = set(re.findall(r'_result\(.*"(\w+)"\)', source))
+        assert ops and ops == set(DIRECT_GRADCHECKS)

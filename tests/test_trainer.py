@@ -428,6 +428,55 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"lacks field.*{field}"):
             load_checkpoint(path)
 
+    def _rewrite_header(self, checkpoint_bytes, tmp_path, edit):
+        magic, header, payload = self._split(checkpoint_bytes)
+        meta = json.loads(header)
+        edit(meta)
+        header = json.dumps(meta).encode("utf-8")
+        path = tmp_path / "bad.mckpt"
+        path.write_bytes(magic + struct.pack("<I", len(header)) + header + payload)
+        return path
+
+    @pytest.mark.parametrize("field, value", [
+        ("payload_sha256", 7), ("arrays", {}), ("arrays", [{"name": "x", "shape": [-1]}]),
+        ("model_config", []), ("skeleton", None), ("adam_step", 1.5), ("adam_step", True),
+        ("epoch", -1), ("rng_state", "pcg"), ("replay_settings", 3), ("config_hash", 0),
+    ])
+    def test_mistyped_header_field_raises_format_error(self, checkpoint_bytes, tmp_path,
+                                                       field, value):
+        path = self._rewrite_header(checkpoint_bytes, tmp_path,
+                                    lambda meta: meta.update({field: value}))
+        with pytest.raises(FormatError, match=f"field.*{field}.*wrong type"):
+            load_checkpoint(path)
+
+    # (config section, key, edit): a missing, an unknown and a mistyped key each
+    CONFIG_EDITS = [
+        ("model_config", "joints", lambda c: c.pop("joints")),
+        ("model_config", "joints", lambda c: c.update(joints="four")),
+        ("model_config", "dropout", lambda c: c.update(dropout=True)),
+        ("model_config", "attention_bias", lambda c: c.update(attention_bias=1)),
+        ("model_config", "width", lambda c: c.update(width=3)),
+        ("model_config", "stages", lambda c: c.update(stages=0)),
+        ("loss_config", "temporal_form", lambda c: c.pop("temporal_form")),
+        ("loss_config", "spatial_floor", lambda c: c.update(spatial_floor="0.1")),
+        ("optimizer_config", "momentum", lambda c: c.update(momentum=0.5)),
+        ("optimizer_config", "lr", lambda c: c.update(lr=None)),
+    ]
+
+    @pytest.mark.parametrize("section, key, edit", CONFIG_EDITS)
+    def test_bad_config_key_raises_format_error(self, checkpoint_bytes, tmp_path,
+                                                section, key, edit):
+        path = self._rewrite_header(checkpoint_bytes, tmp_path,
+                                    lambda meta: edit(meta[section]))
+        with pytest.raises(FormatError, match=f"{section}.*{key}"):
+            load_checkpoint(path)
+
+    def test_bad_rng_state_raises_format_error(self, checkpoint_bytes, tmp_path):
+        path = self._rewrite_header(checkpoint_bytes, tmp_path,
+                                    lambda meta: meta.update(rng_state={"bit_generator": "PCG64"}))
+        with pytest.raises(FormatError, match="rng_state"):
+            load_checkpoint(path)
+
     def test_resume_under_different_config_rejected(self, tmp_path):
         ds = tiny_dataset()
         cfg = tiny_config()
