@@ -8,7 +8,6 @@ from .attention import (
     extend_history,
     init_attention_params,
     kernel_widths,
-    summarize,
     summarize_history,
 )
 from .data import (
@@ -38,7 +37,6 @@ from .kinematics import (
     cumulative_bone_length,
     default_humanoid_skeleton,
     load_skeleton,
-    mpjpe_at_frames,
     mpjpe_per_frame,
     save_skeleton,
     synthetic_skeleton,
@@ -60,7 +58,6 @@ from .model import (
     ModelParams,
     count_parameters,
     init_model_params,
-    model_basis,
     model_forward,
     named_parameters,
 )

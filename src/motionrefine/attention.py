@@ -194,12 +194,6 @@ def summarize_history(history, params: AttentionParams, query_len: int,
     return MotionSummary(summary, weights, codes, used_fallback)
 
 
-def summarize(history: PoseSequence, params: AttentionParams, query_len: int,
-              future_len: int) -> MotionSummary:
-    """Summarize a pose sequence into a (pose_dim, query_len+future_len) window."""
-    return summarize_history(sequence_to_channels(history), params, query_len, future_len)
-
-
 def extend_history(history: PoseSequence, new_prediction: PoseSequence) -> PoseSequence:
     if history.joints != new_prediction.joints:
         raise SkeletonError(

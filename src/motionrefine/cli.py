@@ -1,8 +1,11 @@
 """Command-line interface: train, predict, eval, gen-synth.
 
-Run configuration is a flat JSON document.  Resolution order is
-package defaults, then the --config file, then --set KEY=VALUE
-overrides, then dedicated flags; unknown keys are rejected.  The
+Run configuration is a flat JSON document: ``data`` plus the fields of
+ModelConfig (less ``joints``), LossConfig, OptimizerConfig (with the ``adam_``
+prefix on ``beta1``, ``beta2`` and ``eps``) and the loop fields of
+TrainSettings.  Resolution order is package defaults (those dataclass
+defaults), then the --config file, then --set KEY=VALUE overrides, then
+dedicated flags; unknown keys and values of the wrong type are rejected.  The
 resolved configuration is echoed into every output directory and the
 per-epoch metrics log is line-delimited JSON.
 
@@ -37,7 +40,7 @@ from .errors import (
 )
 from .kinematics import save_skeleton, synthetic_skeleton
 from .losses import LossConfig
-from .model import ModelConfig, count_parameters, init_model_params
+from .model import ModelConfig, count_parameters, fits_field, init_model_params
 from .trainer import (
     OptimizerConfig,
     TrainSettings,
@@ -47,48 +50,40 @@ from .trainer import (
     train,
 )
 
+_ADAM_KEYS = {"beta1": "adam_beta1", "beta2": "adam_beta2", "eps": "adam_eps"}
+_LOOP_KEYS = ("epochs", "batch_size", "seed", "val_fraction", "window_stride",
+              "checkpoint_every")
+
+# flat configuration key -> (config dataclass, field); the joint count comes
+# from the dataset, and only the loop fields of TrainSettings are configurable
+CONFIG_FIELDS: dict[str, tuple[type, dataclasses.Field]] = {
+    _ADAM_KEYS.get(f.name, f.name) if cls is OptimizerConfig else f.name: (cls, f)
+    for cls in (ModelConfig, LossConfig, OptimizerConfig, TrainSettings)
+    for f in dataclasses.fields(cls)
+    if f.name != "joints" and (cls is not TrainSettings or f.name in _LOOP_KEYS)}
 CONFIG_DEFAULTS: dict[str, object] = {
-    "data": "",
-    # architecture
-    "history_len": 50, "query_len": 10, "future_len": 10,
-    "stages": 3, "glb_pairs": 2, "latent_dim": 256, "dropout": 0.3,
-    "attention_mode": "attention", "attention_bias": True,
-    "use_summary": True, "supervise_stages": False,
-    "bn_eps": 1e-5, "bn_momentum": 0.1,
-    # loss
-    "use_st": True, "use_st_weights": True, "use_velocity": True,
-    "reconstruct_query": True, "spatial_floor": 0.1, "temporal_form": "unit_final",
-    # optimizer and loop
-    "lr": 0.005, "lr_decay": 0.97, "adam_beta1": 0.9, "adam_beta2": 0.999,
-    "adam_eps": 1e-8, "epochs": 200, "batch_size": 32, "seed": 0,
-    "val_fraction": 0.2, "window_stride": 1, "checkpoint_every": 0,
-}
+    "data": "", **{key: f.default for key, (_, f) in CONFIG_FIELDS.items()}}
 
 ABLATION_KEYS = ("use_st", "use_st_weights", "use_velocity", "reconstruct_query",
                  "temporal_form", "spatial_floor", "attention_mode", "stages")
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+               "false": False, "0": False, "no": False, "off": False}
 
 
-def _coerce(key: str, value, default) -> object:
-    if isinstance(value, str):
-        if isinstance(default, bool):
-            lowered = value.strip().lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ConfigurationError(f"{key}: expected a boolean, got {value!r}")
-        if isinstance(default, (int, float)):
-            try:
-                return type(default)(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{key}: expected {type(default).__name__}, got {value!r}") from None
-        return value
-    if isinstance(default, bool) and not isinstance(value, bool):
-        raise ConfigurationError(f"{key}: expected a boolean, got {value!r}")
-    if isinstance(default, float) and isinstance(value, int):
-        return float(value)
-    return value
+def _coerce(key: str, value) -> object:
+    """``value`` as the annotated type of ``key``'s field: a string (from --set
+    or --ablation) is parsed, any other JSON value must already have that type."""
+    kind = "str" if key == "data" else CONFIG_FIELDS[key][1].type
+    if isinstance(value, str) and kind == "bool":
+        value = _BOOL_WORDS.get(value.strip().lower(), value)
+    elif isinstance(value, str) and kind in ("int", "float"):
+        try:
+            value = int(value) if kind == "int" else float(value)
+        except ValueError:
+            pass
+    if not fits_field(value, kind):
+        raise ConfigurationError(f"{key}: expected {kind}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
 def resolve_config(config_path: str | None, overrides: list[str] | None,
@@ -98,7 +93,7 @@ def resolve_config(config_path: str | None, overrides: list[str] | None,
     def apply(key, value, origin):
         if key not in resolved:
             raise ConfigurationError(f"unknown configuration key {key!r} ({origin})")
-        resolved[key] = _coerce(key, value, CONFIG_DEFAULTS[key])
+        resolved[key] = _coerce(key, value)
 
     if config_path:
         try:
@@ -120,32 +115,10 @@ def resolve_config(config_path: str | None, overrides: list[str] | None,
     return resolved
 
 
-def model_config_from(resolved: dict, joints: int) -> ModelConfig:
-    return ModelConfig(
-        joints=joints,
-        history_len=resolved["history_len"], query_len=resolved["query_len"],
-        future_len=resolved["future_len"], stages=resolved["stages"],
-        glb_pairs=resolved["glb_pairs"], latent_dim=resolved["latent_dim"],
-        dropout=resolved["dropout"], attention_mode=resolved["attention_mode"],
-        attention_bias=resolved["attention_bias"], use_summary=resolved["use_summary"],
-        supervise_stages=resolved["supervise_stages"], bn_eps=resolved["bn_eps"],
-        bn_momentum=resolved["bn_momentum"])
-
-
-def loss_config_from(resolved: dict) -> LossConfig:
-    return LossConfig(
-        use_st=resolved["use_st"], use_st_weights=resolved["use_st_weights"],
-        use_velocity=resolved["use_velocity"],
-        reconstruct_query=resolved["reconstruct_query"],
-        spatial_floor=resolved["spatial_floor"],
-        temporal_form=resolved["temporal_form"])
-
-
-def optimizer_config_from(resolved: dict) -> OptimizerConfig:
-    return OptimizerConfig(
-        lr=resolved["lr"], lr_decay=resolved["lr_decay"],
-        beta1=resolved["adam_beta1"], beta2=resolved["adam_beta2"],
-        eps=resolved["adam_eps"])
+def config_from(cls, resolved: dict, **given):
+    """Build config dataclass ``cls`` from its keys in ``resolved`` plus ``given`` fields."""
+    return cls(**{f.name: resolved[key] for key, (owner, f) in CONFIG_FIELDS.items()
+                  if owner is cls}, **given)
 
 
 def _echo_config(resolved: dict, out_dir: Path):
@@ -161,8 +134,8 @@ def cmd_train(args) -> int:
     if not resolved["data"]:
         raise ConfigurationError("missing required field: data (dataset directory)")
     dataset = load_dataset(resolved["data"])
-    model_config = model_config_from(resolved, dataset.skeleton.joint_count)
-    loss_config = loss_config_from(resolved)
+    model_config = config_from(ModelConfig, resolved, joints=dataset.skeleton.joint_count)
+    loss_config = config_from(LossConfig, resolved)
 
     if args.dry_run:
         params = init_model_params(model_config, np.random.default_rng(resolved["seed"]))
@@ -179,14 +152,10 @@ def cmd_train(args) -> int:
         def log_record(record):
             log.write(json.dumps(record) + "\n")
             log.flush()
-        settings = TrainSettings(
-            epochs=resolved["epochs"], batch_size=resolved["batch_size"],
-            seed=resolved["seed"], val_fraction=resolved["val_fraction"],
-            window_stride=resolved["window_stride"],
-            checkpoint_dir=str(out_dir), checkpoint_every=resolved["checkpoint_every"],
-            log_fn=log_record)
+        settings = config_from(TrainSettings, resolved, checkpoint_dir=str(out_dir),
+                               log_fn=log_record)
         result = train(dataset, model_config, loss_config,
-                       optimizer_config_from(resolved), settings)
+                       config_from(OptimizerConfig, resolved), settings)
     last = result.metrics[-1] if result.metrics else {}
     print(f"trained {result.epochs_run} epochs; "
           f"final train MPJPE {last.get('train_mpjpe', float('nan')):.4f} "
@@ -225,7 +194,7 @@ def _apply_ablation(ckpt, overrides: list[str]):
             raise ConfigurationError(
                 f"--ablation key {key!r} not in {ABLATION_KEYS}")
         if key == "stages":
-            stages = _coerce(key, value, ckpt.model_config.stages)
+            stages = _coerce(key, value)
             if not 1 <= stages <= ckpt.model_config.stages:
                 raise ConfigurationError(
                     f"stages override {stages} outside [1, {ckpt.model_config.stages}]")
@@ -237,11 +206,9 @@ def _apply_ablation(ckpt, overrides: list[str]):
                 raise ConfigurationError(
                     "checkpoint was trained without attention parameters")
             model_config = dataclasses.replace(
-                model_config, attention_mode=_coerce(key, value, "attention"))
+                model_config, attention_mode=_coerce(key, value))
         else:
-            default = getattr(LossConfig(), key)
-            loss_config = dataclasses.replace(
-                loss_config, **{key: _coerce(key, value, default)})
+            loss_config = dataclasses.replace(loss_config, **{key: _coerce(key, value)})
     return params, model_config, loss_config
 
 

@@ -10,12 +10,10 @@ Binary sequence format "MSEQ1":
     f32 * frames*joints*3, little endian, frame-major, joint, then xyz
 
 Storage is 32-bit on purpose (half the size); loading upcasts to 64-bit,
-so a write/read round-trip is exact at 32-bit precision.  A CSV import
-path (header ``frame,joint,x,y,z``) exists for interoperability.
+so a write/read round-trip is exact at 32-bit precision.
 """
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,30 +93,6 @@ def load_sequence(path) -> tuple[str, PoseSequence]:
         frame = int(np.argwhere(bad)[0][0])
         raise DataError(f"{path}: non-finite coordinate at frame {frame}")
     return name, PoseSequence(coords, rate_mhz / 1000.0)
-
-
-def load_csv_sequence(path, frame_rate: float = 25.0) -> PoseSequence:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["frame", "joint", "x", "y", "z"]:
-            raise FormatError(f"{path}: expected header frame,joint,x,y,z")
-        for row in reader:
-            if not row:
-                continue
-            rows.append((int(row[0]), int(row[1]),
-                         float(row[2]), float(row[3]), float(row[4])))
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    frames = max(r[0] for r in rows) + 1
-    joints = max(r[1] for r in rows) + 1
-    coords = np.full((frames, joints, 3), np.nan)
-    for frame, joint, x, y, z in rows:
-        coords[frame, joint] = (x, y, z)
-    if not np.isfinite(coords).all():
-        raise DataError(f"{path}: incomplete frame/joint grid")
-    return PoseSequence(coords, frame_rate)
 
 
 def load_dataset(directory) -> SequenceDataset:

@@ -46,8 +46,8 @@ class KinematicChain:
             raise ConfigurationError(
                 f"chain with {len(self.joint_indices)} joints needs "
                 f"{len(self.joint_indices) - 1} bone lengths, got {len(self.bone_lengths)}")
-        if any(b <= 0 for b in self.bone_lengths):
-            raise ConfigurationError("bone lengths must be positive")
+        if not all(0.0 < b < np.inf for b in self.bone_lengths):  # also rejects nan
+            raise ConfigurationError("bone lengths must be positive and finite")
 
     @property
     def bone_count(self) -> int:
@@ -145,17 +145,6 @@ def mpjpe_per_frame(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pred - truth, axis=-1).mean(axis=-1)
 
 
-def mpjpe_at_frames(pred: PoseSequence, truth: PoseSequence, frame_indices) -> list[float]:
-    if pred.joints != truth.joints:
-        raise SkeletonError(f"joint counts differ: {pred.joints} vs {truth.joints}")
-    errors = []
-    for f in frame_indices:
-        if not 0 <= f < pred.frames or f >= truth.frames:
-            raise BoundsError(f"frame {f} out of range (pred {pred.frames}, truth {truth.frames})")
-        errors.append(float(np.linalg.norm(pred.coords[f] - truth.coords[f], axis=-1).mean()))
-    return errors
-
-
 def default_humanoid_skeleton() -> Skeleton:
     """A 22-joint humanoid with a five-chain decomposition.
 
@@ -222,7 +211,7 @@ def skeleton_from_text(text: str, source: str = "<text>") -> Skeleton:
     if not lines or lines[0] != "MSKEL1":
         raise FormatError(f"{source}: not an MSKEL1 skeleton file")
     fields: dict[str, str] = {}
-    chains: list[KinematicChain] = []
+    chains: list[tuple] = []  # (joint indices, bone lengths) per chain line
     for line in lines[1:]:
         if ":" not in line:
             raise FormatError(f"{source}: malformed line {line!r}")
@@ -238,7 +227,7 @@ def skeleton_from_text(text: str, source: str = "<text>") -> Skeleton:
             except ValueError:
                 raise FormatError(f"{source}: chain line has a non-numeric token: "
                                   f"{line!r}") from None
-            chains.append(KinematicChain(indices, bones))
+            chains.append((indices, bones))
         else:
             fields[key] = value
     try:
@@ -251,7 +240,7 @@ def skeleton_from_text(text: str, source: str = "<text>") -> Skeleton:
         raise FormatError(
             f"{source}: joint_count {fields['joint_count']!r} is not an integer") from None
     try:
-        return Skeleton(joint_count, names, tuple(chains), units)
+        return Skeleton(joint_count, names, tuple(KinematicChain(*c) for c in chains), units)
     except ConfigurationError as bad:
         raise FormatError(f"{source}: {bad}") from None
 

@@ -1,7 +1,7 @@
 """Model configuration, parameter container and the end-to-end forward pass."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .refinement import (
     refine,
 )
 from .tensor import Mode, RunningStats, Tensor, as_tensor
-from .transforms import DctBasis, dct_basis
+from .transforms import DctBasis
 
 ATTENTION_MODES = ("attention", "copy")
 
@@ -55,6 +55,8 @@ class ModelConfig:
             raise ConfigurationError("stages must be >= 1")
         if self.glb_pairs < 0:
             raise ConfigurationError("glb_pairs must be >= 0")
+        if self.latent_dim < 1:
+            raise ConfigurationError("latent_dim must be >= 1")
         if self.attention_mode not in ATTENTION_MODES:
             raise ConfigurationError(
                 f"attention_mode must be one of {ATTENTION_MODES}")
@@ -131,7 +133,6 @@ def count_parameters(params: ModelParams) -> int:
 class ModelOutput:
     prediction: Tensor
     stage_outputs: list[Tensor]
-    refined_summaries: list[Tensor]
     summary: MotionSummary | None
 
 
@@ -159,20 +160,17 @@ def model_forward(params: ModelParams, histories, config: ModelConfig,
         summary_values = pad_query(query, config.future_len)
     result: RefineResult = refine(query, summary_values, params.refinement,
                                   basis, mode, use_summary=config.use_summary)
-    return ModelOutput(result.prediction, result.stage_outputs,
-                       result.refined_summaries, summary)
-
-
-def model_basis(config: ModelConfig) -> DctBasis:
-    return dct_basis(config.window)
-
-
-def config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
+    return ModelOutput(result.prediction, result.stage_outputs, summary)
 
 
 # JSON types a config field of each annotated type accepts (a bool is no number)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def fits_field(value, type_name: str) -> bool:
+    """Whether a JSON value fits a config field annotated ``type_name``."""
+    return (isinstance(value, bool) == (type_name == "bool")
+            and isinstance(value, _JSON_TYPES[type_name]))
 
 
 def config_from_dict(cls, payload, what: str):
@@ -193,8 +191,7 @@ def config_from_dict(cls, payload, what: str):
         raise FormatError(f"{what} {' and '.join(problems)}")
     for f in fields(cls):
         value = payload[f.name]
-        if (isinstance(value, bool) != (f.type == "bool")
-                or not isinstance(value, _JSON_TYPES[f.type])):
+        if not fits_field(value, f.type):
             raise FormatError(f"{what}: {f.name} must be {f.type}, got {value!r}")
     try:
         return cls(**payload)

@@ -131,7 +131,6 @@ def split_channels(g) -> tuple[Tensor, Tensor]:
 class RefineResult:
     prediction: Tensor              # (..., pose_dim, window)
     stage_outputs: list[Tensor]     # one refined prediction per stage
-    refined_summaries: list[Tensor]
 
 
 def refine(query, summary, params: RefinementParams, basis: DctBasis, mode: Mode,
@@ -139,8 +138,9 @@ def refine(query, summary, params: RefinementParams, basis: DctBasis, mode: Mode
     """Run every refinement stage and return the last prediction.
 
     query: (..., pose_dim, query_len); summary: MotionSummary or tensor of
-    shape (..., pose_dim, window) where window == basis.size.  The summary
-    refined by the last stage is computed but plays no further role.
+    shape (..., pose_dim, window) where window == basis.size.  The last
+    stage's refined summary plays no further role, so it stays in frequency
+    space.
     """
     query = as_tensor(query)
     values = summary.values if isinstance(summary, MotionSummary) else as_tensor(summary)
@@ -164,8 +164,7 @@ def refine(query, summary, params: RefinementParams, basis: DctBasis, mode: Mode
     x = pad_query(query, future_len)
     s = values
     stage_outputs: list[Tensor] = []
-    refined_summaries: list[Tensor] = []
-    for glm in params.stages:
+    for n, glm in enumerate(params.stages, start=1):
         x_freq = dct(x, basis)
         if use_summary:
             g = concat([dct(s, basis), x_freq], axis=-1)
@@ -174,13 +173,13 @@ def refine(query, summary, params: RefinementParams, basis: DctBasis, mode: Mode
         refined = add(glm_forward(g, glm, mode), g)
         if use_summary:
             s_freq, x_freq = split_channels(refined)
-            s = idct(s_freq, basis)
+            if n < len(params.stages):
+                s = idct(s_freq, basis)
             x = idct(x_freq, basis)
-            refined_summaries.append(s)
         else:
             x = idct(refined, basis)
         stage_outputs.append(x)
-    return RefineResult(x, stage_outputs, refined_summaries)
+    return RefineResult(x, stage_outputs)
 
 
 def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:

@@ -71,15 +71,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag}, op={self._op})"
@@ -130,15 +121,6 @@ class Tensor:
 
     def sqrt(self):
         return sqrt(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-    def backward(self):
-        return backward(self)
 
 
 def as_tensor(value) -> Tensor:
@@ -241,10 +223,6 @@ def div(a, b) -> Tensor:
                 _accum(b, _unbroadcast(-grad * data / b.data, b.shape))
         out._backward = _bw
     return out
-
-
-def scale(a, factor: float) -> Tensor:
-    return mul(a, float(factor))
 
 
 def matmul(a, b) -> Tensor:

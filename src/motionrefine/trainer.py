@@ -24,13 +24,18 @@ import numpy as np
 from .attention import channels_to_sequence, extend_history, sequence_to_channels
 from .data import SequenceDataset, TrainingWindow, extract_windows
 from .errors import ConfigurationError, DataError, DimensionError, FormatError
-from .kinematics import PoseSequence, Skeleton, skeleton_from_text, skeleton_to_text
-from .losses import LossConfig, build_loss_weights, loss_total
+from .kinematics import (
+    PoseSequence,
+    Skeleton,
+    mpjpe_per_frame,
+    skeleton_from_text,
+    skeleton_to_text,
+)
+from .losses import LossConfig, LossWeights, build_loss_weights, loss_total
 from .model import (
     ModelConfig,
     ModelParams,
     config_from_dict,
-    config_to_dict,
     init_model_params,
     model_forward,
     named_parameters,
@@ -160,30 +165,45 @@ def _forward_batch(params, config, basis, batch, mode):
     return out, truth
 
 
-def _stage_future_errors(stage_pred: np.ndarray, targets: np.ndarray,
-                         config: ModelConfig) -> np.ndarray:
-    """Per-window per-future-frame MPJPE from a (B, P, window) stage output."""
-    batch = stage_pred.shape[0]
-    poses = stage_pred.transpose(0, 2, 1).reshape(batch, config.window, config.joints, 3)
-    future = poses[:, -config.future_len:]
-    return np.linalg.norm(future - targets, axis=-1).mean(axis=-1)  # (B, F)
+def window_errors(windows: list[TrainingWindow], params: ModelParams, config: ModelConfig,
+                  batch_size: int = 64, loss_config: LossConfig | None = None,
+                  loss_weights: LossWeights | None = None
+                  ) -> tuple[np.ndarray, float | None]:
+    """Eval-mode future MPJPE of every window after every stage, in one no_grad pass.
 
-
-def dataset_mpjpe(windows: list[TrainingWindow], params: ModelParams,
-                  config: ModelConfig, basis, batch_size: int = 64) -> float:
-    """Eval-mode MPJPE over all future frames, averaged over windows."""
-    if not windows:
-        return float("nan")
-    total, count = 0.0, 0
+    Returns ``(errors, mean_loss)``.  ``errors[n, w, f]`` is window w's error
+    at future frame f + 1 after stage n, where stage 0 is the repeat-last-pose
+    baseline and stage ``config.stages`` the final prediction; each stage's
+    (windows, future_len) slab is contiguous.  With a loss config,
+    ``mean_loss`` is the final prediction's objective averaged over batches,
+    otherwise None.
+    """
+    basis = dct_basis(config.window)
+    future = config.future_len
+    errors = np.empty((config.stages + 1, len(windows), future))
+    losses = []
     with no_grad():
         for start in range(0, len(windows), batch_size):
             batch = windows[start:start + batch_size]
-            out, _ = _forward_batch(params, config, basis, batch, Mode.eval())
-            targets = np.stack([w.target for w in batch])
-            errors = _stage_future_errors(out.prediction.data, targets, config)
-            total += errors.sum()
-            count += errors.size
-    return total / count
+            rows = slice(start, start + len(batch))
+            out, truth = _forward_batch(params, config, basis, batch, Mode.eval())
+            targets = truth[:, -future:]
+            last_pose = truth[:, config.query_len - 1:config.query_len]
+            errors[0, rows] = mpjpe_per_frame(np.repeat(last_pose, future, axis=1), targets)
+            for n, stage in enumerate(out.stage_outputs, start=1):
+                poses = stage.data.transpose(0, 2, 1).reshape(truth.shape)
+                errors[n, rows] = mpjpe_per_frame(poses[:, -future:], targets)
+            if loss_config is not None:
+                poses = _prediction_to_poses(out.prediction, config.joints)
+                losses.append(float(loss_total(poses, Tensor(truth), loss_weights,
+                                               loss_config, future).data))
+    return errors, (float(np.mean(losses)) if loss_config is not None else None)
+
+
+def dataset_mpjpe(windows: list[TrainingWindow], params: ModelParams,
+                  config: ModelConfig, batch_size: int = 64) -> float:
+    """Eval-mode MPJPE of the final prediction over all future frames and windows."""
+    return float(window_errors(windows, params, config, batch_size)[0][-1].mean())
 
 
 def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: LossConfig,
@@ -262,12 +282,12 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
             zero_grads(named.values())
             batch_losses.append(float(loss.data))
 
-        train_mpjpe = dataset_mpjpe(train_windows, params, model_config, basis)
+        train_mpjpe = dataset_mpjpe(train_windows, params, model_config)
         record = {"epoch": epoch, "lr": lr,
                   "train_loss": float(np.mean(batch_losses)),
                   "train_mpjpe": train_mpjpe}
         if val_windows:
-            record["val_mpjpe"] = dataset_mpjpe(val_windows, params, model_config, basis)
+            record["val_mpjpe"] = dataset_mpjpe(val_windows, params, model_config)
         metrics.append(record)
         if settings.log_fn is not None:
             settings.log_fn(record)
@@ -354,40 +374,17 @@ def evaluate(dataset: SequenceDataset, params: ModelParams, config: ModelConfig,
     windows = extract_windows(dataset, config.history_len, config.future_len, stride)
     if not windows:
         raise ConfigurationError("dataset yields no evaluation windows")
-    basis = dct_basis(config.window)
     weights = (build_loss_weights(dataset.skeleton, config.query_len,
                                   config.future_len, loss_config)
                if loss_config is not None else None)
-
-    per_frame_errors = []          # (window, future frame)
-    stage_errors = [[] for _ in range(config.stages + 1)] if per_stage else None
-    losses = []
-    with no_grad():
-        for start in range(0, len(windows), batch_size):
-            batch = windows[start:start + batch_size]
-            out, truth = _forward_batch(params, config, basis, batch, Mode.eval())
-            targets = np.stack([w.target for w in batch])
-            per_frame_errors.append(
-                _stage_future_errors(out.prediction.data, targets, config))
-            if per_stage:
-                histories = np.stack([w.history for w in batch])
-                baseline = np.repeat(histories[:, -1:], config.future_len, axis=1)
-                stage_errors[0].append(
-                    np.linalg.norm(baseline - targets, axis=-1).mean(axis=-1))
-                for n, stage_pred in enumerate(out.stage_outputs, start=1):
-                    stage_errors[n].append(
-                        _stage_future_errors(stage_pred.data, targets, config))
-            if loss_config is not None:
-                poses = _prediction_to_poses(out.prediction, config.joints)
-                losses.append(float(loss_total(poses, Tensor(truth), weights,
-                                               loss_config, config.future_len).data))
-
-    errors = np.concatenate(per_frame_errors, axis=0)  # (windows, future_len)
+    errors, mean_loss = window_errors(windows, params, config, batch_size,
+                                      loss_config, weights)
+    final = errors[-1]              # (windows, future frame)
     record = {
         "frames_ms": list(frames_ms),
         "frame_indices": indices,
-        "window_count": int(errors.shape[0]),
-        "mpjpe": [float(errors[:, i - 1].mean()) for i in indices],
+        "window_count": len(windows),
+        "mpjpe": [float(final[:, i - 1].mean()) for i in indices],
     }
     if dataset.labels is not None:
         per_action = {}
@@ -396,35 +393,16 @@ def evaluate(dataset: SequenceDataset, params: ModelParams, config: ModelConfig,
             mask = np.array([wl == label for wl in window_labels])
             per_action[label] = {
                 "count": int(mask.sum()),
-                "mpjpe": [float(errors[mask, i - 1].mean()) for i in indices],
+                "mpjpe": [float(final[mask, i - 1].mean()) for i in indices],
             }
         record["per_action"] = per_action
     if per_stage:
-        stacked = [np.concatenate(rows, axis=0) for rows in stage_errors]
         record["stage_mpjpe"] = [
-            [float(stage[:, i - 1].mean()) for i in indices] for stage in stacked]
-        record["stage_overall"] = [float(stage.mean()) for stage in stacked]
+            [float(stage[:, i - 1].mean()) for i in indices] for stage in errors]
+        record["stage_overall"] = [float(stage.mean()) for stage in errors]
     if loss_config is not None:
-        record["mean_loss"] = float(np.mean(losses))
+        record["mean_loss"] = mean_loss
     return record
-
-
-def stage_mean_mpjpe(windows: list[TrainingWindow], params: ModelParams,
-                     config: ModelConfig, batch_size: int = 64) -> list[float]:
-    """Dataset-mean future MPJPE of every stage output, first stage first."""
-    basis = dct_basis(config.window)
-    sums = np.zeros(config.stages)
-    count = 0
-    with no_grad():
-        for start in range(0, len(windows), batch_size):
-            batch = windows[start:start + batch_size]
-            out, _ = _forward_batch(params, config, basis, batch, Mode.eval())
-            targets = np.stack([w.target for w in batch])
-            for n, stage_pred in enumerate(out.stage_outputs):
-                errors = _stage_future_errors(stage_pred.data, targets, config)
-                sums[n] += errors.sum()
-            count += targets.shape[0] * config.future_len
-    return [float(s / count) for s in sums]
 
 
 # -- checkpoint container ---------------------------------------------------
@@ -444,7 +422,7 @@ class Checkpoint:
 
 
 def _config_hash(model_config, loss_config, optimizer_config) -> str:
-    canon = json.dumps({"model": config_to_dict(model_config),
+    canon = json.dumps({"model": asdict(model_config),
                         "loss": asdict(loss_config),
                         "optimizer": asdict(optimizer_config)}, sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -479,7 +457,7 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState,
         "epoch": epoch,
         "adam_step": adam.step,
         "rng_state": rng.bit_generator.state,
-        "model_config": config_to_dict(model_config),
+        "model_config": asdict(model_config),
         "loss_config": asdict(loss_config),
         "optimizer_config": asdict(optimizer_config),
         "replay_settings": replay_settings,
@@ -526,11 +504,14 @@ def load_checkpoint(path) -> Checkpoint:
     offset = 0
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         chunk = payload[offset:offset + 8 * count]
         if len(chunk) != 8 * count:
             raise FormatError(f"{path}: truncated payload at {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        try:
+            arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        except ValueError as bad:  # an empty array whose other dimensions overflow
+            raise FormatError(f"{path}: array {entry['name']}: {bad}") from None
         offset += 8 * count
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
@@ -540,6 +521,13 @@ def load_checkpoint(path) -> Checkpoint:
         for cls, field in ((ModelConfig, "model_config"), (LossConfig, "loss_config"),
                            (OptimizerConfig, "optimizer_config")))
     skeleton = skeleton_from_text(header["skeleton"], source=str(path))
+    # the payload stores every parameter with its two Adam moments, and each stage
+    # has at least this many parameters: reject a config the payload cannot hold
+    # before allocating it
+    c = model_config
+    if 24 * c.stages * ((2 + 2 * c.glb_pairs) * c.pose_dim ** 2
+                        + 2 * c.latent_dim * c.window) > len(payload):
+        raise FormatError(f"{path}: model_config needs more parameters than the payload holds")
 
     # rebuild the parameter structure from the config, then load values by name
     params = init_model_params(model_config, np.random.default_rng(0))
@@ -568,7 +556,7 @@ def load_checkpoint(path) -> Checkpoint:
     rng = np.random.default_rng(0)
     try:
         rng.bit_generator.state = header["rng_state"]
-    except (KeyError, TypeError, ValueError) as bad:
+    except (KeyError, TypeError, ValueError, OverflowError) as bad:
         raise FormatError(f"{path}: rng_state is not a generator state: {bad}") from None
     return Checkpoint(params, adam, rng, header["epoch"], model_config, loss_config,
                       optimizer_config, header["replay_settings"], skeleton,

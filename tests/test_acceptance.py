@@ -23,7 +23,6 @@ from motionrefine.losses import (
 from motionrefine.model import (
     ModelConfig,
     init_model_params,
-    model_basis,
     model_forward,
     named_parameters,
 )
@@ -53,8 +52,8 @@ from motionrefine.trainer import (
     load_checkpoint,
     predict_autoregressive,
     save_checkpoint,
-    stage_mean_mpjpe,
     train,
+    window_errors,
 )
 from motionrefine import trainer as trainer_module
 from motionrefine.data import load_sequence, save_sequence
@@ -148,7 +147,7 @@ def test_criterion_01_gradient_suite():
     for name, t in all_named.items():
         if name.endswith("output.weights"):
             t.data = rng.normal(scale=0.3, size=t.data.shape)
-    basis = model_basis(config)
+    basis = dct_basis(config.window)
     skeleton = synthetic_skeleton(1, 4)
     weights = build_loss_weights(skeleton, 3, 2, LossConfig())
     history = Tensor(rng.normal(size=(1, 12, 10)))
@@ -304,7 +303,8 @@ def test_criterion_07_stage_monotonicity(overfit_fixture, trained_overfit):
     dataset, config = overfit_fixture
     result, _ = trained_overfit
     windows = extract_windows(dataset, config.history_len, config.future_len)
-    stages = stage_mean_mpjpe(windows, result.params, config)
+    errors, _ = window_errors(windows, result.params, config)
+    stages = [float(stage.mean()) for stage in errors[1:]]
     monotone = all(stages[i + 1] <= stages[i] * 1.02 for i in range(len(stages) - 1))
     _report(7, "stage-wise MPJPE non-increasing within 2%: " +
             " >= ".join(f"{s:.2f}" for s in stages), monotone)
@@ -316,7 +316,7 @@ def test_criterion_08_autoregressive_contract(monkeypatch):
     params = init_model_params(config, np.random.default_rng(5))
     rng = np.random.default_rng(6)
     warmup = Tensor(rng.normal(size=(1, config.pose_dim, config.history_len)))
-    model_forward(params, warmup, config, model_basis(config), Mode.train(rng))
+    model_forward(params, warmup, config, dct_basis(config.window), Mode.train(rng))
 
     calls = {"n": 0}
     real = trainer_module.model_forward

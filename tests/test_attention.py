@@ -13,7 +13,6 @@ from motionrefine.attention import (
     init_attention_params,
     kernel_widths,
     sequence_to_channels,
-    summarize,
     summarize_history,
 )
 from motionrefine.errors import DimensionError, SkeletonError
@@ -187,16 +186,6 @@ def test_shift_by_one_frame_changes_window_set():
     a = summarize_history(Tensor(history), params, 3, 2)
     b = summarize_history(Tensor(history[:, 1:]), params, 3, 2)
     assert a.attention_weights.shape[0] == b.attention_weights.shape[0] + 1
-
-
-def test_pose_sequence_wrapper_matches_channel_form():
-    rng = np.random.default_rng(13)
-    params = init_attention_params(pose_dim=6, query_len=3, latent_dim=4, rng=rng)
-    seq = PoseSequence(rng.normal(size=(12, 2, 3)))
-    from_seq = summarize(seq, params, 3, 2)
-    from_channels = summarize_history(Tensor(sequence_to_channels(seq)), params, 3, 2)
-    assert np.array_equal(from_seq.values.data, from_channels.values.data)
-    assert from_seq.values.shape == (6, 5)
 
 
 def test_batched_matches_single():

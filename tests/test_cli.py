@@ -75,6 +75,17 @@ class TestConfigResolution:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert item.partition("=")[2] in err
 
+    @pytest.mark.parametrize("payload", [{"stages": 2.5}, {"stages": [2]}, {"stages": True}],
+                             ids=["float_for_int", "list_for_int", "bool_for_int"])
+    def test_mistyped_config_value_exits_2_with_one_error_line(self, corpus, capsys,
+                                                               tmp_path, payload):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["train", "--data", str(corpus), "--dry-run", "--config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stages: expected int") and err.count("\n") == 1
+
 
 class TestGenSynth:
     def test_count_zero_writes_only_skeleton(self, tmp_path):

@@ -9,7 +9,6 @@ from motionrefine.data import (
     SynthSpec,
     extract_windows,
     gen_synthetic,
-    load_csv_sequence,
     load_dataset,
     load_sequence,
     rest_pose,
@@ -74,34 +73,6 @@ class TestSequenceFile:
                            frame_rate=25.0000007)
         with pytest.raises(DataError, match="millihertz"):
             save_sequence(tmp_path / "x.mseq", seq, skeleton.name)
-
-
-class TestCsvImport:
-    def test_round_trip_through_csv(self, tmp_path):
-        rng = np.random.default_rng(2)
-        coords = rng.normal(size=(3, 2, 3)).round(6)
-        lines = ["frame,joint,x,y,z"]
-        for f in range(3):
-            for j in range(2):
-                x, y, z = (float(v) for v in coords[f, j])
-                lines.append(f"{f},{j},{x!r},{y!r},{z!r}")
-        path = tmp_path / "seq.csv"
-        path.write_text("\n".join(lines) + "\n")
-        seq = load_csv_sequence(path, frame_rate=50.0)
-        assert np.array_equal(seq.coords, coords)
-        assert seq.frame_rate == 50.0
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "seq.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(FormatError, match="header"):
-            load_csv_sequence(path)
-
-    def test_incomplete_grid(self, tmp_path):
-        path = tmp_path / "seq.csv"
-        path.write_text("frame,joint,x,y,z\n0,0,1,2,3\n1,1,1,2,3\n")
-        with pytest.raises(DataError):
-            load_csv_sequence(path)
 
 
 class TestExtractWindows:

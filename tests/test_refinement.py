@@ -296,9 +296,6 @@ class TestRefine:
                         Mode.train(np.random.default_rng(0)))
         expected = pad_query(query, 3).data
         assert np.abs(result.prediction.data - expected).max() < 1e-10
-        # the summary branch rides the same residual identity
-        for s in result.refined_summaries:
-            assert np.abs(s.data - summary.data).max() < 1e-10
 
     def test_stage_outputs_have_stage_count_length(self):
         rng = np.random.default_rng(10)
@@ -309,8 +306,21 @@ class TestRefine:
                             Tensor(rng.normal(size=(3, 4))), params, dct_basis(4),
                             Mode.train(np.random.default_rng(0)))
             assert len(result.stage_outputs) == stages
-            assert len(result.refined_summaries) == stages
             assert result.prediction.shape == (3, 4)
+
+    @pytest.mark.parametrize("use_summary, expected", [(True, 2 * 3 - 1), (False, 3)],
+                             ids=["summary", "no_summary"])
+    def test_idct_count_skips_the_last_summary(self, monkeypatch, use_summary, expected):
+        calls = []
+        real = refinement.idct
+        monkeypatch.setattr(refinement, "idct",
+                            lambda *args: calls.append(1) or real(*args))
+        rng = np.random.default_rng(12)
+        params = init_refinement_params(pose_dim=3, window=4, stages=3, pair_count=1,
+                                        latent_dim=5, rng=rng, use_summary=use_summary)
+        refine(Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 4))), params,
+               dct_basis(4), Mode.train(rng), use_summary=use_summary)
+        assert len(calls) == expected
 
     def test_single_stage_without_summary_equals_one_step_form(self):
         rng = np.random.default_rng(11)

@@ -24,7 +24,6 @@ from motionrefine.tensor import (
     no_grad,
     relu,
     reshape,
-    scale,
     sliding_windows,
     sqrt,
     sub,
@@ -148,13 +147,6 @@ class TestElementwise:
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
         assert_gradients_match(lambda: tensor_sum(tanh(a * b + a / 2.0 - b)), [a, b])
-
-    def test_scale(self):
-        x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
-        out = scale(x, 4.0)
-        assert np.array_equal(out.data, [4.0, -8.0, 2.0])
-        backward(tensor_sum(out))
-        assert np.array_equal(x.grad, [4.0, 4.0, 4.0])
 
 
 class TestBatchnorm:

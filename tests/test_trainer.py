@@ -7,16 +7,16 @@ import pytest
 
 from motionrefine.data import SequenceDataset, SynthSpec, extract_windows, gen_synthetic
 from motionrefine.errors import ConfigurationError, DataError, DimensionError, FormatError
-from motionrefine.kinematics import PoseSequence, synthetic_skeleton
-from motionrefine.losses import LossConfig
+from motionrefine.kinematics import PoseSequence, mpjpe_per_frame, synthetic_skeleton
+from motionrefine.losses import LossConfig, build_loss_weights
 from motionrefine.model import (
     ModelConfig,
     init_model_params,
-    model_basis,
     model_forward,
     named_parameters,
 )
 from motionrefine.tensor import Mode, Tensor, no_grad
+from motionrefine.transforms import dct_basis
 from motionrefine import attention as attention_module
 from motionrefine import trainer as trainer_module
 from motionrefine.attention import sequence_to_channels
@@ -34,6 +34,7 @@ from motionrefine.trainer import (
     predict_autoregressive,
     save_checkpoint,
     train,
+    window_errors,
 )
 
 
@@ -155,7 +156,7 @@ class TestAutoregressive:
         params = init_model_params(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         history = rng.normal(size=(1, cfg.pose_dim, cfg.history_len))
-        model_forward(params, Tensor(history), cfg, model_basis(cfg), Mode.train(rng))
+        model_forward(params, Tensor(history), cfg, dct_basis(cfg.window), Mode.train(rng))
         return cfg, params
 
     def test_horizon_equal_to_future_len_is_single_pass(self, warm_model, monkeypatch):
@@ -216,7 +217,7 @@ class TestKeyCodeCache:
         for glm in params.refinement.stages:
             glm.output_gc.weights.data = rng.uniform(-1.0, 1.0, glm.output_gc.weights.shape)
         warmup = rng.normal(size=(4, config.pose_dim, config.history_len))
-        model_forward(params, Tensor(warmup), config, model_basis(config), Mode.train(rng))
+        model_forward(params, Tensor(warmup), config, dct_basis(config.window), Mode.train(rng))
         return params
 
     @staticmethod
@@ -224,7 +225,7 @@ class TestKeyCodeCache:
         channels = sequence_to_channels(history)
         with no_grad():
             while channels.shape[1] < history.frames + horizon:
-                out = model_forward(params, Tensor(channels), config, model_basis(config),
+                out = model_forward(params, Tensor(channels), config, dct_basis(config.window),
                                     Mode.eval())
                 future = out.prediction.data[:, -config.future_len:]
                 channels = np.concatenate([channels, future], axis=1)
@@ -284,7 +285,7 @@ class TestEvaluate:
         # one training pass initializes batch-norm running stats
         windows = extract_windows(ds, cfg.history_len, cfg.future_len)
         hist = np.stack([windows[0].history]).reshape(1, cfg.history_len, -1)
-        model_forward(params, Tensor(hist.transpose(0, 2, 1)), cfg, model_basis(cfg),
+        model_forward(params, Tensor(hist.transpose(0, 2, 1)), cfg, dct_basis(cfg.window),
                       Mode.train(np.random.default_rng(1)))
         record = evaluate(ds, params, cfg, [40, 160], stride=3)
         assert max(record["mpjpe"]) < 1e-9
@@ -296,7 +297,7 @@ class TestEvaluate:
         windows = extract_windows(dataset, config.history_len, config.future_len)
         hist = np.stack([windows[0].history]).reshape(1, config.history_len, -1)
         model_forward(params, Tensor(hist.transpose(0, 2, 1)), config,
-                      model_basis(config), Mode.train(np.random.default_rng(1)))
+                      dct_basis(config.window), Mode.train(np.random.default_rng(1)))
         record = evaluate(dataset, params, config, [40, 200], stride=5,
                           per_stage=True, loss_config=LossConfig())
         assert len(record["stage_mpjpe"]) == config.stages + 1
@@ -497,14 +498,60 @@ def test_dataset_mpjpe_matches_manual_average(overfit_fixture):
     dataset, config = overfit_fixture
     params = init_model_params(config, np.random.default_rng(4))
     windows = extract_windows(dataset, config.history_len, config.future_len)[:6]
-    basis = model_basis(config)
+    basis = dct_basis(config.window)
     hist = np.stack([w.history for w in windows]).reshape(len(windows),
                                                           config.history_len, -1)
     model_forward(params, Tensor(hist.transpose(0, 2, 1)), config, basis,
                   Mode.train(np.random.default_rng(0)))
-    got = dataset_mpjpe(windows, params, config, basis, batch_size=4)
+    got = dataset_mpjpe(windows, params, config, batch_size=4)
     # the untrained model repeats the last observed pose
     manual = np.mean([
         np.linalg.norm(np.repeat(w.history[-1:], config.future_len, axis=0) - w.target,
                        axis=-1).mean() for w in windows])
     assert abs(got - manual) < 1e-9
+
+
+class TestWindowErrors:
+    """The single evaluation pass and the figures derived from it."""
+
+    @pytest.fixture
+    def model(self, overfit_fixture):
+        dataset, config = overfit_fixture
+        rng = np.random.default_rng(3)
+        params = init_model_params(config, rng)
+        for glm in params.refinement.stages:  # nonzero output convs: every stage moves
+            glm.output_gc.weights.data = rng.normal(scale=0.05,
+                                                    size=glm.output_gc.weights.shape)
+        windows = extract_windows(dataset, config.history_len, config.future_len, stride=3)
+        hist = np.stack([w.history for w in windows[:4]]).reshape(4, config.history_len, -1)
+        model_forward(params, Tensor(hist.transpose(0, 2, 1)), config,
+                      dct_basis(config.window), Mode.train(rng))  # batch-norm statistics
+        return dataset, config, params, windows
+
+    def test_stage_major_layout_with_baseline_as_stage_zero(self, model):
+        _, config, params, windows = model
+        errors, mean_loss = window_errors(windows, params, config, batch_size=4)
+        assert errors.shape == (config.stages + 1, len(windows), config.future_len)
+        assert errors[1].flags["C_CONTIGUOUS"] and mean_loss is None
+        baseline = np.stack([
+            mpjpe_per_frame(np.repeat(w.history[-1:], config.future_len, axis=0), w.target)
+            for w in windows])
+        assert np.array_equal(errors[0], baseline)
+        assert not np.allclose(errors[-1], errors[0])
+
+    def test_dataset_mpjpe_is_the_final_stage_mean(self, model):
+        _, config, params, windows = model
+        errors, _ = window_errors(windows, params, config, batch_size=4)
+        assert dataset_mpjpe(windows, params, config, batch_size=4) == errors[-1].mean()
+
+    def test_last_stage_row_is_the_mpjpe_row(self, model):
+        dataset, config, params, windows = model
+        record = evaluate(dataset, params, config, [40, 200], stride=3, per_stage=True,
+                          loss_config=LossConfig())
+        assert record["stage_mpjpe"][-1] == record["mpjpe"]
+        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
+                                     LossConfig())
+        errors, mean_loss = window_errors(windows, params, config, loss_config=LossConfig(),
+                                          loss_weights=weights)
+        assert record["stage_overall"] == [float(stage.mean()) for stage in errors]
+        assert record["mean_loss"] == mean_loss
