@@ -5,7 +5,6 @@ from .attention import (
     AttentionParams,
     MotionSummary,
     encode,
-    extend_history,
     init_attention_params,
     kernel_widths,
     summarize_history,

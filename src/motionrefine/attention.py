@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SkeletonError
+from .errors import ConfigurationError, DimensionError
 from .kinematics import PoseSequence
 from .tensor import Tensor, as_tensor, concat, conv1d, matmul, relu, reshape, tensor_sum
 
@@ -47,7 +47,7 @@ def kernel_widths(query_len: int) -> tuple[int, int]:
 @dataclass
 class ConvLayer:
     kernels: Tensor            # (channels_out, channels_in, width)
-    bias: Tensor | None
+    bias: Tensor               # (channels_out,)
 
     @property
     def width(self) -> int:
@@ -85,27 +85,20 @@ class MotionSummary:
 
 
 def _init_conv(rng: np.random.Generator, channels_out: int, channels_in: int,
-               width: int, bias: bool) -> ConvLayer:
+               width: int) -> ConvLayer:
     bound = 1.0 / np.sqrt(channels_in * width)
     kernels = Tensor(rng.uniform(-bound, bound, (channels_out, channels_in, width)),
                      requires_grad=True)
-    b = Tensor(np.zeros(channels_out), requires_grad=True) if bias else None
-    return ConvLayer(kernels, b)
+    return ConvLayer(kernels, Tensor(np.zeros(channels_out), requires_grad=True))
 
 
 def init_attention_params(pose_dim: int, query_len: int, latent_dim: int,
-                          rng: np.random.Generator, bias: bool = True,
-                          widths: tuple[int, int] | None = None) -> AttentionParams:
-    w1, w2 = widths if widths is not None else kernel_widths(query_len)
-    if w1 + w2 - 1 != query_len:
-        raise ConfigurationError(
-            f"kernel widths {w1}+{w2}-1 != query length {query_len}")
-    nets = []
-    for _ in range(2):
-        nets.append(WindowEncoder(
-            _init_conv(rng, latent_dim, pose_dim, w1, bias),
-            _init_conv(rng, latent_dim, latent_dim, w2, bias)))
-    return AttentionParams(query_net=nets[0], key_net=nets[1])
+                          rng: np.random.Generator) -> AttentionParams:
+    w1, w2 = kernel_widths(query_len)
+    query_net, key_net = (WindowEncoder(_init_conv(rng, latent_dim, pose_dim, w1),
+                                        _init_conv(rng, latent_dim, latent_dim, w2))
+                          for _ in range(2))
+    return AttentionParams(query_net, key_net)
 
 
 def encode_span(net: WindowEncoder, span) -> Tensor:
@@ -193,13 +186,3 @@ def summarize_history(history, params: AttentionParams, query_len: int,
         codes = reshape(codes, codes.shape[1:])
     return MotionSummary(summary, weights, codes, used_fallback)
 
-
-def extend_history(history: PoseSequence, new_prediction: PoseSequence) -> PoseSequence:
-    if history.joints != new_prediction.joints:
-        raise SkeletonError(
-            f"joint counts differ: {history.joints} vs {new_prediction.joints}")
-    if history.frame_rate != new_prediction.frame_rate:
-        raise SkeletonError(
-            f"frame rates differ: {history.frame_rate} vs {new_prediction.frame_rate}")
-    coords = np.concatenate([history.coords, new_prediction.coords], axis=0)
-    return PoseSequence(coords, history.frame_rate)

@@ -36,11 +36,6 @@ class ModelConfig:
     latent_dim: int = 256
     dropout: float = 0.3
     attention_mode: str = "attention"
-    attention_bias: bool = True
-    use_summary: bool = True
-    supervise_stages: bool = False
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
         if self.joints < 1:
@@ -71,10 +66,6 @@ class ModelConfig:
     def window(self) -> int:
         return self.query_len + self.future_len
 
-    @property
-    def block_count(self) -> int:
-        return 1 + 2 * self.glb_pairs
-
 
 @dataclass
 class ModelParams:
@@ -86,12 +77,10 @@ def init_model_params(config: ModelConfig, rng: np.random.Generator) -> ModelPar
     attention = None
     if config.attention_mode == "attention":
         attention = init_attention_params(
-            config.pose_dim, config.query_len, config.latent_dim, rng,
-            bias=config.attention_bias)
+            config.pose_dim, config.query_len, config.latent_dim, rng)
     refinement = init_refinement_params(
         config.pose_dim, config.window, config.stages, config.glb_pairs,
-        config.latent_dim, rng, use_summary=config.use_summary,
-        dropout=config.dropout, bn_eps=config.bn_eps, bn_momentum=config.bn_momentum)
+        config.latent_dim, rng, dropout=config.dropout)
     return ModelParams(attention, refinement)
 
 
@@ -103,8 +92,7 @@ def named_parameters(params: ModelParams) -> dict[str, Tensor]:
                               ("key", params.attention.key_net)):
             for layer_name, layer in (("conv1", net.first), ("conv2", net.second)):
                 table[f"attention.{net_name}.{layer_name}.kernels"] = layer.kernels
-                if layer.bias is not None:
-                    table[f"attention.{net_name}.{layer_name}.bias"] = layer.bias
+                table[f"attention.{net_name}.{layer_name}.bias"] = layer.bias
     for s, glm in enumerate(params.refinement.stages):
         for b, block in enumerate(glm.blocks):
             prefix = f"refine.stage{s}.block{b}"
@@ -158,8 +146,7 @@ def model_forward(params: ModelParams, histories, config: ModelConfig,
         summary_values = summary.values
     else:
         summary_values = pad_query(query, config.future_len)
-    result: RefineResult = refine(query, summary_values, params.refinement,
-                                  basis, mode, use_summary=config.use_summary)
+    result: RefineResult = refine(query, summary_values, params.refinement, basis, mode)
     return ModelOutput(result.prediction, result.stage_outputs, summary)
 
 

@@ -31,7 +31,6 @@ from .tensor import (
     matmul,
 )
 from .transforms import DctBasis, dct, idct
-from .attention import MotionSummary
 
 
 @dataclass
@@ -49,7 +48,7 @@ class GlmParams:
 
     blocks: list[GraphLayerParams]
     output_gc: GraphLayerParams
-    dropout: float = 0.3
+    dropout: float
 
     @property
     def pair_count(self) -> int:
@@ -133,51 +132,41 @@ class RefineResult:
     stage_outputs: list[Tensor]     # one refined prediction per stage
 
 
-def refine(query, summary, params: RefinementParams, basis: DctBasis, mode: Mode,
-           use_summary: bool = True) -> RefineResult:
+def refine(query, summary, params: RefinementParams, basis: DctBasis,
+           mode: Mode) -> RefineResult:
     """Run every refinement stage and return the last prediction.
 
-    query: (..., pose_dim, query_len); summary: MotionSummary or tensor of
-    shape (..., pose_dim, window) where window == basis.size.  The last
-    stage's refined summary plays no further role, so it stays in frequency
-    space.
+    query: (..., pose_dim, query_len); summary: (..., pose_dim, window) where
+    window == basis.size.  The last stage's refined summary plays no further
+    role, so it stays in frequency space.
     """
     query = as_tensor(query)
-    values = summary.values if isinstance(summary, MotionSummary) else as_tensor(summary)
+    s = as_tensor(summary)
     window = basis.size
-    if values.shape[-1] != window:
+    if s.shape[-1] != window:
         raise ConfigurationError(
-            f"summary window {values.shape[-1]} != basis size {window}")
+            f"summary window {s.shape[-1]} != basis size {window}")
     future_len = window - query.shape[-1]
     if future_len < 0:
         raise ConfigurationError(
             f"query length {query.shape[-1]} exceeds window {window}")
     if not params.stages:
         raise ConfigurationError("refinement needs at least one stage")
-    expected = (2 if use_summary else 1) * window
     for glm in params.stages:
-        if glm.in_channels != expected:
+        if glm.in_channels != 2 * window:
             raise ConfigurationError(
                 f"stage expects {glm.in_channels} channels, "
-                f"configuration needs {expected}")
+                f"configuration needs {2 * window}")
 
     x = pad_query(query, future_len)
-    s = values
     stage_outputs: list[Tensor] = []
     for n, glm in enumerate(params.stages, start=1):
         x_freq = dct(x, basis)
-        if use_summary:
-            g = concat([dct(s, basis), x_freq], axis=-1)
-        else:
-            g = x_freq
-        refined = add(glm_forward(g, glm, mode), g)
-        if use_summary:
-            s_freq, x_freq = split_channels(refined)
-            if n < len(params.stages):
-                s = idct(s_freq, basis)
-            x = idct(x_freq, basis)
-        else:
-            x = idct(refined, basis)
+        g = concat([dct(s, basis), x_freq], axis=-1)
+        s_freq, x_freq = split_channels(add(glm_forward(g, glm, mode), g))
+        if n < len(params.stages):
+            s = idct(s_freq, basis)
+        x = idct(x_freq, basis)
         stage_outputs.append(x)
     return RefineResult(x, stage_outputs)
 
@@ -188,8 +177,8 @@ def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
 
 
 def _init_layer(rng: np.random.Generator, pose_dim: int, channels_in: int,
-                channels_out: int, bn_eps: float, bn_momentum: float,
-                zero_weights: bool = False, with_norm: bool = True) -> GraphLayerParams:
+                channels_out: int, zero_weights: bool = False,
+                with_norm: bool = True) -> GraphLayerParams:
     adjacency = Tensor(_uniform(rng, (pose_dim, pose_dim), pose_dim), requires_grad=True)
     if zero_weights:
         weights = Tensor(np.zeros((channels_in, channels_out)), requires_grad=True)
@@ -202,25 +191,23 @@ def _init_layer(rng: np.random.Generator, pose_dim: int, channels_in: int,
         adjacency, weights,
         gamma=Tensor(np.ones(channels_out), requires_grad=True),
         beta=Tensor(np.zeros(channels_out), requires_grad=True),
-        stats=RunningStats(momentum=bn_momentum, eps=bn_eps))
+        stats=RunningStats())
 
 
 def init_refinement_params(pose_dim: int, window: int, stages: int, pair_count: int,
                            latent_dim: int, rng: np.random.Generator,
-                           use_summary: bool = True, dropout: float = 0.3,
-                           bn_eps: float = 1e-5, bn_momentum: float = 0.1) -> RefinementParams:
+                           dropout: float = 0.3) -> RefinementParams:
     if stages < 1:
         raise ConfigurationError("need at least one refinement stage")
     if pair_count < 0:
         raise ConfigurationError("pair count must be nonnegative")
-    channels = (2 if use_summary else 1) * window
+    channels = 2 * window      # [summary; prediction] coefficients
     built = []
     for _ in range(stages):
-        blocks = [_init_layer(rng, pose_dim, channels, latent_dim, bn_eps, bn_momentum)]
+        blocks = [_init_layer(rng, pose_dim, channels, latent_dim)]
         for _ in range(2 * pair_count):
-            blocks.append(_init_layer(rng, pose_dim, latent_dim, latent_dim,
-                                      bn_eps, bn_momentum))
-        output_gc = _init_layer(rng, pose_dim, latent_dim, channels, bn_eps, bn_momentum,
+            blocks.append(_init_layer(rng, pose_dim, latent_dim, latent_dim))
+        output_gc = _init_layer(rng, pose_dim, latent_dim, channels,
                                 zero_weights=True, with_norm=False)
         built.append(GlmParams(blocks, output_gc, dropout))
     return RefinementParams(built)

@@ -6,9 +6,11 @@ travels inside checkpoints, so save/load mid-run reproduces the
 uninterrupted run bit for bit.
 
 Checkpoint format "MCKPT1": magic ``MCKPT001``, u32 header length, JSON
-header (configs, epoch, optimizer step, rng state, embedded skeleton,
-array index, payload hash), then all arrays as little-endian float64 in
-index order.
+header (format version, configs, epoch, optimizer step, rng state, embedded
+skeleton, array index, payload hash), then all arrays as little-endian
+float64 in index order.  Files are written as version 2.  A version-1 file
+loads only if the five model-config fields version 2 dropped hold their old
+defaults (``FORMAT1_MODEL_FIELDS``); one that set them otherwise must be retrained.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import channels_to_sequence, extend_history, sequence_to_channels
+from .attention import channels_to_sequence, sequence_to_channels
 from .data import SequenceDataset, TrainingWindow, extract_windows
 from .errors import ConfigurationError, DataError, DimensionError, FormatError
 from .kinematics import (
@@ -60,10 +62,15 @@ def _array_index(value) -> bool:
 
 # each required header field -> the type or the validator its JSON value must pass
 CKPT_HEADER_FIELDS = {
-    "payload_sha256": str, "arrays": _array_index, "model_config": dict,
-    "loss_config": dict, "optimizer_config": dict, "skeleton": str, "adam_step": _count,
-    "rng_state": dict, "epoch": _count, "replay_settings": dict, "config_hash": str,
+    "version": lambda value: _count(value) and value in (1, 2),
+    "payload_sha256": str, "arrays": _array_index, "model_config": dict, "loss_config": dict,
+    "optimizer_config": dict, "skeleton": str, "adam_step": _count, "rng_state": dict,
+    "epoch": _count, "replay_settings": dict, "config_hash": str,
 }
+
+# model_config fields version 2 dropped -> the one value a version-1 file may hold
+FORMAT1_MODEL_FIELDS = {"use_summary": True, "supervise_stages": False,
+                        "attention_bias": True, "bn_eps": 1e-5, "bn_momentum": 0.1}
 
 
 @dataclass
@@ -261,17 +268,8 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
                                                             settings.batch_size)):
             out, truth = _forward_batch(params, model_config, basis, batch,
                                         Mode.train(rng))
-            truth_t = Tensor(truth)
-            supervised = out.stage_outputs if model_config.supervise_stages \
-                else [out.prediction]
-            loss = None
-            for stage_pred in supervised:
-                poses = _prediction_to_poses(stage_pred, model_config.joints)
-                term = loss_total(poses, truth_t, weights, loss_config,
-                                  model_config.future_len)
-                loss = term if loss is None else loss + term
-            if len(supervised) > 1:
-                loss = loss * (1.0 / len(supervised))
+            loss = loss_total(_prediction_to_poses(out.prediction, model_config.joints),
+                              Tensor(truth), weights, loss_config, model_config.future_len)
             if not np.isfinite(loss.data):
                 sources = [w.source for w in batch]
                 raise DataError(
@@ -325,20 +323,18 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
             f"history of {history.frames} frames is shorter than one "
             f"query+future window {config.window}")
     basis = dct_basis(config.window)
-    work = history
-    passes = math.ceil(horizon / config.future_len)
+    channels = sequence_to_channels(history)
     key_codes = None
     with no_grad():
-        for _ in range(passes):
-            channels = sequence_to_channels(work)
+        for _ in range(math.ceil(horizon / config.future_len)):
             out = model_forward(params, Tensor(channels), config, basis, Mode.eval(),
                                 key_codes=key_codes)
             if out.summary is not None:
                 key_codes = out.summary.key_codes
             future = out.prediction.data[:, -config.future_len:]
-            work = extend_history(work, channels_to_sequence(future, work.frame_rate))
-    coords = work.coords[history.frames:history.frames + horizon].copy()
-    return PoseSequence(coords, history.frame_rate)
+            channels = np.concatenate([channels, future], axis=1)
+    return channels_to_sequence(channels[:, history.frames:history.frames + horizon],
+                                history.frame_rate)
 
 
 def frames_from_milliseconds(frames_ms, frame_rate: float, future_len: int) -> list[int]:
@@ -453,7 +449,7 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState,
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
                        for a in arrays.values())
     header = {
-        "version": 1,
+        "version": 2,
         "epoch": epoch,
         "adam_step": adam.step,
         "rng_state": rng.bit_generator.state,
@@ -516,6 +512,12 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
 
+    if header["version"] == 1:
+        for key, old in FORMAT1_MODEL_FIELDS.items():
+            value = header["model_config"].pop(key, None)
+            if type(value) is not type(old) or value != old:
+                raise FormatError(f"{path}: model_config: version-1 field {key} is "
+                                  f"{value!r}, not {old!r}; the model must be retrained")
     model_config, loss_config, optimizer_config = (
         config_from_dict(cls, header[field], f"{path}: {field}")
         for cls, field in ((ModelConfig, "model_config"), (LossConfig, "loss_config"),
@@ -558,9 +560,11 @@ def load_checkpoint(path) -> Checkpoint:
         rng.bit_generator.state = header["rng_state"]
     except (KeyError, TypeError, ValueError, OverflowError) as bad:
         raise FormatError(f"{path}: rng_state is not a generator state: {bad}") from None
+    # a version-1 hash also covers the dropped fields
+    config_hash = (header["config_hash"] if header["version"] == 2 else
+                   _config_hash(model_config, loss_config, optimizer_config))
     return Checkpoint(params, adam, rng, header["epoch"], model_config, loss_config,
-                      optimizer_config, header["replay_settings"], skeleton,
-                      header["config_hash"])
+                      optimizer_config, header["replay_settings"], skeleton, config_hash)
 
 
 def _check_resume_compat(resume: Checkpoint, model_config, loss_config,

@@ -9,13 +9,12 @@ from motionrefine.attention import (
     channels_to_sequence,
     encode,
     encode_span,
-    extend_history,
     init_attention_params,
     kernel_widths,
     sequence_to_channels,
     summarize_history,
 )
-from motionrefine.errors import DimensionError, SkeletonError
+from motionrefine.errors import DimensionError
 from motionrefine.kinematics import PoseSequence
 from motionrefine.tensor import Tensor, concat, tensor_sum
 
@@ -265,29 +264,6 @@ def test_key_codes_that_do_not_fit_are_rejected():
     for bad in (np.zeros((2, 4, 7)), np.zeros((2, 5, 3)), np.zeros((4, 3))):
         with pytest.raises(DimensionError, match="key codes"):
             summarize_history(history, params, 3, 2, key_codes=bad)
-
-
-class TestExtendHistory:
-    def test_lengths_add(self):
-        a = PoseSequence(np.zeros((50, 2, 3)))
-        b = PoseSequence(np.ones((10, 2, 3)))
-        assert extend_history(a, b).frames == 60
-
-    def test_extend_by_empty(self):
-        a = PoseSequence(np.random.default_rng(11).normal(size=(5, 2, 3)))
-        out = extend_history(a, PoseSequence(np.zeros((0, 2, 3))))
-        assert np.array_equal(out.coords, a.coords)
-
-    def test_repeated_extension(self):
-        seq = PoseSequence(np.zeros((50, 3, 3)))
-        for _ in range(3):
-            seq = extend_history(seq, PoseSequence(np.zeros((10, 3, 3))))
-        assert seq.frames == 80
-
-    def test_joint_mismatch(self):
-        with pytest.raises(SkeletonError):
-            extend_history(PoseSequence(np.zeros((5, 2, 3))),
-                           PoseSequence(np.zeros((5, 3, 3))))
 
 
 def test_channel_layout_round_trip():

@@ -1,20 +1,34 @@
-"""The benchmark wraps motionrefine functions by the names in bench/spans.py.
+"""The benchmark wraps motionrefine functions by the names in bench/spans.py
+and builds its models from the configs in bench/workloads.py.
 
-A rename or deletion of a wrapped function would otherwise only surface as a
-crash of a traced benchmark run.
+A rename or deletion of a wrapped function, or of a config field a workload
+passes, would otherwise only surface as a crash of a benchmark run.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from motionrefine.model import ModelConfig
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(monkeypatch, name: str):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_bench_span_target_resolves(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load(monkeypatch, "spans")
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in spans.TARGETS
                if not callable(getattr(module, attr, None))]
     assert spans.TARGETS and missing == []
+
+
+def test_bench_workload_configs_build(monkeypatch):
+    workloads = _load(monkeypatch, "workloads")
+    assert isinstance(workloads.REFERENCE_CONFIG, ModelConfig)
+    assert isinstance(workloads.SMALL_CONFIG, ModelConfig)

@@ -188,6 +188,16 @@ def _train_dry_run(data):
     return ["train", "--data", str(data), "--dry-run", *TINY_MODEL]
 
 
+def _format1_use_summary_off(meta):
+    meta["version"] = 1
+    meta["model_config"].update(use_summary=False, supervise_stages=False,
+                                attention_bias=True, bn_eps=1e-5, bn_momentum=0.1)
+
+
+def _eval(data):
+    return ["eval", str(data / "checkpoint.mckpt"), str(data), "--out", str(data / "eval")]
+
+
 def _predict(data):
     return ["predict", str(data / "checkpoint.mckpt"), str(data / "sinusoid_000.mseq"),
             str(data / "out.mseq"), "--horizon", "4"]
@@ -205,6 +215,7 @@ BAD_FILES = {
         _checkpoint_header(lambda meta: meta.update(model_config={})), _predict),
     "mckpt_joints_not_a_number": (
         _checkpoint_header(lambda meta: meta["model_config"].update(joints="four")), _predict),
+    "mckpt_format1_use_summary_off": (_checkpoint_header(_format1_use_summary_off), _eval),
 }
 
 

@@ -308,37 +308,37 @@ class TestRefine:
             assert len(result.stage_outputs) == stages
             assert result.prediction.shape == (3, 4)
 
-    @pytest.mark.parametrize("use_summary, expected", [(True, 2 * 3 - 1), (False, 3)],
-                             ids=["summary", "no_summary"])
-    def test_idct_count_skips_the_last_summary(self, monkeypatch, use_summary, expected):
+    # three stages convert the prediction back three times and the summary twice
+    @pytest.mark.parametrize("expected", [2 * 3 - 1], ids=["summary"])
+    def test_idct_count_skips_the_last_summary(self, monkeypatch, expected):
         calls = []
         real = refinement.idct
         monkeypatch.setattr(refinement, "idct",
                             lambda *args: calls.append(1) or real(*args))
         rng = np.random.default_rng(12)
         params = init_refinement_params(pose_dim=3, window=4, stages=3, pair_count=1,
-                                        latent_dim=5, rng=rng, use_summary=use_summary)
+                                        latent_dim=5, rng=rng)
         refine(Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 4))), params,
-               dct_basis(4), Mode.train(rng), use_summary=use_summary)
+               dct_basis(4), Mode.train(rng))
         assert len(calls) == expected
 
-    def test_single_stage_without_summary_equals_one_step_form(self):
+    def test_single_stage_equals_manual_composition(self):
         rng = np.random.default_rng(11)
         params = init_refinement_params(pose_dim=4, window=5, stages=1, pair_count=1,
-                                        latent_dim=6, rng=rng, use_summary=False)
+                                        latent_dim=6, rng=rng)
         glm = params.stages[0]
         glm.output_gc.weights.data = rng.normal(size=glm.output_gc.weights.shape)
         basis = dct_basis(5)
         query = Tensor(rng.normal(size=(4, 3)))
+        summary = Tensor(rng.normal(size=(4, 5)))
 
-        result = refine(query, Tensor(np.zeros((4, 5))), params, basis,
-                        Mode.train(np.random.default_rng(42)), use_summary=False)
+        result = refine(query, summary, params, basis, Mode.train(np.random.default_rng(42)))
 
-        # manual composition of the one-step form on the padded query
-        padded = pad_query(query, 2)
-        coeffs = dct(padded, basis)
-        manual = idct(glm_forward(coeffs, glm, Mode.train(np.random.default_rng(42)))
-                      + coeffs, basis)
+        # [summary; padded query] coefficients, residual module, then the
+        # prediction half back to pose space
+        coeffs = concat([dct(summary, basis), dct(pad_query(query, 2), basis)], axis=-1)
+        refined = glm_forward(coeffs, glm, Mode.train(np.random.default_rng(42))) + coeffs
+        manual = idct(split_channels(refined)[1], basis)
         assert np.array_equal(result.prediction.data, manual.data)
 
     def test_summary_basis_mismatch(self):
@@ -351,11 +351,11 @@ class TestRefine:
 
     def test_channel_config_mismatch(self):
         rng = np.random.default_rng(13)
-        params = init_refinement_params(pose_dim=3, window=4, stages=1, pair_count=0,
-                                        latent_dim=5, rng=rng, use_summary=False)
-        with pytest.raises(ConfigurationError):
+        params = init_refinement_params(pose_dim=3, window=5, stages=1, pair_count=0,
+                                        latent_dim=5, rng=rng)
+        with pytest.raises(ConfigurationError, match="channels"):
             refine(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4))), params,
-                   dct_basis(4), Mode.eval(), use_summary=True)
+                   dct_basis(4), Mode.eval())
 
     def test_gradients_through_two_stages(self):
         rng = np.random.default_rng(14)

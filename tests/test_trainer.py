@@ -182,6 +182,12 @@ class TestAutoregressive:
         out = predict_autoregressive(self._history(cfg), params, cfg, 0)
         assert out.frames == 0
 
+    def test_non_finite_prediction_raises_data_error(self, warm_model):
+        cfg, params = warm_model
+        params.refinement.stages[-1].output_gc.weights.data[:] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            predict_autoregressive(self._history(cfg), params, cfg, 15)
+
     def test_short_history_rejected(self, warm_model):
         cfg, params = warm_model
         short = PoseSequence(np.zeros((cfg.window - 1, cfg.joints, 3)))
@@ -442,6 +448,7 @@ class TestCheckpoint:
         ("payload_sha256", 7), ("arrays", {}), ("arrays", [{"name": "x", "shape": [-1]}]),
         ("model_config", []), ("skeleton", None), ("adam_step", 1.5), ("adam_step", True),
         ("epoch", -1), ("rng_state", "pcg"), ("replay_settings", 3), ("config_hash", 0),
+        ("version", "x"), ("version", 3), ("version", True),
     ])
     def test_mistyped_header_field_raises_format_error(self, checkpoint_bytes, tmp_path,
                                                        field, value):
@@ -455,7 +462,7 @@ class TestCheckpoint:
         ("model_config", "joints", lambda c: c.pop("joints")),
         ("model_config", "joints", lambda c: c.update(joints="four")),
         ("model_config", "dropout", lambda c: c.update(dropout=True)),
-        ("model_config", "attention_bias", lambda c: c.update(attention_bias=1)),
+        ("model_config", "attention_mode", lambda c: c.update(attention_mode=1)),
         ("model_config", "width", lambda c: c.update(width=3)),
         ("model_config", "stages", lambda c: c.update(stages=0)),
         ("loss_config", "temporal_form", lambda c: c.pop("temporal_form")),
@@ -470,6 +477,38 @@ class TestCheckpoint:
         path = self._rewrite_header(checkpoint_bytes, tmp_path,
                                     lambda meta: edit(meta[section]))
         with pytest.raises(FormatError, match=f"{section}.*{key}"):
+            load_checkpoint(path)
+
+    # the model_config fields a version-1 writer added, at the values it wrote
+    FORMAT1_FIELDS = {"use_summary": True, "supervise_stages": False,
+                      "attention_bias": True, "bn_eps": 1e-5, "bn_momentum": 0.1}
+
+    def _format1(self, checkpoint_bytes, tmp_path, **changes):
+        def edit(meta):
+            meta["version"] = 1
+            meta["model_config"].update({**self.FORMAT1_FIELDS, **changes})
+            meta["config_hash"] = "0" * 64  # a version-1 hash covers those fields too
+        return self._rewrite_header(checkpoint_bytes, tmp_path, edit)
+
+    def test_format1_checkpoint_resumes_bit_identically(self, checkpoint_bytes, tmp_path):
+        ds, cfg = tiny_dataset(), tiny_config()
+        settings = TrainSettings(epochs=3, batch_size=4, seed=0, val_fraction=0.0)
+        straight = train(ds, cfg, LossConfig(), OptimizerConfig(), settings)
+        ckpt = load_checkpoint(self._format1(checkpoint_bytes, tmp_path))
+        assert ckpt.model_config == cfg and ckpt.epoch == 1
+        resumed = train(ds, cfg, LossConfig(), OptimizerConfig(), settings, resume=ckpt)
+        a = named_parameters(straight.params)
+        b = named_parameters(resumed.params)
+        assert all(np.array_equal(a[k].data, b[k].data) for k in a)
+
+    @pytest.mark.parametrize("key, value", [
+        ("use_summary", False), ("supervise_stages", True), ("attention_bias", 1),
+        ("bn_eps", 1e-3), ("bn_momentum", None),
+    ])
+    def test_format1_non_default_field_raises_format_error(self, checkpoint_bytes, tmp_path,
+                                                           key, value):
+        path = self._format1(checkpoint_bytes, tmp_path, **{key: value})
+        with pytest.raises(FormatError, match=f"model_config.*{key}"):
             load_checkpoint(path)
 
     def test_bad_rng_state_raises_format_error(self, checkpoint_bytes, tmp_path):
