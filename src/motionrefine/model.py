@@ -13,6 +13,7 @@ from .attention import (
 )
 from .errors import ConfigurationError, FormatError
 from .refinement import (
+    DROPOUT,
     RefineResult,
     RefinementParams,
     init_refinement_params,
@@ -34,7 +35,7 @@ class ModelConfig:
     stages: int = 3
     glb_pairs: int = 2        # blocks per module: 1 entry + 2*glb_pairs
     latent_dim: int = 256
-    dropout: float = 0.3
+    dropout: float = DROPOUT
     attention_mode: str = "attention"
 
     def __post_init__(self):

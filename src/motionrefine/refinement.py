@@ -32,6 +32,8 @@ from .tensor import (
 )
 from .transforms import DctBasis, dct, idct
 
+DROPOUT = 0.3  # the graph blocks' dropout rate wherever none is given
+
 
 @dataclass
 class GraphLayerParams:
@@ -93,7 +95,7 @@ def graph_conv(g, layer: GraphLayerParams) -> Tensor:
 
 
 def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
-                         dropout_rate: float = 0.3) -> Tensor:
+                         dropout_rate: float = DROPOUT) -> Tensor:
     """Graph conv, batch norm over channels, tanh and dropout: one tape node."""
     g = as_tensor(g)
     _check_graph_input(g, layer)
@@ -196,7 +198,7 @@ def _init_layer(rng: np.random.Generator, pose_dim: int, channels_in: int,
 
 def init_refinement_params(pose_dim: int, window: int, stages: int, pair_count: int,
                            latent_dim: int, rng: np.random.Generator,
-                           dropout: float = 0.3) -> RefinementParams:
+                           dropout: float = DROPOUT) -> RefinementParams:
     if stages < 1:
         raise ConfigurationError("need at least one refinement stage")
     if pair_count < 0:

@@ -11,12 +11,15 @@ parameters), which also keep them in ``.grad``.
 A closure holds its operand tensors and the arrays it needs (the output
 array where ``tanh``, ``sqrt`` and ``div`` need it), never the tensor it
 belongs to, so a graph holds no reference cycle: reference counting
-frees it with its last tensor, swept or not.  The sweep drops each
-closure, its edges and the node's gradient as soon as the closure has
-run, so the arrays a node saved and the gradients already consumed are
-released during the sweep.  A closure never writes into the gradient it
-receives, which may be shared with other operands.  A graph can be
-walked only once; rebuilding the forward pass resets the tape.
+frees it with its last tensor, swept or not.  The fused nodes keep less:
+``conv1d`` holds only its operands and unfolds its input again in the
+backward, and ``graph_block`` recomputes ``adjacency @ g`` there rather
+than keep it.  The sweep drops each closure, its edges and the node's
+gradient as soon as the closure has run, so the arrays a node saved and
+the gradients already consumed are released during the sweep.  A
+closure never writes into the gradient it receives, which may be shared
+with other operands.  A graph can be walked only once; rebuilding the
+forward pass resets the tape.
 
 Tensors are immutable by convention once created (optimizers mutate
 parameter ``data`` between steps, never mid-graph).  All math is 64-bit.
@@ -416,44 +419,74 @@ def sliding_windows(a, width: int) -> Tensor:
     return out
 
 
-def conv1d(inputs, kernels, bias=None) -> Tensor:
-    """Valid cross-correlation along the trailing (temporal) axis.
+def conv1d(inputs, kernels, bias) -> Tensor:
+    """Valid cross-correlation along the trailing (temporal) axis, as one tape node.
 
     inputs:  (channels_in, T) or (batch, channels_in, T)
     kernels: (channels_out, channels_in, width)
-    bias:    (channels_out,) or None
+    bias:    (channels_out,)
     returns  (..., channels_out, T - width + 1)
+
+    The arithmetic is that of the composed ``sliding_windows``,
+    ``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add`` ops
+    (the same GEMMs, the same fold order), so outputs and gradients are
+    bit-identical to theirs.  The windowed copy of the input is built once
+    and freed after the GEMM; the node keeps only its operand tensors.  The
+    backward unfolds the input again for the kernel gradient, then writes
+    the windows' gradient over that unfold and folds it back onto the input.
     """
-    inputs = as_tensor(inputs)
-    kernels = as_tensor(kernels)
+    inputs, kernels, bias = as_tensor(inputs), as_tensor(kernels), as_tensor(bias)
     if kernels.ndim != 3:
         raise DimensionError(f"kernels must be (out, in, width), got {kernels.shape}")
     single = inputs.ndim == 2
-    if single:
-        inputs = reshape(inputs, (1,) + inputs.shape)
-    if inputs.ndim != 3:
+    x = inputs.data.reshape((1,) + inputs.shape) if single else inputs.data
+    if x.ndim != 3:
         raise DimensionError(f"conv1d input must be 2-D or 3-D, got {inputs.shape}")
-    batch, chans_in, length = inputs.shape
+    batch, chans_in, length = x.shape
     chans_out, k_in, width = kernels.shape
     if k_in != chans_in:
         raise DimensionError(f"conv1d channel mismatch: input {chans_in}, kernels expect {k_in}")
     if length < width:
         raise DimensionError(f"temporal length {length} is shorter than kernel width {width}")
+    if bias.shape != (chans_out,):
+        raise DimensionError(f"bias must be ({chans_out},), got {bias.shape}")
     steps = length - width + 1
-    win = sliding_windows(inputs, width)                      # (B, C_in, steps, W)
-    win = transpose(win, (0, 2, 1, 3))                        # (B, steps, C_in, W)
-    win = reshape(win, (batch, steps, chans_in * width))
-    kmat = transpose(reshape(kernels, (chans_out, chans_in * width)), (1, 0))
-    out = matmul(win, kmat)                                   # (B, steps, C_out)
-    out = transpose(out, (0, 2, 1))                           # (B, C_out, steps)
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (chans_out,):
-            raise DimensionError(f"bias must be ({chans_out},), got {bias.shape}")
-        out = add(out, reshape(bias, (1, chans_out, 1)))
+    kmat = kernels.data.reshape(chans_out, chans_in * width).T    # (C_in*W, C_out)
+    bshape = (1, chans_out, 1)
+    data = np.transpose(_unfold(x, width) @ kmat, (0, 2, 1)) + bias.data.reshape(bshape)
     if single:
-        out = reshape(out, (chans_out, steps))
+        data = data.reshape(chans_out, steps)
+    out = _result(data, (inputs, kernels, bias), "conv1d")
+    if out.requires_grad:
+        def _bw(grad):
+            grad = grad.reshape(batch, chans_out, steps)
+            _accum(bias, _unbroadcast(grad, bshape).reshape(chans_out))
+            grad = np.transpose(grad, (0, 2, 1))                  # (B, steps, C_out)
+            win = _unfold(x, width)
+            if kernels.requires_grad:
+                _, grad_kmat = _matmul_grads(win, kmat, grad, False, True)
+                _accum(kernels, grad_kmat.T.reshape(kernels.shape))
+            if inputs.requires_grad:
+                # the spent unfold takes the GEMM's input gradient, which
+                # sliding_windows' fold order then adds back up
+                grad_win, _ = _matmul_grads(win, kmat, grad, True, False, out_a=win)
+                grad_win = grad_win.reshape(batch, steps, chans_in, width).transpose(0, 2, 1, 3)
+                g = np.zeros_like(x)
+                for offset in range(width):
+                    g[..., offset:offset + steps] += grad_win[..., offset]
+                _accum(inputs, g.reshape(inputs.shape))
+        out._backward = _bw
     return out
+
+
+def _unfold(x: np.ndarray, width: int) -> np.ndarray:
+    """(B, C_in, T) -> a new (B, T - width + 1, C_in * width) array of its windows."""
+    batch, chans_in, length = x.shape
+    steps = length - width + 1
+    windows = np.empty((batch, steps, chans_in, width))
+    view = np.lib.stride_tricks.sliding_window_view(x, width, axis=-1)
+    windows[...] = view.transpose(0, 2, 1, 3)
+    return windows.reshape(batch, steps, chans_in * width)
 
 
 @dataclass
@@ -641,23 +674,21 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     arithmetic, its order and the dropout draw are those of the composed
     ``matmul``, ``batchnorm``, ``tanh`` and ``dropout`` ops, so values,
     running statistics and gradients are bit-identical to theirs.  The
-    node keeps ``adjacency @ g`` (for the weight gradient), the normalized
-    activations, the tanh output and a bool keep mask; the pre-norm product
-    and the batch-norm output are overwritten in place, and the backward
-    writes its full-size gradients over the saved buffers it has finished
-    with.  Off the tape (under
-    ``no_grad`` or with no tracked input) nothing is kept and eval mode runs
-    the whole epilogue in the buffer of the pre-norm product.
+    node keeps the normalized activations, the tanh output and a bool keep
+    mask besides its operands; ``adjacency @ g`` is freed once multiplied by
+    the weights and the backward recomputes it (the same GEMM on the same
+    arrays) for the weight gradient.  The pre-norm product and the
+    batch-norm output are overwritten in place, and the backward writes its
+    full-size gradients over the buffers it has finished with.  Off the tape
+    (under ``no_grad`` or with no tracked input) nothing is kept and eval
+    mode runs the whole epilogue in the buffer of the pre-norm product.
     """
     g, adjacency, weights, gamma, beta = (
         as_tensor(t) for t in (g, adjacency, weights, gamma, beta))
     _check_affine(gamma, beta, weights.shape[-1])
     dropping = _dropout_active(rate, mode.rng, mode)
     tracked = _grad_enabled and any(t.requires_grad for t in (g, adjacency, weights, gamma, beta))
-    mixed = adjacency.data @ g.data
-    normalized = mixed @ weights.data
-    if not tracked:
-        mixed = None  # no backward will read it: free it before the batch-norm buffer
+    normalized = (adjacency.data @ g.data) @ weights.data
     axis = normalized.ndim - 1
     activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats,
                                         mode.training, axis, keep_normalized=tracked)
@@ -690,13 +721,16 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
             dgamma, dbeta, dx = _batchnorm_backward(
                 grad, normalized, gamma.data, std, training, axis,
                 need_mixed or weights.requires_grad, spare)
-            del grad  # release it before the matmul gradients
             _accum(gamma, dgamma)
             _accum(beta, dbeta)
             if dx is None:
                 return
-            # the weight gradient first: mixed is then spent and takes grad_mixed,
-            # and dx, once spent, takes the input gradient where it has g's shape
+            # recompute adjacency @ g (the forward's GEMM on the same arrays, so
+            # bit-identical) for the weight gradient, over the spent grad where it
+            # has g's shape; mixed is then spent and takes grad_mixed, and dx, once
+            # spent, takes the input gradient where it has g's shape
+            mixed = np.matmul(adjacency.data, g.data, out=grad if grad.shape == g.shape else None)
+            del grad
             _, grad_weights = _matmul_grads(mixed, weights.data, dx, False, weights.requires_grad)
             _accum(weights, grad_weights)
             if need_mixed:

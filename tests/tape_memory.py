@@ -12,6 +12,29 @@ class TapeBytes(NamedTuple):
     nodes: list
 
 
+def _base_arrays(value, into: dict):
+    """Add the underlying arrays of a tensor, an array, or a list or tuple of them."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _base_arrays(item, into)
+        return
+    if isinstance(value, Tensor):
+        value = value.data
+    if not isinstance(value, np.ndarray):
+        return
+    while isinstance(value.base, np.ndarray):
+        value = value.base
+    into[id(value)] = value
+
+
+def closure_arrays(node) -> list:
+    """The distinct underlying arrays ``node``'s backward closure holds."""
+    held = {}
+    for cell in (node._backward.__closure__ or ()) if node._backward else ():
+        _base_arrays(cell.cell_contents, held)
+    return list(held.values())
+
+
 def retained_bytes(*roots) -> TapeBytes:
     """Bytes of the distinct arrays the tapes under ``roots`` keep alive.
 
@@ -19,30 +42,16 @@ def retained_bytes(*roots) -> TapeBytes:
     closure holds (also inside a list or tuple), each underlying buffer once.
     """
     buffers, closure_buffers = {}, {}
-
-    def keep(value, into):
-        if isinstance(value, (list, tuple)):
-            for item in value:
-                keep(item, into)
-            return
-        if isinstance(value, Tensor):
-            value = value.data
-        if not isinstance(value, np.ndarray):
-            return
-        while isinstance(value.base, np.ndarray):
-            value = value.base
-        into[id(value)] = value.nbytes
-
     nodes, stack = {}, list(roots)
     while stack:
         node = stack.pop()
         if id(node) in nodes:
             continue
         nodes[id(node)] = node
-        keep(node.data, buffers)
-        for cell in (node._backward.__closure__ or ()) if node._backward else ():
-            keep(cell.cell_contents, buffers)
-            keep(cell.cell_contents, closure_buffers)
+        _base_arrays(node.data, buffers)
+        for array in closure_arrays(node):
+            buffers[id(array)] = closure_buffers[id(array)] = array
         stack.extend(node._parents)
-    return TapeBytes(sum(buffers.values()), sum(closure_buffers.values()),
+    return TapeBytes(sum(a.nbytes for a in buffers.values()),
+                     sum(a.nbytes for a in closure_buffers.values()),
                      list(nodes.values()))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
-from tape_memory import retained_bytes
-from motionrefine import refinement
+from tape_memory import closure_arrays, retained_bytes
+from motionrefine import LossConfig, refinement
 from motionrefine.errors import ConfigurationError, DimensionError
-from motionrefine.model import ModelConfig, init_model_params, model_forward
+from motionrefine.losses import loss_total
+from motionrefine.model import ModelConfig, init_model_params, model_forward, named_parameters
 from motionrefine.refinement import (
     GraphLayerParams,
     glm_forward,
@@ -27,6 +28,7 @@ from motionrefine.tensor import (
     no_grad,
     tanh,
     tensor_sum,
+    transpose,
 )
 from motionrefine.transforms import dct_basis, dct, idct
 
@@ -228,6 +230,35 @@ class TestTapeMemory:
         blocks = sum(node._op == "graph_block" for node in fused_nodes)
         assert blocks == config.stages * (1 + 2 * config.glb_pairs)
         assert fused_bytes <= 0.75 * composed_bytes, (fused_bytes, composed_bytes)
+
+
+    def test_block_closure_keeps_no_adjacency_product(self):
+        # adjacency @ g has g's shape, (3, 5, 4); the block's output is (3, 5, 6)
+        _rng, layer, x = _fused_case(True, (3, 5, 4))
+        g = Tensor(x, requires_grad=True)
+        out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(5)))
+        held = closure_arrays(out)
+        assert any(array is g.data for array in held)
+        assert [a.shape for a in held if a.shape == g.shape and a is not g.data] == []
+
+    def test_reference_tape_stays_within_budget_per_window(self):
+        # the reference shapes at batch 2: the tape keeps about 8,500 KiB per
+        # window besides the parameters (about 11,000 KiB before recomputation)
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256)
+        params = init_model_params(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        batch = 2
+        histories = Tensor(rng.normal(size=(batch, config.pose_dim, config.history_len)))
+        out = model_forward(params, histories, config, dct_basis(config.window),
+                            Mode.train(np.random.default_rng(2)))
+        poses = transpose(out.prediction, (0, 2, 1)).reshape(
+            batch, config.window, config.joints, 3)
+        loss = loss_total(poses, Tensor(rng.normal(size=poses.shape)), None, LossConfig(),
+                          config.future_len)
+        parameter_bytes = sum(p.data.nbytes for p in named_parameters(params).values())
+        per_window = (retained_bytes(loss).total - parameter_bytes) / batch
+        assert per_window < 8_800 * 1024, per_window / 1024
 
 
 class TestGlmForward:

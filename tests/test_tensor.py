@@ -33,6 +33,7 @@ from motionrefine.tensor import (
     tensor_sum,
     transpose,
 )
+from tape_memory import closure_arrays, retained_bytes
 
 
 class TestMatmul:
@@ -97,13 +98,15 @@ class TestConv1d:
 
     def test_stacked_widths_six_five_collapse_length_ten_to_one(self):
         x = Tensor(np.random.default_rng(2).normal(size=(6, 10)))
-        h = conv1d(x, Tensor(np.random.default_rng(3).normal(size=(4, 6, 6))), None)
-        out = conv1d(h, Tensor(np.random.default_rng(4).normal(size=(4, 4, 5))), None)
+        h = conv1d(x, Tensor(np.random.default_rng(3).normal(size=(4, 6, 6))),
+                   Tensor(np.zeros(4)))
+        out = conv1d(h, Tensor(np.random.default_rng(4).normal(size=(4, 4, 5))),
+                     Tensor(np.zeros(4)))
         assert out.shape == (4, 1)
 
     def test_too_short_input(self):
         with pytest.raises(DimensionError, match="temporal length"):
-            conv1d(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1, 4))), None)
+            conv1d(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(1)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
@@ -111,6 +114,86 @@ class TestConv1d:
         k = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         assert_gradients_match(lambda: tensor_sum(tanh(conv1d(x, k, b))), [x, k, b])
+
+
+def _composed_conv1d(inputs, kernels, bias):
+    """The convolution as separate tape ops, the fused node's reference."""
+    single = inputs.ndim == 2
+    if single:
+        inputs = reshape(inputs, (1,) + inputs.shape)
+    batch, chans_in, length = inputs.shape
+    chans_out, _, width = kernels.shape
+    steps = length - width + 1
+    win = reshape(transpose(sliding_windows(inputs, width), (0, 2, 1, 3)),
+                  (batch, steps, chans_in * width))
+    kmat = transpose(reshape(kernels, (chans_out, chans_in * width)), (1, 0))
+    out = add(transpose(matmul(win, kmat), (0, 2, 1)), reshape(bias, (1, chans_out, 1)))
+    return reshape(out, (chans_out, steps)) if single else out
+
+
+# (input shape, kernel width, stored channel-last like a conv output fed onward)
+CONV_CASES = [((2, 3, 7), 3, False), ((3, 7), 3, False), ((2, 3, 5), 1, False),
+              ((2, 3, 4), 4, False), ((2, 3, 7), 3, True)]
+
+
+def _conv_case(shape, width, channel_last):
+    rng = np.random.default_rng(40)
+    x = rng.normal(size=shape)
+    if channel_last:
+        x = x.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+    return rng, x, rng.normal(size=(4, shape[-2], width)), rng.normal(size=4)
+
+
+class TestFusedConv1d:
+    @pytest.mark.parametrize("input_tracked", [True, False])
+    @pytest.mark.parametrize("shape, width, channel_last", CONV_CASES)
+    def test_equals_composed_chain_bitwise(self, shape, width, channel_last, input_tracked):
+        rng, x, k, b = _conv_case(shape, width, channel_last)
+        upstream = Tensor(rng.normal(size=shape[:-2] + (4, shape[-1] - width + 1)))
+        results = []
+        for conv in (conv1d, _composed_conv1d):
+            inputs = Tensor(x, requires_grad=input_tracked)
+            kernels, bias = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+            out = conv(inputs, kernels, bias)
+            backward(tensor_sum(tanh(out) * upstream))
+            results.append((out.data, inputs.grad, kernels.grad, bias.grad))
+        (out, grad_x, grad_k, grad_b), (ref, ref_x, ref_k, ref_b) = results
+        assert np.array_equal(out, ref)
+        if input_tracked:
+            assert np.array_equal(grad_x, ref_x)
+        else:
+            assert grad_x is None and ref_x is None
+        assert np.array_equal(grad_k, ref_k)
+        assert np.array_equal(grad_b, ref_b)
+
+    @pytest.mark.parametrize("shape, width, channel_last", CONV_CASES)
+    def test_no_grad_equals_composed_chain_bitwise(self, shape, width, channel_last):
+        _rng, x, k, b = _conv_case(shape, width, channel_last)
+        args = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+        with no_grad():
+            out = conv1d(*args)
+            ref = _composed_conv1d(*args)
+        assert not out.requires_grad and out._parents == ()
+        assert np.array_equal(out.data, ref.data)
+
+    @pytest.mark.parametrize("input_tracked", [True, False])
+    def test_records_one_tape_node(self, input_tracked):
+        _rng, x, k, b = _conv_case((2, 3, 7), 3, False)
+        inputs = Tensor(x, requires_grad=input_tracked)
+        kernels, bias = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        out = conv1d(inputs, kernels, bias)
+        assert out._op == "conv1d"
+        assert out._parents == ((inputs,) if input_tracked else ()) + (kernels, bias)
+
+    def test_tape_keeps_no_array_larger_than_input_and_kernels(self):
+        # the unfolded input, (2, 5, 15), is larger than both
+        _rng, x, k, b = _conv_case((2, 3, 9), 5, False)
+        inputs, kernels, bias = (Tensor(a, requires_grad=True) for a in (x, k, b))
+        out = conv1d(inputs, kernels, bias)
+        largest = max(inputs.data.nbytes, kernels.data.nbytes)
+        for node in retained_bytes(out).nodes:
+            assert all(a.nbytes <= largest for a in closure_arrays(node)), node
+        assert retained_bytes(out).closures == x.nbytes + k.nbytes + b.nbytes
 
 
 class TestElementwise:
@@ -381,7 +464,7 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
             k = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
-            out = conv1d(tanh(x), k, None)
+            out = conv1d(tanh(x), k, Tensor(np.zeros(3)))
             out = dropout(out, 0.3, rng, Mode.train(rng))
             loss = tensor_sum(out * out)
             backward(loss)
@@ -404,7 +487,7 @@ class TestShapeAlgebra:
         t = int(rng.integers(4, 10))
         w = int(rng.integers(1, t + 1))
         assert conv1d(Tensor(np.zeros((c_in, t))),
-                      Tensor(np.zeros((c_out, c_in, w))), None).shape == \
+                      Tensor(np.zeros((c_out, c_in, w))), Tensor(np.zeros(c_out))).shape == \
             (c_out, t - w + 1)
         assert sliding_windows(Tensor(np.zeros((c_in, t))), w).shape == \
             (c_in, t - w + 1, w)
@@ -472,6 +555,8 @@ DIRECT_GRADCHECKS = {
     "concat": lambda rng: (lambda a, b: concat([a, b], axis=1),
                            [_tracked(rng, 2, 3), _tracked(rng, 2, 2)]),
     "windows": lambda rng: (lambda x: sliding_windows(x, 3), [_tracked(rng, 2, 6)]),
+    "conv1d": lambda rng: (conv1d, [_tracked(rng, 2, 3, 6), _tracked(rng, 4, 3, 3),
+                                    _tracked(rng, 4)]),
     "batchnorm": lambda rng: (
         lambda x, gamma, beta: batchnorm(x, gamma, beta, RunningStats(), Mode.train(None),
                                          channel_axis=-1),
