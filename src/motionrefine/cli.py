@@ -1,15 +1,19 @@
 """Command-line interface: train, predict, eval, gen-synth.
 
+Each command declares only the options it reads: the run configuration is
+train's, and eval's ablations go through --ablation.
+
 Run configuration is a flat JSON document: ``data`` plus the fields of
 ModelConfig (less ``joints``), LossConfig, OptimizerConfig (with the ``adam_``
 prefix on ``beta1``, ``beta2`` and ``eps``) and the loop fields of
 TrainSettings.  Resolution order is package defaults (those dataclass
 defaults), then the --config file, then --set KEY=VALUE overrides, then
 dedicated flags; unknown keys and values of the wrong type are rejected.  The
-resolved configuration is echoed into every output directory and the
+resolved configuration is echoed into train's output directory and the
 per-epoch metrics log is line-delimited JSON.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error;
+every failure, parser errors included, is one ``error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -247,7 +251,7 @@ def cmd_eval(args) -> int:
     record["checkpoint"] = str(args.checkpoint)
     record["ablation"] = args.ablation or []
     _print_table(record)
-    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     record_path = out_dir / "eval_record.json"
     record_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
@@ -256,52 +260,51 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    if not args.out:
-        raise ConfigurationError("missing required field: out (output directory)")
-    if args.kind not in SYNTH_KINDS:
-        raise ConfigurationError(f"--kind must be one of {SYNTH_KINDS}")
+    if args.count < 0:
+        raise ConfigurationError(f"--count must be >= 0, got {args.count}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 0
     skeleton = synthetic_skeleton(args.chains, args.joints_per_chain, args.bone_length)
     save_skeleton(skeleton, out_dir / "skeleton.mskel")
     for i in range(args.count):
         spec = SynthSpec(kind=args.kind, amplitude=args.amplitude, period=args.period,
-                         frames=args.frames, seed=seed + i,
+                         frames=args.frames, seed=args.seed + i,
                          frame_rate=args.frame_rate)
         seq = gen_synthetic(skeleton, spec)
         save_sequence(out_dir / f"{args.kind}_{i:03d}.mseq", seq, skeleton.name)
-    manifest = {k: getattr(args, k) for k in
-                ("kind", "amplitude", "period", "frames", "count",
-                 "chains", "joints_per_chain", "bone_length", "frame_rate")}
-    manifest["seed"] = seed
+    manifest = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     (out_dir / "gen_synth.resolved.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote skeleton and {args.count} sequences to {out_dir}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration file")
-    common.add_argument("--seed", type=int, default=None, help="override the seed")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--dry-run", action="store_true",
-                        help="print the resolved configuration and do nothing")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override one configuration key")
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors reach ``main`` as ConfigurationError."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="motionrefine",
         description="Human motion prediction via iterative frequency-space refinement")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", parents=[common], help="train a model")
+    p_train = sub.add_parser("train", help="train a model")
+    p_train.add_argument("--config", help="JSON run configuration file")
+    p_train.add_argument("--seed", type=int, default=None, help="override the seed")
+    p_train.add_argument("--out", help="output directory")
+    p_train.add_argument("--dry-run", action="store_true",
+                         help="print the resolved configuration and do nothing")
+    p_train.add_argument("--set", action="append", metavar="KEY=VALUE",
+                         help="override one configuration key")
     p_train.add_argument("--data", help="dataset directory (skeleton.mskel + *.mseq)")
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
-    p_predict = sub.add_parser("predict", parents=[common],
+    p_predict = sub.add_parser("predict",
                                help="autoregressive prediction from a checkpoint")
     p_predict.add_argument("checkpoint")
     p_predict.add_argument("input", help="history sequence (.mseq)")
@@ -310,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="number of future frames to generate")
     p_predict.set_defaults(func=cmd_predict)
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="MPJPE table at millisecond marks")
+    p_eval = sub.add_parser("eval", help="MPJPE table at millisecond marks")
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("data", help="dataset directory")
     p_eval.add_argument("--frames-ms", default="80,400,560,1000",
@@ -321,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add one MPJPE row per refinement stage")
     p_eval.add_argument("--ablation", action="append", metavar="KEY=VALUE",
                         help="loss/stage switch override, repeatable")
+    p_eval.add_argument("--out", default=".", help="directory for eval_record.json")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_gen = sub.add_parser("gen-synth", parents=[common],
-                           help="generate a synthetic dataset")
-    p_gen.add_argument("--kind", default="sinusoid")
+    p_gen = sub.add_parser("gen-synth", help="generate a synthetic dataset")
+    p_gen.add_argument("--kind", choices=SYNTH_KINDS, default="sinusoid")
     p_gen.add_argument("--count", type=int, default=8)
     p_gen.add_argument("--amplitude", type=float, default=100.0)
     p_gen.add_argument("--period", type=float, default=16.0)
@@ -334,14 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--chains", type=int, default=1)
     p_gen.add_argument("--joints-per-chain", type=int, default=4)
     p_gen.add_argument("--bone-length", type=float, default=100.0)
+    p_gen.add_argument("--out", required=True, help="output directory")
+    p_gen.add_argument("--seed", type=int, default=0, help="seed of sequence 0")
     p_gen.set_defaults(func=cmd_gen_synth)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigurationError, SkeletonError) as err:
         print(f"error: {err}", file=sys.stderr)

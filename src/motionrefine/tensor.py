@@ -505,12 +505,14 @@ class Mode:
         return cls(False, None)
 
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 @dataclass
 class RunningStats:
     """Exponential running mean/variance for batch normalization."""
 
-    momentum: float = 0.1
-    eps: float = 1e-5
     mean: np.ndarray | None = None
     var: np.ndarray | None = None
 
@@ -522,17 +524,8 @@ class RunningStats:
         if self.mean is None:
             self.mean = np.zeros_like(batch_mean)
             self.var = np.ones_like(batch_var)
-        m = self.momentum
-        self.mean = (1.0 - m) * self.mean + m * batch_mean
-        self.var = (1.0 - m) * self.var + m * batch_var
-
-    def copy(self) -> "RunningStats":
-        return RunningStats(
-            self.momentum,
-            self.eps,
-            None if self.mean is None else self.mean.copy(),
-            None if self.var is None else self.var.copy(),
-        )
+        self.mean = (1.0 - BN_MOMENTUM) * self.mean + BN_MOMENTUM * batch_mean
+        self.var = (1.0 - BN_MOMENTUM) * self.var + BN_MOMENTUM * batch_var
 
 
 def _check_affine(gamma: Tensor, beta: Tensor, channels: int):
@@ -571,11 +564,11 @@ def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         mu = x.sum(axis=pooled, keepdims=True) * (1.0 / n)
         centered = np.subtract(x, mu, out=x)
         var = np.multiply(centered, centered, out=out).sum(axis=pooled, keepdims=True) * (1.0 / n)
-        std = np.sqrt(var + stats.eps)
+        std = np.sqrt(var + BN_EPS)
         batch_var = var.reshape(channels)
         stats.update(mu.reshape(channels), batch_var * (n / (n - 1)) if n > 1 else batch_var)
     else:
-        std = np.sqrt(stats.var + stats.eps).reshape(bshape)
+        std = np.sqrt(stats.var + BN_EPS).reshape(bshape)
         np.subtract(x, stats.mean.reshape(bshape), out=x)
     normalized = np.divide(x, std, out=x)
     np.multiply(gamma.reshape(bshape), normalized, out=out)
@@ -615,7 +608,7 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis
     """Normalize per channel over every other axis, then apply the affine pair.
 
     Train mode uses batch statistics and folds them into ``stats`` with the
-    configured momentum (unbiased variance, like the usual convention).
+    momentum ``BN_MOMENTUM`` (unbiased variance, like the usual convention).
     Eval mode is deterministic and requires initialized running stats.
     The op is one tape node with the closed-form gradient.
     """

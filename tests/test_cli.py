@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from motionrefine.cli import _apply_ablation, main, resolve_config
+from motionrefine.cli import _apply_ablation, build_parser, main, resolve_config
 from motionrefine.data import load_dataset, load_sequence
 from motionrefine.errors import ConfigurationError
 from motionrefine.trainer import load_checkpoint
@@ -33,6 +33,55 @@ def trained(corpus, tmp_path_factory):
                "--epochs", "3", "--seed", "0", *TINY_MODEL])
     assert rc == 0
     return out
+
+
+COMMAND_OPTIONS = {
+    "train": {"--config", "--seed", "--out", "--dry-run", "--set", "--data", "--epochs"},
+    "predict": {"--horizon"},
+    "eval": {"--frames-ms", "--stride", "--stages", "--ablation", "--out"},
+    "gen-synth": {"--kind", "--count", "--amplitude", "--period", "--frames", "--frame-rate",
+                  "--chains", "--joints-per-chain", "--bone-length", "--out", "--seed"},
+}
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action.choices, dict)]
+    declared = {name: {opt for action in sub._actions for opt in action.option_strings}
+                - {"-h", "--help"} for name, sub in commands.items()}
+    assert declared == COMMAND_OPTIONS
+
+
+# each rejected before any file is written: options a command does not take,
+# and values argparse or the command itself refuses
+REJECTED = {
+    "predict_seed": (["predict", "{ckpt}", "{seq}", "out.mseq", "--horizon", "4",
+                      "--seed", "3"], "--seed"),
+    "predict_set": (["predict", "{ckpt}", "{seq}", "out.mseq", "--horizon", "4",
+                     "--set", "lr=1"], "--set"),
+    "predict_horizon_abc": (["predict", "{ckpt}", "{seq}", "out.mseq", "--horizon", "abc"],
+                            "abc"),
+    "eval_dry_run": (["eval", "{ckpt}", "{data}", "--dry-run"], "--dry-run"),
+    "eval_config": (["eval", "{ckpt}", "{data}", "--config", "f.json"], "--config"),
+    "train_epochs_float": (["train", "--data", "{data}", "--out", "run", "--epochs", "1.5"],
+                           "1.5"),
+    "gen_synth_dry_run": (["gen-synth", "--out", "D", "--dry-run"], "--dry-run"),
+    "gen_synth_negative_count": (["gen-synth", "--out", "D", "--count", "-2"], "-2"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_rejected_invocation_exits_2_with_one_error_line_and_writes_nothing(
+        corpus, trained, tmp_path, monkeypatch, capsys, case):
+    command, named = REJECTED[case]
+    monkeypatch.chdir(tmp_path)
+    paths = {"ckpt": trained / "checkpoint.mckpt", "seq": corpus / "sinusoid_000.mseq",
+             "data": corpus}
+    rc = main([arg.format(**paths) for arg in command])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigResolution:
@@ -314,6 +363,7 @@ class TestEval:
     @pytest.mark.parametrize("flags, named", [
         (["--frames-ms", "40,abc"], "abc"),
         (["--ablation", "stages=two"], "two"),
+        (["--stride", "fast"], "fast"),
     ])
     def test_bad_value_exits_2_with_one_error_line(self, corpus, trained, capsys,
                                                    flags, named):

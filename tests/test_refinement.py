@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ def _clone_layer(layer):
     return GraphLayerParams(*(Tensor(t.data.copy(), requires_grad=True)
                               for t in (layer.adjacency, layer.weights,
                                         layer.gamma, layer.beta)),
-                            stats=layer.stats.copy())
+                            stats=copy.deepcopy(layer.stats))
 
 
 def _layer_tensors(layer):
@@ -179,7 +181,7 @@ class TestFusedGraphBlock:
         stats = layer.stats
 
         def build():
-            layer.stats = stats.copy()
+            layer.stats = copy.deepcopy(stats)
             mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
             return tensor_sum(tanh(graph_learning_block(g, layer, mode, dropout_rate=rate)))
         assert_gradients_match(build, [g] + _layer_tensors(layer))

@@ -8,6 +8,7 @@ from gradcheck import assert_gradients_match, finite_difference_gradient, relati
 from motionrefine import tensor as tensor_module
 from motionrefine.errors import ConfigurationError, DimensionError, StateError, TapeError
 from motionrefine.tensor import (
+    BN_EPS,
     Mode,
     RunningStats,
     Tensor,
@@ -299,14 +300,14 @@ def _op_chain_batchnorm(inputs, gamma, beta, stats, mode, channel_axis):
         mu = tensor_mean(inputs, axis=pooled, keepdims=True)
         centered = inputs - mu
         var = tensor_mean(centered * centered, axis=pooled, keepdims=True)
-        normalized = centered / sqrt(var + stats.eps)
+        normalized = centered / sqrt(var + BN_EPS)
         n = inputs.size // channels
         batch_var = var.data.reshape(channels)
         stats.update(mu.data.reshape(channels),
                      batch_var * (n / (n - 1)) if n > 1 else batch_var)
     else:
         normalized = ((inputs - Tensor(stats.mean.reshape(bshape)))
-                      / Tensor(np.sqrt(stats.var + stats.eps).reshape(bshape)))
+                      / Tensor(np.sqrt(stats.var + BN_EPS).reshape(bshape)))
     return gamma.reshape(bshape) * normalized + beta.reshape(bshape)
 
 
