@@ -262,15 +262,15 @@ def cmd_eval(args) -> int:
 def cmd_gen_synth(args) -> int:
     if args.count < 0:
         raise ConfigurationError(f"--count must be >= 0, got {args.count}")
+    # every value is checked before the first write, so a rejected run leaves nothing
+    skeleton = synthetic_skeleton(args.chains, args.joints_per_chain, args.bone_length)
+    spec = SynthSpec(kind=args.kind, amplitude=args.amplitude, period=args.period,
+                     frames=args.frames, seed=args.seed, frame_rate=args.frame_rate)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    skeleton = synthetic_skeleton(args.chains, args.joints_per_chain, args.bone_length)
     save_skeleton(skeleton, out_dir / "skeleton.mskel")
     for i in range(args.count):
-        spec = SynthSpec(kind=args.kind, amplitude=args.amplitude, period=args.period,
-                         frames=args.frames, seed=args.seed + i,
-                         frame_rate=args.frame_rate)
-        seq = gen_synthetic(skeleton, spec)
+        seq = gen_synthetic(skeleton, dataclasses.replace(spec, seed=args.seed + i))
         save_sequence(out_dir / f"{args.kind}_{i:03d}.mseq", seq, skeleton.name)
     manifest = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     (out_dir / "gen_synth.resolved.json").write_text(

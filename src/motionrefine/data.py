@@ -141,7 +141,7 @@ def extract_windows(dataset: SequenceDataset, history_len: int, future_len: int,
     return windows
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     kind: str = "sinusoid"
     amplitude: float = 100.0
@@ -149,6 +149,18 @@ class SynthSpec:
     frames: int = 100
     seed: int = 0
     frame_rate: float = 25.0
+
+    def __post_init__(self):
+        if self.kind not in SYNTH_KINDS:
+            raise ConfigurationError(f"unknown synthetic kind {self.kind!r}")
+        if self.frames < 1:
+            raise ConfigurationError(f"frames must be >= 1, got {self.frames}")
+        if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ConfigurationError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        for name in ("period", "frame_rate"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 def rest_pose(skeleton: Skeleton) -> np.ndarray:
@@ -174,10 +186,6 @@ def gen_synthetic(skeleton: Skeleton, spec: SynthSpec) -> PoseSequence:
     grows toward the chain tip.  The sinusoid kind repeats exactly every
     ``period`` frames.
     """
-    if spec.kind not in SYNTH_KINDS:
-        raise ConfigurationError(f"unknown synthetic kind {spec.kind!r}")
-    if spec.amplitude < 0 or spec.frames < 1 or spec.period <= 0:
-        raise ConfigurationError("amplitude, frames and period must be positive")
     rng = np.random.default_rng(spec.seed)
     base = rest_pose(skeleton)
     joints = skeleton.joint_count

@@ -177,8 +177,8 @@ def synthetic_skeleton(chain_count: int, joints_per_chain: int,
         raise ConfigurationError("need at least one chain")
     if joints_per_chain < 2:
         raise ConfigurationError("a chain needs at least two joints (one bone)")
-    if bone_length <= 0:
-        raise ConfigurationError("bone length must be positive")
+    if not (np.isfinite(bone_length) and bone_length > 0):
+        raise ConfigurationError(f"bone length must be finite and positive, got {bone_length}")
     names = ["root"]
     chains = []
     next_joint = 1

@@ -666,15 +666,19 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     runs over the last (channel) axis and dropout draws ``mode.rng``.  The
     arithmetic, its order and the dropout draw are those of the composed
     ``matmul``, ``batchnorm``, ``tanh`` and ``dropout`` ops, so values,
-    running statistics and gradients are bit-identical to theirs.  The
-    node keeps the normalized activations, the tanh output and a bool keep
-    mask besides its operands; ``adjacency @ g`` is freed once multiplied by
-    the weights and the backward recomputes it (the same GEMM on the same
-    arrays) for the weight gradient.  The pre-norm product and the
-    batch-norm output are overwritten in place, and the backward writes its
-    full-size gradients over the buffers it has finished with.  Off the tape
-    (under ``no_grad`` or with no tracked input) nothing is kept and eval
-    mode runs the whole epilogue in the buffer of the pre-norm product.
+    running statistics and gradients are bit-identical to theirs.  Besides
+    its operands the node keeps one full-size array, the normalized
+    activations, and under dropout the keep mask packed to one bit per
+    value.  What else the backward needs it recomputes with the forward's
+    own ops on the same arrays, so bit-identically: ``adjacency @ g`` (the
+    same GEMM) for the weight gradient and, under dropout, the tanh output
+    (``gamma * normalized + beta``, then ``np.tanh``) for tanh's slope.
+    Without dropout the tanh output is the block's output and is kept.  The
+    pre-norm product and the batch-norm output are overwritten in place,
+    and the backward writes its full-size gradients over the buffers it has
+    finished with.  Off the tape (under ``no_grad`` or with no tracked
+    input) nothing is kept and eval mode runs the whole epilogue in the
+    buffer of the pre-norm product.
     """
     g, adjacency, weights, gamma, beta = (
         as_tensor(t) for t in (g, adjacency, weights, gamma, beta))
@@ -696,6 +700,8 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     out = _result(data, (g, adjacency, weights, gamma, beta), "graph_block")
     if out.requires_grad:
         training = mode.training
+        if keep is not None:  # the backward rebuilds the tanh output from normalized
+            keep, activated = np.packbits(keep, axis=None), None
         def _bw(grad_out):
             # gradient at the batch-norm output: the dropout mask, then tanh's 1 - t*t
             if keep is None:
@@ -704,9 +710,15 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
                 grad *= grad_out
                 spare = None
             else:
-                slope = np.multiply(activated, activated, out=activated)
+                # _batchnorm_forward's affine step (channels are the last axis)
+                # and the forward's tanh, in order
+                slope = np.multiply(gamma.data, normalized)
+                slope += beta.data
+                np.tanh(slope, out=slope)
+                np.multiply(slope, slope, out=slope)
                 np.subtract(1.0, slope, out=slope)
-                grad = np.multiply(grad_out, keep)
+                mask = np.unpackbits(keep, count=slope.size).reshape(slope.shape)
+                grad = np.multiply(grad_out, mask)
                 grad *= scale
                 grad *= slope
                 spare = slope  # spent: it takes the batch-norm backward's product

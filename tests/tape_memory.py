@@ -35,6 +35,31 @@ def closure_arrays(node) -> list:
     return list(held.values())
 
 
+def _walk(roots) -> list:
+    """Every node reachable from ``roots`` through ``_parents``, each once."""
+    nodes, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def bytes_by_op(*roots) -> dict:
+    """Bytes the backward closures under ``roots`` keep alive, per ``_op``.
+
+    Each op counts every underlying buffer its closures hold once; a buffer
+    held by two ops counts under both, so the values may sum to more than
+    ``retained_bytes(...).closures``.
+    """
+    held = {}
+    for node in _walk(roots):
+        for array in closure_arrays(node):
+            held.setdefault(node._op, {})[id(array)] = array
+    return {op: sum(a.nbytes for a in arrays.values()) for op, arrays in held.items()}
+
+
 def retained_bytes(*roots) -> TapeBytes:
     """Bytes of the distinct arrays the tapes under ``roots`` keep alive.
 
@@ -42,16 +67,11 @@ def retained_bytes(*roots) -> TapeBytes:
     closure holds (also inside a list or tuple), each underlying buffer once.
     """
     buffers, closure_buffers = {}, {}
-    nodes, stack = {}, list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) in nodes:
-            continue
-        nodes[id(node)] = node
+    nodes = _walk(roots)
+    for node in nodes:
         _base_arrays(node.data, buffers)
         for array in closure_arrays(node):
             buffers[id(array)] = closure_buffers[id(array)] = array
-        stack.extend(node._parents)
     return TapeBytes(sum(a.nbytes for a in buffers.values()),
                      sum(a.nbytes for a in closure_buffers.values()),
-                     list(nodes.values()))
+                     nodes)

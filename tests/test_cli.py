@@ -151,6 +151,16 @@ class TestGenSynth:
         for name in ("skeleton.mskel", "sinusoid_000.mseq", "sinusoid_001.mseq"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--frames", "0"), ("--period", "0"), ("--frame-rate", "0"),
+        ("--amplitude", "nan"), ("--chains", "0")])
+    def test_bad_value_exits_2_and_leaves_no_path(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "corpus"
+        assert main(["gen-synth", "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_corpus_loads_as_dataset(self, corpus):
         ds = load_dataset(corpus)
         assert len(ds.sequences) == 4

@@ -129,6 +129,10 @@ FUSED_CASES = [(training, rate, shape)
                for channels_in in (4, 6)
                for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
                for shape in ((5, channels_in), (3, 5, channels_in))]
+# the shapes of the dropping cases, whose outputs (30 and 90 values) pad the
+# packed keep mask, and one of 4 * 5 * 6 = 120 outputs, which does not
+DROPPING_SHAPES = [shape for training, rate, shape in FUSED_CASES
+                   if training and rate > 0] + [(4, 5, 4)]
 
 
 def _fused_case(training, shape):
@@ -161,6 +165,9 @@ class TestFusedGraphBlock:
         assert np.array_equal(grad_g, ref_grad_g)
         for grad, ref_grad in zip(grads, ref_grads):
             assert np.array_equal(grad, ref_grad)
+
+    def test_unpadded_mask_equals_composed_chain_bitwise(self):
+        self.test_equals_composed_chain_bitwise(True, 0.3, DROPPING_SHAPES[-1])
 
     @pytest.mark.parametrize("training", [True, False])
     def test_untracked_forward_equals_composed_chain_bitwise(self, training):
@@ -243,6 +250,25 @@ class TestTapeMemory:
         assert any(array is g.data for array in held)
         assert [a.shape for a in held if a.shape == g.shape and a is not g.data] == []
 
+    @pytest.mark.parametrize("shape", DROPPING_SHAPES)
+    def test_dropping_block_closure_keeps_normalized_and_packed_mask(self, shape):
+        _rng, layer, x = _fused_case(True, shape)
+        g = Tensor(x, requires_grad=True)
+        out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(5)),
+                                   dropout_rate=0.3)
+        held = closure_arrays(out)
+        assert any(array is g.data for array in held)
+        # besides g, of the output's shape only normalized: zero-mean per channel
+        full = [a for a in held if a.shape == out.shape and a is not g.data]
+        assert len(full) == 1 and full[0].dtype == np.float64 and full[0] is not out.data
+        assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        assert not any(a.dtype == bool for a in held)
+        # the keep mask, one bit per output, is where the output is nonzero
+        masks = [a for a in held if a.dtype == np.uint8]
+        assert [m.shape for m in masks] == [(-(-out.size // 8),)]
+        keep = np.unpackbits(masks[0], count=out.size).reshape(out.shape)
+        assert np.array_equal(keep == 1, out.data != 0.0)
+
     def test_reference_tape_stays_within_budget_per_window(self):
         # the reference shapes at batch 2: the tape keeps about 8,500 KiB per
         # window besides the parameters (about 11,000 KiB before recomputation)
@@ -261,6 +287,25 @@ class TestTapeMemory:
         parameter_bytes = sum(p.data.nbytes for p in named_parameters(params).values())
         per_window = (retained_bytes(loss).total - parameter_bytes) / batch
         assert per_window < 8_800 * 1024, per_window / 1024
+
+    def test_reference_tape_keeps_one_activation_array_per_block(self):
+        # as above; a dropping block keeps normalized and a packed mask, not
+        # the tanh output: about 6,300 KiB per window (8,500 KiB with it)
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256)
+        params = init_model_params(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        batch = 2
+        histories = Tensor(rng.normal(size=(batch, config.pose_dim, config.history_len)))
+        out = model_forward(params, histories, config, dct_basis(config.window),
+                            Mode.train(np.random.default_rng(2)))
+        poses = transpose(out.prediction, (0, 2, 1)).reshape(
+            batch, config.window, config.joints, 3)
+        loss = loss_total(poses, Tensor(rng.normal(size=poses.shape)), None, LossConfig(),
+                          config.future_len)
+        parameter_bytes = sum(p.data.nbytes for p in named_parameters(params).values())
+        per_window = (retained_bytes(loss).total - parameter_bytes) / batch
+        assert per_window < 6_450 * 1024, per_window / 1024
 
 
 class TestGlmForward:

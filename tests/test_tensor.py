@@ -34,7 +34,7 @@ from motionrefine.tensor import (
     tensor_sum,
     transpose,
 )
-from tape_memory import closure_arrays, retained_bytes
+from tape_memory import bytes_by_op, closure_arrays, retained_bytes
 
 
 class TestMatmul:
@@ -457,6 +457,20 @@ class TestBackward:
             out = a * 3.0
         assert not out.requires_grad
         assert out._parents == ()
+
+
+class TestTapeMemoryHelper:
+    def test_bytes_by_op_counts_each_buffer_once_per_op(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)     # 48 bytes
+        b = Tensor(np.ones((3, 4)), requires_grad=True)     # 96 bytes
+        product = matmul(a, b)                              # 64 bytes
+        activated = tanh(product)                           # 64 bytes
+        squared = mul(activated, activated)                 # 64 bytes
+        loss = tensor_sum(squared)
+        # mul holds activated twice; tanh holds its operand and its output
+        assert bytes_by_op(loss) == {"matmul": 48 + 96, "tanh": 64 + 64, "mul": 64, "sum": 64}
+        # across ops, activated's buffer counts once
+        assert retained_bytes(loss).closures == 48 + 96 + 64 + 64 + 64
 
 
 class TestDeterminism:
