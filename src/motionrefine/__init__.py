@@ -20,7 +20,6 @@ from .data import (
     save_sequence,
 )
 from .errors import (
-    BoundsError,
     ConfigurationError,
     DataError,
     DimensionError,
@@ -33,7 +32,6 @@ from .kinematics import (
     KinematicChain,
     PoseSequence,
     Skeleton,
-    cumulative_bone_length,
     default_humanoid_skeleton,
     load_skeleton,
     mpjpe_per_frame,

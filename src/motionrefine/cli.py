@@ -51,12 +51,12 @@ from .trainer import (
     evaluate,
     load_checkpoint,
     predict_autoregressive,
+    save_checkpoint,
     train,
 )
 
 _ADAM_KEYS = {"beta1": "adam_beta1", "beta2": "adam_beta2", "eps": "adam_eps"}
-_LOOP_KEYS = ("epochs", "batch_size", "seed", "val_fraction", "window_stride",
-              "checkpoint_every")
+_LOOP_KEYS = ("epochs", "batch_size", "seed", "val_fraction", "window_stride")
 
 # flat configuration key -> (config dataclass, field); the joint count comes
 # from the dataset, and only the loop fields of TrainSettings are configurable
@@ -140,9 +140,11 @@ def cmd_train(args) -> int:
     dataset = load_dataset(resolved["data"])
     model_config = config_from(ModelConfig, resolved, joints=dataset.skeleton.joint_count)
     loss_config = config_from(LossConfig, resolved)
+    optimizer_config = config_from(OptimizerConfig, resolved)
+    settings = config_from(TrainSettings, resolved)
 
     if args.dry_run:
-        params = init_model_params(model_config, np.random.default_rng(resolved["seed"]))
+        params = init_model_params(model_config, np.random.default_rng(settings.seed))
         print(json.dumps(resolved, indent=2, sort_keys=True))
         print(f"parameter count: {count_parameters(params)}")
         return 0
@@ -156,15 +158,17 @@ def cmd_train(args) -> int:
         def log_record(record):
             log.write(json.dumps(record) + "\n")
             log.flush()
-        settings = config_from(TrainSettings, resolved, checkpoint_dir=str(out_dir),
-                               log_fn=log_record)
-        result = train(dataset, model_config, loss_config,
-                       config_from(OptimizerConfig, resolved), settings)
+        settings.log_fn = log_record
+        result = train(dataset, model_config, loss_config, optimizer_config, settings)
+    checkpoint = out_dir / "checkpoint.mckpt"
+    save_checkpoint(checkpoint, result.params, result.adam, result.rng, result.epochs_run,
+                    model_config, loss_config, optimizer_config, settings.replay_fields(),
+                    dataset.skeleton)
     last = result.metrics[-1] if result.metrics else {}
     print(f"trained {result.epochs_run} epochs; "
           f"final train MPJPE {last.get('train_mpjpe', float('nan')):.4f} "
           f"({dataset.skeleton.units})")
-    print(f"checkpoint: {out_dir / 'checkpoint.mckpt'}")
+    print(f"checkpoint: {checkpoint}")
     return 0
 
 

@@ -50,14 +50,25 @@ class TrainingWindow:
     source: tuple[int, int]  # (sequence index, start frame)
 
 
+def frame_rate_millihertz(frame_rate: float, error: type[Exception] = DataError) -> int:
+    """The frame rate as the u32 millihertz count an MSEQ1 header stores.
+
+    Raises ``error`` unless the rate is a whole number of millihertz in [1, 2**32 - 1].
+    """
+    rate_mhz = frame_rate * 1000.0
+    whole = int(round(rate_mhz)) if np.isfinite(rate_mhz) else 0
+    if not 1 <= whole < 2 ** 32 or abs(rate_mhz - whole) > 1e-6:
+        raise error(f"frame rate {frame_rate} is not a whole number of millihertz "
+                    f"in [1, {2 ** 32 - 1}]")
+    return whole
+
+
 def save_sequence(path, seq: PoseSequence, skeleton_name: str):
-    rate_mhz = seq.frame_rate * 1000.0
-    if abs(rate_mhz - round(rate_mhz)) > 1e-6:
-        raise DataError(f"frame rate {seq.frame_rate} is not millihertz-integral")
+    rate_mhz = frame_rate_millihertz(seq.frame_rate)
     name = skeleton_name.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III", seq.joints, seq.frames, int(round(rate_mhz))))
+        fh.write(struct.pack("<III", seq.joints, seq.frames, rate_mhz))
         fh.write(struct.pack("<I", len(name)))
         fh.write(name)
         fh.write(seq.coords.astype("<f4").tobytes())
@@ -157,10 +168,9 @@ class SynthSpec:
             raise ConfigurationError(f"frames must be >= 1, got {self.frames}")
         if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ConfigurationError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        for name in ("period", "frame_rate"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        if not (np.isfinite(self.period) and self.period > 0):
+            raise ConfigurationError(f"period must be finite and > 0, got {self.period}")
+        frame_rate_millihertz(self.frame_rate, ConfigurationError)
 
 
 def rest_pose(skeleton: Skeleton) -> np.ndarray:

@@ -17,10 +17,6 @@ class ConfigurationError(ValueError):
     """A configuration value or combination of values is invalid."""
 
 
-class BoundsError(IndexError):
-    """An index lies outside its valid range."""
-
-
 class SkeletonError(ValueError):
     """Two skeleton-bound objects do not belong to the same skeleton."""
 

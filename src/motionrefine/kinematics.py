@@ -23,13 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BoundsError,
-    ConfigurationError,
-    DataError,
-    FormatError,
-    SkeletonError,
-)
+from .errors import ConfigurationError, DataError, FormatError, SkeletonError
 
 UNITS = ("millimeters", "meters")
 
@@ -102,8 +96,8 @@ class PoseSequence:
         if bad.any():
             frame = int(np.argwhere(bad)[0][0])
             raise DataError(f"non-finite coordinate at frame {frame}")
-        if self.frame_rate <= 0:
-            raise DataError(f"frame rate must be positive, got {self.frame_rate}")
+        if not 0 < self.frame_rate < np.inf:  # also rejects nan
+            raise DataError(f"frame rate must be positive and finite, got {self.frame_rate}")
         self.coords = coords
 
     @property
@@ -113,27 +107,6 @@ class PoseSequence:
     @property
     def joints(self) -> int:
         return self.coords.shape[1]
-
-
-def chain_position(skeleton: Skeleton, joint: int) -> tuple[int, int]:
-    """First chain listing the joint and the joint's position on it (root is 0)."""
-    if not 0 <= joint < skeleton.joint_count:
-        raise BoundsError(f"joint {joint} out of range [0, {skeleton.joint_count})")
-    for chain_index, chain in enumerate(skeleton.chains):
-        if joint in chain.joint_indices:
-            return chain_index, chain.joint_indices.index(joint)
-    raise BoundsError(f"joint {joint} appears in no chain")  # unreachable post-validation
-
-
-def cumulative_bone_length(skeleton: Skeleton, chain_index: int, position: int) -> float:
-    """Sum of the first ``position`` bone lengths along a chain."""
-    if not 0 <= chain_index < len(skeleton.chains):
-        raise BoundsError(f"chain {chain_index} out of range")
-    chain = skeleton.chains[chain_index]
-    if not 1 <= position <= chain.bone_count:
-        raise BoundsError(
-            f"position {position} out of range [1, {chain.bone_count}] on chain {chain_index}")
-    return float(sum(chain.bone_lengths[:position]))
 
 
 def mpjpe_per_frame(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:

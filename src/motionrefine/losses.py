@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .kinematics import Skeleton, chain_position, cumulative_bone_length
+from .kinematics import Skeleton
 from .tensor import Tensor, as_tensor, mul, sqrt, sub, tensor_sum
 
 TEMPORAL_FORMS = ("unit_final", "zero_final")
@@ -48,8 +48,6 @@ class LossConfig:
 @dataclass(frozen=True)
 class LossWeights:
     table: np.ndarray     # (window_frames, joints), sums to joints * window_frames
-    spatial: np.ndarray   # (joints,)
-    temporal: np.ndarray  # (window_frames,)
 
 
 def spatial_factors(skeleton: Skeleton, floor: float = 0.1) -> np.ndarray:
@@ -60,21 +58,23 @@ def spatial_factors(skeleton: Skeleton, floor: float = 0.1) -> np.ndarray:
     """
     if floor <= 0:
         raise ConfigurationError("spatial floor must be positive")
-    factors = np.empty(skeleton.joint_count, dtype=np.float64)
-    for joint in range(skeleton.joint_count):
-        chain_index, position = chain_position(skeleton, joint)
-        if position == 0:
-            factors[joint] = floor
-            continue
-        chain = skeleton.chains[chain_index]
-        reach = cumulative_bone_length(skeleton, chain_index, position)
-        raw = (position / chain.bone_count) * np.log(reach)
-        if raw <= 0:
-            warnings.warn(
-                f"joint {joint}: cumulative bone length {reach} gives non-positive "
-                f"log factor; clamping to floor {floor}", stacklevel=2)
-        factors[joint] = max(raw, floor)
-    return factors
+    factors: dict[int, float] = {}
+    for chain in skeleton.chains:
+        factors.setdefault(chain.joint_indices[0], floor)
+        reach = 0.0
+        for position, (joint, bone) in enumerate(
+                zip(chain.joint_indices[1:], chain.bone_lengths), start=1):
+            reach += bone
+            if joint in factors:
+                continue
+            raw = (position / chain.bone_count) * np.log(reach)
+            if raw <= 0:
+                warnings.warn(
+                    f"joint {joint}: cumulative bone length {reach} gives non-positive "
+                    f"log factor; clamping to floor {floor}", stacklevel=2)
+            factors[joint] = max(raw, floor)
+    return np.array([factors[joint] for joint in range(skeleton.joint_count)],
+                    dtype=np.float64)
 
 
 def temporal_factors(query_len: int, future_len: int, form: str = "unit_final") -> np.ndarray:
@@ -104,8 +104,7 @@ def assemble_lambda(spatial: np.ndarray, temporal: np.ndarray) -> LossWeights:
     total = outer.sum()
     if total <= 0:
         raise ConfigurationError("all-zero weight product")
-    table = outer * (outer.size / total)
-    return LossWeights(table, spatial, temporal)
+    return LossWeights(outer * (outer.size / total))
 
 
 def build_loss_weights(skeleton: Skeleton, query_len: int, future_len: int,

@@ -81,6 +81,18 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("lr", "eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ConfigurationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}")
+
 
 class AdamState:
     """First/second moment accumulators mirroring the parameter shapes."""
@@ -125,9 +137,16 @@ class TrainSettings:
     val_fraction: float = 0.2
     window_stride: int = 1
     stop_train_mpjpe: float | None = None
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 0  # 0 saves only the final state (when dir is set)
     log_fn: object = None
+
+    def __post_init__(self):
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0), ("window_stride", 1)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigurationError(
+                f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
     def replay_fields(self) -> dict:
         """The settings that must match for a resumed run to replay exactly."""
@@ -142,11 +161,7 @@ class TrainResult:
     rng: np.random.Generator
     metrics: list[dict]
     epochs_run: int
-    model_config: ModelConfig
-    loss_config: LossConfig
-    optimizer_config: OptimizerConfig
     settings: TrainSettings
-    skeleton: Skeleton
 
 
 def _window_batches(windows: list[TrainingWindow], order, batch_size: int):
@@ -216,7 +231,10 @@ def dataset_mpjpe(windows: list[TrainingWindow], params: ModelParams,
 def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: LossConfig,
           optimizer_config: OptimizerConfig | None = None,
           settings: TrainSettings | None = None, resume=None) -> TrainResult:
-    """Shuffled mini-batch training with the per-epoch decayed Adam schedule."""
+    """Shuffled mini-batch training with the per-epoch decayed Adam schedule.
+
+    Writes no files: ``save_checkpoint`` stores the returned state.
+    """
     opt = optimizer_config or OptimizerConfig()
     settings = settings or TrainSettings()
     skeleton = dataset.skeleton
@@ -255,11 +273,6 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
     named = named_parameters(params)
     metrics: list[dict] = []
     epochs_run = start_epoch
-
-    def checkpoint_to(path, epoch):
-        save_checkpoint(path, params, adam, rng, epoch, model_config, loss_config,
-                        opt, settings.replay_fields(), skeleton)
-
     for epoch in range(start_epoch, settings.epochs):
         lr = lr_schedule(epoch, opt.lr, opt.lr_decay)
         order = rng.permutation(len(train_windows))
@@ -290,20 +303,10 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
         if settings.log_fn is not None:
             settings.log_fn(record)
         epochs_run = epoch + 1
-
-        if settings.checkpoint_dir and settings.checkpoint_every and \
-                epochs_run % settings.checkpoint_every == 0:
-            checkpoint_to(Path(settings.checkpoint_dir) /
-                          f"checkpoint_{epochs_run:04d}.mckpt", epochs_run)
         if settings.stop_train_mpjpe is not None and \
                 train_mpjpe < settings.stop_train_mpjpe:
             break
-
-    if settings.checkpoint_dir:
-        Path(settings.checkpoint_dir).mkdir(parents=True, exist_ok=True)
-        checkpoint_to(Path(settings.checkpoint_dir) / "checkpoint.mckpt", epochs_run)
-    return TrainResult(params, adam, rng, metrics, epochs_run, model_config,
-                       loss_config, opt, settings, skeleton)
+    return TrainResult(params, adam, rng, metrics, epochs_run, settings)
 
 
 def predict_autoregressive(history: PoseSequence, params: ModelParams,
@@ -342,6 +345,8 @@ def frames_from_milliseconds(frames_ms, frame_rate: float, future_len: int) -> l
     indices = []
     for ms in frames_ms:
         exact = ms * frame_rate / 1000.0
+        if not math.isfinite(exact):
+            raise ConfigurationError(f"{ms} ms is not a finite time at {frame_rate} fps")
         index = round(exact)
         if abs(exact - index) > 1e-9:
             raise ConfigurationError(

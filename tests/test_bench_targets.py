@@ -2,7 +2,9 @@
 and builds its models from the configs in bench/workloads.py.
 
 A rename or deletion of a wrapped function, or of a config field a workload
-passes, would otherwise only surface as a crash of a benchmark run.
+passes, would otherwise only surface as a crash of a benchmark run; one
+checked train_small call also runs the trainer and checkpoint calls a
+workload makes.
 """
 import importlib.util
 import sys
@@ -32,3 +34,12 @@ def test_bench_workload_configs_build(monkeypatch):
     workloads = _load(monkeypatch, "workloads")
     assert isinstance(workloads.REFERENCE_CONFIG, ModelConfig)
     assert isinstance(workloads.SMALL_CONFIG, ModelConfig)
+
+
+def test_train_small_workload_runs_one_checked_call(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS["train_small"]
+    state = workload.setup(0, tmp_path)
+    (item,) = next(workload.rounds(state, 0))
+    result = workload.run(state, workload.prepare(state, item))
+    assert workload.check(state, item, result) is None

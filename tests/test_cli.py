@@ -65,8 +65,30 @@ REJECTED = {
     "eval_config": (["eval", "{ckpt}", "{data}", "--config", "f.json"], "--config"),
     "train_epochs_float": (["train", "--data", "{data}", "--out", "run", "--epochs", "1.5"],
                            "1.5"),
+    "train_batch_size_zero": (["train", "--data", "{data}", "--out", "run",
+                               "--set", "batch_size=0"], "batch_size"),
+    "train_batch_size_negative": (["train", "--data", "{data}", "--out", "run",
+                                   "--set", "batch_size=-3"], "batch_size"),
+    "train_seed_negative": (["train", "--data", "{data}", "--out", "run", "--seed", "-1"],
+                            "seed"),
+    "train_val_fraction_above_one": (["train", "--data", "{data}", "--out", "run",
+                                      "--set", "val_fraction=1.5"], "val_fraction"),
+    "train_val_fraction_negative": (["train", "--data", "{data}", "--out", "run",
+                                     "--set", "val_fraction=-0.5"], "val_fraction"),
+    "train_adam_beta1_above_one": (["train", "--data", "{data}", "--out", "run",
+                                    "--set", "adam_beta1=2"], "beta1"),
+    "train_lr_decay_negative": (["train", "--data", "{data}", "--out", "run",
+                                 "--set", "lr_decay=-1"], "lr_decay"),
+    "eval_frames_ms_nan": (["eval", "{ckpt}", "{data}", "--frames-ms", "nan"], "nan"),
+    "eval_frames_ms_inf": (["eval", "{ckpt}", "{data}", "--frames-ms", "inf"], "inf"),
+    "eval_frames_ms_overflowing": (["eval", "{ckpt}", "{data}", "--frames-ms", "1e308"],
+                                   "1e+308"),
     "gen_synth_dry_run": (["gen-synth", "--out", "D", "--dry-run"], "--dry-run"),
     "gen_synth_negative_count": (["gen-synth", "--out", "D", "--count", "-2"], "-2"),
+    "gen_synth_frame_rate_not_millihertz": (["gen-synth", "--out", "D",
+                                             "--frame-rate", "25.0001"], "25.0001"),
+    "gen_synth_frame_rate_over_u32_millihertz": (["gen-synth", "--out", "D",
+                                                  "--frame-rate", "5e6"], "5000000.0"),
 }
 
 

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from motionrefine.errors import BoundsError, ConfigurationError, DataError, FormatError, SkeletonError
+from motionrefine.errors import ConfigurationError, DataError, FormatError, SkeletonError
 from motionrefine.kinematics import (
     KinematicChain,
     PoseSequence,
     Skeleton,
-    chain_position,
-    cumulative_bone_length,
     default_humanoid_skeleton,
     load_skeleton,
     mpjpe_per_frame,
@@ -78,24 +76,6 @@ class TestMpjpe:
         assert errors[0] == 0.0 and errors[1] > 0.0
 
 
-class TestCumulativeBoneLength:
-    def test_examples(self):
-        skel = Skeleton(4, ("a", "b", "c", "d"),
-                        (KinematicChain((0, 1, 2, 3), (100.0, 200.0, 150.0)),))
-        assert cumulative_bone_length(skel, 0, 2) == 300.0
-        assert cumulative_bone_length(skel, 0, 1) == 100.0
-        assert cumulative_bone_length(skel, 0, 3) == 450.0
-
-    def test_bounds(self):
-        skel = synthetic_skeleton(1, 3)
-        with pytest.raises(BoundsError):
-            cumulative_bone_length(skel, 0, 0)
-        with pytest.raises(BoundsError):
-            cumulative_bone_length(skel, 0, 3)
-        with pytest.raises(BoundsError):
-            cumulative_bone_length(skel, 1, 1)
-
-
 class TestSyntheticSkeleton:
     def test_single_chain(self):
         skel = synthetic_skeleton(1, 3)
@@ -118,8 +98,8 @@ class TestSyntheticSkeleton:
             synthetic_skeleton(0, 3)
 
     def test_every_joint_on_a_chain(self, simple_skeleton):
-        for j in range(simple_skeleton.joint_count):
-            chain_position(simple_skeleton, j)
+        listed = {j for chain in simple_skeleton.chains for j in chain.joint_indices}
+        assert listed == set(range(simple_skeleton.joint_count))
 
 
 class TestHumanoidFixture:
@@ -128,11 +108,6 @@ class TestHumanoidFixture:
         assert skel.joint_count == 22
         assert len(skel.chains) == 5
         assert skel.units == "millimeters"
-
-    def test_shared_joints_resolve_to_first_chain(self):
-        skel = default_humanoid_skeleton()
-        assert chain_position(skel, 0) == (0, 0)   # pelvis: root of the spine chain
-        assert chain_position(skel, 2) == (0, 2)   # thorax: spine chain, not the arms
 
     def test_round_trips_through_file(self, tmp_path):
         skel = default_humanoid_skeleton()
@@ -164,6 +139,11 @@ class TestPoseSequence:
         coords[2, 1, 0] = np.nan
         with pytest.raises(DataError, match="frame 2"):
             PoseSequence(coords)
+
+    @pytest.mark.parametrize("rate", [0.0, -25.0, np.nan, np.inf])
+    def test_frame_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(DataError, match="frame rate"):
+            PoseSequence(np.zeros((4, 2, 3)), rate)
 
     def test_empty_sequence_is_allowed(self):
         seq = PoseSequence(np.zeros((0, 3, 3)))

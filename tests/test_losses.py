@@ -3,7 +3,12 @@ import pytest
 
 from gradcheck import assert_gradients_match
 from motionrefine.errors import ConfigurationError, DimensionError
-from motionrefine.kinematics import KinematicChain, Skeleton, synthetic_skeleton
+from motionrefine.kinematics import (
+    KinematicChain,
+    Skeleton,
+    default_humanoid_skeleton,
+    synthetic_skeleton,
+)
 from motionrefine.losses import (
     LossConfig,
     assemble_lambda,
@@ -37,6 +42,20 @@ class TestSpatialFactors:
         small = spatial_factors(two_bone_skeleton(100.0))
         big = spatial_factors(two_bone_skeleton(200.0))
         assert (big[1:] > small[1:]).all()
+
+    def test_three_bone_chain_factors(self):
+        skel = Skeleton(4, ("a", "b", "c", "d"),
+                        (KinematicChain((0, 1, 2, 3), (100.0, 200.0, 150.0)),))
+        factors = spatial_factors(skel)
+        # cumulative lengths 100, 300 and 450 at positions 1, 2 and 3 of 3 bones
+        assert factors[1] == (1 / 3) * np.log(100.0)
+        assert factors[2] == (2 / 3) * np.log(300.0)
+        assert factors[3] == np.log(450.0)
+
+    def test_humanoid_shared_joints_take_first_chain(self):
+        factors = spatial_factors(default_humanoid_skeleton(), floor=0.1)
+        assert factors[0] == 0.1                           # pelvis: root of the spine chain
+        assert factors[2] == (2 / 5) * np.log(280.0)       # thorax: spine chain, not the arms
 
     def test_subunit_cumulative_length_clamps_with_diagnostic(self):
         skel = Skeleton(2, ("root", "tip"), (KinematicChain((0, 1), (0.5,)),))
