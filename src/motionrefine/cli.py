@@ -31,6 +31,7 @@ from .data import (
     gen_synthetic,
     load_dataset,
     load_sequence,
+    mseq_payload,
     save_sequence,
 )
 from .errors import (
@@ -52,6 +53,7 @@ from .trainer import (
     load_checkpoint,
     predict_autoregressive,
     save_checkpoint,
+    split_windows,
     train,
 )
 
@@ -151,6 +153,7 @@ def cmd_train(args) -> int:
 
     if not args.out:
         raise ConfigurationError("missing required field: out (output directory)")
+    split_windows(dataset, model_config, settings)  # a dataset train() rejects writes nothing
     out_dir = Path(args.out)
     _echo_config(resolved, out_dir)
     metrics_path = out_dir / "metrics.jsonl"
@@ -270,11 +273,14 @@ def cmd_gen_synth(args) -> int:
     skeleton = synthetic_skeleton(args.chains, args.joints_per_chain, args.bone_length)
     spec = SynthSpec(kind=args.kind, amplitude=args.amplitude, period=args.period,
                      frames=args.frames, seed=args.seed, frame_rate=args.frame_rate)
+    sequences = [gen_synthetic(skeleton, dataclasses.replace(spec, seed=args.seed + i))
+                 for i in range(args.count)]
+    for seq in sequences:
+        mseq_payload(seq.coords, ConfigurationError)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_skeleton(skeleton, out_dir / "skeleton.mskel")
-    for i in range(args.count):
-        seq = gen_synthetic(skeleton, dataclasses.replace(spec, seed=args.seed + i))
+    for i, seq in enumerate(sequences):
         save_sequence(out_dir / f"{args.kind}_{i:03d}.mseq", seq, skeleton.name)
     manifest = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     (out_dir / "gen_synth.resolved.json").write_text(

@@ -63,15 +63,30 @@ def frame_rate_millihertz(frame_rate: float, error: type[Exception] = DataError)
     return whole
 
 
+def mseq_payload(coords: np.ndarray, error: type[Exception] = DataError) -> bytes:
+    """The coordinates as the little-endian float32 bytes an MSEQ1 payload stores.
+
+    Raises ``error`` unless every coordinate is finite in float32.
+    """
+    with np.errstate(over="ignore"):
+        single = coords.astype("<f4")
+    bad = ~np.isfinite(single)
+    if bad.any():
+        frame = int(np.argwhere(bad)[0][0])
+        raise error(f"coordinate at frame {frame} is beyond the float32 range of an MSEQ1 file")
+    return single.tobytes()
+
+
 def save_sequence(path, seq: PoseSequence, skeleton_name: str):
     rate_mhz = frame_rate_millihertz(seq.frame_rate)
+    payload = mseq_payload(seq.coords)
     name = skeleton_name.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", seq.joints, seq.frames, rate_mhz))
         fh.write(struct.pack("<I", len(name)))
         fh.write(name)
-        fh.write(seq.coords.astype("<f4").tobytes())
+        fh.write(payload)
 
 
 def load_sequence(path) -> tuple[str, PoseSequence]:
@@ -194,8 +209,20 @@ def gen_synthetic(skeleton: Skeleton, spec: SynthSpec) -> PoseSequence:
 
     Every chain oscillates about the static root; displacement amplitude
     grows toward the chain tip.  The sinusoid kind repeats exactly every
-    ``period`` frames.
+    ``period`` frames.  Settings whose motion overflows float64 (a huge
+    amplitude or bone length, a tiny period) raise ConfigurationError.
     """
+    with np.errstate(all="ignore"):
+        coords = _synthetic_coords(skeleton, spec)
+    if not np.isfinite(coords).all():
+        bones = max((b for chain in skeleton.chains for b in chain.bone_lengths), default=0.0)
+        raise ConfigurationError(
+            f"synthetic motion overflows at amplitude {spec.amplitude}, period {spec.period} "
+            f"and bone lengths up to {bones}")
+    return PoseSequence(coords, spec.frame_rate)
+
+
+def _synthetic_coords(skeleton: Skeleton, spec: SynthSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     base = rest_pose(skeleton)
     joints = skeleton.joint_count
@@ -232,5 +259,4 @@ def gen_synthetic(skeleton: Skeleton, spec: SynthSpec) -> PoseSequence:
         seg_index = np.minimum((t // spec.period).astype(int), segments - 1)
         offsets = np.cumsum(velocity[seg_index], axis=0)
         offsets -= offsets[0]
-    coords = base[None, :, :] + offsets
-    return PoseSequence(coords, spec.frame_rate)
+    return base[None, :, :] + offsets

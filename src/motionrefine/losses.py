@@ -39,8 +39,9 @@ class LossConfig:
         if self.temporal_form not in TEMPORAL_FORMS:
             raise ConfigurationError(
                 f"temporal_form must be one of {TEMPORAL_FORMS}, got {self.temporal_form!r}")
-        if self.spatial_floor <= 0:
-            raise ConfigurationError("spatial_floor must be positive")
+        if not 0.0 < self.spatial_floor < np.inf:  # also rejects nan
+            raise ConfigurationError(
+                f"spatial_floor must be finite and positive, got {self.spatial_floor}")
         if not (self.use_st or self.use_velocity):
             raise ConfigurationError("all loss components disabled")
 

@@ -5,8 +5,9 @@ coefficients, runs a residual graph learning module over their channel
 concatenation, and converts both halves back to pose space.  The graph
 convolution is adjacency @ input @ weights with both factors learnable;
 a block follows it with batch normalization, tanh and dropout (recorded as
-one tape node, ``tensor.graph_block``), and each module closes with a bare
-graph convolution restoring the coefficient channel count.
+one tape node, ``tensor.graph_block``, which also takes a residual pair's
+add), and each module closes with a bare graph convolution restoring the
+coefficient channel count (one ``tensor.graph_conv`` node).
 
 The final convolution's weight matrix starts at zero, so a freshly
 initialized model is exactly the repeat-last-pose baseline (only the
@@ -28,7 +29,7 @@ from .tensor import (
     as_tensor,
     concat,
     graph_block,
-    matmul,
+    graph_conv as _graph_conv,
 )
 from .transforms import DctBasis, dct, idct
 
@@ -88,19 +89,20 @@ def _check_graph_input(g: Tensor, layer: GraphLayerParams):
 
 
 def graph_conv(g, layer: GraphLayerParams) -> Tensor:
-    """adjacency @ g @ weights over (..., pose_dim, channels) inputs."""
+    """adjacency @ g @ weights over (..., pose_dim, channels) inputs: one tape node."""
     g = as_tensor(g)
     _check_graph_input(g, layer)
-    return matmul(matmul(layer.adjacency, g), layer.weights)
+    return _graph_conv(g, layer.adjacency, layer.weights)
 
 
 def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
-                         dropout_rate: float = DROPOUT) -> Tensor:
-    """Graph conv, batch norm over channels, tanh and dropout: one tape node."""
+                         dropout_rate: float = DROPOUT, residual=None) -> Tensor:
+    """Graph conv, batch norm over channels, tanh, dropout and an optional
+    residual add: one tape node."""
     g = as_tensor(g)
     _check_graph_input(g, layer)
     return graph_block(g, layer.adjacency, layer.weights, layer.gamma, layer.beta,
-                       layer.stats, mode, dropout_rate)
+                       layer.stats, mode, dropout_rate, residual)
 
 
 def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:
@@ -113,8 +115,8 @@ def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:
     for pair in range(params.pair_count):
         first = params.blocks[1 + 2 * pair]
         second = params.blocks[2 + 2 * pair]
-        h = add(graph_learning_block(graph_learning_block(h, first, mode, params.dropout),
-                                     second, mode, params.dropout), h)
+        h = graph_learning_block(graph_learning_block(h, first, mode, params.dropout),
+                                 second, mode, params.dropout, residual=h)
     return graph_conv(h, params.output_gc)
 
 

@@ -13,8 +13,11 @@ array where ``tanh``, ``sqrt`` and ``div`` need it), never the tensor it
 belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d`` holds only its operands and unfolds its input again in the
-backward, and ``graph_block`` recomputes ``adjacency @ g`` there rather
-than keep it.  The sweep drops each closure, its edges and the node's
+backward; ``graph_conv`` holds only its operands and ``graph_block``
+recomputes ``adjacency @ g`` there rather than keep it, and
+``graph_block`` adds an optional residual operand into its own output
+buffer, so no block output that only the residual add would read is
+kept.  The sweep drops each closure, its edges and the node's
 gradient as soon as the closure has run, so the arrays a node saved and
 the gradients already consumed are released during the sweep.  A
 closure never writes into the gradient it receives, which may be shared
@@ -658,33 +661,82 @@ def dropout(inputs, rate: float, rng: np.random.Generator | None, mode: Mode) ->
     return mul(inputs, Tensor(keep / (1.0 - rate)))
 
 
+def graph_conv(g, adjacency, weights) -> Tensor:
+    """``(adjacency @ g) @ weights`` as one tape node that keeps only its operands.
+
+    g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out).  Values and
+    gradients are bit-identical to those of the two composed ``matmul`` ops:
+    the backward recomputes ``adjacency @ g`` with the forward's GEMM instead
+    of keeping it, then runs their GEMMs in their order.
+    """
+    g, adjacency, weights = as_tensor(g), as_tensor(adjacency), as_tensor(weights)
+    out = _result((adjacency.data @ g.data) @ weights.data, (g, adjacency, weights), "graph_conv")
+    if out.requires_grad:
+        def _bw(grad):
+            _graph_conv_backward(grad, g, adjacency, weights)
+        out._backward = _bw
+    return out
+
+
+def _graph_conv_backward(grad: np.ndarray, g: Tensor, adjacency: Tensor, weights: Tensor,
+                         mixed_out: np.ndarray | None = None,
+                         grad_g_out: np.ndarray | None = None):
+    """Accumulate the gradients of ``(adjacency @ g) @ weights`` for upstream ``grad``.
+
+    ``adjacency @ g`` is recomputed (the forward's GEMM on the same arrays,
+    so bit-identical) into ``mixed_out`` where given; once the weight
+    gradient is taken it is spent and takes ``grad_mixed``.  ``grad_g_out``,
+    a spent buffer of g's shape, takes the input gradient.
+    """
+    mixed = np.matmul(adjacency.data, g.data, out=mixed_out)
+    _, grad_weights = _matmul_grads(mixed, weights.data, grad, False, weights.requires_grad)
+    _accum(weights, grad_weights)
+    if adjacency.requires_grad or g.requires_grad:
+        grad_mixed, _ = _matmul_grads(mixed, weights.data, grad, True, False, out_a=mixed)
+        grad_adjacency, grad_g = _matmul_grads(adjacency.data, g.data, grad_mixed,
+                                               adjacency.requires_grad, g.requires_grad,
+                                               out_b=grad_g_out)
+        _accum(adjacency, grad_adjacency)
+        _accum(g, grad_g)
+
+
 def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: Mode,
-                rate: float) -> Tensor:
-    """``dropout(tanh(batchnorm(adjacency @ g @ weights)))`` as one tape node.
+                rate: float, residual=None) -> Tensor:
+    """``dropout(tanh(batchnorm(adjacency @ g @ weights))) [+ residual]`` as one tape node.
 
     g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out); batch norm
     runs over the last (channel) axis and dropout draws ``mode.rng``.  The
     arithmetic, its order and the dropout draw are those of the composed
-    ``matmul``, ``batchnorm``, ``tanh`` and ``dropout`` ops, so values,
-    running statistics and gradients are bit-identical to theirs.  Besides
+    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` and ``add`` ops, so
+    values, running statistics and gradients are bit-identical to theirs.
+    ``residual``, where given, has the output's shape and is added into the
+    block's own output buffer, so no pre-residual output is kept.  Besides
     its operands the node keeps one full-size array, the normalized
     activations, and under dropout the keep mask packed to one bit per
     value.  What else the backward needs it recomputes with the forward's
     own ops on the same arrays, so bit-identically: ``adjacency @ g`` (the
     same GEMM) for the weight gradient and, under dropout, the tanh output
     (``gamma * normalized + beta``, then ``np.tanh``) for tanh's slope.
-    Without dropout the tanh output is the block's output and is kept.  The
+    Without dropout the tanh output is kept: it is the block's output, and
+    on the tape a residual sum goes to a new array.  The
     pre-norm product and the batch-norm output are overwritten in place,
     and the backward writes its full-size gradients over the buffers it has
     finished with.  Off the tape (under ``no_grad`` or with no tracked
     input) nothing is kept and eval mode runs the whole epilogue in the
     buffer of the pre-norm product.
     """
-    g, adjacency, weights, gamma, beta = (
+    operands = g, adjacency, weights, gamma, beta = tuple(
         as_tensor(t) for t in (g, adjacency, weights, gamma, beta))
     _check_affine(gamma, beta, weights.shape[-1])
+    if residual is not None:
+        residual = as_tensor(residual)
+        shape = g.shape[:-1] + weights.shape[-1:]
+        if residual.shape != shape:
+            raise DimensionError(f"residual must have the block output's shape {shape}, "
+                                 f"got {residual.shape}")
+        operands += (residual,)
     dropping = _dropout_active(rate, mode.rng, mode)
-    tracked = _grad_enabled and any(t.requires_grad for t in (g, adjacency, weights, gamma, beta))
+    tracked = _grad_enabled and any(t.requires_grad for t in operands)
     normalized = (adjacency.data @ g.data) @ weights.data
     axis = normalized.ndim - 1
     activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats,
@@ -697,15 +749,22 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
         data *= scale
     else:
         data, keep = activated, None
-    out = _result(data, (g, adjacency, weights, gamma, beta), "graph_block")
+    if residual is not None:
+        if tracked and keep is None:  # the backward reads activated: sum into a new array
+            data = data + residual.data
+        else:
+            data += residual.data
+    out = _result(data, operands, "graph_block")
     if out.requires_grad:
         training = mode.training
         if keep is not None:  # the backward rebuilds the tanh output from normalized
             keep, activated = np.packbits(keep, axis=None), None
         def _bw(grad_out):
+            if residual is not None:
+                _accum(residual, grad_out)
             # gradient at the batch-norm output: the dropout mask, then tanh's 1 - t*t
             if keep is None:
-                grad = activated * activated        # activated is the output: left intact
+                grad = activated * activated        # activated is kept intact
                 np.subtract(1.0, grad, out=grad)
                 grad *= grad_out
                 spare = None
@@ -730,21 +789,12 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
             _accum(beta, dbeta)
             if dx is None:
                 return
-            # recompute adjacency @ g (the forward's GEMM on the same arrays, so
-            # bit-identical) for the weight gradient, over the spent grad where it
-            # has g's shape; mixed is then spent and takes grad_mixed, and dx, once
-            # spent, takes the input gradient where it has g's shape
-            mixed = np.matmul(adjacency.data, g.data, out=grad if grad.shape == g.shape else None)
+            # the spent grad takes adjacency @ g where it has g's shape, and dx,
+            # once spent, the input gradient
+            spent = grad if grad.shape == g.shape else None
             del grad
-            _, grad_weights = _matmul_grads(mixed, weights.data, dx, False, weights.requires_grad)
-            _accum(weights, grad_weights)
-            if need_mixed:
-                grad_mixed, _ = _matmul_grads(mixed, weights.data, dx, True, False, out_a=mixed)
-                grad_adjacency, grad_g = _matmul_grads(
-                    adjacency.data, g.data, grad_mixed, adjacency.requires_grad,
-                    g.requires_grad, out_b=dx if dx.shape == g.shape else None)
-                _accum(adjacency, grad_adjacency)
-                _accum(g, grad_g)
+            _graph_conv_backward(dx, g, adjacency, weights, mixed_out=spent,
+                                 grad_g_out=dx if dx.shape == g.shape else None)
         out._backward = _bw
     return out
 

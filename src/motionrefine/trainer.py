@@ -228,6 +228,25 @@ def dataset_mpjpe(windows: list[TrainingWindow], params: ModelParams,
     return float(window_errors(windows, params, config, batch_size)[0][-1].mean())
 
 
+def split_windows(dataset: SequenceDataset, model_config: ModelConfig,
+                  settings: TrainSettings) -> tuple[list[TrainingWindow], list[TrainingWindow]]:
+    """The training and validation windows: the last ``val_fraction`` of the
+    sequences validate.  Raises ConfigurationError when no training window fits."""
+    n_val = int(len(dataset.sequences) * settings.val_fraction)
+    n_train = len(dataset.sequences) - n_val
+    train_set = SequenceDataset(dataset.skeleton, dataset.sequences[:n_train])
+    val_set = (SequenceDataset(dataset.skeleton, dataset.sequences[n_train:])
+               if n_val else None)
+    train_windows = extract_windows(train_set, model_config.history_len,
+                                    model_config.future_len, settings.window_stride)
+    if not train_windows:
+        raise ConfigurationError("dataset yields no training windows")
+    val_windows = (extract_windows(val_set, model_config.history_len,
+                                   model_config.future_len, settings.window_stride)
+                   if val_set else [])
+    return train_windows, val_windows
+
+
 def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: LossConfig,
           optimizer_config: OptimizerConfig | None = None,
           settings: TrainSettings | None = None, resume=None) -> TrainResult:
@@ -243,19 +262,7 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
             f"model expects {model_config.joints} joints, "
             f"dataset skeleton has {skeleton.joint_count}")
 
-    n_val = int(len(dataset.sequences) * settings.val_fraction)
-    n_train = len(dataset.sequences) - n_val
-    train_set = SequenceDataset(skeleton, dataset.sequences[:n_train])
-    val_set = (SequenceDataset(skeleton, dataset.sequences[n_train:])
-               if n_val else None)
-    train_windows = extract_windows(train_set, model_config.history_len,
-                                    model_config.future_len, settings.window_stride)
-    if not train_windows:
-        raise ConfigurationError("dataset yields no training windows")
-    val_windows = (extract_windows(val_set, model_config.history_len,
-                                   model_config.future_len, settings.window_stride)
-                   if val_set else [])
-
+    train_windows, val_windows = split_windows(dataset, model_config, settings)
     basis = dct_basis(model_config.window)
     weights = build_loss_weights(skeleton, model_config.query_len,
                                  model_config.future_len, loss_config)

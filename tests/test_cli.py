@@ -79,6 +79,13 @@ REJECTED = {
                                     "--set", "adam_beta1=2"], "beta1"),
     "train_lr_decay_negative": (["train", "--data", "{data}", "--out", "run",
                                  "--set", "lr_decay=-1"], "lr_decay"),
+    "train_spatial_floor_nan": (["train", "--data", "{data}", "--out", "run",
+                                 "--set", "spatial_floor=nan"], "spatial_floor"),
+    "train_spatial_floor_inf": (["train", "--data", "{data}", "--out", "run",
+                                 "--set", "spatial_floor=inf"], "spatial_floor"),
+    # the corpus sequences have 40 frames, a window here 50
+    "train_no_training_windows": (["train", "--data", "{data}", "--out", "run",
+                                   "--set", "history_len=40"], "no training windows"),
     "eval_frames_ms_nan": (["eval", "{ckpt}", "{data}", "--frames-ms", "nan"], "nan"),
     "eval_frames_ms_inf": (["eval", "{ckpt}", "{data}", "--frames-ms", "inf"], "inf"),
     "eval_frames_ms_overflowing": (["eval", "{ckpt}", "{data}", "--frames-ms", "1e308"],
@@ -89,6 +96,12 @@ REJECTED = {
                                              "--frame-rate", "25.0001"], "25.0001"),
     "gen_synth_frame_rate_over_u32_millihertz": (["gen-synth", "--out", "D",
                                                   "--frame-rate", "5e6"], "5000000.0"),
+    "gen_synth_amplitude_beyond_float32": (["gen-synth", "--out", "D",
+                                            "--amplitude", "1e308"], "float32"),
+    "gen_synth_bone_length_overflowing": (["gen-synth", "--out", "D",
+                                           "--bone-length", "1e308"], "1e+308"),
+    "gen_synth_period_overflowing": (["gen-synth", "--out", "D", "--period", "1e-320"],
+                                     "1e-320"),
 }
 
 
@@ -182,6 +195,12 @@ class TestGenSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--amplitude", "1e308"), ("--bone-length", "1e308"), ("--period", "1e-320")])
+    def test_overflowing_value_raises_no_warning(self, tmp_path, recwarn, flag, value):
+        assert main(["gen-synth", "--out", str(tmp_path / "corpus"), flag, value]) == 2
+        assert len(recwarn) == 0
 
     def test_corpus_loads_as_dataset(self, corpus):
         ds = load_dataset(corpus)

@@ -74,6 +74,15 @@ class TestSequenceFile:
         with pytest.raises(DataError, match="millihertz"):
             save_sequence(tmp_path / "x.mseq", seq, skeleton.name)
 
+    def test_coordinates_beyond_float32_rejected_before_the_file_opens(self, tmp_path,
+                                                                       skeleton):
+        coords = np.zeros((3, skeleton.joint_count, 3))
+        coords[2, 1, 0] = 1e39
+        path = tmp_path / "x.mseq"
+        with pytest.raises(DataError, match="frame 2 is beyond the float32 range"):
+            save_sequence(path, PoseSequence(coords, frame_rate=25.0), skeleton.name)
+        assert not path.exists()
+
 
 class TestExtractWindows:
     def make_dataset(self, frames, skeleton):
@@ -147,6 +156,15 @@ class TestSyntheticMotion:
     def test_unknown_kind(self, skeleton):
         with pytest.raises(ConfigurationError):
             gen_synthetic(skeleton, SynthSpec(kind="brownian"))
+
+    @pytest.mark.parametrize("bone_length, spec", [
+        (1e308, SynthSpec(frames=5)), (100.0, SynthSpec(period=1e-320, frames=5)),
+        (100.0, SynthSpec(kind="piecewise-constant-velocity", amplitude=1e308, period=1.0,
+                          frames=5))])
+    def test_overflowing_motion_is_a_configuration_error(self, recwarn, bone_length, spec):
+        with pytest.raises(ConfigurationError, match="synthetic motion overflows"):
+            gen_synthetic(synthetic_skeleton(2, 3, bone_length), spec)
+        assert len(recwarn) == 0
 
     def test_rest_pose_respects_bone_lengths(self, skeleton):
         pose = rest_pose(skeleton)

@@ -23,10 +23,12 @@ from motionrefine.tensor import (
     Mode,
     RunningStats,
     Tensor,
+    add,
     backward,
     batchnorm,
     concat,
     dropout,
+    matmul,
     no_grad,
     tanh,
     tensor_sum,
@@ -95,12 +97,40 @@ class TestGraphLearningBlock:
         with pytest.raises(DimensionError):
             graph_conv(Tensor(np.zeros((3, 4))), layer)
 
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4), (3, 5, 6)])
+    def test_graph_conv_equals_two_matmuls_bitwise(self, shape):
+        rng = np.random.default_rng(35)
+        layer = _tracked_layer(rng, shape[-2], shape[-1], 6, None)
+        reference = _clone_layer(layer)
+        x = rng.normal(size=shape)
+        upstream = Tensor(rng.normal(size=shape[:-1] + (6,)))
+        results = []
+        for params, conv in ((layer, graph_conv),
+                             (reference, lambda g, p: matmul(matmul(p.adjacency, g), p.weights))):
+            g = Tensor(x.copy(), requires_grad=True)
+            out = conv(g, params)
+            backward(tensor_sum(out * upstream))
+            results.append([out.data, g.grad, params.adjacency.grad, params.weights.grad])
+        for fused, composed in zip(*results):
+            assert np.array_equal(fused, composed)
 
-def _composed_block(g, layer, mode, dropout_rate=0.3):
+    def test_graph_conv_records_one_node_keeping_only_operands(self):
+        rng = np.random.default_rng(36)
+        layer = _tracked_layer(rng, 5, 4, 6, None)
+        g = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        out = graph_conv(g, layer)
+        assert out._op == "graph_conv" and list(out._parents) == [g, layer.adjacency,
+                                                                  layer.weights]
+        held = closure_arrays(out)
+        assert len(held) == 3 and all(any(a is t.data for t in out._parents) for a in held)
+
+
+def _composed_block(g, layer, mode, dropout_rate=0.3, residual=None):
     """The block as separate tape ops, the fused node's reference."""
-    h = graph_conv(g, layer)
+    h = matmul(matmul(layer.adjacency, g), layer.weights)
     h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode, channel_axis=-1)
-    return dropout(tanh(h), dropout_rate, mode.rng, mode)
+    h = dropout(tanh(h), dropout_rate, mode.rng, mode)
+    return h if residual is None else add(h, residual)
 
 
 def _tracked_layer(rng, rows, channels_in, channels_out, stats):
@@ -211,6 +241,53 @@ class TestFusedGraphBlock:
         assert out._op == "graph_block"
         assert all(p._op == "leaf" for p in out._parents)
 
+    @pytest.mark.parametrize("training, rate, shape", FUSED_CASES)
+    def test_residual_equals_separate_add_bitwise(self, training, rate, shape):
+        rng, layer, x = _fused_case(training, shape)
+        reference = _clone_layer(layer)
+        h = rng.normal(size=shape[:-1] + (6,))
+        upstream = Tensor(rng.normal(size=h.shape))
+        results = []
+        for fused, params in ((True, layer), (False, reference)):
+            g = Tensor(x.copy(), requires_grad=True)
+            residual = Tensor(h.copy(), requires_grad=True)
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            if fused:
+                out = graph_learning_block(g, params, mode, dropout_rate=rate, residual=residual)
+            else:
+                out = add(graph_learning_block(g, params, mode, dropout_rate=rate), residual)
+            backward(tensor_sum(out * upstream))
+            results.append([out.data, params.stats.mean, params.stats.var, g.grad,
+                            residual.grad] + [t.grad for t in _layer_tensors(params)])
+        for fused, composed in zip(*results):
+            assert np.array_equal(fused, composed)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_untracked_residual_equals_separate_add_bitwise(self, training):
+        _rng, layer, x = _fused_case(training, (3, 5, 4))
+        reference = _clone_layer(layer)
+        h = np.random.default_rng(37).normal(size=(3, 5, 6))
+        outs = []
+        for fused, params in ((True, layer), (False, reference)):
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            with no_grad():
+                if fused:
+                    out = graph_learning_block(Tensor(x), params, mode, residual=Tensor(h))
+                else:
+                    out = add(graph_learning_block(Tensor(x), params, mode), Tensor(h))
+            outs.append(out.data)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(layer.stats.var, reference.stats.var)
+
+    def test_residual_of_another_shape_raises(self):
+        rng = np.random.default_rng(38)
+        layer = _tracked_layer(rng, 5, 4, 6, RunningStats())
+        with pytest.raises(DimensionError, match="residual"):
+            graph_learning_block(Tensor(rng.normal(size=(3, 5, 4))), layer,
+                                 Mode.train(np.random.default_rng(0)),
+                                 residual=Tensor(np.zeros((3, 5, 4))))
+        assert not layer.stats.initialized
+
     def test_bad_dropout_rate_leaves_stats_untouched(self):
         rng = np.random.default_rng(34)
         layer = _tracked_layer(rng, 3, 4, 5, RunningStats())
@@ -269,6 +346,23 @@ class TestTapeMemory:
         keep = np.unpackbits(masks[0], count=out.size).reshape(out.shape)
         assert np.array_equal(keep == 1, out.data != 0.0)
 
+    # square like the model's residual blocks; 120 outputs do not pad the mask
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6), (4, 5, 6)])
+    def test_residual_block_closure_keeps_no_block_output(self, shape):
+        # besides its operands g and residual, the only full-size array is
+        # normalized: neither the pre-residual output nor a copy of the sum
+        _rng, layer, x = _fused_case(True, shape)
+        g = Tensor(x, requires_grad=True)
+        residual = Tensor(np.random.default_rng(39).normal(size=x.shape), requires_grad=True)
+        out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(5)),
+                                   dropout_rate=0.3, residual=residual)
+        held = closure_arrays(out)
+        operands = [a for a in held if a is g.data or a is residual.data]
+        full = [a for a in held if a.shape == out.shape and a.dtype == np.float64
+                and a is not g.data and a is not residual.data]
+        assert len(operands) == 2 and len(full) == 1 and full[0] is not out.data
+        assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+
     def test_reference_tape_stays_within_budget_per_window(self):
         # the reference shapes at batch 2: the tape keeps about 8,500 KiB per
         # window besides the parameters (about 11,000 KiB before recomputation)
@@ -307,6 +401,28 @@ class TestTapeMemory:
         per_window = (retained_bytes(loss).total - parameter_bytes) / batch
         assert per_window < 6_450 * 1024, per_window / 1024
 
+    def test_reference_tape_keeps_no_output_no_backward_reads(self):
+        # as above; the residual add joins each pair's second block and the
+        # output conv recomputes adjacency @ h: about 5,100 KiB per window
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256)
+        assert _reference_tape_per_window(config, batch=2) < 5_250 * 1024
+
+
+def _reference_tape_per_window(config, batch):
+    """Bytes the train-mode tape of a model_forward and loss keeps per window,
+    besides the parameters."""
+    params = init_model_params(config, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    histories = Tensor(rng.normal(size=(batch, config.pose_dim, config.history_len)))
+    out = model_forward(params, histories, config, dct_basis(config.window),
+                        Mode.train(np.random.default_rng(2)))
+    poses = transpose(out.prediction, (0, 2, 1)).reshape(batch, config.window, config.joints, 3)
+    loss = loss_total(poses, Tensor(rng.normal(size=poses.shape)), None, LossConfig(),
+                      config.future_len)
+    parameter_bytes = sum(p.data.nbytes for p in named_parameters(params).values())
+    return (retained_bytes(loss).total - parameter_bytes) / batch
+
 
 class TestGlmForward:
     def test_zero_output_conv_nullifies_everything(self):
@@ -326,6 +442,35 @@ class TestGlmForward:
         assert glm.blocks[1].weights.shape == (16, 16)
         assert glm.output_gc.weights.shape == (16, 40)
         assert glm.output_gc.gamma is None and glm.output_gc.stats is None
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_equals_composed_blocks_bitwise(self, monkeypatch, training):
+        # the residual h also feeds the pair's first block: its two gradient
+        # contributions add up in the composed ops' order
+        rng = np.random.default_rng(40)
+        params = init_refinement_params(pose_dim=6, window=4, stages=1, pair_count=2,
+                                        latent_dim=5, rng=rng)
+        glm = params.stages[0]
+        glm.output_gc.weights.data = rng.normal(size=glm.output_gc.weights.shape)
+        if not training:
+            glm_forward(Tensor(rng.normal(size=(2, 6, 8))), glm,
+                        Mode.train(np.random.default_rng(0)))
+        reference = copy.deepcopy(glm)
+        x = rng.normal(size=(2, 6, 8))
+        upstream = Tensor(rng.normal(size=x.shape))
+
+        def run(module):
+            g = Tensor(x.copy(), requires_grad=True)
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            out = glm_forward(g, module, mode)
+            backward(tensor_sum(out * upstream))
+            tensors = [g] + [t for layer in module.blocks for t in _layer_tensors(layer)]
+            return ([out.data, module.output_gc.weights.grad] + [t.grad for t in tensors]
+                    + [layer.stats.var for layer in module.blocks])
+        fused = run(glm)
+        monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
+        for fused_value, composed_value in zip(fused, run(reference)):
+            assert np.array_equal(fused_value, composed_value)
 
     def test_eval_forward_is_deterministic(self):
         rng = np.random.default_rng(6)

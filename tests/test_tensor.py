@@ -20,6 +20,7 @@ from motionrefine.tensor import (
     div,
     dropout,
     graph_block,
+    graph_conv,
     matmul,
     mul,
     no_grad,
@@ -577,7 +578,10 @@ DIRECT_GRADCHECKS = {
                                          channel_axis=-1),
         [_tracked(rng, 4, 3), _tracked(rng, 3, low=0.5, high=1.5), _tracked(rng, 3)]),
     "graph_block": _graph_block_case,
+    "graph_conv": lambda rng: (graph_conv, [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3),
+                                            _tracked(rng, 4, 5)]),
 }
+
 
 
 class TestDirectGradchecks:
@@ -587,6 +591,25 @@ class TestDirectGradchecks:
         forward, inputs = DIRECT_GRADCHECKS[op](rng)
         out = forward(*inputs)
         assert out._op == op
+        upstream = Tensor(rng.normal(size=out.shape))
+        assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
+
+    # train mode with dropout, train mode at rate 0, eval mode on the tape
+    @pytest.mark.parametrize("training, rate", [(True, 0.3), (True, 0.0), (False, 0.3)])
+    def test_graph_block_residual_matches_finite_differences(self, training, rate):
+        rng = np.random.default_rng(301)
+        inputs = [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3), _tracked(rng, 4, 4),
+                  _tracked(rng, 4, low=0.5, high=1.5), _tracked(rng, 4), _tracked(rng, 2, 3, 4)]
+        running = RunningStats()
+        running.update(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
+
+        def forward(g, adjacency, weights, gamma, beta, residual):
+            mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
+            stats = RunningStats() if training else RunningStats(running.mean, running.var)
+            return graph_block(g, adjacency, weights, gamma, beta, stats, mode, rate,
+                               residual=residual)
+        out = forward(*inputs)
+        assert out._op == "graph_block" and out._parents[-1] is inputs[-1]
         upstream = Tensor(rng.normal(size=out.shape))
         assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
 
