@@ -185,6 +185,11 @@ class SynthSpec:
             raise ConfigurationError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if not (np.isfinite(self.period) and self.period > 0):
             raise ConfigurationError(f"period must be finite and > 0, got {self.period}")
+        # the piecewise kind draws one velocity per period, so a period below
+        # one frame would draw more velocities than there are frames
+        if self.kind == "piecewise-constant-velocity" and self.period < 1.0:
+            raise ConfigurationError(
+                f"a piecewise-constant-velocity period must be >= 1 frame, got {self.period}")
         frame_rate_millihertz(self.frame_rate, ConfigurationError)
 
 

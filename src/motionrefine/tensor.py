@@ -398,30 +398,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
-def sliding_windows(a, width: int) -> Tensor:
-    """Unfold the trailing axis into overlapping windows.
-
-    (..., T) -> (..., T - width + 1, width), stride 1, no padding.
-    """
-    a = as_tensor(a)
-    if width < 1:
-        raise DimensionError(f"window width must be positive, got {width}")
-    length = a.shape[-1]
-    if length < width:
-        raise DimensionError(f"temporal length {length} is shorter than window width {width}")
-    data = np.lib.stride_tricks.sliding_window_view(a.data, width, axis=-1).copy()
-    out = _result(data, (a,), "windows")
-    if out.requires_grad:
-        steps = length - width + 1
-        def _bw(grad):
-            g = np.zeros_like(a.data)
-            for offset in range(width):
-                g[..., offset:offset + steps] += grad[..., :, offset]
-            _accum(a, g)
-        out._backward = _bw
-    return out
-
-
 def conv1d(inputs, kernels, bias) -> Tensor:
     """Valid cross-correlation along the trailing (temporal) axis, as one tape node.
 
@@ -430,13 +406,14 @@ def conv1d(inputs, kernels, bias) -> Tensor:
     bias:    (channels_out,)
     returns  (..., channels_out, T - width + 1)
 
-    The arithmetic is that of the composed ``sliding_windows``,
-    ``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add`` ops
-    (the same GEMMs, the same fold order), so outputs and gradients are
-    bit-identical to theirs.  The windowed copy of the input is built once
-    and freed after the GEMM; the node keeps only its operand tensors.  The
-    backward unfolds the input again for the kernel gradient, then writes
-    the windows' gradient over that unfold and folds it back onto the input.
+    The arithmetic is that of the composed ``sliding_windows`` (a test op,
+    in ``tests/reference_ops.py``), ``transpose``, ``reshape``, ``matmul``,
+    ``transpose`` and ``add`` ops (the same GEMMs, the same fold order), so
+    outputs and gradients are bit-identical to theirs.  The windowed copy of
+    the input is built once and freed after the GEMM; the node keeps only its
+    operand tensors.  The backward unfolds the input again for the kernel
+    gradient, then writes the windows' gradient over that unfold and folds it
+    back onto the input.
     """
     inputs, kernels, bias = as_tensor(inputs), as_tensor(kernels), as_tensor(bias)
     if kernels.ndim != 3:
@@ -652,15 +629,6 @@ def _dropout_draw(shape: tuple, rate: float, rng: np.random.Generator):
     return draw, draw >= rate
 
 
-def dropout(inputs, rate: float, rng: np.random.Generator | None, mode: Mode) -> Tensor:
-    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, eval identity."""
-    inputs = as_tensor(inputs)
-    if not _dropout_active(rate, rng, mode):
-        return inputs
-    _, keep = _dropout_draw(inputs.shape, rate, rng)
-    return mul(inputs, Tensor(keep / (1.0 - rate)))
-
-
 def graph_conv(g, adjacency, weights) -> Tensor:
     """``(adjacency @ g) @ weights`` as one tape node that keeps only its operands.
 
@@ -707,8 +675,9 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out); batch norm
     runs over the last (channel) axis and dropout draws ``mode.rng``.  The
     arithmetic, its order and the dropout draw are those of the composed
-    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` and ``add`` ops, so
-    values, running statistics and gradients are bit-identical to theirs.
+    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` (a test op, in
+    ``tests/reference_ops.py``) and ``add`` ops, so values, running
+    statistics and gradients are bit-identical to theirs.
     ``residual``, where given, has the output's shape and is added into the
     block's own output buffer, so no pre-residual output is kept.  Besides
     its operands the node keeps one full-size array, the normalized

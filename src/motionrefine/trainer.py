@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import channels_to_sequence, sequence_to_channels
+from .attention import WindowEncoder, channels_to_sequence, encode_span, sequence_to_channels
 from .data import SequenceDataset, TrainingWindow, extract_windows
 from .errors import ConfigurationError, DataError, DimensionError, FormatError
 from .kinematics import (
@@ -179,12 +179,46 @@ def _prediction_to_poses(prediction: Tensor, joints: int) -> Tensor:
     return transpose(prediction, (0, 2, 1)).reshape(batch, frames, joints, 3)
 
 
-def _forward_batch(params, config, basis, batch, mode):
+def _forward_batch(params, config, basis, batch, mode, key_codes=None):
     histories = np.stack([w.history for w in batch])
     targets = np.stack([w.target for w in batch])
     truth = np.concatenate([histories[:, -config.query_len:], targets], axis=1)
-    out = model_forward(params, Tensor(_history_channels(histories)), config, basis, mode)
+    out = model_forward(params, Tensor(_history_channels(histories)), config, basis, mode,
+                        key_codes=key_codes)
     return out, truth
+
+
+def _shared_key_codes(key_net: WindowEncoder, batch: list[TrainingWindow],
+                      config: ModelConfig) -> np.ndarray | None:
+    """The batch's (B, latent, count) key codes from one key-net pass, or None.
+
+    A window's key span is its first ``count + query_len - 1`` history frames.
+    Consecutive windows of one sequence whose starts step by 1 to ``count``
+    frames form a run whose spans overlap or abut, so each run's frames go
+    once onto one timeline, runs end to end.  Window k's codes are columns
+    ``[offset_k, offset_k + count)`` of the timeline's codes.  None when the
+    timeline holds no fewer key windows than the batch's own spans do.
+    """
+    count = batch[0].history.shape[0] - config.window + 1
+    span = count + config.query_len - 1
+    pieces, offsets, frames, previous = [], [], 0, None
+    for w in batch:
+        sequence, start = w.source
+        step = start - previous[1] if previous and previous[0] == sequence else 0
+        if 1 <= step <= count:          # the run goes on: its span grows by step frames
+            pieces.append(w.history[span - step:span])
+            offsets.append(offsets[-1] + step)
+        else:                           # a new run starts
+            step = span
+            pieces.append(w.history[:span])
+            offsets.append(frames)
+        frames += step
+        previous = w.source
+    if frames - config.query_len + 1 >= len(batch) * count:
+        return None
+    timeline = np.concatenate(pieces)
+    codes = encode_span(key_net, timeline.reshape(frames, -1).T).data
+    return np.stack([codes[:, offset:offset + count] for offset in offsets])
 
 
 def window_errors(windows: list[TrainingWindow], params: ModelParams, config: ModelConfig,
@@ -199,7 +233,18 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
     (windows, future_len) slab is contiguous.  With a loss config,
     ``mean_loss`` is the final prediction's objective averaged over batches,
     otherwise None.
+
+    The key net runs once per batch (``_shared_key_codes``): windows of one
+    sequence at stride 1 share all but one frame of their key spans, so the
+    batch's distinct frames are encoded once and each window takes its
+    columns of the codes.  A batch where sharing would encode no fewer key
+    windows (a stride above the key-window count, or a single window)
+    encodes each window's own span, as the per-window pass does.  The codes equal the per-window pass's to the
+    last bit at the reference config; where a small model's GEMMs pick
+    another BLAS kernel for the longer call, they differ by a few ULPs.
     """
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     basis = dct_basis(config.window)
     future = config.future_len
     errors = np.empty((config.stages + 1, len(windows), future))
@@ -208,7 +253,9 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
         for start in range(0, len(windows), batch_size):
             batch = windows[start:start + batch_size]
             rows = slice(start, start + len(batch))
-            out, truth = _forward_batch(params, config, basis, batch, Mode.eval())
+            key_codes = (_shared_key_codes(params.attention.key_net, batch, config)
+                         if params.attention is not None else None)
+            out, truth = _forward_batch(params, config, basis, batch, Mode.eval(), key_codes)
             targets = truth[:, -future:]
             last_pose = truth[:, config.query_len - 1:config.query_len]
             errors[0, rows] = mpjpe_per_frame(np.repeat(last_pose, future, axis=1), targets)

