@@ -45,6 +45,8 @@ class SequenceDataset:
 
 @dataclass(frozen=True)
 class TrainingWindow:
+    """A (history, target) pair whose arrays view its sequence's ``coords``."""
+
     history: np.ndarray   # (history_len, joints, 3)
     target: np.ndarray    # (future_len, joints, 3)
     source: tuple[int, int]  # (sequence index, start frame)
@@ -151,7 +153,10 @@ def load_dataset(directory) -> SequenceDataset:
 
 def extract_windows(dataset: SequenceDataset, history_len: int, future_len: int,
                     stride: int = 1) -> list[TrainingWindow]:
-    """Every contiguous (history, target) pair at the given stride, in order."""
+    """Every contiguous (history, target) pair at the given stride, in order.
+
+    The windows' arrays are views that share the sequences' memory, not copies.
+    """
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
     if history_len < 1 or future_len < 1:
@@ -161,8 +166,8 @@ def extract_windows(dataset: SequenceDataset, history_len: int, future_len: int,
     for seq_index, seq in enumerate(dataset.sequences):
         for start in range(0, seq.frames - span + 1, stride):
             windows.append(TrainingWindow(
-                history=seq.coords[start:start + history_len].copy(),
-                target=seq.coords[start + history_len:start + span].copy(),
+                history=seq.coords[start:start + history_len],
+                target=seq.coords[start + history_len:start + span],
                 source=(seq_index, start)))
     return windows
 

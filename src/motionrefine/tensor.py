@@ -13,11 +13,10 @@ array where ``tanh``, ``sqrt`` and ``div`` need it), never the tensor it
 belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d`` holds only its operands and unfolds its input again in the
-backward; ``graph_conv`` holds only its operands and ``graph_block``
-recomputes ``adjacency @ g`` there rather than keep it, and
-``graph_block`` adds an optional residual operand into its own output
-buffer, so no block output that only the residual add would read is
-kept.  The sweep drops each closure, its edges and the node's
+backward; ``graph_conv`` holds only its operands; ``graph_block`` holds
+its operands and normalized activations, recomputes ``adjacency @ g`` and
+its tanh output there, and adds an optional residual operand into its own
+output buffer.  The sweep drops each closure, its edges and the node's
 gradient as soon as the closure has run, so the arrays a node saved and
 the gradients already consumed are released during the sweep.  A
 closure never writes into the gradient it receives, which may be shared
@@ -679,20 +678,17 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     ``tests/reference_ops.py``) and ``add`` ops, so values, running
     statistics and gradients are bit-identical to theirs.
     ``residual``, where given, has the output's shape and is added into the
-    block's own output buffer, so no pre-residual output is kept.  Besides
-    its operands the node keeps one full-size array, the normalized
-    activations, and under dropout the keep mask packed to one bit per
-    value.  What else the backward needs it recomputes with the forward's
-    own ops on the same arrays, so bit-identically: ``adjacency @ g`` (the
-    same GEMM) for the weight gradient and, under dropout, the tanh output
-    (``gamma * normalized + beta``, then ``np.tanh``) for tanh's slope.
-    Without dropout the tanh output is kept: it is the block's output, and
-    on the tape a residual sum goes to a new array.  The
-    pre-norm product and the batch-norm output are overwritten in place,
-    and the backward writes its full-size gradients over the buffers it has
-    finished with.  Off the tape (under ``no_grad`` or with no tracked
-    input) nothing is kept and eval mode runs the whole epilogue in the
-    buffer of the pre-norm product.
+    block's own output buffer.  Besides its operands the node keeps one
+    full-size array, the normalized activations, and under dropout the keep
+    mask packed to one bit per value.  The backward recomputes the rest with
+    the forward's own ops on the same arrays, so bit-identically:
+    ``adjacency @ g`` (the same GEMM) for the weight gradient and the tanh
+    output (``gamma * normalized + beta``, then ``np.tanh``) for tanh's
+    slope.  The pre-norm product and the batch-norm output are overwritten
+    in place, and the backward writes its full-size gradients over the
+    buffers it has finished with.  Off the tape (under ``no_grad`` or with
+    no tracked input) nothing is kept and eval mode runs the whole epilogue
+    in the buffer of the pre-norm product.
     """
     operands = g, adjacency, weights, gamma, beta = tuple(
         as_tensor(t) for t in (g, adjacency, weights, gamma, beta))
@@ -719,41 +715,35 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     else:
         data, keep = activated, None
     if residual is not None:
-        if tracked and keep is None:  # the backward reads activated: sum into a new array
-            data = data + residual.data
-        else:
-            data += residual.data
+        data += residual.data
     out = _result(data, operands, "graph_block")
     if out.requires_grad:
         training = mode.training
-        if keep is not None:  # the backward rebuilds the tanh output from normalized
-            keep, activated = np.packbits(keep, axis=None), None
+        if keep is not None:
+            keep = np.packbits(keep, axis=None)
         def _bw(grad_out):
             if residual is not None:
                 _accum(residual, grad_out)
-            # gradient at the batch-norm output: the dropout mask, then tanh's 1 - t*t
+            # tanh's slope 1 - t*t, t rebuilt by _batchnorm_forward's affine
+            # step (channels are the last axis) and the forward's tanh, in order
+            slope = np.multiply(gamma.data, normalized)
+            slope += beta.data
+            np.tanh(slope, out=slope)
+            np.multiply(slope, slope, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            # gradient at the batch-norm output: the dropout mask, then the slope
             if keep is None:
-                grad = activated * activated        # activated is kept intact
-                np.subtract(1.0, grad, out=grad)
-                grad *= grad_out
-                spare = None
+                grad = np.multiply(grad_out, slope)
             else:
-                # _batchnorm_forward's affine step (channels are the last axis)
-                # and the forward's tanh, in order
-                slope = np.multiply(gamma.data, normalized)
-                slope += beta.data
-                np.tanh(slope, out=slope)
-                np.multiply(slope, slope, out=slope)
-                np.subtract(1.0, slope, out=slope)
                 mask = np.unpackbits(keep, count=slope.size).reshape(slope.shape)
                 grad = np.multiply(grad_out, mask)
                 grad *= scale
                 grad *= slope
-                spare = slope  # spent: it takes the batch-norm backward's product
             need_mixed = adjacency.requires_grad or g.requires_grad
+            # the spent slope takes the batch-norm backward's product
             dgamma, dbeta, dx = _batchnorm_backward(
                 grad, normalized, gamma.data, std, training, axis,
-                need_mixed or weights.requires_grad, spare)
+                need_mixed or weights.requires_grad, slope)
             _accum(gamma, dgamma)
             _accum(beta, dbeta)
             if dx is None:

@@ -327,39 +327,42 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
     named = named_parameters(params)
     metrics: list[dict] = []
     epochs_run = start_epoch
-    for epoch in range(start_epoch, settings.epochs):
-        lr = lr_schedule(epoch, opt.lr, opt.lr_decay)
-        order = rng.permutation(len(train_windows))
-        batch_losses = []
-        for batch_index, batch in enumerate(_window_batches(train_windows, order,
-                                                            settings.batch_size)):
-            out, truth = _forward_batch(params, model_config, basis, batch,
-                                        Mode.train(rng))
-            loss = loss_total(_prediction_to_poses(out.prediction, model_config.joints),
-                              Tensor(truth), weights, loss_config, model_config.future_len)
-            if not np.isfinite(loss.data):
-                sources = [w.source for w in batch]
-                raise DataError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index} "
-                    f"(windows {sources})")
-            backward(loss)
-            adam_step(named, adam, lr, opt.beta1, opt.beta2, opt.eps)
-            zero_grads(named.values())
-            batch_losses.append(float(loss.data))
+    # a diverging run ends in the non-finite loss check below, not in a
+    # stream of numpy overflow warnings before it
+    with np.errstate(all="ignore"):
+        for epoch in range(start_epoch, settings.epochs):
+            lr = lr_schedule(epoch, opt.lr, opt.lr_decay)
+            order = rng.permutation(len(train_windows))
+            batch_losses = []
+            for batch_index, batch in enumerate(_window_batches(train_windows, order,
+                                                                settings.batch_size)):
+                out, truth = _forward_batch(params, model_config, basis, batch,
+                                            Mode.train(rng))
+                loss = loss_total(_prediction_to_poses(out.prediction, model_config.joints),
+                                  Tensor(truth), weights, loss_config, model_config.future_len)
+                if not np.isfinite(loss.data):
+                    sources = [w.source for w in batch]
+                    raise DataError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_index} "
+                        f"(windows {sources})")
+                backward(loss)
+                adam_step(named, adam, lr, opt.beta1, opt.beta2, opt.eps)
+                zero_grads(named.values())
+                batch_losses.append(float(loss.data))
 
-        train_mpjpe = dataset_mpjpe(train_windows, params, model_config)
-        record = {"epoch": epoch, "lr": lr,
-                  "train_loss": float(np.mean(batch_losses)),
-                  "train_mpjpe": train_mpjpe}
-        if val_windows:
-            record["val_mpjpe"] = dataset_mpjpe(val_windows, params, model_config)
-        metrics.append(record)
-        if settings.log_fn is not None:
-            settings.log_fn(record)
-        epochs_run = epoch + 1
-        if settings.stop_train_mpjpe is not None and \
-                train_mpjpe < settings.stop_train_mpjpe:
-            break
+            train_mpjpe = dataset_mpjpe(train_windows, params, model_config)
+            record = {"epoch": epoch, "lr": lr,
+                      "train_loss": float(np.mean(batch_losses)),
+                      "train_mpjpe": train_mpjpe}
+            if val_windows:
+                record["val_mpjpe"] = dataset_mpjpe(val_windows, params, model_config)
+            metrics.append(record)
+            if settings.log_fn is not None:
+                settings.log_fn(record)
+            epochs_run = epoch + 1
+            if settings.stop_train_mpjpe is not None and \
+                    train_mpjpe < settings.stop_train_mpjpe:
+                break
     return TrainResult(params, adam, rng, metrics, epochs_run, settings)
 
 

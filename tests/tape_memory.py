@@ -31,7 +31,11 @@ def closure_arrays(node) -> list:
     """The distinct underlying arrays ``node``'s backward closure holds."""
     held = {}
     for cell in (node._backward.__closure__ or ()) if node._backward else ():
-        _base_arrays(cell.cell_contents, held)
+        try:
+            contents = cell.cell_contents
+        except ValueError:  # a free variable the forward left unbound
+            continue
+        _base_arrays(contents, held)
     return list(held.values())
 
 

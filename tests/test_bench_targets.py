@@ -4,13 +4,15 @@ and builds its models from the configs in bench/workloads.py.
 A rename or deletion of a wrapped function, or of a config field a workload
 passes, would otherwise only surface as a crash of a benchmark run; one
 checked train_small call also runs the trainer and checkpoint calls a
-workload makes, and the eval_ref reference call must still match the outputs
-stored in bench/reference.json.
+workload makes, and each workload's reference call must still match the
+outputs stored in bench/reference.json.
 """
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from motionrefine.model import ModelConfig
 
@@ -47,13 +49,14 @@ def test_train_small_workload_runs_one_checked_call(monkeypatch, tmp_path):
     assert workload.check(state, item, result) is None
 
 
-def test_eval_ref_reference_call_matches_the_stored_outputs(monkeypatch, tmp_path):
+@pytest.mark.parametrize("name", ["train_ref", "train_small", "eval_ref", "predict_ar"])
+def test_reference_call_matches_the_stored_outputs(monkeypatch, tmp_path, name):
     workloads = _load(monkeypatch, "workloads")
     run = _load(monkeypatch, "run")
-    workload = workloads.WORKLOADS["eval_ref"]
+    workload = workloads.WORKLOADS[name]
     state = workload.setup(run.REFERENCE_SEED, tmp_path)
     item = workload.reference_item(run.REFERENCE_SEED)
     record = workload.run(state, workload.prepare(state, item))
     assert workload.check(state, item, record) is None
     stored = json.loads(run.REFERENCE_FILE.read_text())
-    assert run.compare(workload.summarize(record), stored["eval_ref"]) == []
+    assert run.compare(workload.summarize(record), stored[name]) == []

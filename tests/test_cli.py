@@ -253,6 +253,15 @@ class TestTrain:
         assert [r["epoch"] for r in records] == [0, 1, 2]
         assert all("train_loss" in r and "train_mpjpe" in r for r in records)
 
+    def test_diverging_run_exits_1_with_one_error_line(self, corpus, tmp_path, capsys,
+                                                       recwarn):
+        rc = main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"),
+                   "--epochs", "1", "--set", "lr=1e308", *TINY_MODEL])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+        assert [str(w.message) for w in recwarn] == []
+
 
 def _non_utf8_skeleton(data):
     mskel = data / "skeleton.mskel"

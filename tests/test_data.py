@@ -112,6 +112,13 @@ class TestExtractWindows:
             assert np.array_equal(w.history, seq[start:start + 10])
             assert np.array_equal(w.target, seq[start + 10:start + 15])
 
+    def test_windows_view_the_sequence(self, skeleton):
+        ds = self.make_dataset(20, skeleton)
+        coords = ds.sequences[0].coords
+        for w in extract_windows(ds, 10, 5, 1):
+            assert np.shares_memory(w.history, coords)
+            assert np.shares_memory(w.target, coords)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_window_bounds_property(self, seed, skeleton):
         rng = np.random.default_rng(seed)

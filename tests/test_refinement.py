@@ -363,6 +363,31 @@ class TestTapeMemory:
         assert len(operands) == 2 and len(full) == 1 and full[0] is not out.data
         assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
 
+    # square like the model's residual blocks; without dropout (train mode at
+    # rate 0, or eval mode) the tanh output is rebuilt from normalized too
+    @pytest.mark.parametrize("training, rate, shape",
+                             [case for case in FUSED_CASES
+                              if case[2][-1] == 6 and not (case[0] and case[1] > 0)])
+    @pytest.mark.parametrize("with_residual", [False, True])
+    def test_block_without_dropout_keeps_no_tanh_output(self, training, rate, shape,
+                                                         with_residual):
+        _rng, layer, x = _fused_case(training, shape)
+        g = Tensor(x, requires_grad=True)
+        residual = (Tensor(np.random.default_rng(39).normal(size=x.shape), requires_grad=True)
+                    if with_residual else None)
+        mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+        out = graph_learning_block(g, layer, mode, dropout_rate=rate, residual=residual)
+        operands = [g.data] + ([residual.data] if with_residual else [])
+        held = closure_arrays(out)
+        full = [a for a in held if a.shape == out.shape and a.dtype == np.float64
+                and not any(a is operand for operand in operands)]
+        assert all(any(a is operand for a in held) for operand in operands)
+        # that one is normalized (zero-mean per channel in train mode)
+        assert len(full) == 1 and full[0] is not out.data
+        if training:
+            assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        assert not any(a.dtype == np.uint8 for a in held)
+
     def test_reference_tape_stays_within_budget_per_window(self):
         # the reference shapes at batch 2: the tape keeps about 8,500 KiB per
         # window besides the parameters (about 11,000 KiB before recomputation)
@@ -406,6 +431,13 @@ class TestTapeMemory:
         # output conv recomputes adjacency @ h: about 5,100 KiB per window
         config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
                              stages=3, glb_pairs=2, latent_dim=256)
+        assert _reference_tape_per_window(config, batch=2) < 5_250 * 1024
+
+    def test_reference_tape_without_dropout_keeps_no_tanh_output(self):
+        # as above at dropout 0: the blocks rebuild their tanh output too, and
+        # each pair's residual sum goes into its block's own output buffer
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256, dropout=0.0)
         assert _reference_tape_per_window(config, batch=2) < 5_250 * 1024
 
 
