@@ -70,7 +70,7 @@ from .refinement import (
     refine,
     split_channels,
 )
-from .tensor import Mode, RunningStats, Tensor, backward, batchnorm, conv1d, matmul, no_grad
+from .tensor import Mode, RunningStats, Tensor, backward, conv1d, matmul, no_grad
 from .trainer import (
     AdamState,
     OptimizerConfig,

@@ -12,8 +12,9 @@ dedicated flags; unknown keys and values of the wrong type are rejected.  The
 resolved configuration is echoed into train's output directory and the
 per-epoch metrics log is line-delimited JSON.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error;
-every failure, parser errors included, is one ``error:`` line on stderr.
+Exit codes: 0 success, 1 runtime failure (running out of memory included),
+2 usage or configuration error; every failure, parser errors included, is one
+``error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
     except (FormatError, DataError, DimensionError, StateError, TapeError,
             OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # numpy's allocation failure is a subclass
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return 1
 
 

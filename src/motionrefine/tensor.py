@@ -9,7 +9,7 @@ gradients of the leaves (the tracked tensors no op produced, such as
 parameters), which also keep them in ``.grad``.
 
 A closure holds its operand tensors and the arrays it needs (the output
-array where ``tanh``, ``sqrt`` and ``div`` need it), never the tensor it
+array where ``sqrt`` and ``div`` need it), never the tensor it
 belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d`` holds only its operands and unfolds its input again in the
@@ -115,17 +115,12 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         return reshape(self, *shape)
 
     def transpose(self, *axes):
         return transpose(self, *axes)
 
-    def sqrt(self):
-        return sqrt(self)
 
 
 def as_tensor(value) -> Tensor:
@@ -268,17 +263,6 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, nee
     return grad_a, grad_b
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-    out = _result(data, (a,), "tanh")
-    if out.requires_grad:
-        def _bw(grad):
-            _accum(a, grad * (1.0 - data * data))
-        out._backward = _bw
-    return out
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = _result(np.maximum(a.data, 0.0), (a,), "relu")
@@ -316,18 +300,6 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
             _accum(a, np.broadcast_to(grad, a.shape).copy())
         out._backward = _bw
     return out
-
-
-def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax % a.ndim]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def reshape(a, *shape) -> Tensor:
@@ -583,34 +555,6 @@ def _batchnorm_backward(g: np.ndarray, normalized: np.ndarray, gamma: np.ndarray
     return dgamma.reshape(channels), dbeta.reshape(channels), dx
 
 
-def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis: int = 0) -> Tensor:
-    """Normalize per channel over every other axis, then apply the affine pair.
-
-    Train mode uses batch statistics and folds them into ``stats`` with the
-    momentum ``BN_MOMENTUM`` (unbiased variance, like the usual convention).
-    Eval mode is deterministic and requires initialized running stats.
-    The op is one tape node with the closed-form gradient.
-    """
-    inputs = as_tensor(inputs)
-    gamma = as_tensor(gamma)
-    beta = as_tensor(beta)
-    axis = channel_axis % inputs.ndim
-    _check_affine(gamma, beta, inputs.shape[axis])
-    normalized = inputs.data.copy()
-    data, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats, mode.training, axis)
-    out = _result(data, (inputs, gamma, beta), "batchnorm")
-    if out.requires_grad:
-        training = mode.training
-        def _bw(grad):
-            dgamma, dbeta, dx = _batchnorm_backward(grad, normalized, gamma.data, std,
-                                                    training, axis, inputs.requires_grad)
-            _accum(gamma, dgamma)
-            _accum(beta, dbeta)
-            _accum(inputs, dx)
-        out._backward = _bw
-    return out
-
-
 def _dropout_active(rate: float, rng: np.random.Generator | None, mode: Mode) -> bool:
     """Validate an inverted-dropout call; False where it is the identity (eval or rate 0)."""
     if not 0.0 <= rate < 1.0:
@@ -674,7 +618,7 @@ def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: M
     g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out); batch norm
     runs over the last (channel) axis and dropout draws ``mode.rng``.  The
     arithmetic, its order and the dropout draw are those of the composed
-    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` (a test op, in
+    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` (test ops, in
     ``tests/reference_ops.py``) and ``add`` ops, so values, running
     statistics and gradients are bit-identical to theirs.
     ``residual``, where given, has the output's shape and is added into the

@@ -5,6 +5,13 @@ parameter init, epoch shuffling and dropout in that order, and its state
 travels inside checkpoints, so save/load mid-run reproduces the
 uninterrupted run bit for bit.
 
+``AdamState`` makes every parameter's ``data`` a view of one flat vector and
+holds Adam's moments as two more, so ``adam_step`` updates every parameter
+with a few whole-vector ops per segment of the vector.  A caller that
+rebinds a parameter's ``data`` is gathered back into the vector by the next
+step.  Checkpoints keep one named array per parameter and moment, so their
+format does not depend on the flat layout.
+
 Checkpoint format "MCKPT1": magic ``MCKPT001``, u32 header length, JSON
 header (format version, configs, epoch, optimizer step, rng state, embedded
 skeleton, array index, payload hash), then all arrays as little-endian
@@ -94,12 +101,70 @@ class OptimizerConfig:
                     f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
+# the most values one whole-vector op of the Adam step covers, unless one
+# leading-axis row of a parameter holds more: consecutive small parameters
+# share a segment, and a larger parameter is updated a block of rows at a time
+_SEGMENT = 1 << 16
+
+
+def _segments(shapes: list[tuple]) -> list[tuple[int, int, list[tuple]]]:
+    """Cut the flat layout of parameters of these shapes into ``(start, stop,
+    members)`` segments of at most ``_SEGMENT`` values.  A member ``(index,
+    rows, shape)`` is parameter ``index``'s values ``[rows]``, of that shape:
+    a segment holds whole consecutive parameters (``rows`` is ``...``), or
+    one block of leading-axis rows of a parameter larger than a segment."""
+    segments, offset, grouping = [], 0, False
+    for index, shape in enumerate(shapes):
+        size = math.prod(shape)
+        if size > _SEGMENT:
+            row = size // shape[0]
+            step = max(1, _SEGMENT // row)
+            for r0 in range(0, shape[0], step):
+                r1 = min(r0 + step, shape[0])
+                segments.append((offset + r0 * row, offset + r1 * row,
+                                 [(index, slice(r0, r1), (r1 - r0,) + shape[1:])]))
+            grouping = False
+        else:
+            if not grouping or segments[-1][1] - segments[-1][0] + size > _SEGMENT:
+                segments.append((offset, offset, []))
+                grouping = True
+            start, stop, members = segments[-1]
+            members.append((index, ..., shape))
+            segments[-1] = (start, stop + size, members)
+        offset += size
+    return segments
+
+
 class AdamState:
-    """First/second moment accumulators mirroring the parameter shapes."""
+    """The parameters and Adam's two moments, each in one flat float64 vector.
+
+    Construction copies every parameter into its view of ``flat_p`` and makes
+    that view the tensor's ``data``; ``m`` and ``v`` map each name to its
+    views of ``flat_m`` and ``flat_v``.  So ``adam_step`` updates every
+    parameter with a few whole-vector ops per segment.  Values written in
+    place (``tensor.data[...] = ...``) keep a tensor bound.
+    """
 
     def __init__(self, params: dict[str, Tensor]):
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        shapes = [t.data.shape for t in params.values()]
+        total = sum(math.prod(shape) for shape in shapes)
+        self.flat_p = np.empty(total)
+        self.flat_m = np.zeros(total)
+        self.flat_v = np.zeros(total)
+        self._views, self.m, self.v = {}, {}, {}
+        offset = 0
+        for (name, tensor), shape in zip(params.items(), shapes):
+            span = slice(offset, offset + math.prod(shape))
+            view = self._views[name] = self.flat_p[span].reshape(shape)
+            view[...] = tensor.data
+            tensor.data = view
+            self.m[name] = self.flat_m[span].reshape(shape)
+            self.v[name] = self.flat_v[span].reshape(shape)
+            offset = span.stop
+        segments = _segments(shapes)
+        self._segments = [(members, self.flat_p[start:stop], self.flat_m[start:stop],
+                           self.flat_v[start:stop]) for start, stop, members in segments]
+        self._scratch = max((stop - start for start, stop, _ in segments), default=0)
         self.step = 0
 
 
@@ -111,22 +176,60 @@ def lr_schedule(epoch: int, initial_lr: float, decay: float) -> float:
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One in-place update; a missing gradient counts as zero."""
+    """One in-place update of every parameter ``state`` holds; a missing
+    gradient counts as zero.
+
+    A parameter whose ``data`` was rebound since is first copied back into
+    its view of the flat vector.  Each segment's gradients are gathered into
+    one buffer, unless the segment is one C-contiguous gradient (block),
+    which is read in place.  The update runs in place with the per-tensor
+    recurrence's arithmetic, in its order:
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
+    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.
+    """
+    grads = []
+    for name, view in state._views.items():
+        p = params[name]
+        if p.data is not view:
+            if np.shape(p.data) != view.shape:
+                raise DimensionError(f"parameter {name} of shape {np.shape(p.data)} does "
+                                     f"not match its optimizer state of shape {view.shape}")
+            view[...] = p.data
+            p.data = view
+        grad = p.grad
+        if grad is not None and grad.shape != view.shape:
+            raise DimensionError(
+                f"gradient shape {grad.shape} does not match parameter "
+                f"{name} of shape {view.shape}")
+        grads.append(grad)
     state.step += 1
     t = state.step
     correct1 = 1.0 - beta1 ** t
     correct2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        grad = p.grad
-        if grad is None:
-            grad = np.zeros_like(p.data)
-        elif grad.shape != p.data.shape:
-            raise DimensionError(
-                f"gradient shape {grad.shape} does not match parameter "
-                f"{name} of shape {p.data.shape}")
-        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * grad
-        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * grad * grad
-        p.data = p.data - lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+    buffers = np.empty((3, state._scratch))
+    for members, p, m, v in state._segments:
+        n = p.size
+        delta, root = buffers[1, :n], buffers[2, :n]
+        pieces = [np.broadcast_to(0.0, shape) if grads[i] is None else grads[i][rows]
+                  for i, rows, shape in members]
+        if len(pieces) == 1 and pieces[0].flags.c_contiguous:
+            g = pieces[0].reshape(-1)       # read in place
+        else:                               # gathered, in C order
+            g = np.concatenate(pieces, axis=None, out=buffers[0, :n])
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=delta)
+        m += delta
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=delta)
+        delta *= g
+        v += delta
+        np.divide(m, correct1, out=delta)
+        delta *= lr
+        np.divide(v, correct2, out=root)
+        np.sqrt(root, out=root)
+        root += eps
+        delta /= root
+        p -= delta
 
 
 @dataclass
@@ -608,9 +711,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     for name, tensor in named.items():
         shape = tensor.data.shape
-        tensor.data = array(f"param.{name}", shape)
-        adam.m[name] = array(f"adam.m.{name}", shape)
-        adam.v[name] = array(f"adam.v.{name}", shape)
+        tensor.data[...] = array(f"param.{name}", shape)
+        adam.m[name][...] = array(f"adam.m.{name}", shape)
+        adam.v[name][...] = array(f"adam.v.{name}", shape)
     for name, stats in named_running_stats(params).items():
         mean_key = f"stats.{name}.mean"
         if mean_key in arrays:

@@ -1,22 +1,29 @@
-"""Tape ops that only the tests use: the separate ops the fused nodes replace.
+"""Ops that only the tests use: the separate tape ops the fused nodes replace,
+and the per-tensor Adam recurrence ``trainer.adam_step`` matches bit for bit.
 
 ``conv1d`` does the arithmetic of ``sliding_windows`` followed by
 ``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add``, and
 ``graph_block`` that of ``matmul``, ``batchnorm``, ``tanh``, ``dropout``
 and ``add``; the tests compose these ops as the bitwise reference.
+``tensor_mean`` composes ``tensor_sum`` and ``mul``.
 """
 import numpy as np
 
 from motionrefine.errors import DimensionError
 from motionrefine.tensor import (
     Mode,
+    RunningStats,
     Tensor,
     _accum,
+    _batchnorm_backward,
+    _batchnorm_forward,
+    _check_affine,
     _dropout_active,
     _dropout_draw,
     _result,
     as_tensor,
     mul,
+    tensor_sum,
 )
 
 
@@ -51,3 +58,72 @@ def dropout(inputs, rate: float, rng: np.random.Generator | None, mode: Mode) ->
         return inputs
     _, keep = _dropout_draw(inputs.shape, rate, rng)
     return mul(inputs, Tensor(keep / (1.0 - rate)))
+
+
+def tanh(a) -> Tensor:
+    a = as_tensor(a)
+    data = np.tanh(a.data)
+    out = _result(data, (a,), "tanh")
+    if out.requires_grad:
+        def _bw(grad):
+            _accum(a, grad * (1.0 - data * data))
+        out._backward = _bw
+    return out
+
+
+def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = as_tensor(a)
+    if axis is None:
+        count = a.size
+    else:
+        axes = (axis,) if isinstance(axis, int) else tuple(axis)
+        count = 1
+        for ax in axes:
+            count *= a.shape[ax % a.ndim]
+    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis: int = 0) -> Tensor:
+    """Normalize per channel over every other axis, then apply the affine pair.
+
+    Train mode uses batch statistics and folds them into ``stats`` with the
+    momentum ``BN_MOMENTUM`` (unbiased variance, like the usual convention).
+    Eval mode is deterministic and requires initialized running stats.
+    The op is one tape node with the closed-form gradient.
+    """
+    inputs = as_tensor(inputs)
+    gamma = as_tensor(gamma)
+    beta = as_tensor(beta)
+    axis = channel_axis % inputs.ndim
+    _check_affine(gamma, beta, inputs.shape[axis])
+    normalized = inputs.data.copy()
+    data, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats, mode.training, axis)
+    out = _result(data, (inputs, gamma, beta), "batchnorm")
+    if out.requires_grad:
+        training = mode.training
+        def _bw(grad):
+            dgamma, dbeta, dx = _batchnorm_backward(grad, normalized, gamma.data, std,
+                                                    training, axis, inputs.requires_grad)
+            _accum(gamma, dgamma)
+            _accum(beta, dbeta)
+            _accum(inputs, dx)
+        out._backward = _bw
+    return out
+
+
+def adam_step_reference(params: dict[str, Tensor], state, lr: float,
+                        beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """The per-tensor Adam recurrence: ``state`` holds ``m`` and ``v`` maps of
+    arrays and a ``step`` count, and every parameter and moment is rebound to
+    a new array.  A missing gradient counts as zero."""
+    state.step += 1
+    t = state.step
+    correct1 = 1.0 - beta1 ** t
+    correct2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        grad = p.grad
+        if grad is None:
+            grad = np.zeros_like(p.data)
+        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * grad
+        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * grad * grad
+        p.data = p.data - lr * (m / correct1) / (np.sqrt(v / correct2) + eps)

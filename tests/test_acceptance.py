@@ -7,6 +7,7 @@ import time
 import numpy as np
 
 from gradcheck import assert_gradients_match
+from reference_ops import batchnorm, tanh
 from motionrefine.attention import init_attention_params, summarize_history
 from motionrefine.data import SequenceDataset, SynthSpec, extract_windows, gen_synthetic
 from motionrefine.kinematics import PoseSequence, synthetic_skeleton
@@ -38,11 +39,9 @@ from motionrefine.tensor import (
     Mode,
     RunningStats,
     Tensor,
-    batchnorm,
     conv1d,
     matmul,
     relu,
-    tanh,
     tensor_sum,
     transpose,
 )

@@ -1,11 +1,17 @@
 import json
+import os
 import re
+import resource
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motionrefine
 from motionrefine.cli import _apply_ablation, build_parser, main, resolve_config
 from motionrefine.data import load_dataset, load_sequence
 from motionrefine.errors import ConfigurationError
@@ -33,6 +39,23 @@ def trained(corpus, tmp_path_factory):
                "--epochs", "3", "--seed", "0", *TINY_MODEL])
     assert rc == 0
     return out
+
+
+# the address space a capped CLI child may map: about 250 MiB past an
+# interpreter with numpy loaded, so a run that asks for more fails at once
+# instead of claiming the host's memory
+MEMORY_CAP = 384 << 20
+
+
+def run_with_memory_cap(argv: list[str]) -> subprocess.CompletedProcess:
+    """``motionrefine ARGV`` in a child under ``MEMORY_CAP`` and a timeout."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+    path = os.pathsep.join(filter(None, [str(Path(motionrefine.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "motionrefine.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=60)
 
 
 COMMAND_OPTIONS = {
@@ -198,6 +221,18 @@ class TestGenSynth:
         assert main(["gen-synth", "--out", str(out), flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    # a skeleton of 1e8 joints per chain grows Python lists until memory runs
+    # out; a 1e9-frame sequence asks numpy for 7.45 GiB at once
+    @pytest.mark.parametrize("args", [["--joints-per-chain", "100000000"],
+                                      ["--frames", "1000000000", "--count", "1"]])
+    def test_out_of_memory_exits_1_with_one_error_line_and_leaves_no_path(self, tmp_path,
+                                                                          args):
+        out = tmp_path / "corpus"
+        done = run_with_memory_cap(["gen-synth", "--out", str(out), *args])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [

@@ -1,10 +1,11 @@
+import contextlib
 import copy
 
 import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
-from reference_ops import dropout
+from reference_ops import batchnorm, dropout, tanh
 from tape_memory import closure_arrays, retained_bytes
 from motionrefine import LossConfig, refinement
 from motionrefine.errors import ConfigurationError, DimensionError
@@ -26,11 +27,10 @@ from motionrefine.tensor import (
     Tensor,
     add,
     backward,
-    batchnorm,
     concat,
+    graph_block,
     matmul,
     no_grad,
-    tanh,
     tensor_sum,
     transpose,
 )
@@ -232,6 +232,23 @@ class TestFusedGraphBlock:
         backward(tensor_sum(out * Tensor([[1.0, -3.0, 2.0]])))
         assert np.array_equal(g.grad, np.zeros((1, 4)))
         assert np.array_equal(layer.weights.grad, np.zeros((4, 3)))
+
+    # on the tape the block keeps its normalized activations, off it it does not
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_single_row_train_is_finite_and_stats_take_the_biased_variance(self, recording):
+        # batch norm over n = 1 value per channel: the batch variance is 0 and the
+        # unbiased n / (n - 1) factor is undefined, so the running variance folds
+        # in the biased 0, and the normalized value is 0, so the output is tanh(beta)
+        rng = np.random.default_rng(38)
+        layer = _tracked_layer(rng, 1, 4, 3, RunningStats())
+        g = Tensor(rng.normal(size=(1, 4)))
+        with contextlib.nullcontext() if recording else no_grad():
+            out = graph_block(g, layer.adjacency, layer.weights, layer.gamma, layer.beta,
+                              layer.stats, Mode.train(np.random.default_rng(0)), 0.0)
+        assert out.requires_grad == recording
+        assert np.isfinite(out.data).all()
+        assert np.array_equal(out.data, np.tanh(layer.beta.data)[None])
+        assert np.array_equal(layer.stats.var, np.full(3, 0.9))
 
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(33)

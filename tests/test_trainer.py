@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from reference_ops import adam_step_reference
 from motionrefine.data import (
     SYNTH_KINDS,
     SequenceDataset,
@@ -97,6 +100,187 @@ class TestAdam:
         p.grad = np.zeros(4)
         with pytest.raises(DimensionError):
             adam_step(params, state, lr=0.1)
+
+
+# parameter shapes -> the flat step must match the per-tensor recurrence bit for bit
+FLAT_ADAM_CASES = {
+    "mixed_with_scalar_and_empty": [(3, 4), (), (0,), (2, 0, 3), (5,), (1, 1, 7), (6, 2)],
+    "larger_than_a_segment": [(7,), (150_000,), (3, 3), (400, 300)],
+    "one_tensor": [(4, 5)],
+}
+
+
+def _twin_tables(shapes, rng):
+    """Equal parameter tables for the flat step and for the reference, and the
+    reference's zeroed state."""
+    values = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+    tables = [{name: Tensor(value.copy(), requires_grad=True) for name, value in values.items()}
+              for _ in range(2)]
+    state = types.SimpleNamespace(m={name: np.zeros_like(v) for name, v in values.items()},
+                                  v={name: np.zeros_like(v) for name, v in values.items()},
+                                  step=0)
+    return tables, state
+
+
+def _set_twin_grads(tables, rng, missing=0.3):
+    """The same gradient on both twins: missing with probability ``missing``,
+    and Fortran-ordered (so not C-contiguous) for half the matrices."""
+    flat, ref = tables
+    for name in flat:
+        grad = None
+        if rng.random() >= missing:
+            grad = np.asarray(rng.normal(size=flat[name].shape))
+            if grad.ndim > 1 and rng.random() < 0.5:
+                grad = np.asfortranarray(grad)
+        flat[name].grad = ref[name].grad = grad
+
+
+def _assert_twins_equal(tables, state, ref_state):
+    flat, ref = tables
+    assert state.step == ref_state.step
+    for name in flat:
+        assert np.array_equal(flat[name].data, ref[name].data), name
+        assert np.array_equal(state.m[name], ref_state.m[name]), name
+        assert np.array_equal(state.v[name], ref_state.v[name]), name
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("case", list(FLAT_ADAM_CASES))
+    def test_equals_per_tensor_recurrence_bitwise(self, case):
+        rng = np.random.default_rng(60)
+        tables, ref_state = _twin_tables(FLAT_ADAM_CASES[case], rng)
+        state = AdamState(tables[0])
+        for _ in range(5):
+            _set_twin_grads(tables, rng)
+            adam_step(tables[0], state, 0.01, 0.8, 0.99, 1e-6)
+            adam_step_reference(tables[1], ref_state, 0.01, 0.8, 0.99, 1e-6)
+        _assert_twins_equal(tables, state, ref_state)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_per_tensor_recurrence_across_segment_edges(self, seed, monkeypatch):
+        # segments of 8 values: runs of small parameters split at every edge, each
+        # parameter of more than 8 values is updated in blocks of leading-axis
+        # rows, and a row of more than 8 values is a block of its own
+        monkeypatch.setattr(trainer_module, "_SEGMENT", 8)
+        rng = np.random.default_rng(61 + seed)
+        shapes = [tuple(rng.integers(0, 6, size=rng.integers(0, 4))) for _ in range(12)]
+        tables, ref_state = _twin_tables(shapes, rng)
+        state = AdamState(tables[0])
+        assert len(state._segments) > 2
+        for _ in range(5):
+            _set_twin_grads(tables, rng)
+            adam_step(tables[0], state, lr=0.005)
+            adam_step_reference(tables[1], ref_state, lr=0.005)
+        _assert_twins_equal(tables, state, ref_state)
+
+    def test_parameters_and_moments_are_views_of_the_flat_vectors(self):
+        rng = np.random.default_rng(62)
+        values = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=()), "c": rng.normal(size=5)}
+        params = {name: Tensor(value.copy(), requires_grad=True) for name, value in values.items()}
+        state = AdamState(params)
+        for name, p in params.items():
+            assert np.array_equal(p.data, values[name])
+            assert np.shares_memory(p.data, state.flat_p)
+            assert np.shares_memory(state.m[name], state.flat_m)
+            assert np.shares_memory(state.v[name], state.flat_v)
+
+    def test_a_rebound_parameter_is_gathered_back(self):
+        rng = np.random.default_rng(63)
+        tables, ref_state = _twin_tables([(4, 3), (6,), (2, 2)], rng)
+        state = AdamState(tables[0])
+        assigned = rng.uniform(-1.0, 1.0, (6,))
+        for table in tables:                # as a caller seeding weights assigns them
+            table["p1"].data = assigned.copy()
+        for _ in range(2):
+            _set_twin_grads(tables, rng, missing=0.0)
+            adam_step(tables[0], state, lr=0.01)
+            adam_step_reference(tables[1], ref_state, lr=0.01)
+        assert np.shares_memory(tables[0]["p1"].data, state.flat_p)
+        _assert_twins_equal(tables, state, ref_state)
+
+    def test_a_rebound_parameter_of_another_shape_is_rejected(self):
+        p = Tensor(np.zeros(3), requires_grad=True)
+        state = AdamState({"p": p})
+        p.data = np.zeros(4)
+        with pytest.raises(DimensionError, match="optimizer state"):
+            adam_step({"p": p}, state, lr=0.1)
+        assert state.step == 0
+
+    def test_shape_mismatch_moves_no_value(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        params = {"a": a, "b": b}
+        state = AdamState(params)
+        a.grad, b.grad = np.ones(2), np.ones(4)
+        with pytest.raises(DimensionError):
+            adam_step(params, state, lr=0.1)
+        assert state.step == 0
+        assert np.array_equal(state.flat_p, np.ones(5))
+        assert not state.flat_m.any() and not state.flat_v.any()
+
+    def test_empty_parameter_table(self):
+        state = AdamState({})
+        adam_step({}, state, lr=0.1)
+        assert state.step == 1 and state.flat_p.size == 0
+
+    def test_save_load_save_writes_identical_bytes(self, tmp_path):
+        ds, cfg = tiny_dataset(), tiny_config()
+        settings = TrainSettings(epochs=1, batch_size=4, seed=8, val_fraction=0.0)
+        result = train(ds, cfg, LossConfig(), OptimizerConfig(), settings)
+        first, second = tmp_path / "first.mckpt", tmp_path / "second.mckpt"
+        save_checkpoint(first, result.params, result.adam, result.rng, result.epochs_run,
+                        cfg, LossConfig(), OptimizerConfig(), settings.replay_fields(),
+                        ds.skeleton)
+        loaded = load_checkpoint(first)
+        for name, tensor in named_parameters(loaded.params).items():
+            assert np.shares_memory(tensor.data, loaded.adam.flat_p), name
+        save_checkpoint(second, loaded.params, loaded.adam, loaded.rng, loaded.epoch,
+                        cfg, LossConfig(), OptimizerConfig(), settings.replay_fields(),
+                        ds.skeleton)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def _owners(value, found: dict):
+    """Every array that owns the memory of an array reachable from ``value``."""
+    if isinstance(value, np.ndarray):
+        while value.base is not None:
+            value = value.base
+        found[id(value)] = value
+    elif isinstance(value, dict):
+        for item in value.values():
+            _owners(item, found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _owners(item, found)
+    return found
+
+
+class TestAdamMemory:
+    def test_reference_step_makes_no_full_size_temporary(self):
+        # 1,793,096 parameters: one full-size float64 temporary is 14.3 MB
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256)
+        rng = np.random.default_rng(64)
+        named = named_parameters(init_model_params(config, rng))
+        state = AdamState(named)
+        total = sum(t.data.size for t in named.values())
+        # the state holds the three flat vectors and views of them, nothing more
+        held = _owners(vars(state), {}).values()
+        assert sorted(a.size for a in held) == [total] * 3
+        # and no segment, so no scratch row, is larger than a segment's bound
+        assert max(p.size for _, p, _, _ in state._segments) <= trainer_module._SEGMENT
+        for tensor in named.values():
+            # the convolution kernels' gradients are transposed views, as in training
+            grad = rng.normal(size=tensor.shape[::-1])
+            tensor.grad = grad.T if tensor.ndim == 3 else grad.reshape(tensor.shape)
+        assert not all(t.grad.flags.c_contiguous for t in named.values())
+        tracemalloc.start()
+        try:
+            adam_step(named, state, lr=0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
 
 
 class TestLrSchedule:

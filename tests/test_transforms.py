@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
+from reference_ops import tanh
 from motionrefine.errors import DimensionError
-from motionrefine.tensor import Tensor, backward, tanh, tensor_sum
+from motionrefine.tensor import Tensor, backward, tensor_sum
 from motionrefine.transforms import dct, dct_basis, idct
 
 
