@@ -68,7 +68,6 @@ from .refinement import (
     init_refinement_params,
     pad_query,
     refine,
-    split_channels,
 )
 from .tensor import Mode, RunningStats, Tensor, backward, conv1d, matmul, no_grad
 from .trainer import (

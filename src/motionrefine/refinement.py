@@ -1,13 +1,16 @@
 """Multi-stage motion refinement with graph-convolution stacks.
 
-Each stage converts the running summary and prediction into frequency
-coefficients, runs a residual graph learning module over their channel
-concatenation, and converts both halves back to pose space.  The graph
-convolution is adjacency @ input @ weights with both factors learnable;
-a block follows it with batch normalization, tanh and dropout (recorded as
-one tape node, ``tensor.graph_block``, which also takes a residual pair's
-add), and each module closes with a bare graph convolution restoring the
-coefficient channel count (one ``tensor.graph_conv`` node).
+The summary and the padded query are converted into frequency coefficients
+once and concatenated channel-wise.  Each stage adds a graph learning
+module's output to that coefficient tensor (a residual update), and only the
+prediction half is converted back to pose space, as the stage's output: the
+basis is orthonormal, so the coefficients carry from stage to stage without
+a round trip through pose space.  The graph convolution is adjacency @ input
+@ weights with both factors learnable; a block follows it with batch
+normalization, tanh and dropout (recorded as one tape node,
+``tensor.graph_block``, which also takes a residual pair's add), and each
+module closes with a bare graph convolution restoring the coefficient
+channel count (one ``tensor.graph_conv`` node).
 
 The final convolution's weight matrix starts at zero, so a freshly
 initialized model is exactly the repeat-last-pose baseline (only the
@@ -120,16 +123,6 @@ def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:
     return graph_conv(h, params.output_gc)
 
 
-def split_channels(g) -> tuple[Tensor, Tensor]:
-    """Undo the [summary; prediction] channel concatenation."""
-    g = as_tensor(g)
-    channels = g.shape[-1]
-    if channels % 2 != 0:
-        raise DimensionError(f"cannot split odd channel count {channels}")
-    half = channels // 2
-    return g[..., :half], g[..., half:]
-
-
 @dataclass
 class RefineResult:
     prediction: Tensor              # (..., pose_dim, window)
@@ -141,15 +134,16 @@ def refine(query, summary, params: RefinementParams, basis: DctBasis,
     """Run every refinement stage and return the last prediction.
 
     query: (..., pose_dim, query_len); summary: (..., pose_dim, window) where
-    window == basis.size.  The last stage's refined summary plays no further
-    role, so it stays in frequency space.
+    window == basis.size.  The [summary; padded query] coefficients are one
+    residual chain through the stages; each stage's output is the idct of
+    its prediction half, and the summary half never leaves frequency space.
     """
     query = as_tensor(query)
-    s = as_tensor(summary)
+    summary = as_tensor(summary)
     window = basis.size
-    if s.shape[-1] != window:
+    if summary.shape[-1] != window:
         raise ConfigurationError(
-            f"summary window {s.shape[-1]} != basis size {window}")
+            f"summary window {summary.shape[-1]} != basis size {window}")
     future_len = window - query.shape[-1]
     if future_len < 0:
         raise ConfigurationError(
@@ -162,17 +156,12 @@ def refine(query, summary, params: RefinementParams, basis: DctBasis,
                 f"stage expects {glm.in_channels} channels, "
                 f"configuration needs {2 * window}")
 
-    x = pad_query(query, future_len)
+    g = concat([dct(summary, basis), dct(pad_query(query, future_len), basis)], axis=-1)
     stage_outputs: list[Tensor] = []
-    for n, glm in enumerate(params.stages, start=1):
-        x_freq = dct(x, basis)
-        g = concat([dct(s, basis), x_freq], axis=-1)
-        s_freq, x_freq = split_channels(add(glm_forward(g, glm, mode), g))
-        if n < len(params.stages):
-            s = idct(s_freq, basis)
-        x = idct(x_freq, basis)
-        stage_outputs.append(x)
-    return RefineResult(x, stage_outputs)
+    for glm in params.stages:
+        g = add(glm_forward(g, glm, mode), g)
+        stage_outputs.append(idct(g[..., window:], basis))
+    return RefineResult(stage_outputs[-1], stage_outputs)
 
 
 def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:

@@ -23,8 +23,10 @@ closure never writes into the gradient it receives, which may be shared
 with other operands.  A graph can be walked only once; rebuilding the
 forward pass resets the tape.
 
-Tensors are immutable by convention once created (optimizers mutate
-parameter ``data`` between steps, never mid-graph).  All math is 64-bit.
+Tensors are immutable once created: no op writes into an operand's
+``.data`` (optimizers mutate parameter ``data`` between steps, never
+mid-graph).  So ``take`` returns a view of its operand's array, not a
+copy.  All math is 64-bit.
 """
 from __future__ import annotations
 
@@ -340,7 +342,7 @@ def _check_basic_index(key):
 def take(a, key) -> Tensor:
     a = as_tensor(a)
     _check_basic_index(key)
-    out = _result(a.data[key].copy(), (a,), "take")
+    out = _result(a.data[key], (a,), "take")
     if out.requires_grad:
         def _bw(grad):
             g = np.zeros_like(a.data)

@@ -363,8 +363,8 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
             last_pose = truth[:, config.query_len - 1:config.query_len]
             errors[0, rows] = mpjpe_per_frame(np.repeat(last_pose, future, axis=1), targets)
             for n, stage in enumerate(out.stage_outputs, start=1):
-                poses = stage.data.transpose(0, 2, 1).reshape(truth.shape)
-                errors[n, rows] = mpjpe_per_frame(poses[:, -future:], targets)
+                poses = stage.data[..., -future:].transpose(0, 2, 1).reshape(targets.shape)
+                errors[n, rows] = mpjpe_per_frame(poses, targets)
             if loss_config is not None:
                 poses = _prediction_to_poses(out.prediction, config.joints)
                 losses.append(float(loss_total(poses, Tensor(truth), loss_weights,
@@ -657,7 +657,7 @@ def load_checkpoint(path) -> Checkpoint:
     if mistyped:
         raise FormatError(
             f"{path}: header field(s) {', '.join(mistyped)} have a wrong type or value")
-    payload = raw[12 + header_len:]
+    payload = memoryview(raw)[12 + header_len:]
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise FormatError(f"{path}: payload hash mismatch, file is corrupt")
 
@@ -670,7 +670,7 @@ def load_checkpoint(path) -> Checkpoint:
         if len(chunk) != 8 * count:
             raise FormatError(f"{path}: truncated payload at {entry['name']}")
         try:
-            arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+            arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
         except ValueError as bad:  # an empty array whose other dimensions overflow
             raise FormatError(f"{path}: array {entry['name']}: {bad}") from None
         offset += 8 * count
@@ -714,11 +714,14 @@ def load_checkpoint(path) -> Checkpoint:
         tensor.data[...] = array(f"param.{name}", shape)
         adam.m[name][...] = array(f"adam.m.{name}", shape)
         adam.v[name][...] = array(f"adam.v.{name}", shape)
+    # the arrays are read-only views of the file's bytes: parameters and moments
+    # were copied into the flat vectors above, and only the running statistics
+    # are copied here, so nothing keeps the bytes alive
     for name, stats in named_running_stats(params).items():
         mean_key = f"stats.{name}.mean"
         if mean_key in arrays:
-            stats.mean = arrays[mean_key]
-            stats.var = array(f"stats.{name}.var", stats.mean.shape)
+            stats.mean = arrays[mean_key].copy()
+            stats.var = array(f"stats.{name}.var", stats.mean.shape).copy()
     adam.step = header["adam_step"]
     rng = np.random.default_rng(0)
     try:

@@ -1,5 +1,6 @@
 """Ops that only the tests use: the separate tape ops the fused nodes replace,
-and the per-tensor Adam recurrence ``trainer.adam_step`` matches bit for bit.
+the per-tensor Adam recurrence ``trainer.adam_step`` matches bit for bit, and
+the pose-space round trip per stage that ``refinement.refine`` skips.
 
 ``conv1d`` does the arithmetic of ``sliding_windows`` followed by
 ``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add``, and
@@ -10,6 +11,7 @@ and ``add``; the tests compose these ops as the bitwise reference.
 import numpy as np
 
 from motionrefine.errors import DimensionError
+from motionrefine.refinement import RefineResult, glm_forward, pad_query
 from motionrefine.tensor import (
     Mode,
     RunningStats,
@@ -21,10 +23,13 @@ from motionrefine.tensor import (
     _dropout_active,
     _dropout_draw,
     _result,
+    add,
     as_tensor,
+    concat,
     mul,
     tensor_sum,
 )
+from motionrefine.transforms import dct, idct
 
 
 def sliding_windows(a, width: int) -> Tensor:
@@ -127,3 +132,26 @@ def adam_step_reference(params: dict[str, Tensor], state, lr: float,
         m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * grad
         v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * grad * grad
         p.data = p.data - lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+
+
+def refine_round_trip(query, summary, params, basis, mode: Mode) -> RefineResult:
+    """``refinement.refine`` with a round trip through pose space per stage.
+
+    Each stage converts the summary and the prediction to coefficients, adds
+    its module's output, and converts both halves back (the last stage's
+    summary excepted).  The basis is orthonormal, so this agrees with
+    ``refine`` to within rounding.
+    """
+    window = basis.size
+    x = pad_query(query, window - query.shape[-1])
+    s = as_tensor(summary)
+    stage_outputs = []
+    for n, glm in enumerate(params.stages, start=1):
+        x_freq = dct(x, basis)
+        g = concat([dct(s, basis), x_freq], axis=-1)
+        g = add(glm_forward(g, glm, mode), g)
+        if n < len(params.stages):
+            s = idct(g[..., :window], basis)
+        x = idct(g[..., window:], basis)
+        stage_outputs.append(x)
+    return RefineResult(x, stage_outputs)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
-from reference_ops import batchnorm, dropout, tanh
+from reference_ops import batchnorm, dropout, refine_round_trip, tanh
 from tape_memory import closure_arrays, retained_bytes
 from motionrefine import LossConfig, refinement
 from motionrefine.errors import ConfigurationError, DimensionError
@@ -19,7 +19,6 @@ from motionrefine.refinement import (
     init_refinement_params,
     pad_query,
     refine,
-    split_channels,
 )
 from motionrefine.tensor import (
     Mode,
@@ -457,6 +456,15 @@ class TestTapeMemory:
                              stages=3, glb_pairs=2, latent_dim=256, dropout=0.0)
         assert _reference_tape_per_window(config, batch=2) < 5_250 * 1024
 
+    @pytest.mark.parametrize("dropout", [0.3, 0.0])
+    def test_reference_tape_keeps_no_round_trip_or_take_copies(self, dropout):
+        # as above; the stages keep only the prediction half's idct besides
+        # their blocks, and the value aggregation's matmuls hold views of the
+        # history: about 4,600 KiB per window (4,570 at dropout 0)
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256, dropout=dropout)
+        assert _reference_tape_per_window(config, batch=2) < 4_750 * 1024
+
 
 def _reference_tape_per_window(config, batch):
     """Bytes the train-mode tape of a model_forward and loss keeps per window,
@@ -534,28 +542,6 @@ class TestGlmForward:
         assert np.array_equal(one.data, two.data)
 
 
-class TestSplitChannels:
-    def test_split_concat_round_trip(self):
-        rng = np.random.default_rng(7)
-        a, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
-        s, x = split_channels(concat([a, b], axis=-1))
-        assert np.array_equal(s.data, a.data) and np.array_equal(x.data, b.data)
-
-    def test_concat_split_round_trip(self):
-        g = Tensor(np.random.default_rng(8).normal(size=(2, 6)))
-        s, x = split_channels(g)
-        assert np.array_equal(concat([s, x], axis=-1).data, g.data)
-
-    def test_reference_split_sizes(self):
-        g = Tensor(np.zeros((66, 40)))
-        s, x = split_channels(g)
-        assert s.shape == (66, 20) and x.shape == (66, 20)
-
-    def test_odd_channels(self):
-        with pytest.raises(DimensionError):
-            split_channels(Tensor(np.zeros((2, 5))))
-
-
 class TestRefine:
     def test_residual_identity_at_zero_init(self):
         rng = np.random.default_rng(9)
@@ -580,19 +566,21 @@ class TestRefine:
             assert len(result.stage_outputs) == stages
             assert result.prediction.shape == (3, 4)
 
-    # three stages convert the prediction back three times and the summary twice
-    @pytest.mark.parametrize("expected", [2 * 3 - 1], ids=["summary"])
-    def test_idct_count_skips_the_last_summary(self, monkeypatch, expected):
+    # the summary and the padded query go forward once; each stage sends only
+    # its prediction half back
+    @pytest.mark.parametrize("stages", [1, 3])
+    def test_converts_forward_twice_and_back_once_per_stage(self, monkeypatch, stages):
         calls = []
-        real = refinement.idct
-        monkeypatch.setattr(refinement, "idct",
-                            lambda *args: calls.append(1) or real(*args))
+        for name in ("dct", "idct"):
+            real = getattr(refinement, name)
+            monkeypatch.setattr(refinement, name, lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
         rng = np.random.default_rng(12)
-        params = init_refinement_params(pose_dim=3, window=4, stages=3, pair_count=1,
+        params = init_refinement_params(pose_dim=3, window=4, stages=stages, pair_count=1,
                                         latent_dim=5, rng=rng)
         refine(Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 4))), params,
                dct_basis(4), Mode.train(rng))
-        assert len(calls) == expected
+        assert (calls.count("dct"), calls.count("idct")) == (2, stages)
 
     def test_single_stage_equals_manual_composition(self):
         rng = np.random.default_rng(11)
@@ -610,7 +598,7 @@ class TestRefine:
         # prediction half back to pose space
         coeffs = concat([dct(summary, basis), dct(pad_query(query, 2), basis)], axis=-1)
         refined = glm_forward(coeffs, glm, Mode.train(np.random.default_rng(42))) + coeffs
-        manual = idct(split_channels(refined)[1], basis)
+        manual = idct(refined[..., 5:], basis)
         assert np.array_equal(result.prediction.data, manual.data)
 
     def test_summary_basis_mismatch(self):
@@ -651,3 +639,83 @@ class TestRefine:
             diff = result.prediction - Tensor(target)
             return tensor_sum(diff * diff) * (1.0 / target.size)
         assert_gradients_match(build, named)
+
+
+def _refinement_case(pose_dim, window, query_len, pair_count, latent_dim, batch, seed):
+    """Three stages with nonzero output convs and initialized running stats,
+    a query, a summary and one upstream gradient per stage output."""
+    rng = np.random.default_rng(seed)
+    params = init_refinement_params(pose_dim=pose_dim, window=window, stages=3,
+                                    pair_count=pair_count, latent_dim=latent_dim, rng=rng)
+    for glm in params.stages:
+        glm.output_gc.weights.data = rng.normal(scale=0.3, size=glm.output_gc.weights.shape)
+    query = Tensor(rng.normal(size=(batch, pose_dim, query_len)))
+    summary = Tensor(rng.normal(size=(batch, pose_dim, window)))
+    with no_grad():
+        refine(query, summary, params, dct_basis(window), Mode.train(rng))
+    upstream = [Tensor(rng.normal(size=(batch, pose_dim, window))) for _ in range(3)]
+    return params, query, summary, upstream
+
+
+def _stage_parameters(params):
+    tensors = []
+    for glm in params.stages:
+        for block in glm.blocks:
+            tensors += _layer_tensors(block)
+        tensors += [glm.output_gc.adjacency, glm.output_gc.weights]
+    return tensors
+
+
+def _run_refinement(refine_fn, params, query, summary, upstream, training):
+    """Outputs, stage outputs and parameter gradients of a loss on every stage."""
+    mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+    result = refine_fn(query, summary, params, dct_basis(summary.shape[-1]), mode)
+    loss = tensor_sum(result.stage_outputs[0] * upstream[0])
+    for stage, weight in zip(result.stage_outputs[1:], upstream[1:]):
+        loss = loss + tensor_sum(stage * weight)
+    backward(loss)
+    return ([result.prediction.data] + [stage.data for stage in result.stage_outputs]
+            + [t.grad for t in _stage_parameters(params)])
+
+
+# (pose_dim, window, query_len, pair_count, latent_dim, batch): the overfit
+# fixture's shapes and the reference config's
+REFINE_SHAPES = {"small": (12, 10, 5, 1, 32, 4), "reference": (66, 20, 10, 2, 256, 2)}
+
+
+class TestCoefficientChain:
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", list(REFINE_SHAPES))
+    def test_agrees_with_pose_space_round_trip(self, shape, training):
+        params, query, summary, upstream = _refinement_case(*REFINE_SHAPES[shape], seed=50)
+        reference = copy.deepcopy(params)
+        chain = _run_refinement(refine, params, query, summary, upstream, training)
+        round_trip = _run_refinement(refine_round_trip, reference, query, summary, upstream,
+                                     training)
+        assert len(chain) == len(round_trip) == 4 + len(_stage_parameters(params))
+        for value, ref in zip(chain, round_trip):
+            assert value.shape == ref.shape
+            assert np.abs(value - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_equals_hand_written_chain_bitwise(self, training):
+        params, query, summary, upstream = _refinement_case(*REFINE_SHAPES["small"], seed=51)
+        reference = copy.deepcopy(params)
+
+        def hand_written(query, summary, params, basis, mode):
+            first, second, third = params.stages
+            window = basis.size
+            g = concat([dct(summary, basis), dct(pad_query(query, window - query.shape[-1]),
+                                                 basis)], axis=-1)
+            g = add(glm_forward(g, first, mode), g)
+            outputs = [idct(g[..., window:], basis)]
+            g = add(glm_forward(g, second, mode), g)
+            outputs.append(idct(g[..., window:], basis))
+            g = add(glm_forward(g, third, mode), g)
+            outputs.append(idct(g[..., window:], basis))
+            return refinement.RefineResult(outputs[-1], outputs)
+
+        chain = _run_refinement(refine, params, query, summary, upstream, training)
+        manual = _run_refinement(hand_written, reference, query, summary, upstream, training)
+        for value, ref in zip(chain, manual):
+            assert np.array_equal(value, ref)

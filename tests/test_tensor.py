@@ -30,6 +30,10 @@ from motionrefine.tensor import (
     tensor_sum,
     transpose,
 )
+from motionrefine import LossConfig, extract_windows
+from motionrefine.losses import build_loss_weights, loss_total
+from motionrefine.model import init_model_params, model_forward, named_parameters
+from motionrefine.transforms import dct_basis
 import reference_ops
 from reference_ops import batchnorm, dropout, sliding_windows, tanh, tensor_mean
 from tape_memory import bytes_by_op, closure_arrays, retained_bytes
@@ -485,6 +489,38 @@ class TestDeterminism:
         first, second = run(), run()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+class TestTakeView:
+    def test_take_returns_a_view_of_its_operand(self):
+        x = Tensor(np.arange(15.0).reshape(3, 5), requires_grad=True)
+        out = take(x, (slice(1, None), slice(None, None, 2)))
+        assert np.shares_memory(out.data, x.data)
+        assert np.array_equal(out.data, x.data[1:, ::2])
+
+    def test_train_step_writes_into_no_operand(self, overfit_fixture):
+        # take's views are safe because no op writes into an operand's data:
+        # with every input and parameter read-only, a train-mode forward and
+        # backward must not raise
+        dataset, config = overfit_fixture
+        windows = extract_windows(dataset, config.history_len, config.future_len)[:4]
+        params = init_model_params(config, np.random.default_rng(0))
+        histories = np.stack([w.history for w in windows])
+        truth = np.concatenate([histories[:, -config.query_len:],
+                                np.stack([w.target for w in windows])], axis=1)
+        channels = histories.reshape(len(windows), config.history_len, -1).transpose(0, 2, 1)
+        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
+                                     LossConfig())
+        named = named_parameters(params)
+        inputs = [Tensor(channels), Tensor(truth)]
+        for array in [t.data for t in inputs + list(named.values())] + [weights.table]:
+            array.flags.writeable = False
+        out = model_forward(params, inputs[0], config, dct_basis(config.window),
+                            Mode.train(np.random.default_rng(1)))
+        poses = transpose(out.prediction, (0, 2, 1)).reshape(truth.shape)
+        grads = backward(loss_total(poses, inputs[1], weights, LossConfig(),
+                                    config.future_len))
+        assert all(np.isfinite(grads[t]).all() for t in named.values())
 
 
 class TestShapeAlgebra:

@@ -29,6 +29,7 @@ from motionrefine.model import (
     init_model_params,
     model_forward,
     named_parameters,
+    named_running_stats,
 )
 from motionrefine.tensor import Mode, Tensor, no_grad
 from motionrefine.transforms import dct_basis
@@ -281,6 +282,41 @@ class TestAdamMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20, peak
+
+
+class TestCheckpointMemory:
+    def test_reference_load_reads_each_array_once(self, tmp_path, monkeypatch):
+        # a 43.1 MB reference-config checkpoint, a 14.3 MB model and its 43.0 MB
+        # of flat vectors: about 96 MiB when the payload is held once
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256)
+        rng = np.random.default_rng(65)
+        params = init_model_params(config, rng)
+        histories = rng.normal(size=(2, config.pose_dim, config.history_len))
+        with no_grad():  # initialize the running statistics
+            model_forward(params, Tensor(histories), config, dct_basis(config.window),
+                          Mode.train(rng))
+        path = tmp_path / "reference.mckpt"
+        save_checkpoint(path, params, AdamState(named_parameters(params)), rng, 0, config,
+                        LossConfig(), OptimizerConfig(), {}, default_humanoid_skeleton())
+        del params
+        files = []
+        read_bytes = trainer_module.Path.read_bytes
+        monkeypatch.setattr(trainer_module.Path, "read_bytes",
+                            lambda self: files.append(read_bytes(self)) or files[-1])
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 110 * 2 ** 20, peak / 2 ** 20
+        raw = np.frombuffer(files[0], dtype=np.uint8)
+        stats = named_running_stats(loaded.params)
+        assert stats and all(s.mean is not None for s in stats.values())
+        for s in stats.values():
+            for array in (s.mean, s.var):
+                assert array.flags.writeable and not np.shares_memory(array, raw)
 
 
 class TestLrSchedule:
@@ -773,6 +809,24 @@ class TestWindowErrors:
             for w in windows])
         assert np.array_equal(errors[0], baseline)
         assert not np.allclose(errors[-1], errors[0])
+
+    def test_stage_rows_are_the_stage_outputs_future_errors(self, model):
+        # against one forward of every window: poses of the whole window, then
+        # its future frames (the batched pass's key codes may differ in ULPs)
+        _, config, params, windows = model
+        errors, _ = window_errors(windows, params, config, batch_size=4)
+        histories = np.stack([w.history for w in windows]).reshape(
+            len(windows), config.history_len, -1)
+        with no_grad():
+            out = model_forward(params, Tensor(histories.transpose(0, 2, 1)), config,
+                                dct_basis(config.window), Mode.eval())
+        targets = np.stack([w.target for w in windows])
+        assert len(out.stage_outputs) == config.stages
+        for n, stage in enumerate(out.stage_outputs, start=1):
+            poses = stage.data.transpose(0, 2, 1).reshape(
+                len(windows), config.window, config.joints, 3)
+            expected = mpjpe_per_frame(poses[:, config.query_len:], targets)
+            assert np.allclose(errors[n], expected, rtol=1e-9, atol=0.0)
 
     def test_dataset_mpjpe_is_the_final_stage_mean(self, model):
         _, config, params, windows = model
