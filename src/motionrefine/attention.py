@@ -5,10 +5,12 @@ sub-window of the history forms a key (first ``query_len`` frames) and a
 value (the full ``query_len + future_len`` frames, kept in pose space).
 Two small rectified conv nets embed query and keys, raw scores are plain
 dot products (nonnegative by construction) and the summary is the
-score-normalized convex combination of the value windows.  The key net
-runs once over the whole key span: its convs are valid-only with stride 1,
-so each output column is one key window's code, and codes already computed
-for a prefix of the history can be passed back in and reused.
+score-normalized convex combination of the value windows.  A history whose
+scores are all zero takes uniform weights instead, each row of a batch on
+its own.  The key net runs once over the whole key span: its convs are
+valid-only with stride 1, so each output column is one key window's code,
+and codes already computed for a prefix of the history can be passed back
+in and reused.
 """
 from __future__ import annotations
 
@@ -17,23 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .kinematics import PoseSequence
 from .tensor import Tensor, as_tensor, concat, conv1d, matmul, relu, reshape, tensor_sum
 
 
-def sequence_to_channels(seq: PoseSequence) -> np.ndarray:
-    """(frames, joints, 3) -> (joints*3, frames), channel p = joint*3 + axis."""
-    t = seq.frames
-    return seq.coords.reshape(t, -1).T.copy()
+def poses_to_channels(poses: np.ndarray) -> np.ndarray:
+    """(..., frames, joints, 3) poses -> a (..., joints*3, frames) channel view,
+    channel p = joint*3 + axis."""
+    return poses.reshape(poses.shape[:-2] + (-1,)).swapaxes(-1, -2)
 
 
-def channels_to_sequence(channels: np.ndarray, frame_rate: float) -> PoseSequence:
-    channels = np.asarray(channels, dtype=np.float64)
-    frames = channels.shape[-1]
-    if channels.shape[0] % 3 != 0:
-        raise DimensionError(f"channel count {channels.shape[0]} is not a multiple of 3")
-    coords = channels.T.reshape(frames, channels.shape[0] // 3, 3)
-    return PoseSequence(coords, frame_rate)
+def channels_to_poses(channels):
+    """(..., joints*3, frames) channels -> (..., frames, joints, 3) poses, for an
+    array or a Tensor alike."""
+    *lead, dims, frames = channels.shape
+    if dims % 3 != 0:
+        raise DimensionError(f"channel count {dims} is not a multiple of 3")
+    axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead))
+    return channels.transpose(axes).reshape(tuple(lead) + (frames, dims // 3, 3))
 
 
 def kernel_widths(query_len: int) -> tuple[int, int]:
@@ -129,7 +131,8 @@ def summarize_history(history, params: AttentionParams, query_len: int,
     frames >= query_len + future_len.  key_codes, when given, holds the codes
     of the first key windows of this history, shaped like the summary's
     ``key_codes`` ((latent_dim, cached) or (batch, latent_dim, cached));
-    only the windows after them are encoded.
+    only the windows after them are encoded.  A row whose scores sum to zero
+    weighs its windows uniformly, and ``used_fallback`` says if any row did.
     """
     history = as_tensor(history)
     single = history.ndim == 2
@@ -164,15 +167,9 @@ def summarize_history(history, params: AttentionParams, query_len: int,
 
     scores = reshape(matmul(reshape(query_code, (batch, 1, latent)), codes), (batch, count))
     denom = tensor_sum(scores, axis=1, keepdims=True)                 # (B, 1)
+    # rectifiers can zero every score of a row; the other rows keep their gradient
     zero_rows = denom.data == 0.0
-    if zero_rows.any():
-        # rectifiers can zero every score; fall back to uniform aggregation
-        safe = scores / Tensor(denom.data + zero_rows)
-        weights = safe + Tensor(zero_rows / count)
-        used_fallback = True
-    else:
-        weights = scores / denom
-        used_fallback = False
+    weights = scores / (denom + Tensor(zero_rows)) + Tensor(zero_rows / count)
 
     # value window i is history[..., i:i+window], so summary frame t is the
     # weighted sum of the frames history[..., t:t+count]
@@ -184,5 +181,5 @@ def summarize_history(history, params: AttentionParams, query_len: int,
         summary = reshape(summary, summary.shape[1:])
         weights = reshape(weights, (count,))
         codes = reshape(codes, codes.shape[1:])
-    return MotionSummary(summary, weights, codes, used_fallback)
+    return MotionSummary(summary, weights, codes, bool(zero_rows.any()))
 

@@ -55,7 +55,7 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -64,7 +64,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = "leaf"
-        self._done = False
 
     @property
     def shape(self) -> tuple:
@@ -738,7 +737,8 @@ def backward(loss: Tensor) -> dict:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    if any(node._done for node in topo):
+    # an op's result loses its closure when swept
+    if any(node._backward is None and node._op != "leaf" for node in topo):
         raise TapeError("this graph was already consumed by backward; rebuild the forward pass")
 
     loss.grad = np.ones_like(loss.data)
@@ -748,7 +748,6 @@ def backward(loss: Tensor) -> dict:
         if node._backward is None:
             leaves.append(node)
             continue
-        node._done = True
         node._backward(node.grad)
         node.grad = node._backward = None
         node._parents = ()

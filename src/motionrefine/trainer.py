@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import WindowEncoder, channels_to_sequence, encode_span, sequence_to_channels
+from .attention import WindowEncoder, channels_to_poses, encode_span, poses_to_channels
 from .data import SequenceDataset, TrainingWindow, extract_windows
 from .errors import ConfigurationError, DataError, DimensionError, FormatError
 from .kinematics import (
@@ -50,7 +50,7 @@ from .model import (
     named_parameters,
     named_running_stats,
 )
-from .tensor import Mode, Tensor, backward, no_grad, transpose, zero_grads
+from .tensor import Mode, Tensor, backward, no_grad, zero_grads
 from .transforms import dct_basis
 
 CKPT_MAGIC = b"MCKPT001"
@@ -272,35 +272,32 @@ def _window_batches(windows: list[TrainingWindow], order, batch_size: int):
         yield [windows[i] for i in order[start:start + batch_size]]
 
 
-def _history_channels(histories: np.ndarray) -> np.ndarray:
-    batch, frames = histories.shape[0], histories.shape[1]
-    return histories.reshape(batch, frames, -1).transpose(0, 2, 1)
-
-
-def _prediction_to_poses(prediction: Tensor, joints: int) -> Tensor:
-    batch, _, frames = prediction.shape
-    return transpose(prediction, (0, 2, 1)).reshape(batch, frames, joints, 3)
+def _window_mean(batch_means: list[float], counts: list[int]) -> float:
+    """The mean over windows of batch means; the largest batch weighs exactly 1,
+    so batches of equal size give ``np.mean``'s bits."""
+    return float(np.average(batch_means, weights=np.divide(counts, max(counts))))
 
 
 def _forward_batch(params, config, basis, batch, mode, key_codes=None):
     histories = np.stack([w.history for w in batch])
     targets = np.stack([w.target for w in batch])
     truth = np.concatenate([histories[:, -config.query_len:], targets], axis=1)
-    out = model_forward(params, Tensor(_history_channels(histories)), config, basis, mode,
+    out = model_forward(params, Tensor(poses_to_channels(histories)), config, basis, mode,
                         key_codes=key_codes)
     return out, truth
 
 
 def _shared_key_codes(key_net: WindowEncoder, batch: list[TrainingWindow],
-                      config: ModelConfig) -> np.ndarray | None:
-    """The batch's (B, latent, count) key codes from one key-net pass, or None.
+                      config: ModelConfig) -> np.ndarray:
+    """The batch's (B, latent, count) key codes from one key-net pass.
 
     A window's key span is its first ``count + query_len - 1`` history frames.
     Consecutive windows of one sequence whose starts step by 1 to ``count``
     frames form a run whose spans overlap or abut, so each run's frames go
     once onto one timeline, runs end to end.  Window k's codes are columns
-    ``[offset_k, offset_k + count)`` of the timeline's codes.  None when the
-    timeline holds no fewer key windows than the batch's own spans do.
+    ``[offset_k, offset_k + count)`` of the timeline's codes.  Where two runs
+    meet, the timeline also encodes the ``query_len - 1`` key windows that
+    straddle the junction, whose codes no window takes.
     """
     count = batch[0].history.shape[0] - config.window + 1
     span = count + config.query_len - 1
@@ -317,10 +314,7 @@ def _shared_key_codes(key_net: WindowEncoder, batch: list[TrainingWindow],
             offsets.append(frames)
         frames += step
         previous = w.source
-    if frames - config.query_len + 1 >= len(batch) * count:
-        return None
-    timeline = np.concatenate(pieces)
-    codes = encode_span(key_net, timeline.reshape(frames, -1).T).data
+    codes = encode_span(key_net, poses_to_channels(np.concatenate(pieces))).data
     return np.stack([codes[:, offset:offset + count] for offset in offsets])
 
 
@@ -334,16 +328,15 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
     at future frame f + 1 after stage n, where stage 0 is the repeat-last-pose
     baseline and stage ``config.stages`` the final prediction; each stage's
     (windows, future_len) slab is contiguous.  With a loss config,
-    ``mean_loss`` is the final prediction's objective averaged over batches,
+    ``mean_loss`` is the final prediction's objective averaged over windows,
     otherwise None.
 
     The key net runs once per batch (``_shared_key_codes``): windows of one
     sequence at stride 1 share all but one frame of their key spans, so the
     batch's distinct frames are encoded once and each window takes its
-    columns of the codes.  A batch where sharing would encode no fewer key
-    windows (a stride above the key-window count, or a single window)
-    encodes each window's own span, as the per-window pass does.  The codes equal the per-window pass's to the
-    last bit at the reference config; where a small model's GEMMs pick
+    columns of the codes; a junction between runs costs ``query_len - 1`` key
+    windows that no window takes.  The codes equal the per-window pass's to
+    the last bit at the reference config; where a small model's GEMMs pick
     another BLAS kernel for the longer call, they differ by a few ULPs.
     """
     if batch_size < 1:
@@ -351,7 +344,7 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
     basis = dct_basis(config.window)
     future = config.future_len
     errors = np.empty((config.stages + 1, len(windows), future))
-    losses = []
+    losses, counts = [], []
     with no_grad():
         for start in range(0, len(windows), batch_size):
             batch = windows[start:start + batch_size]
@@ -363,13 +356,13 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
             last_pose = truth[:, config.query_len - 1:config.query_len]
             errors[0, rows] = mpjpe_per_frame(np.repeat(last_pose, future, axis=1), targets)
             for n, stage in enumerate(out.stage_outputs, start=1):
-                poses = stage.data[..., -future:].transpose(0, 2, 1).reshape(targets.shape)
-                errors[n, rows] = mpjpe_per_frame(poses, targets)
+                errors[n, rows] = mpjpe_per_frame(channels_to_poses(stage.data[..., -future:]),
+                                                  targets)
             if loss_config is not None:
-                poses = _prediction_to_poses(out.prediction, config.joints)
-                losses.append(float(loss_total(poses, Tensor(truth), loss_weights,
-                                               loss_config, future).data))
-    return errors, (float(np.mean(losses)) if loss_config is not None else None)
+                losses.append(float(loss_total(channels_to_poses(out.prediction), Tensor(truth),
+                                               loss_weights, loss_config, future).data))
+                counts.append(len(batch))
+    return errors, (_window_mean(losses, counts) if loss_config is not None else None)
 
 
 def dataset_mpjpe(windows: list[TrainingWindow], params: ModelParams,
@@ -385,15 +378,13 @@ def split_windows(dataset: SequenceDataset, model_config: ModelConfig,
     n_val = int(len(dataset.sequences) * settings.val_fraction)
     n_train = len(dataset.sequences) - n_val
     train_set = SequenceDataset(dataset.skeleton, dataset.sequences[:n_train])
-    val_set = (SequenceDataset(dataset.skeleton, dataset.sequences[n_train:])
-               if n_val else None)
+    val_set = SequenceDataset(dataset.skeleton, dataset.sequences[n_train:])
     train_windows = extract_windows(train_set, model_config.history_len,
                                     model_config.future_len, settings.window_stride)
     if not train_windows:
         raise ConfigurationError("dataset yields no training windows")
-    val_windows = (extract_windows(val_set, model_config.history_len,
-                                   model_config.future_len, settings.window_stride)
-                   if val_set else [])
+    val_windows = extract_windows(val_set, model_config.history_len,
+                                  model_config.future_len, settings.window_stride)
     return train_windows, val_windows
 
 
@@ -436,13 +427,13 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
         for epoch in range(start_epoch, settings.epochs):
             lr = lr_schedule(epoch, opt.lr, opt.lr_decay)
             order = rng.permutation(len(train_windows))
-            batch_losses = []
+            batch_losses, counts = [], []
             for batch_index, batch in enumerate(_window_batches(train_windows, order,
                                                                 settings.batch_size)):
                 out, truth = _forward_batch(params, model_config, basis, batch,
                                             Mode.train(rng))
-                loss = loss_total(_prediction_to_poses(out.prediction, model_config.joints),
-                                  Tensor(truth), weights, loss_config, model_config.future_len)
+                loss = loss_total(channels_to_poses(out.prediction), Tensor(truth), weights,
+                                  loss_config, model_config.future_len)
                 if not np.isfinite(loss.data):
                     sources = [w.source for w in batch]
                     raise DataError(
@@ -452,10 +443,11 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
                 adam_step(named, adam, lr, opt.beta1, opt.beta2, opt.eps)
                 zero_grads(named.values())
                 batch_losses.append(float(loss.data))
+                counts.append(len(batch))
 
             train_mpjpe = dataset_mpjpe(train_windows, params, model_config)
             record = {"epoch": epoch, "lr": lr,
-                      "train_loss": float(np.mean(batch_losses)),
+                      "train_loss": _window_mean(batch_losses, counts),
                       "train_mpjpe": train_mpjpe}
             if val_windows:
                 record["val_mpjpe"] = dataset_mpjpe(val_windows, params, model_config)
@@ -486,7 +478,7 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
             f"history of {history.frames} frames is shorter than one "
             f"query+future window {config.window}")
     basis = dct_basis(config.window)
-    channels = sequence_to_channels(history)
+    channels = np.ascontiguousarray(poses_to_channels(history.coords))
     key_codes = None
     with no_grad():
         for _ in range(math.ceil(horizon / config.future_len)):
@@ -496,8 +488,8 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
                 key_codes = out.summary.key_codes
             future = out.prediction.data[:, -config.future_len:]
             channels = np.concatenate([channels, future], axis=1)
-    return channels_to_sequence(channels[:, history.frames:history.frames + horizon],
-                                history.frame_rate)
+    return PoseSequence(channels_to_poses(channels[:, history.frames:history.frames + horizon]),
+                        history.frame_rate)
 
 
 def frames_from_milliseconds(frames_ms, frame_rate: float, future_len: int) -> list[int]:

@@ -6,17 +6,16 @@ from motionrefine.attention import (
     AttentionParams,
     ConvLayer,
     WindowEncoder,
-    channels_to_sequence,
+    channels_to_poses,
     encode,
     encode_span,
     init_attention_params,
     kernel_widths,
-    sequence_to_channels,
+    poses_to_channels,
     summarize_history,
 )
 from motionrefine.errors import DimensionError
-from motionrefine.kinematics import PoseSequence
-from motionrefine.tensor import Tensor, concat, tensor_sum
+from motionrefine.tensor import Tensor, backward, concat, tensor_sum, zero_grads
 
 
 def test_kernel_widths_match_known_config():
@@ -163,6 +162,50 @@ def test_uniform_fallback_gradcheck():
                                    params.key_net.second.kernels])
 
 
+def _mixed_batch(row):
+    """A batch whose first history is all zero (every score 0) and whose second is ``row``."""
+    return concat([Tensor(np.zeros(row.shape)), row], axis=0)
+
+
+def test_fallback_row_keeps_the_other_rows_gradient():
+    # zero history and zero biases give zero codes whatever the kernels, so the
+    # first row falls back throughout; the second row's weights must stay tracked
+    rng = np.random.default_rng(19)
+    params = init_attention_params(pose_dim=4, query_len=3, latent_dim=6, rng=rng)
+    row = Tensor(rng.normal(size=(1, 4, 11)), requires_grad=True)
+    upstream = Tensor(rng.normal(size=(2, 4, 5)))
+    kernels = [layer.kernels for net in (params.query_net, params.key_net)
+               for layer in (net.first, net.second)]
+
+    def build():
+        summary = summarize_history(_mixed_batch(row), params, 3, 2)
+        weights = summary.attention_weights.data
+        assert summary.used_fallback and np.array_equal(weights[0], np.full(7, 1.0 / 7))
+        assert not np.allclose(weights[1], 1.0 / 7)
+        return tensor_sum(summary.values * upstream)
+    assert_gradients_match(build, [row] + kernels)
+
+
+def test_fallback_row_leaves_the_other_row_as_computed_alone():
+    rng = np.random.default_rng(20)
+    params = init_attention_params(pose_dim=4, query_len=3, latent_dim=6, rng=rng)
+    row = Tensor(rng.normal(size=(1, 4, 11)), requires_grad=True)
+    upstream = rng.normal(size=(4, 5))
+    kernels = [layer.kernels for net in (params.query_net, params.key_net)
+               for layer in (net.first, net.second)]
+    results = []
+    for history in (_mixed_batch(row), row):
+        summary = summarize_history(history, params, 3, 2)
+        backward(tensor_sum(summary.values[-1] * Tensor(upstream)))
+        results.append([summary.values.data[-1], summary.attention_weights.data[-1]]
+                       + [t.grad for t in [row] + kernels])
+        zero_grads([row] + kernels)
+    (values, weights, *grads), (values1, weights1, *grads1) = results
+    assert np.array_equal(values, values1) and np.array_equal(weights, weights1)
+    for grad, alone in zip(grads, grads1):
+        assert np.abs(grad - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
 def test_one_tiny_positive_score_takes_no_fallback():
     query_len, future_len, frames = 3, 2, 9
     history = np.zeros((2, frames))
@@ -268,9 +311,27 @@ def test_key_codes_that_do_not_fit_are_rejected():
 
 def test_channel_layout_round_trip():
     rng = np.random.default_rng(12)
-    seq = PoseSequence(rng.normal(size=(7, 3, 3)), frame_rate=50.0)
-    channels = sequence_to_channels(seq)
-    assert channels.shape == (9, 7)
-    back = channels_to_sequence(channels, 50.0)
-    assert np.array_equal(back.coords, seq.coords)
-    assert back.frame_rate == 50.0
+    for lead in ((), (2,)):                  # channels of rank 2 and rank 3
+        poses = rng.normal(size=lead + (7, 3, 3))
+        channels = poses_to_channels(poses)
+        assert channels.shape == lead + (9, 7) and np.shares_memory(channels, poses)
+        # channel p = joint*3 + axis: channel 5 is joint 1's z
+        assert np.array_equal(channels[..., 5, 4], poses[..., 4, 1, 2])
+        assert np.array_equal(channels_to_poses(channels), poses)
+        assert np.array_equal(poses_to_channels(channels_to_poses(channels)), channels)
+        back = channels_to_poses(Tensor(channels))
+        assert isinstance(back, Tensor) and np.array_equal(back.data, poses)
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (2, 9, 7)])
+def test_channels_to_poses_gradient(shape):
+    rng = np.random.default_rng(13)
+    channels = Tensor(rng.normal(size=shape), requires_grad=True)
+    upstream = Tensor(rng.normal(size=shape[:-2] + (7, 3, 3)))
+    assert_gradients_match(lambda: tensor_sum(channels_to_poses(channels) * upstream),
+                           [channels])
+
+
+def test_channels_to_poses_needs_whole_joints():
+    with pytest.raises(DimensionError, match="multiple of 3"):
+        channels_to_poses(np.zeros((2, 8, 7)))

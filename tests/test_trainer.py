@@ -35,7 +35,7 @@ from motionrefine.tensor import Mode, Tensor, no_grad
 from motionrefine.transforms import dct_basis
 from motionrefine import attention as attention_module
 from motionrefine import trainer as trainer_module
-from motionrefine.attention import sequence_to_channels
+from motionrefine.attention import poses_to_channels
 from motionrefine.trainer import (
     CKPT_HEADER_FIELDS,
     AdamState,
@@ -379,6 +379,24 @@ class TestTrainLoop:
             train(ds, cfg, LossConfig(),
                   settings=TrainSettings(epochs=1, batch_size=4, val_fraction=0.0))
 
+    def test_train_loss_weighs_every_window_once(self, monkeypatch, overfit_fixture):
+        dataset, config = overfit_fixture
+        logged = []
+        real = trainer_module.loss_total
+
+        def logging(poses, truth, *args):
+            loss = real(poses, truth, *args)
+            logged.append((float(loss.data), truth.shape[0]))
+            return loss
+        monkeypatch.setattr(trainer_module, "loss_total", logging)
+        # 168 windows in batches of 5: the last batch holds 3
+        settings = TrainSettings(epochs=1, batch_size=5, seed=2, val_fraction=0.0)
+        record = train(dataset, config, LossConfig(), OptimizerConfig(), settings).metrics[0]
+        losses, counts = map(np.array, zip(*logged))
+        assert counts.sum() == 168 and counts[-1] == 3
+        expected = np.sum(losses * counts) / counts.sum()
+        assert abs(record["train_loss"] - expected) <= 1e-12 * abs(expected)
+
 
 class TestAutoregressive:
     @pytest.fixture
@@ -460,7 +478,7 @@ class TestKeyCodeCache:
 
     @staticmethod
     def _uncached_passes(history, params, config, horizon):
-        channels = sequence_to_channels(history)
+        channels = np.ascontiguousarray(poses_to_channels(history.coords))
         with no_grad():
             while channels.shape[1] < history.frames + horizon:
                 out = model_forward(params, Tensor(channels), config, dct_basis(config.window),
@@ -480,7 +498,7 @@ class TestKeyCodeCache:
         cached = predict_autoregressive(history, params, config, 25)
         expected = self._uncached_passes(history, params, config, 25)
         assert cached.frames == 25
-        assert np.abs(sequence_to_channels(cached) - expected).max() < 1e-9
+        assert np.abs(poses_to_channels(cached.coords) - expected).max() < 1e-9
 
     def test_reference_config_encodes_each_key_window_once(self, monkeypatch):
         config = ModelConfig(joints=22)
@@ -845,6 +863,17 @@ class TestWindowErrors:
         assert record["stage_overall"] == [float(stage.mean()) for stage in errors]
         assert record["mean_loss"] == mean_loss
 
+    def test_mean_loss_does_not_depend_on_the_batch_size(self, overfit_fixture):
+        dataset, config = overfit_fixture
+        windows = extract_windows(dataset, config.history_len, config.future_len)
+        params = _warm_model(config, 8, windows)
+        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
+                                     LossConfig())
+        # 168 windows: 50 and 64 leave a short last batch
+        losses = [window_errors(windows, params, config, batch_size, LossConfig(), weights)[1]
+                  for batch_size in (len(windows), 1, 7, 50, 64)]
+        assert all(abs(loss - losses[0]) <= 1e-12 * abs(losses[0]) for loss in losses)
+
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_a_configuration_error(self, model, batch_size):
@@ -955,16 +984,27 @@ class TestSharedKeyCodes:
         assert [codes.shape for codes in passed] == [
             (size, config.latent_dim, count) for size in sizes]
 
-    def test_stride_beyond_the_key_count_passes_no_key_codes(self, monkeypatch,
-                                                             overfit_fixture):
+    def test_stride_beyond_the_key_count_still_shares_key_codes(self, monkeypatch,
+                                                                overfit_fixture):
         dataset, config = overfit_fixture
         count = config.history_len - config.window + 1
         windows = extract_windows(dataset, config.history_len, config.future_len,
                                   stride=count + 1)
         params = _warm_model(config, 6, windows)
+        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
+                                     LossConfig())
         passed = self._key_codes_passed(monkeypatch)
-        window_errors(windows, params, config, batch_size=64)
-        assert passed and all(codes is None for codes in passed)
+        for batch_size in (64, 7):
+            passed.clear()
+            (errors, loss), (expected, expected_loss) = self._both_passes(
+                monkeypatch, windows, params, config, batch_size, weights)
+            sizes = [len(windows[start:start + batch_size])
+                     for start in range(0, len(windows), batch_size)]
+            # the shared pass's calls, then the per-window reference's
+            assert [np.shape(codes) for codes in passed] == [
+                (size, config.latent_dim, count) for size in sizes] + [()] * len(sizes)
+            assert np.abs(errors - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
 
     def test_copy_mode_never_calls_the_key_net(self, monkeypatch, overfit_fixture):
         dataset, config = overfit_fixture
