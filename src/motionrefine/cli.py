@@ -5,12 +5,13 @@ train's, and eval's ablations go through --ablation.
 
 Run configuration is a flat JSON document: ``data`` plus the fields of
 ModelConfig (less ``joints``), LossConfig, OptimizerConfig (with the ``adam_``
-prefix on ``beta1``, ``beta2`` and ``eps``) and the loop fields of
-TrainSettings.  Resolution order is package defaults (those dataclass
-defaults), then the --config file, then --set KEY=VALUE overrides, then
-dedicated flags; unknown keys and values of the wrong type are rejected.  The
-resolved configuration is echoed into train's output directory and the
-per-epoch metrics log is line-delimited JSON.
+prefix on ``beta1``, ``beta2`` and ``eps``) and TrainSettings.  Resolution
+order is package defaults (those dataclass defaults), then the --config file,
+then --set KEY=VALUE overrides, then dedicated flags; unknown keys and values
+of the wrong type are rejected.  ``train --dry-run`` builds no model, and a run
+whose parameters and Adam moments exceed physical memory exits 2 before it
+writes.  The resolved configuration is echoed into train's output directory
+and the per-epoch metrics log is line-delimited JSON.
 
 Exit codes: 0 success, 1 runtime failure (running out of memory included),
 2 usage or configuration error; every failure, parser errors included, is one
@@ -21,10 +22,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .data import (
     SYNTH_KINDS,
@@ -32,7 +32,7 @@ from .data import (
     gen_synthetic,
     load_dataset,
     load_sequence,
-    mseq_payload,
+    mseq_bytes,
     save_sequence,
 )
 from .errors import (
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .kinematics import save_skeleton, synthetic_skeleton
 from .losses import LossConfig
-from .model import ModelConfig, count_parameters, fits_field, init_model_params
+from .model import ModelConfig, count_parameters, fits_field
 from .trainer import (
     OptimizerConfig,
     TrainSettings,
@@ -59,15 +59,13 @@ from .trainer import (
 )
 
 _ADAM_KEYS = {"beta1": "adam_beta1", "beta2": "adam_beta2", "eps": "adam_eps"}
-_LOOP_KEYS = ("epochs", "batch_size", "seed", "val_fraction", "window_stride")
 
 # flat configuration key -> (config dataclass, field); the joint count comes
-# from the dataset, and only the loop fields of TrainSettings are configurable
+# from the dataset
 CONFIG_FIELDS: dict[str, tuple[type, dataclasses.Field]] = {
     _ADAM_KEYS.get(f.name, f.name) if cls is OptimizerConfig else f.name: (cls, f)
     for cls in (ModelConfig, LossConfig, OptimizerConfig, TrainSettings)
-    for f in dataclasses.fields(cls)
-    if f.name != "joints" and (cls is not TrainSettings or f.name in _LOOP_KEYS)}
+    for f in dataclasses.fields(cls) if f.name != "joints"}
 CONFIG_DEFAULTS: dict[str, object] = {
     "data": "", **{key: f.default for key, (_, f) in CONFIG_FIELDS.items()}}
 
@@ -146,14 +144,19 @@ def cmd_train(args) -> int:
     optimizer_config = config_from(OptimizerConfig, resolved)
     settings = config_from(TrainSettings, resolved)
 
+    count = count_parameters(model_config)
     if args.dry_run:
-        params = init_model_params(model_config, np.random.default_rng(settings.seed))
         print(json.dumps(resolved, indent=2, sort_keys=True))
-        print(f"parameter count: {count_parameters(params)}")
+        print(f"parameter count: {count}")
         return 0
 
     if not args.out:
         raise ConfigurationError("missing required field: out (output directory)")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 24 * count > memory:  # float64 parameters and Adam's two moments
+        raise ConfigurationError(
+            f"{count} parameters and their Adam moments need {24 * count / 2 ** 30:.1f} GiB, "
+            f"more than the machine's {memory / 2 ** 30:.1f} GiB of memory")
     split_windows(dataset, model_config, settings)  # a dataset train() rejects writes nothing
     out_dir = Path(args.out)
     _echo_config(resolved, out_dir)
@@ -162,8 +165,8 @@ def cmd_train(args) -> int:
         def log_record(record):
             log.write(json.dumps(record) + "\n")
             log.flush()
-        settings.log_fn = log_record
-        result = train(dataset, model_config, loss_config, optimizer_config, settings)
+        result = train(dataset, model_config, loss_config, optimizer_config, settings,
+                       on_epoch=log_record)
     checkpoint = out_dir / "checkpoint.mckpt"
     save_checkpoint(checkpoint, result.params, result.adam, result.rng, result.epochs_run,
                     model_config, loss_config, optimizer_config, settings.replay_fields(),
@@ -274,15 +277,13 @@ def cmd_gen_synth(args) -> int:
     skeleton = synthetic_skeleton(args.chains, args.joints_per_chain, args.bone_length)
     spec = SynthSpec(kind=args.kind, amplitude=args.amplitude, period=args.period,
                      frames=args.frames, seed=args.seed, frame_rate=args.frame_rate)
-    sequences = [gen_synthetic(skeleton, dataclasses.replace(spec, seed=args.seed + i))
-                 for i in range(args.count)]
-    for seq in sequences:
-        mseq_payload(seq.coords, ConfigurationError)
+    files = [mseq_bytes(gen_synthetic(skeleton, dataclasses.replace(spec, seed=args.seed + i)),
+                        skeleton.name, ConfigurationError) for i in range(args.count)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_skeleton(skeleton, out_dir / "skeleton.mskel")
-    for i, seq in enumerate(sequences):
-        save_sequence(out_dir / f"{args.kind}_{i:03d}.mseq", seq, skeleton.name)
+    for i, blob in enumerate(files):
+        (out_dir / f"{args.kind}_{i:03d}.mseq").write_bytes(blob)
     manifest = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     (out_dir / "gen_synth.resolved.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=None, help="override the seed")
     p_train.add_argument("--out", help="output directory")
     p_train.add_argument("--dry-run", action="store_true",
-                         help="print the resolved configuration and do nothing")
+                         help="print the resolved configuration and the parameter count")
     p_train.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override one configuration key")
     p_train.add_argument("--data", help="dataset directory (skeleton.mskel + *.mseq)")
@@ -338,17 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_gen = sub.add_parser("gen-synth", help="generate a synthetic dataset")
-    p_gen.add_argument("--kind", choices=SYNTH_KINDS, default="sinusoid")
+    p_gen.add_argument("--kind", choices=SYNTH_KINDS, default=SynthSpec.kind)
     p_gen.add_argument("--count", type=int, default=8)
-    p_gen.add_argument("--amplitude", type=float, default=100.0)
-    p_gen.add_argument("--period", type=float, default=16.0)
-    p_gen.add_argument("--frames", type=int, default=100)
-    p_gen.add_argument("--frame-rate", type=float, default=25.0)
+    p_gen.add_argument("--amplitude", type=float, default=SynthSpec.amplitude)
+    p_gen.add_argument("--period", type=float, default=SynthSpec.period)
+    p_gen.add_argument("--frames", type=int, default=SynthSpec.frames)
+    p_gen.add_argument("--frame-rate", type=float, default=SynthSpec.frame_rate)
     p_gen.add_argument("--chains", type=int, default=1)
     p_gen.add_argument("--joints-per-chain", type=int, default=4)
     p_gen.add_argument("--bone-length", type=float, default=100.0)
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--seed", type=int, default=0, help="seed of sequence 0")
+    p_gen.add_argument("--seed", type=int, default=SynthSpec.seed, help="seed of sequence 0")
     p_gen.set_defaults(func=cmd_gen_synth)
     return parser
 

@@ -65,30 +65,27 @@ def frame_rate_millihertz(frame_rate: float, error: type[Exception] = DataError)
     return whole
 
 
-def mseq_payload(coords: np.ndarray, error: type[Exception] = DataError) -> bytes:
-    """The coordinates as the little-endian float32 bytes an MSEQ1 payload stores.
+def mseq_bytes(seq: PoseSequence, skeleton_name: str,
+               error: type[Exception] = DataError) -> bytes:
+    """The whole MSEQ1 file of ``seq``.
 
-    Raises ``error`` unless every coordinate is finite in float32.
+    Raises ``error`` unless the frame rate is a whole number of millihertz and
+    every coordinate is finite in float32.
     """
+    rate_mhz = frame_rate_millihertz(seq.frame_rate, error)
     with np.errstate(over="ignore"):
-        single = coords.astype("<f4")
+        single = seq.coords.astype("<f4")
     bad = ~np.isfinite(single)
     if bad.any():
         frame = int(np.argwhere(bad)[0][0])
         raise error(f"coordinate at frame {frame} is beyond the float32 range of an MSEQ1 file")
-    return single.tobytes()
+    name = skeleton_name.encode("utf-8")
+    return (MAGIC + struct.pack("<IIII", seq.joints, seq.frames, rate_mhz, len(name)) + name
+            + single.tobytes())
 
 
 def save_sequence(path, seq: PoseSequence, skeleton_name: str):
-    rate_mhz = frame_rate_millihertz(seq.frame_rate)
-    payload = mseq_payload(seq.coords)
-    name = skeleton_name.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", seq.joints, seq.frames, rate_mhz))
-        fh.write(struct.pack("<I", len(name)))
-        fh.write(name)
-        fh.write(payload)
+    Path(path).write_bytes(mseq_bytes(seq, skeleton_name))
 
 
 def load_sequence(path) -> tuple[str, PoseSequence]:
@@ -115,12 +112,10 @@ def load_sequence(path) -> tuple[str, PoseSequence]:
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
     coords = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    coords = coords.reshape(frames, joints, 3)
-    bad = ~np.isfinite(coords)
-    if bad.any():
-        frame = int(np.argwhere(bad)[0][0])
-        raise DataError(f"{path}: non-finite coordinate at frame {frame}")
-    return name, PoseSequence(coords, rate_mhz / 1000.0)
+    try:
+        return name, PoseSequence(coords.reshape(frames, joints, 3), rate_mhz / 1000.0)
+    except DataError as bad:
+        raise DataError(f"{path}: {bad}") from None
 
 
 def load_dataset(directory) -> SequenceDataset:

@@ -51,7 +51,7 @@ class LossWeights:
     table: np.ndarray     # (window_frames, joints), sums to joints * window_frames
 
 
-def spatial_factors(skeleton: Skeleton, floor: float = 0.1) -> np.ndarray:
+def spatial_factors(skeleton: Skeleton, floor: float = LossConfig.spatial_floor) -> np.ndarray:
     """Per-joint factor (pos/bones) * ln(cumulative bone length), floored.
 
     The chain root sits at position 0 and takes the floor value; joints on
@@ -78,7 +78,8 @@ def spatial_factors(skeleton: Skeleton, floor: float = 0.1) -> np.ndarray:
                     dtype=np.float64)
 
 
-def temporal_factors(query_len: int, future_len: int, form: str = "unit_final") -> np.ndarray:
+def temporal_factors(query_len: int, future_len: int,
+                     form: str = LossConfig.temporal_form) -> np.ndarray:
     """Weight 1 on reconstructed frames, a decreasing ramp on future frames."""
     if query_len < 1 or future_len < 1:
         raise ConfigurationError("query_len and future_len must be >= 1")

@@ -9,6 +9,7 @@ from .attention import (
     AttentionParams,
     MotionSummary,
     init_attention_params,
+    kernel_widths,
     summarize_history,
 )
 from .errors import ConfigurationError, FormatError
@@ -114,8 +115,16 @@ def named_running_stats(params: ModelParams) -> dict[str, RunningStats]:
     return table
 
 
-def count_parameters(params: ModelParams) -> int:
-    return sum(t.size for t in named_parameters(params).values())
+def count_parameters(config: ModelConfig) -> int:
+    """The number of values ``init_model_params(config)`` learns, from the config alone."""
+    p, d, c = config.pose_dim, config.latent_dim, 2 * config.window
+    w1, w2 = kernel_widths(config.query_len)
+    attention = (2 * (d * p * w1 + d * d * w2 + 2 * d)  # query and key nets, two convs each
+                 if config.attention_mode == "attention" else 0)
+    # a stage's entry block, 2 * glb_pairs (d, d) blocks and bare output conv,
+    # each with a (p, p) adjacency; the blocks also have a norm's gamma and beta
+    weights = (c * d + 2 * d) + 2 * config.glb_pairs * (d * d + 2 * d) + d * c
+    return attention + config.stages * (weights + (2 + 2 * config.glb_pairs) * p * p)
 
 
 @dataclass

@@ -45,6 +45,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     config_from_dict,
+    count_parameters,
     init_model_params,
     model_forward,
     named_parameters,
@@ -175,7 +176,8 @@ def lr_schedule(epoch: int, initial_lr: float, decay: float) -> float:
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+              beta1: float = OptimizerConfig.beta1, beta2: float = OptimizerConfig.beta2,
+              eps: float = OptimizerConfig.eps):
     """One in-place update of every parameter ``state`` holds; a missing
     gradient counts as zero.
 
@@ -239,8 +241,6 @@ class TrainSettings:
     seed: int = 0
     val_fraction: float = 0.2
     window_stride: int = 1
-    stop_train_mpjpe: float | None = None
-    log_fn: object = None
 
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0), ("window_stride", 1)):
@@ -390,10 +390,12 @@ def split_windows(dataset: SequenceDataset, model_config: ModelConfig,
 
 def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: LossConfig,
           optimizer_config: OptimizerConfig | None = None,
-          settings: TrainSettings | None = None, resume=None) -> TrainResult:
+          settings: TrainSettings | None = None, resume=None, on_epoch=None) -> TrainResult:
     """Shuffled mini-batch training with the per-epoch decayed Adam schedule.
 
-    Writes no files: ``save_checkpoint`` stores the returned state.
+    ``on_epoch``, when given, is called with each epoch's metrics record, and
+    a true return ends training after that epoch.  Writes no files:
+    ``save_checkpoint`` stores the returned state.
     """
     opt = optimizer_config or OptimizerConfig()
     settings = settings or TrainSettings()
@@ -445,18 +447,14 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
                 batch_losses.append(float(loss.data))
                 counts.append(len(batch))
 
-            train_mpjpe = dataset_mpjpe(train_windows, params, model_config)
             record = {"epoch": epoch, "lr": lr,
                       "train_loss": _window_mean(batch_losses, counts),
-                      "train_mpjpe": train_mpjpe}
+                      "train_mpjpe": dataset_mpjpe(train_windows, params, model_config)}
             if val_windows:
                 record["val_mpjpe"] = dataset_mpjpe(val_windows, params, model_config)
             metrics.append(record)
-            if settings.log_fn is not None:
-                settings.log_fn(record)
             epochs_run = epoch + 1
-            if settings.stop_train_mpjpe is not None and \
-                    train_mpjpe < settings.stop_train_mpjpe:
+            if on_epoch is not None and on_epoch(record):
                 break
     return TrainResult(params, adam, rng, metrics, epochs_run, settings)
 
@@ -680,13 +678,13 @@ def load_checkpoint(path) -> Checkpoint:
         for cls, field in ((ModelConfig, "model_config"), (LossConfig, "loss_config"),
                            (OptimizerConfig, "optimizer_config")))
     skeleton = skeleton_from_text(header["skeleton"], source=str(path))
-    # the payload stores every parameter with its two Adam moments, and each stage
-    # has at least this many parameters: reject a config the payload cannot hold
-    # before allocating it
-    c = model_config
-    if 24 * c.stages * ((2 + 2 * c.glb_pairs) * c.pose_dim ** 2
-                        + 2 * c.latent_dim * c.window) > len(payload):
-        raise FormatError(f"{path}: model_config needs more parameters than the payload holds")
+    # the file's own parameter arrays must back every parameter the config builds,
+    # so a load allocates no more than the file holds
+    needed = count_parameters(model_config)
+    stored = sum(a.size for name, a in arrays.items() if name.startswith("param."))
+    if stored != needed:
+        raise FormatError(f"{path}: model_config has {needed} parameters, "
+                          f"the payload stores {stored}")
 
     # rebuild the parameter structure from the config, then load values by name
     params = init_model_params(model_config, np.random.default_rng(0))
