@@ -10,8 +10,10 @@ order is package defaults (those dataclass defaults), then the --config file,
 then --set KEY=VALUE overrides, then dedicated flags; unknown keys and values
 of the wrong type are rejected.  ``train --dry-run`` builds no model, and a run
 whose parameters and Adam moments exceed physical memory exits 2 before it
-writes.  The resolved configuration is echoed into train's output directory
-and the per-epoch metrics log is line-delimited JSON.
+writes, as does a ``predict`` whose output alone would.  The resolved
+configuration is echoed into train's output directory and the per-epoch
+metrics log is line-delimited JSON; a run that fails removes both, and the
+directories it made for them.
 
 Exit codes: 0 success, 1 runtime failure (running out of memory included),
 2 usage or configuration error; every failure, parser errors included, is one
@@ -20,6 +22,7 @@ Exit codes: 0 success, 1 runtime failure (running out of memory included),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -126,6 +129,15 @@ def config_from(cls, resolved: dict, **given):
                   if owner is cls}, **given)
 
 
+def _check_fits(need: int, what: str):
+    """Refuse, as a usage error, work whose arrays exceed physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigurationError(
+            f"{what} need {need / 2 ** 30:.1f} GiB, "
+            f"more than the machine's {memory / 2 ** 30:.1f} GiB of memory")
+
+
 def _echo_config(resolved: dict, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved.json").write_text(
@@ -152,21 +164,29 @@ def cmd_train(args) -> int:
 
     if not args.out:
         raise ConfigurationError("missing required field: out (output directory)")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 24 * count > memory:  # float64 parameters and Adam's two moments
-        raise ConfigurationError(
-            f"{count} parameters and their Adam moments need {24 * count / 2 ** 30:.1f} GiB, "
-            f"more than the machine's {memory / 2 ** 30:.1f} GiB of memory")
+    # float64 parameters and Adam's two moments
+    _check_fits(24 * count, f"{count} parameters and their Adam moments")
     split_windows(dataset, model_config, settings)  # a dataset train() rejects writes nothing
     out_dir = Path(args.out)
-    _echo_config(resolved, out_dir)
-    metrics_path = out_dir / "metrics.jsonl"
-    with open(metrics_path, "w", encoding="utf-8") as log:
-        def log_record(record):
-            log.write(json.dumps(record) + "\n")
-            log.flush()
-        result = train(dataset, model_config, loss_config, optimizer_config, settings,
-                       on_epoch=log_record)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    written = (out_dir / "config.resolved.json", out_dir / "metrics.jsonl")
+    try:
+        _echo_config(resolved, out_dir)
+        with open(written[1], "w", encoding="utf-8") as log:
+            def log_record(record):
+                log.write(json.dumps(record) + "\n")
+                log.flush()
+            result = train(dataset, model_config, loss_config, optimizer_config, settings,
+                           on_epoch=log_record)
+    except Exception:
+        # a failed run leaves nothing: its files, then the directories it made
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     checkpoint = out_dir / "checkpoint.mckpt"
     save_checkpoint(checkpoint, result.params, result.adam, result.rng, result.epochs_run,
                     model_config, loss_config, optimizer_config, settings.replay_fields(),
@@ -187,6 +207,9 @@ def cmd_predict(args) -> int:
             f"input skeleton {seq_name!r} ({history.joints} joints) does not match "
             f"checkpoint skeleton {ckpt.skeleton.name!r} "
             f"({ckpt.skeleton.joint_count} joints)")
+    # the float64 output alone, before the passes that grow it
+    _check_fits(24 * args.horizon * history.joints,
+                f"{args.horizon} predicted frames of {history.joints} joints")
     prediction = predict_autoregressive(history, ckpt.params, ckpt.model_config,
                                         args.horizon)
     save_sequence(args.output, prediction, ckpt.skeleton.name)

@@ -8,9 +8,10 @@ basis is orthonormal, so the coefficients carry from stage to stage without
 a round trip through pose space.  The graph convolution is adjacency @ input
 @ weights with both factors learnable; a block follows it with batch
 normalization, tanh and dropout (recorded as one tape node,
-``tensor.graph_block``, which also takes a residual pair's add), and each
-module closes with a bare graph convolution restoring the coefficient
-channel count (one ``tensor.graph_conv`` node).
+``tensor.graph_block``).  Each residual pair of blocks with its add is one
+tape node too (``tensor.residual_pair``), which keeps no copy of its first
+block's output, and each module closes with a bare graph convolution
+restoring the coefficient channel count (one ``tensor.graph_conv`` node).
 
 The final convolution's weight matrix starts at zero, so a freshly
 initialized model is exactly the repeat-last-pose baseline (only the
@@ -33,6 +34,7 @@ from .tensor import (
     concat,
     graph_block,
     graph_conv as _graph_conv,
+    residual_pair,
 )
 from .transforms import DctBasis, dct, idct
 
@@ -81,31 +83,42 @@ def pad_query(query, future_len: int) -> Tensor:
     return concat([query] + [last] * future_len, axis=-1)
 
 
-def _check_graph_input(g: Tensor, layer: GraphLayerParams):
-    if g.shape[-1] != layer.weights.shape[0]:
+def _check_graph_input(shape: tuple, layer: GraphLayerParams):
+    if shape[-1] != layer.weights.shape[0]:
         raise DimensionError(
-            f"graph conv expects {layer.weights.shape[0]} channels, got {g.shape[-1]}")
-    if g.shape[-2] != layer.adjacency.shape[0]:
+            f"graph conv expects {layer.weights.shape[0]} channels, got {shape[-1]}")
+    if shape[-2] != layer.adjacency.shape[0]:
         raise DimensionError(
             f"graph conv expects {layer.adjacency.shape[0]} joints-coords rows, "
-            f"got {g.shape[-2]}")
+            f"got {shape[-2]}")
 
 
 def graph_conv(g, layer: GraphLayerParams) -> Tensor:
     """adjacency @ g @ weights over (..., pose_dim, channels) inputs: one tape node."""
     g = as_tensor(g)
-    _check_graph_input(g, layer)
+    _check_graph_input(g.shape, layer)
     return _graph_conv(g, layer.adjacency, layer.weights)
 
 
+def _block_params(layer: GraphLayerParams) -> tuple:
+    return layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats
+
+
 def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
-                         dropout_rate: float = DROPOUT, residual=None) -> Tensor:
-    """Graph conv, batch norm over channels, tanh, dropout and an optional
-    residual add: one tape node."""
+                         dropout_rate: float = DROPOUT,
+                         second: GraphLayerParams | None = None) -> Tensor:
+    """Graph conv, batch norm over channels, tanh and dropout: one tape node.
+
+    With ``second``, the residual pair ``block(block(g, layer), second) + g``,
+    also one tape node, which rebuilds the first block's output in its
+    backward instead of keeping it.
+    """
     g = as_tensor(g)
-    _check_graph_input(g, layer)
-    return graph_block(g, layer.adjacency, layer.weights, layer.gamma, layer.beta,
-                       layer.stats, mode, dropout_rate, residual)
+    _check_graph_input(g.shape, layer)
+    if second is None:
+        return graph_block(g, *_block_params(layer), mode, dropout_rate)
+    _check_graph_input(g.shape[:-1] + layer.weights.shape[-1:], second)
+    return residual_pair(g, _block_params(layer), _block_params(second), mode, dropout_rate)
 
 
 def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:
@@ -116,10 +129,8 @@ def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:
             f"module expects {params.in_channels} channels, got {g.shape[-1]}")
     h = graph_learning_block(g, params.blocks[0], mode, params.dropout)
     for pair in range(params.pair_count):
-        first = params.blocks[1 + 2 * pair]
-        second = params.blocks[2 + 2 * pair]
-        h = graph_learning_block(graph_learning_block(h, first, mode, params.dropout),
-                                 second, mode, params.dropout, residual=h)
+        h = graph_learning_block(h, params.blocks[1 + 2 * pair], mode, params.dropout,
+                                 second=params.blocks[2 + 2 * pair])
     return graph_conv(h, params.output_gc)
 
 

@@ -14,9 +14,10 @@ belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d`` holds only its operands and unfolds its input again in the
 backward; ``graph_conv`` holds only its operands; ``graph_block`` holds
-its operands and normalized activations, recomputes ``adjacency @ g`` and
-its tanh output there, and adds an optional residual operand into its own
-output buffer.  The sweep drops each closure, its edges and the node's
+its operands and normalized activations and recomputes ``adjacency @ g``
+and its tanh output there; ``residual_pair``, two blocks and their
+residual add, holds the same per block and rebuilds its first block's
+output too.  The sweep drops each closure, its edges and the node's
 gradient as soon as the closure has run, so the arrays a node saved and
 the gradients already consumed are released during the sweep.  A
 closure never writes into the gradient it receives, which may be shared
@@ -31,6 +32,7 @@ copy.  All math is 64-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -585,120 +587,213 @@ def graph_conv(g, adjacency, weights) -> Tensor:
     out = _result((adjacency.data @ g.data) @ weights.data, (g, adjacency, weights), "graph_conv")
     if out.requires_grad:
         def _bw(grad):
-            _graph_conv_backward(grad, g, adjacency, weights)
+            _accum(g, _graph_conv_backward(grad, g.data, g.requires_grad, adjacency, weights))
         out._backward = _bw
     return out
 
 
-def _graph_conv_backward(grad: np.ndarray, g: Tensor, adjacency: Tensor, weights: Tensor,
-                         mixed_out: np.ndarray | None = None,
+def _graph_conv_backward(grad: np.ndarray, g: np.ndarray, need_g: bool, adjacency: Tensor,
+                         weights: Tensor, mixed_out: np.ndarray | None = None,
                          grad_g_out: np.ndarray | None = None):
-    """Accumulate the gradients of ``(adjacency @ g) @ weights`` for upstream ``grad``.
+    """Gradients of ``(adjacency @ g) @ weights`` for upstream ``grad``.
 
-    ``adjacency @ g`` is recomputed (the forward's GEMM on the same arrays,
-    so bit-identical) into ``mixed_out`` where given; once the weight
-    gradient is taken it is spent and takes ``grad_mixed``.  ``grad_g_out``,
-    a spent buffer of g's shape, takes the input gradient.
+    The weights' and the adjacency's are accumulated; g's is returned, or
+    None unless ``need_g``.  ``adjacency @ g`` is recomputed (the forward's
+    GEMM on the same arrays, so bit-identical) into ``mixed_out`` where
+    given; once the weight gradient is taken it is spent and takes
+    ``grad_mixed``.  ``grad_g_out``, a spent buffer of g's shape, takes g's
+    gradient.
     """
-    mixed = np.matmul(adjacency.data, g.data, out=mixed_out)
+    mixed = np.matmul(adjacency.data, g, out=mixed_out)
     _, grad_weights = _matmul_grads(mixed, weights.data, grad, False, weights.requires_grad)
     _accum(weights, grad_weights)
-    if adjacency.requires_grad or g.requires_grad:
-        grad_mixed, _ = _matmul_grads(mixed, weights.data, grad, True, False, out_a=mixed)
-        grad_adjacency, grad_g = _matmul_grads(adjacency.data, g.data, grad_mixed,
-                                               adjacency.requires_grad, g.requires_grad,
-                                               out_b=grad_g_out)
-        _accum(adjacency, grad_adjacency)
-        _accum(g, grad_g)
+    if not (adjacency.requires_grad or need_g):
+        return None
+    grad_mixed, _ = _matmul_grads(mixed, weights.data, grad, True, False, out_a=mixed)
+    grad_adjacency, grad_g = _matmul_grads(adjacency.data, g, grad_mixed,
+                                           adjacency.requires_grad, need_g, out_b=grad_g_out)
+    _accum(adjacency, grad_adjacency)
+    return grad_g
+
+
+class _BlockTape(NamedTuple):
+    """What a block keeps for its backward besides its operands."""
+
+    normalized: np.ndarray          # the batch-norm input, normalized per channel
+    std: np.ndarray                 # the per-channel std it was divided by
+    keep: np.ndarray | None         # the dropout keep mask, one bit per value
+
+
+class _Block(NamedTuple):
+    """A graph block's parameters."""
+
+    adjacency: Tensor
+    weights: Tensor
+    gamma: Tensor
+    beta: Tensor
+    stats: RunningStats
+
+
+def _as_block(adjacency, weights, gamma, beta, stats: RunningStats) -> _Block:
+    block = _Block(*(as_tensor(t) for t in (adjacency, weights, gamma, beta)), stats)
+    _check_affine(block.gamma, block.beta, block.weights.shape[-1])
+    return block
+
+
+def _block_forward(x: np.ndarray, block: _Block, mode: Mode, rate: float, tracked: bool):
+    """``dropout(tanh(batchnorm(adjacency @ x @ weights)))`` on the array ``x``.
+
+    Returns the output, a new array, and, where ``tracked``, the block's
+    ``_BlockTape`` (else None: nothing outlives the call).  The pre-norm
+    product is overwritten by the normalized activations and the dropout
+    draw's buffer takes the output; off the tape, eval mode runs the whole
+    epilogue in the pre-norm product's buffer.
+    """
+    adjacency, weights, gamma, beta, stats = block
+    dropping = _dropout_active(rate, mode.rng, mode)
+    normalized = (adjacency.data @ x) @ weights.data
+    activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats,
+                                        mode.training, normalized.ndim - 1,
+                                        keep_normalized=tracked)
+    np.tanh(activated, out=activated)
+    if not dropping:
+        return activated, _BlockTape(normalized, std, None) if tracked else None
+    data, keep = _dropout_draw(activated.shape, rate, mode.rng)
+    np.multiply(activated, keep, out=data)
+    data *= 1.0 / (1.0 - rate)
+    return data, _BlockTape(normalized, std, np.packbits(keep, axis=None)) if tracked else None
+
+
+def _block_tanh(tape: _BlockTape, gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """The block's tanh output, rebuilt by ``_batchnorm_forward``'s affine
+    step (channels are the last axis) and the forward's tanh, in order."""
+    t = np.multiply(gamma.data, tape.normalized)
+    t += beta.data
+    return np.tanh(t, out=t)
+
+
+def _block_output(block: _Block, tape: _BlockTape, rate: float) -> np.ndarray:
+    """The block's output rebuilt bitwise in one new array: its tanh output
+    times the keep mask and the scale, as the forward applied them."""
+    out = _block_tanh(tape, block.gamma, block.beta)
+    if tape.keep is not None:
+        out *= np.unpackbits(tape.keep, count=out.size).reshape(out.shape)
+        out *= 1.0 / (1.0 - rate)
+    return out
+
+
+def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: _Block,
+                    tape: _BlockTape, training: bool, rate: float):
+    """Accumulate a block's parameter gradients for upstream ``grad_out``.
+
+    ``x`` is the block's input array; its gradient is returned, or None
+    unless ``need_x``.  The backward writes its full-size gradients over the
+    buffers it has finished with, ``tape.normalized`` among them, so it runs
+    once per tape.
+    """
+    adjacency, weights, gamma, beta, _stats = block
+    slope = _block_tanh(tape, gamma, beta)       # tanh's slope 1 - t*t
+    np.multiply(slope, slope, out=slope)
+    np.subtract(1.0, slope, out=slope)
+    # gradient at the batch-norm output: the dropout mask, then the slope
+    if tape.keep is None:
+        grad = np.multiply(grad_out, slope)
+    else:
+        mask = np.unpackbits(tape.keep, count=slope.size).reshape(slope.shape)
+        grad = np.multiply(grad_out, mask)
+        grad *= 1.0 / (1.0 - rate)
+        grad *= slope
+    need_mixed = adjacency.requires_grad or need_x
+    # the spent slope takes the batch-norm backward's product
+    dgamma, dbeta, dx = _batchnorm_backward(
+        grad, tape.normalized, gamma.data, tape.std, training, grad.ndim - 1,
+        need_mixed or weights.requires_grad, slope)
+    _accum(gamma, dgamma)
+    _accum(beta, dbeta)
+    if dx is None:
+        return None
+    # the spent grad takes adjacency @ x where it has x's shape, and dx,
+    # once spent, x's gradient
+    spent = grad if grad.shape == x.shape else None
+    del grad
+    return _graph_conv_backward(dx, x, need_x, adjacency, weights, mixed_out=spent,
+                                grad_g_out=dx if dx.shape == x.shape else None)
 
 
 def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: Mode,
-                rate: float, residual=None) -> Tensor:
-    """``dropout(tanh(batchnorm(adjacency @ g @ weights))) [+ residual]`` as one tape node.
+                rate: float) -> Tensor:
+    """``dropout(tanh(batchnorm(adjacency @ g @ weights)))`` as one tape node.
 
     g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out); batch norm
     runs over the last (channel) axis and dropout draws ``mode.rng``.  The
     arithmetic, its order and the dropout draw are those of the composed
-    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` (test ops, in
-    ``tests/reference_ops.py``) and ``add`` ops, so values, running
-    statistics and gradients are bit-identical to theirs.
-    ``residual``, where given, has the output's shape and is added into the
-    block's own output buffer.  Besides its operands the node keeps one
-    full-size array, the normalized activations, and under dropout the keep
-    mask packed to one bit per value.  The backward recomputes the rest with
-    the forward's own ops on the same arrays, so bit-identically:
-    ``adjacency @ g`` (the same GEMM) for the weight gradient and the tanh
-    output (``gamma * normalized + beta``, then ``np.tanh``) for tanh's
-    slope.  The pre-norm product and the batch-norm output are overwritten
-    in place, and the backward writes its full-size gradients over the
-    buffers it has finished with.  Off the tape (under ``no_grad`` or with
-    no tracked input) nothing is kept and eval mode runs the whole epilogue
-    in the buffer of the pre-norm product.
+    ``matmul``, ``batchnorm``, ``tanh`` and ``dropout`` ops (test ops, in
+    ``tests/reference_ops.py``), so values, running statistics and
+    gradients are bit-identical to theirs.  Besides its operands the node
+    keeps one full-size array, the normalized activations, and under
+    dropout the keep mask packed to one bit per value.  The backward
+    recomputes the rest with the forward's own ops on the same arrays, so
+    bit-identically: ``adjacency @ g`` (the same GEMM) for the weight
+    gradient and the tanh output (``gamma * normalized + beta``, then
+    ``np.tanh``) for tanh's slope.  Off the tape (under ``no_grad`` or with
+    no tracked input) nothing is kept.
     """
-    operands = g, adjacency, weights, gamma, beta = tuple(
-        as_tensor(t) for t in (g, adjacency, weights, gamma, beta))
-    _check_affine(gamma, beta, weights.shape[-1])
-    if residual is not None:
-        residual = as_tensor(residual)
-        shape = g.shape[:-1] + weights.shape[-1:]
-        if residual.shape != shape:
-            raise DimensionError(f"residual must have the block output's shape {shape}, "
-                                 f"got {residual.shape}")
-        operands += (residual,)
-    dropping = _dropout_active(rate, mode.rng, mode)
+    g = as_tensor(g)
+    block = _as_block(adjacency, weights, gamma, beta, stats)
+    operands = (g,) + block[:4]
     tracked = _grad_enabled and any(t.requires_grad for t in operands)
-    normalized = (adjacency.data @ g.data) @ weights.data
-    axis = normalized.ndim - 1
-    activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats,
-                                        mode.training, axis, keep_normalized=tracked)
-    np.tanh(activated, out=activated)
-    if dropping:
-        data, keep = _dropout_draw(activated.shape, rate, mode.rng)
-        scale = 1.0 / (1.0 - rate)
-        np.multiply(activated, keep, out=data)  # the draw's buffer takes the output
-        data *= scale
-    else:
-        data, keep = activated, None
-    if residual is not None:
-        data += residual.data
+    data, tape = _block_forward(g.data, block, mode, rate, tracked)
     out = _result(data, operands, "graph_block")
     if out.requires_grad:
         training = mode.training
-        if keep is not None:
-            keep = np.packbits(keep, axis=None)
         def _bw(grad_out):
-            if residual is not None:
-                _accum(residual, grad_out)
-            # tanh's slope 1 - t*t, t rebuilt by _batchnorm_forward's affine
-            # step (channels are the last axis) and the forward's tanh, in order
-            slope = np.multiply(gamma.data, normalized)
-            slope += beta.data
-            np.tanh(slope, out=slope)
-            np.multiply(slope, slope, out=slope)
-            np.subtract(1.0, slope, out=slope)
-            # gradient at the batch-norm output: the dropout mask, then the slope
-            if keep is None:
-                grad = np.multiply(grad_out, slope)
-            else:
-                mask = np.unpackbits(keep, count=slope.size).reshape(slope.shape)
-                grad = np.multiply(grad_out, mask)
-                grad *= scale
-                grad *= slope
-            need_mixed = adjacency.requires_grad or g.requires_grad
-            # the spent slope takes the batch-norm backward's product
-            dgamma, dbeta, dx = _batchnorm_backward(
-                grad, normalized, gamma.data, std, training, axis,
-                need_mixed or weights.requires_grad, slope)
-            _accum(gamma, dgamma)
-            _accum(beta, dbeta)
-            if dx is None:
-                return
-            # the spent grad takes adjacency @ g where it has g's shape, and dx,
-            # once spent, the input gradient
-            spent = grad if grad.shape == g.shape else None
-            del grad
-            _graph_conv_backward(dx, g, adjacency, weights, mixed_out=spent,
-                                 grad_g_out=dx if dx.shape == g.shape else None)
+            _accum(g, _block_backward(grad_out, g.data, g.requires_grad, block, tape,
+                                      training, rate))
+        out._backward = _bw
+    return out
+
+
+def residual_pair(h, first: tuple, second: tuple, mode: Mode, rate: float) -> Tensor:
+    """A residual pair ``block(block(h, first), second) + h`` as one tape node.
+
+    ``block`` is ``graph_block``'s op and ``first`` and ``second`` are its
+    ``(adjacency, weights, gamma, beta, stats)``; the second block's output
+    has h's shape.  Values, running statistics, dropout draws and gradients
+    (h's two contributions included) are bit-identical to those of the
+    composed ``graph_block``, ``graph_block`` and ``add`` nodes.  The node
+    keeps each block's normalized activations and packed keep mask but not
+    the first block's output: its backward rebuilds that with the forward's
+    own ops (``gamma * normalized + beta``, tanh, times the mask, times the
+    scale) as the second block's input, runs the second block's backward,
+    drops it, then runs the first block's backward.  Off the tape nothing is
+    kept, so the first block's output is the only array that lives on
+    across the second block's forward.
+    """
+    h = as_tensor(h)
+    first, second = _as_block(*first), _as_block(*second)
+    shape = h.shape[:-1] + second.weights.shape[-1:]
+    if shape != h.shape:
+        raise DimensionError(f"a residual pair's output {shape} must have the shape of "
+                             f"its input {h.shape}")
+    operands = (h,) + first[:4] + second[:4]
+    tracked = _grad_enabled and any(t.requires_grad for t in operands)
+    inner, first_tape = _block_forward(h.data, first, mode, rate, tracked)
+    data, second_tape = _block_forward(inner, second, mode, rate, tracked)
+    data += h.data
+    out = _result(data, operands, "residual_pair")
+    if out.requires_grad:
+        training = mode.training
+        need_inner = any(t.requires_grad for t in operands[:5])
+        def _bw(grad_out):
+            _accum(h, grad_out)
+            # the first block's output lives only through the second's backward
+            inner = _block_output(first, first_tape, rate)
+            grad_inner = _block_backward(grad_out, inner, need_inner, second, second_tape,
+                                         training, rate)
+            del inner
+            if need_inner:
+                _accum(h, _block_backward(grad_inner, h.data, h.requires_grad, first,
+                                          first_tape, training, rate))
         out._backward = _bw
     return out
 

@@ -288,14 +288,25 @@ class TestTrain:
         assert [r["epoch"] for r in records] == [0, 1, 2]
         assert all("train_loss" in r and "train_mpjpe" in r for r in records)
 
-    def test_diverging_run_exits_1_with_one_error_line(self, corpus, tmp_path, capsys,
-                                                       recwarn):
-        rc = main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"),
+    # the run fails after writing its config and opening its metrics log; it
+    # removes both, and the directories it made, but nothing that was there
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_diverging_run_exits_1_with_one_error_line_and_leaves_nothing(
+            self, corpus, tmp_path, capsys, recwarn, existing):
+        out = tmp_path / "runs" / "run"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        rc = main(["train", "--data", str(corpus), "--out", str(out),
                    "--epochs", "1", "--set", "lr=1e308", *TINY_MODEL])
         err = capsys.readouterr().err
         assert rc == 1, err
         assert err.startswith("error: non-finite loss") and err.count("\n") == 1
         assert [str(w.message) for w in recwarn] == []
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
 
 
 def _non_utf8_skeleton(data):
@@ -404,6 +415,16 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "skeleton-3j-1c" in err and "skeleton-4j-1c" in err
 
+    def test_horizon_beyond_memory_exits_2_before_predicting(self, corpus, trained, tmp_path):
+        # the output alone would be 1e9 frames x 3 joints x 3 float64 values
+        out = tmp_path / "x.mseq"
+        done = run_with_memory_cap(["predict", str(trained / "checkpoint.mckpt"),
+                                    str(corpus / "sinusoid_000.mseq"), str(out),
+                                    "--horizon", "1000000000"])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "1000000000 predicted frames of 3 joints" in done.stderr
+        assert not out.exists()
 
     def test_non_utf8_checkpoint_header_exits_1_with_one_error_line(
             self, corpus, trained, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,12 +125,21 @@ class TestGraphLearningBlock:
         assert len(held) == 3 and all(any(a is t.data for t in out._parents) for a in held)
 
 
-def _composed_block(g, layer, mode, dropout_rate=0.3, residual=None):
-    """The block as separate tape ops, the fused node's reference."""
+def _composed_block(g, layer, mode, dropout_rate=0.3, second=None):
+    """The block, or with ``second`` the residual pair, as separate tape ops:
+    the fused nodes' reference."""
     h = matmul(matmul(layer.adjacency, g), layer.weights)
     h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode, channel_axis=-1)
     h = dropout(tanh(h), dropout_rate, mode.rng, mode)
-    return h if residual is None else add(h, residual)
+    return h if second is None else add(_composed_block(h, second, mode, dropout_rate), g)
+
+
+def _separate_block_nodes(g, layer, mode, dropout_rate=0.3, second=None):
+    """The block, or with ``second`` the residual pair, as ``graph_block`` and
+    ``add`` nodes."""
+    h = graph_block(g, layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats,
+                    mode, dropout_rate)
+    return h if second is None else add(_separate_block_nodes(h, second, mode, dropout_rate), g)
 
 
 def _tracked_layer(rng, rows, channels_in, channels_out, stats):
@@ -257,53 +267,6 @@ class TestFusedGraphBlock:
         assert out._op == "graph_block"
         assert all(p._op == "leaf" for p in out._parents)
 
-    @pytest.mark.parametrize("training, rate, shape", FUSED_CASES)
-    def test_residual_equals_separate_add_bitwise(self, training, rate, shape):
-        rng, layer, x = _fused_case(training, shape)
-        reference = _clone_layer(layer)
-        h = rng.normal(size=shape[:-1] + (6,))
-        upstream = Tensor(rng.normal(size=h.shape))
-        results = []
-        for fused, params in ((True, layer), (False, reference)):
-            g = Tensor(x.copy(), requires_grad=True)
-            residual = Tensor(h.copy(), requires_grad=True)
-            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-            if fused:
-                out = graph_learning_block(g, params, mode, dropout_rate=rate, residual=residual)
-            else:
-                out = add(graph_learning_block(g, params, mode, dropout_rate=rate), residual)
-            backward(tensor_sum(out * upstream))
-            results.append([out.data, params.stats.mean, params.stats.var, g.grad,
-                            residual.grad] + [t.grad for t in _layer_tensors(params)])
-        for fused, composed in zip(*results):
-            assert np.array_equal(fused, composed)
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_untracked_residual_equals_separate_add_bitwise(self, training):
-        _rng, layer, x = _fused_case(training, (3, 5, 4))
-        reference = _clone_layer(layer)
-        h = np.random.default_rng(37).normal(size=(3, 5, 6))
-        outs = []
-        for fused, params in ((True, layer), (False, reference)):
-            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-            with no_grad():
-                if fused:
-                    out = graph_learning_block(Tensor(x), params, mode, residual=Tensor(h))
-                else:
-                    out = add(graph_learning_block(Tensor(x), params, mode), Tensor(h))
-            outs.append(out.data)
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(layer.stats.var, reference.stats.var)
-
-    def test_residual_of_another_shape_raises(self):
-        rng = np.random.default_rng(38)
-        layer = _tracked_layer(rng, 5, 4, 6, RunningStats())
-        with pytest.raises(DimensionError, match="residual"):
-            graph_learning_block(Tensor(rng.normal(size=(3, 5, 4))), layer,
-                                 Mode.train(np.random.default_rng(0)),
-                                 residual=Tensor(np.zeros((3, 5, 4))))
-        assert not layer.stats.initialized
-
     def test_bad_dropout_rate_leaves_stats_untouched(self):
         rng = np.random.default_rng(34)
         layer = _tracked_layer(rng, 3, 4, 5, RunningStats())
@@ -311,6 +274,120 @@ class TestFusedGraphBlock:
             graph_learning_block(Tensor(rng.normal(size=(3, 4))), layer,
                                  Mode.train(np.random.default_rng(0)), dropout_rate=1.0)
         assert not layer.stats.initialized
+
+
+# (training, dropout rate, h's shape, inner channels): 2-D (P, C) and batched
+# (B, P, C) h of 6 channels, through a square inner block like the model's and
+# through a 4-channel one (the backward's buffers then differ in shape)
+PAIR_CASES = [(training, rate, shape, inner)
+              for inner in (6, 4)
+              for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
+              for shape in ((5, 6), (3, 5, 6))]
+
+
+def _pair_case(training, shape, inner):
+    rng = np.random.default_rng(41)
+    layers = []
+    for channels_in, channels_out in ((shape[-1], inner), (inner, shape[-1])):
+        stats = RunningStats()
+        if not training:
+            stats.update(rng.normal(size=channels_out), rng.uniform(0.5, 2.0, channels_out))
+        layers.append(_tracked_layer(rng, shape[-2], channels_in, channels_out, stats))
+    return rng, layers, rng.normal(size=shape)
+
+
+class TestResidualPair:
+    @pytest.mark.parametrize("h_tracked", [True, False])
+    @pytest.mark.parametrize("training, rate, shape, inner", PAIR_CASES)
+    def test_equals_composed_chain_bitwise(self, training, rate, shape, inner, h_tracked):
+        # h feeds the first block and the add: its two gradient contributions
+        # add up in the composed ops' order
+        rng, layers, x = _pair_case(training, shape, inner)
+        references = [_clone_layer(layer) for layer in layers]
+        upstream = Tensor(rng.normal(size=shape))
+        results = []
+        for block, (first, second) in ((graph_learning_block, layers),
+                                       (_composed_block, references)):
+            h = Tensor(x.copy(), requires_grad=h_tracked)
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            out = block(h, first, mode, dropout_rate=rate, second=second)
+            backward(tensor_sum(out * upstream))
+            results.append([out.data, h.grad] + [
+                value for layer in (first, second)
+                for value in [layer.stats.mean, layer.stats.var]
+                + [t.grad for t in _layer_tensors(layer)]])
+        assert (results[0][1] is None) == (not h_tracked)
+        for fused, composed in zip(*results):
+            assert np.array_equal(fused, composed)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_untracked_forward_equals_composed_chain_bitwise(self, training):
+        _rng, layers, x = _pair_case(training, (3, 5, 6), 6)
+        references = [_clone_layer(layer) for layer in layers]
+        outs = []
+        for block, (first, second) in ((graph_learning_block, layers),
+                                       (_composed_block, references)):
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            with no_grad():
+                out = block(Tensor(x), first, mode, second=second)
+            assert not out.requires_grad
+            outs.append([out.data] + [v for layer in (first, second)
+                                      for v in (layer.stats.mean, layer.stats.var)])
+        for fused, composed in zip(*outs):
+            assert np.array_equal(fused, composed)
+
+    def test_records_one_tape_node(self):
+        _rng, (first, second), x = _pair_case(True, (3, 5, 6), 6)
+        h = Tensor(x, requires_grad=True)
+        out = graph_learning_block(h, first, Mode.train(np.random.default_rng(0)),
+                                   second=second)
+        assert out._op == "residual_pair"
+        assert list(out._parents) == [h] + _layer_tensors(first) + _layer_tensors(second)
+
+    def test_output_of_another_shape_raises(self):
+        # the second block maps back to 5 channels, not h's 6
+        rng = np.random.default_rng(38)
+        first = _tracked_layer(rng, 5, 6, 4, RunningStats())
+        second = _tracked_layer(rng, 5, 4, 5, RunningStats())
+        with pytest.raises(DimensionError, match="residual pair"):
+            graph_learning_block(Tensor(rng.normal(size=(3, 5, 6))), first,
+                                 Mode.train(np.random.default_rng(0)), second=second)
+        assert not first.stats.initialized and not second.stats.initialized
+
+    def test_inner_channel_mismatch_raises(self):
+        rng = np.random.default_rng(38)
+        first = _tracked_layer(rng, 5, 6, 4, RunningStats())
+        second = _tracked_layer(rng, 5, 5, 6, RunningStats())
+        with pytest.raises(DimensionError, match="expects 5 channels, got 4"):
+            graph_learning_block(Tensor(rng.normal(size=(3, 5, 6))), first,
+                                 Mode.train(np.random.default_rng(0)), second=second)
+        assert not first.stats.initialized and not second.stats.initialized
+
+    # 120 outputs per block at (4, 5, 6) do not pad the packed masks
+    @pytest.mark.parametrize("training, rate, shape",
+                             sorted({case[:3] for case in PAIR_CASES}) + [(True, 0.3, (4, 5, 6))])
+    def test_closure_keeps_no_inner_output(self, training, rate, shape):
+        # besides its operand h, the only full-size arrays are the two blocks'
+        # normalized activations: not the first block's output, nor either
+        # block's tanh output, nor the output
+        _rng, (first, second), x = _pair_case(training, shape, 6)
+        h = Tensor(x, requires_grad=True)
+        mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+        out = graph_learning_block(h, first, mode, dropout_rate=rate, second=second)
+        held = closure_arrays(out)
+        operands = [t.data for t in out._parents]
+        assert all(any(a is operand for a in held) for operand in operands)
+        assert not any(a is out.data for a in held)
+        full = [a for a in held if a.size >= out.size
+                and not any(a is operand for operand in operands)]
+        assert len(full) == 2 and all(a.shape == out.shape and a.dtype == np.float64
+                                      for a in full)
+        if training:  # normalized: zero-mean per channel
+            for a in full:
+                assert np.allclose(a.reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        masks = [a for a in held if a.dtype == np.uint8]
+        dropping = training and rate > 0
+        assert [m.shape for m in masks] == [(-(-out.size // 8),)] * (2 if dropping else 0)
 
 
 class TestTapeMemory:
@@ -329,8 +406,9 @@ class TestTapeMemory:
         fused_bytes, _, fused_nodes = retained_bytes(forward_loss())
         monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
         composed_bytes = retained_bytes(forward_loss()).total
-        blocks = sum(node._op == "graph_block" for node in fused_nodes)
-        assert blocks == config.stages * (1 + 2 * config.glb_pairs)
+        ops = [node._op for node in fused_nodes]
+        assert ops.count("graph_block") == config.stages
+        assert ops.count("residual_pair") == config.stages * config.glb_pairs
         assert fused_bytes <= 0.75 * composed_bytes, (fused_bytes, composed_bytes)
 
 
@@ -362,42 +440,20 @@ class TestTapeMemory:
         keep = np.unpackbits(masks[0], count=out.size).reshape(out.shape)
         assert np.array_equal(keep == 1, out.data != 0.0)
 
-    # square like the model's residual blocks; 120 outputs do not pad the mask
-    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6), (4, 5, 6)])
-    def test_residual_block_closure_keeps_no_block_output(self, shape):
-        # besides its operands g and residual, the only full-size array is
-        # normalized: neither the pre-residual output nor a copy of the sum
-        _rng, layer, x = _fused_case(True, shape)
-        g = Tensor(x, requires_grad=True)
-        residual = Tensor(np.random.default_rng(39).normal(size=x.shape), requires_grad=True)
-        out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(5)),
-                                   dropout_rate=0.3, residual=residual)
-        held = closure_arrays(out)
-        operands = [a for a in held if a is g.data or a is residual.data]
-        full = [a for a in held if a.shape == out.shape and a.dtype == np.float64
-                and a is not g.data and a is not residual.data]
-        assert len(operands) == 2 and len(full) == 1 and full[0] is not out.data
-        assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
-
     # square like the model's residual blocks; without dropout (train mode at
     # rate 0, or eval mode) the tanh output is rebuilt from normalized too
     @pytest.mark.parametrize("training, rate, shape",
                              [case for case in FUSED_CASES
                               if case[2][-1] == 6 and not (case[0] and case[1] > 0)])
-    @pytest.mark.parametrize("with_residual", [False, True])
-    def test_block_without_dropout_keeps_no_tanh_output(self, training, rate, shape,
-                                                         with_residual):
+    def test_block_without_dropout_keeps_no_tanh_output(self, training, rate, shape):
         _rng, layer, x = _fused_case(training, shape)
         g = Tensor(x, requires_grad=True)
-        residual = (Tensor(np.random.default_rng(39).normal(size=x.shape), requires_grad=True)
-                    if with_residual else None)
         mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-        out = graph_learning_block(g, layer, mode, dropout_rate=rate, residual=residual)
-        operands = [g.data] + ([residual.data] if with_residual else [])
+        out = graph_learning_block(g, layer, mode, dropout_rate=rate)
         held = closure_arrays(out)
         full = [a for a in held if a.shape == out.shape and a.dtype == np.float64
-                and not any(a is operand for operand in operands)]
-        assert all(any(a is operand for a in held) for operand in operands)
+                and a is not g.data]
+        assert any(a is g.data for a in held)
         # that one is normalized (zero-mean per channel in train mode)
         assert len(full) == 1 and full[0] is not out.data
         if training:
@@ -464,6 +520,42 @@ class TestTapeMemory:
         config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
                              stages=3, glb_pairs=2, latent_dim=256, dropout=dropout)
         assert _reference_tape_per_window(config, batch=2) < 4_750 * 1024
+
+    @pytest.mark.parametrize("dropout", [0.3, 0.0])
+    def test_reference_tape_keeps_no_pair_inner_output(self, dropout):
+        # as above; a residual pair rebuilds its first block's output in its
+        # backward: about 3,810 KiB per window (3,780 at dropout 0)
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256, dropout=dropout)
+        assert _reference_tape_per_window(config, batch=2) < 3_950 * 1024
+
+    @pytest.mark.parametrize("dropout", [0.3, 0.0])
+    def test_untracked_pair_holds_no_first_block_array_across_the_second(self, monkeypatch,
+                                                                         dropout):
+        # an untracked train-mode pass (the set-up forward of a model, the
+        # per-pass forward of predict) keeps no normalized array of a pair's
+        # first block while the second runs, so its peak is that of separate
+        # block nodes and an add; the Python objects of the two differ by
+        # under 1 KiB, one activation array at these shapes is 528 KiB
+        rng = np.random.default_rng(7)
+        glm = init_refinement_params(pose_dim=66, window=20, stages=1, pair_count=2,
+                                     latent_dim=256, rng=rng, dropout=dropout).stages[0]
+        x = Tensor(rng.normal(size=(4, 66, 40)))
+
+        def peak():
+            peaks = []
+            for _ in range(3):  # the first call also initializes the running stats
+                tracemalloc.start()
+                base = tracemalloc.get_traced_memory()[0]
+                with no_grad():
+                    glm_forward(x, glm, Mode.train(np.random.default_rng(1)))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                tracemalloc.stop()
+            return min(peaks[1:])
+
+        pair_peak = peak()
+        monkeypatch.setattr(refinement, "graph_learning_block", _separate_block_nodes)
+        assert pair_peak <= peak() + 1024, pair_peak
 
 
 def _reference_tape_per_window(config, batch):

@@ -24,6 +24,7 @@ from motionrefine.tensor import (
     no_grad,
     relu,
     reshape,
+    residual_pair,
     sqrt,
     sub,
     take,
@@ -584,6 +585,22 @@ def _graph_block_case(rng):
                      _tracked(rng, 4, low=0.5, high=1.5), _tracked(rng, 4)]
 
 
+def _residual_pair_case(rng, training=True, rate=0.3, inner=5):
+    # h (2, 3, 4) -> inner channels -> 4; each block's parameters follow h
+    def forward(h, *tensors):
+        mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
+        stats = [RunningStats() if training else RunningStats(r.mean, r.var) for r in running]
+        return residual_pair(h, tensors[:4] + (stats[0],), tensors[4:] + (stats[1],), mode, rate)
+    running = []
+    inputs = [_tracked(rng, 2, 3, 4)]
+    for channels_in, channels_out in ((4, inner), (inner, 4)):
+        inputs += [_tracked(rng, 3, 3), _tracked(rng, channels_in, channels_out),
+                   _tracked(rng, channels_out, low=0.5, high=1.5), _tracked(rng, channels_out)]
+        running.append(RunningStats())
+        running[-1].update(rng.normal(size=channels_out), rng.uniform(0.5, 2.0, channels_out))
+    return forward, inputs
+
+
 # tape op name (as passed to ``_result``) -> (forward, tracked inputs), checked
 # directly against finite differences under a random upstream gradient
 DIRECT_GRADCHECKS = {
@@ -611,6 +628,7 @@ DIRECT_GRADCHECKS = {
                                          channel_axis=-1),
         [_tracked(rng, 4, 3), _tracked(rng, 3, low=0.5, high=1.5), _tracked(rng, 3)]),
     "graph_block": _graph_block_case,
+    "residual_pair": _residual_pair_case,
     "graph_conv": lambda rng: (graph_conv, [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3),
                                             _tracked(rng, 4, 5)]),
 }
@@ -627,22 +645,14 @@ class TestDirectGradchecks:
         upstream = Tensor(rng.normal(size=out.shape))
         assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
 
-    # train mode with dropout, train mode at rate 0, eval mode on the tape
-    @pytest.mark.parametrize("training, rate", [(True, 0.3), (True, 0.0), (False, 0.3)])
-    def test_graph_block_residual_matches_finite_differences(self, training, rate):
+    # the row above runs train mode with dropout and a 5-channel inner block;
+    # these run train mode at rate 0 and eval mode on the tape, square inside
+    @pytest.mark.parametrize("training, rate", [(True, 0.0), (False, 0.3)])
+    def test_residual_pair_matches_finite_differences(self, training, rate):
         rng = np.random.default_rng(301)
-        inputs = [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3), _tracked(rng, 4, 4),
-                  _tracked(rng, 4, low=0.5, high=1.5), _tracked(rng, 4), _tracked(rng, 2, 3, 4)]
-        running = RunningStats()
-        running.update(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
-
-        def forward(g, adjacency, weights, gamma, beta, residual):
-            mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
-            stats = RunningStats() if training else RunningStats(running.mean, running.var)
-            return graph_block(g, adjacency, weights, gamma, beta, stats, mode, rate,
-                               residual=residual)
+        forward, inputs = _residual_pair_case(rng, training, rate, inner=4)
         out = forward(*inputs)
-        assert out._op == "graph_block" and out._parents[-1] is inputs[-1]
+        assert out._op == "residual_pair" and out._parents[0] is inputs[0]
         upstream = Tensor(rng.normal(size=out.shape))
         assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
 
