@@ -10,10 +10,13 @@ order is package defaults (those dataclass defaults), then the --config file,
 then --set KEY=VALUE overrides, then dedicated flags; unknown keys and values
 of the wrong type are rejected.  ``train --dry-run`` builds no model, and a run
 whose parameters and Adam moments exceed physical memory exits 2 before it
-writes, as does a ``predict`` whose output alone would.  The resolved
-configuration is echoed into train's output directory and the per-epoch
-metrics log is line-delimited JSON; a run that fails removes both, and the
-directories it made for them.
+writes, as does a ``predict`` whose history, key-code cache and output would
+(``trainer.prediction_bytes``).  ``train`` prints each epoch's metrics record
+as one JSON line as it ends, and writes into its output directory only once
+training has succeeded: the resolved configuration, the per-epoch metrics
+log (line-delimited JSON, the printed records) and the checkpoint.  A run
+that fails writes no file and removes the directories it made, so a finished
+run's files in that directory stay as they were.
 
 Exit codes: 0 success, 1 runtime failure (running out of memory included),
 2 usage or configuration error; every failure, parser errors included, is one
@@ -56,8 +59,8 @@ from .trainer import (
     evaluate,
     load_checkpoint,
     predict_autoregressive,
+    prediction_bytes,
     save_checkpoint,
-    split_windows,
     train,
 )
 
@@ -138,10 +141,14 @@ def _check_fits(need: int, what: str):
             f"more than the machine's {memory / 2 ** 30:.1f} GiB of memory")
 
 
-def _echo_config(resolved: dict, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _check_skeleton(what: str, name: str, joints: int, ckpt):
+    """Refuse data whose skeleton is not the checkpoint's: the name encodes
+    the joint and chain counts."""
+    if name != ckpt.skeleton.name or joints != ckpt.skeleton.joint_count:
+        raise SkeletonError(
+            f"{what} skeleton {name!r} ({joints} joints) does not match "
+            f"checkpoint skeleton {ckpt.skeleton.name!r} "
+            f"({ckpt.skeleton.joint_count} joints)")
 
 
 def cmd_train(args) -> int:
@@ -166,27 +173,22 @@ def cmd_train(args) -> int:
         raise ConfigurationError("missing required field: out (output directory)")
     # float64 parameters and Adam's two moments
     _check_fits(24 * count, f"{count} parameters and their Adam moments")
-    split_windows(dataset, model_config, settings)  # a dataset train() rejects writes nothing
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    written = (out_dir / "config.resolved.json", out_dir / "metrics.jsonl")
     try:
-        _echo_config(resolved, out_dir)
-        with open(written[1], "w", encoding="utf-8") as log:
-            def log_record(record):
-                log.write(json.dumps(record) + "\n")
-                log.flush()
-            result = train(dataset, model_config, loss_config, optimizer_config, settings,
-                           on_epoch=log_record)
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
+        result = train(dataset, model_config, loss_config, optimizer_config, settings,
+                       on_epoch=lambda record: print(json.dumps(record), flush=True))
     except Exception:
-        # a failed run leaves nothing: its files, then the directories it made
-        for path in written:
-            with contextlib.suppress(OSError):
-                path.unlink()
+        # a failed run wrote no file: it removes only the directories it made
         for directory in made:
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
+    (out_dir / "config.resolved.json").write_text(
+        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / "metrics.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in result.metrics), encoding="utf-8")
     checkpoint = out_dir / "checkpoint.mckpt"
     save_checkpoint(checkpoint, result.params, result.adam, result.rng, result.epochs_run,
                     model_config, loss_config, optimizer_config, settings.replay_fields(),
@@ -202,13 +204,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     seq_name, history = load_sequence(args.input)
-    if seq_name != ckpt.skeleton.name or history.joints != ckpt.skeleton.joint_count:
-        raise SkeletonError(
-            f"input skeleton {seq_name!r} ({history.joints} joints) does not match "
-            f"checkpoint skeleton {ckpt.skeleton.name!r} "
-            f"({ckpt.skeleton.joint_count} joints)")
-    # the float64 output alone, before the passes that grow it
-    _check_fits(24 * args.horizon * history.joints,
+    _check_skeleton("input", seq_name, history.joints, ckpt)
+    _check_fits(prediction_bytes(ckpt.model_config, history.frames, args.horizon),
                 f"{args.horizon} predicted frames of {history.joints} joints")
     prediction = predict_autoregressive(history, ckpt.params, ckpt.model_config,
                                         args.horizon)
@@ -268,10 +265,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     params, model_config, loss_config = _apply_ablation(ckpt, args.ablation or [])
     dataset = load_dataset(args.data)
-    if dataset.skeleton.joint_count != ckpt.skeleton.joint_count:
-        raise SkeletonError(
-            f"dataset skeleton {dataset.skeleton.name!r} does not match "
-            f"checkpoint skeleton {ckpt.skeleton.name!r}")
+    _check_skeleton("dataset", dataset.skeleton.name, dataset.skeleton.joint_count, ckpt)
     try:
         frames_ms = [float(tok) for tok in args.frames_ms.split(",") if tok.strip()]
     except ValueError:

@@ -7,11 +7,11 @@ prediction half is converted back to pose space, as the stage's output: the
 basis is orthonormal, so the coefficients carry from stage to stage without
 a round trip through pose space.  The graph convolution is adjacency @ input
 @ weights with both factors learnable; a block follows it with batch
-normalization, tanh and dropout (recorded as one tape node,
-``tensor.graph_block``).  Each residual pair of blocks with its add is one
-tape node too (``tensor.residual_pair``), which keeps no copy of its first
-block's output, and each module closes with a bare graph convolution
-restoring the coefficient channel count (one ``tensor.graph_conv`` node).
+normalization, tanh and dropout.  A module's entry block is one tape node
+and each residual pair of blocks with its add is another, both
+``tensor.graph_blocks`` nodes, which keep no copy of a block's output; each
+module closes with a bare graph convolution restoring the coefficient
+channel count (one ``tensor.graph_conv`` node).
 
 The final convolution's weight matrix starts at zero, so a freshly
 initialized model is exactly the repeat-last-pose baseline (only the
@@ -32,9 +32,8 @@ from .tensor import (
     add,
     as_tensor,
     concat,
-    graph_block,
+    graph_blocks,
     graph_conv as _graph_conv,
-    residual_pair,
 )
 from .transforms import DctBasis, dct, idct
 
@@ -100,10 +99,6 @@ def graph_conv(g, layer: GraphLayerParams) -> Tensor:
     return _graph_conv(g, layer.adjacency, layer.weights)
 
 
-def _block_params(layer: GraphLayerParams) -> tuple:
-    return layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats
-
-
 def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
                          dropout_rate: float = DROPOUT,
                          second: GraphLayerParams | None = None) -> Tensor:
@@ -114,11 +109,14 @@ def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
     backward instead of keeping it.
     """
     g = as_tensor(g)
-    _check_graph_input(g.shape, layer)
-    if second is None:
-        return graph_block(g, *_block_params(layer), mode, dropout_rate)
-    _check_graph_input(g.shape[:-1] + layer.weights.shape[-1:], second)
-    return residual_pair(g, _block_params(layer), _block_params(second), mode, dropout_rate)
+    layers = [layer] if second is None else [layer, second]
+    shape = g.shape
+    for each in layers:     # every block's input, before any running statistic moves
+        _check_graph_input(shape, each)
+        shape = shape[:-1] + each.weights.shape[-1:]
+    blocks = [(each.adjacency, each.weights, each.gamma, each.beta, each.stats)
+              for each in layers]
+    return graph_blocks(g, blocks, mode, dropout_rate, residual=second is not None)
 
 
 def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:

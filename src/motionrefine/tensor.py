@@ -13,13 +13,13 @@ array where ``sqrt`` and ``div`` need it), never the tensor it
 belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d`` holds only its operands and unfolds its input again in the
-backward; ``graph_conv`` holds only its operands; ``graph_block`` holds
-its operands and normalized activations and recomputes ``adjacency @ g``
-and its tanh output there; ``residual_pair``, two blocks and their
-residual add, holds the same per block and rebuilds its first block's
-output too.  The sweep drops each closure, its edges and the node's
-gradient as soon as the closure has run, so the arrays a node saved and
-the gradients already consumed are released during the sweep.  A
+backward; ``graph_conv`` holds only its operands; ``graph_blocks``, a
+run of graph blocks and an optional residual add, holds its operands and
+each block's normalized activations and recomputes ``adjacency @ x``, the
+tanh output and every later block's input there.  The sweep drops each
+closure, its edges and the node's gradient as soon as the closure has
+run, so the arrays a node saved and the gradients already consumed are
+released during the sweep.  A
 closure never writes into the gradient it receives, which may be shared
 with other operands.  A graph can be walked only once; rebuilding the
 forward pass resets the tape.
@@ -720,80 +720,58 @@ def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: _B
                                 grad_g_out=dx if dx.shape == x.shape else None)
 
 
-def graph_block(g, adjacency, weights, gamma, beta, stats: RunningStats, mode: Mode,
-                rate: float) -> Tensor:
-    """``dropout(tanh(batchnorm(adjacency @ g @ weights)))`` as one tape node.
+def graph_blocks(h, blocks, mode: Mode, rate: float, residual: bool = False) -> Tensor:
+    """A run of graph blocks, plus ``h`` where ``residual``, as one tape node.
 
-    g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out); batch norm
-    runs over the last (channel) axis and dropout draws ``mode.rng``.  The
-    arithmetic, its order and the dropout draw are those of the composed
-    ``matmul``, ``batchnorm``, ``tanh`` and ``dropout`` ops (test ops, in
-    ``tests/reference_ops.py``), so values, running statistics and
-    gradients are bit-identical to theirs.  Besides its operands the node
-    keeps one full-size array, the normalized activations, and under
-    dropout the keep mask packed to one bit per value.  The backward
-    recomputes the rest with the forward's own ops on the same arrays, so
-    bit-identically: ``adjacency @ g`` (the same GEMM) for the weight
-    gradient and the tanh output (``gamma * normalized + beta``, then
-    ``np.tanh``) for tanh's slope.  Off the tape (under ``no_grad`` or with
-    no tracked input) nothing is kept.
-    """
-    g = as_tensor(g)
-    block = _as_block(adjacency, weights, gamma, beta, stats)
-    operands = (g,) + block[:4]
-    tracked = _grad_enabled and any(t.requires_grad for t in operands)
-    data, tape = _block_forward(g.data, block, mode, rate, tracked)
-    out = _result(data, operands, "graph_block")
-    if out.requires_grad:
-        training = mode.training
-        def _bw(grad_out):
-            _accum(g, _block_backward(grad_out, g.data, g.requires_grad, block, tape,
-                                      training, rate))
-        out._backward = _bw
-    return out
-
-
-def residual_pair(h, first: tuple, second: tuple, mode: Mode, rate: float) -> Tensor:
-    """A residual pair ``block(block(h, first), second) + h`` as one tape node.
-
-    ``block`` is ``graph_block``'s op and ``first`` and ``second`` are its
-    ``(adjacency, weights, gamma, beta, stats)``; the second block's output
-    has h's shape.  Values, running statistics, dropout draws and gradients
-    (h's two contributions included) are bit-identical to those of the
-    composed ``graph_block``, ``graph_block`` and ``add`` nodes.  The node
-    keeps each block's normalized activations and packed keep mask but not
-    the first block's output: its backward rebuilds that with the forward's
-    own ops (``gamma * normalized + beta``, tanh, times the mask, times the
-    scale) as the second block's input, runs the second block's backward,
-    drops it, then runs the first block's backward.  Off the tape nothing is
-    kept, so the first block's output is the only array that lives on
-    across the second block's forward.
+    ``blocks`` lists each block's ``(adjacency, weights, gamma, beta,
+    stats)``; a block is ``dropout(tanh(batchnorm(adjacency @ x @ weights)))``
+    on its predecessor's output ``x`` (h for the first), with x (..., P,
+    C_in), adjacency (P, P), weights (C_in, C_out), batch norm over the last
+    (channel) axis and dropout drawing ``mode.rng``.  The arithmetic, its
+    order and the dropout draws are those of the composed ``matmul``,
+    ``batchnorm``, ``tanh``, ``dropout`` and ``add`` ops (test ops, in
+    ``tests/reference_ops.py``), so values, running statistics and gradients
+    (h's two contributions included) are bit-identical to theirs.  Besides
+    its operands the node keeps each block's normalized activations and,
+    under dropout, its keep mask packed to one bit per value, but no block's
+    output.  The backward recomputes the rest with the forward's own ops on
+    the same arrays, so bit-identically: ``adjacency @ x`` (the same GEMM)
+    for the weight gradient, the tanh output (``gamma * normalized + beta``,
+    then ``np.tanh``) for tanh's slope, and, walking the blocks in reverse,
+    each later block's input (that tanh output times the mask and the
+    scale), which is dropped once that block's backward has run.  Off the
+    tape (under ``no_grad`` or with no tracked input) nothing is kept, so a
+    block's input is the only array that lives on across its forward.
     """
     h = as_tensor(h)
-    first, second = _as_block(*first), _as_block(*second)
-    shape = h.shape[:-1] + second.weights.shape[-1:]
-    if shape != h.shape:
+    blocks = [_as_block(*block) for block in blocks]
+    shape = h.shape[:-1] + blocks[-1].weights.shape[-1:]
+    if residual and shape != h.shape:
         raise DimensionError(f"a residual pair's output {shape} must have the shape of "
                              f"its input {h.shape}")
-    operands = (h,) + first[:4] + second[:4]
+    operands = (h,) + tuple(t for block in blocks for t in block[:4])
     tracked = _grad_enabled and any(t.requires_grad for t in operands)
-    inner, first_tape = _block_forward(h.data, first, mode, rate, tracked)
-    data, second_tape = _block_forward(inner, second, mode, rate, tracked)
-    data += h.data
-    out = _result(data, operands, "residual_pair")
+    data, tapes = h.data, []
+    for block in blocks:
+        data, tape = _block_forward(data, block, mode, rate, tracked)
+        tapes.append(tape)
+    if residual:
+        data += h.data
+    out = _result(data, operands, "graph_blocks")
     if out.requires_grad:
         training = mode.training
-        need_inner = any(t.requires_grad for t in operands[:5])
-        def _bw(grad_out):
-            _accum(h, grad_out)
-            # the first block's output lives only through the second's backward
-            inner = _block_output(first, first_tape, rate)
-            grad_inner = _block_backward(grad_out, inner, need_inner, second, second_tape,
-                                         training, rate)
-            del inner
-            if need_inner:
-                _accum(h, _block_backward(grad_inner, h.data, h.requires_grad, first,
-                                          first_tape, training, rate))
+        # whether block k's input needs a gradient: h or an earlier block is tracked
+        need = [any(t.requires_grad for t in operands[:1 + 4 * k]) for k in range(len(blocks))]
+        def _bw(grad):
+            if residual:
+                _accum(h, grad)
+            for k in reversed(range(len(blocks))):
+                x = _block_output(blocks[k - 1], tapes[k - 1], rate) if k else h.data
+                grad = _block_backward(grad, x, need[k], blocks[k], tapes[k], training, rate)
+                del x
+                if grad is None:
+                    return
+            _accum(h, grad)
         out._backward = _bw
     return out
 

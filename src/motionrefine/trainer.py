@@ -350,7 +350,7 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
             batch = windows[start:start + batch_size]
             rows = slice(start, start + len(batch))
             key_codes = (_shared_key_codes(params.attention.key_net, batch, config)
-                         if params.attention is not None else None)
+                         if config.attention_mode == "attention" else None)
             out, truth = _forward_batch(params, config, basis, batch, Mode.eval(), key_codes)
             targets = truth[:, -future:]
             last_pose = truth[:, config.query_len - 1:config.query_len]
@@ -457,6 +457,21 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
             if on_epoch is not None and on_epoch(record):
                 break
     return TrainResult(params, adam, rng, metrics, epochs_run, settings)
+
+
+def prediction_bytes(config: ModelConfig, history_frames: int, horizon: int) -> int:
+    """The memory ``predict_autoregressive`` needs, in bytes, beyond one pass's.
+
+    Each pass appends ``future_len`` frames to the channel history and, in
+    attention mode, their key codes to the cache, and copies each into a new
+    array while the old one lives: 16 bytes per channel (and latent row) and
+    frame, up to the end of the last pass, plus the float64 output poses.
+    One forward pass's working memory, which does not grow with the horizon
+    (about 0.7 MiB at the reference config), is not counted.
+    """
+    frames = history_frames + math.ceil(horizon / config.future_len) * config.future_len
+    rows = config.pose_dim + (config.latent_dim if config.attention_mode == "attention" else 0)
+    return 16 * rows * frames + 24 * horizon * config.joints
 
 
 def predict_autoregressive(history: PoseSequence, params: ModelParams,

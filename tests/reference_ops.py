@@ -4,9 +4,9 @@ the pose-space round trip per stage that ``refinement.refine`` skips.
 
 ``conv1d`` does the arithmetic of ``sliding_windows`` followed by
 ``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add``, and
-``graph_block`` that of ``matmul``, ``batchnorm``, ``tanh`` and ``dropout``
-(``residual_pair`` that of two such chains and an ``add``); the tests compose
-these ops as the bitwise reference.
+``graph_blocks`` that of one ``matmul``, ``batchnorm``, ``tanh`` and
+``dropout`` chain per block (and an ``add`` for a residual pair); the tests
+compose these ops as the bitwise reference.
 ``tensor_mean`` composes ``tensor_sum`` and ``mul``.
 """
 import numpy as np

@@ -12,9 +12,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from motionrefine.model import ModelConfig
+from motionrefine import refinement
+from motionrefine.model import ModelConfig, init_model_params, model_forward
+from motionrefine.tensor import Mode, Tensor, no_grad
+from motionrefine.transforms import dct_basis
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -38,6 +42,27 @@ def test_bench_workload_configs_build(monkeypatch):
     workloads = _load(monkeypatch, "workloads")
     assert isinstance(workloads.REFERENCE_CONFIG, ModelConfig)
     assert isinstance(workloads.SMALL_CONFIG, ModelConfig)
+
+
+@pytest.mark.parametrize("name", ["REFERENCE_CONFIG", "SMALL_CONFIG"])
+def test_refinement_spans_count_one_call_per_block_run(monkeypatch, name):
+    # refinement.graph_learning_block.s times one entry block or one residual
+    # pair, and refinement.graph_conv.s one output conv: a fusion that changes
+    # these counts changes what the per-layer metrics measure
+    config = getattr(_load(monkeypatch, "workloads"), name)
+    calls = {"graph_learning_block": 0, "graph_conv": 0}
+    for attr in calls:
+        def counting(*args, _real=getattr(refinement, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(refinement, attr, counting)
+    params = init_model_params(config, np.random.default_rng(0))
+    histories = np.random.default_rng(1).normal(size=(2, config.pose_dim, config.history_len))
+    with no_grad():
+        model_forward(params, Tensor(histories), config, dct_basis(config.window),
+                      Mode.train(np.random.default_rng(2)))
+    assert calls == {"graph_learning_block": config.stages * (1 + config.glb_pairs),
+                     "graph_conv": config.stages}
 
 
 def test_train_small_workload_runs_one_checked_call(monkeypatch, tmp_path):

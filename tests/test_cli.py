@@ -15,7 +15,7 @@ import motionrefine
 from motionrefine.cli import _apply_ablation, build_parser, main, resolve_config
 from motionrefine.data import load_dataset, load_sequence
 from motionrefine.errors import ConfigurationError
-from motionrefine.trainer import load_checkpoint
+from motionrefine.trainer import load_checkpoint, prediction_bytes
 
 
 TINY_MODEL = ["--set", "history_len=14", "--set", "query_len=4", "--set", "future_len=4",
@@ -288,8 +288,8 @@ class TestTrain:
         assert [r["epoch"] for r in records] == [0, 1, 2]
         assert all("train_loss" in r and "train_mpjpe" in r for r in records)
 
-    # the run fails after writing its config and opening its metrics log; it
-    # removes both, and the directories it made, but nothing that was there
+    # the run fails after making its output directory and before writing any
+    # file; it removes the directories it made, but nothing that was there
     @pytest.mark.parametrize("existing", [False, True])
     def test_diverging_run_exits_1_with_one_error_line_and_leaves_nothing(
             self, corpus, tmp_path, capsys, recwarn, existing):
@@ -307,6 +307,26 @@ class TestTrain:
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
         else:
             assert list(tmp_path.iterdir()) == []
+
+    def test_printed_records_equal_the_metrics_log(self, corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--out", str(out),
+                     "--epochs", "2", *TINY_MODEL]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("{")]
+        assert [json.loads(line)["epoch"] for line in printed] == [0, 1]
+        assert printed == (out / "metrics.jsonl").read_text().splitlines()
+
+    def test_failed_run_into_a_finished_run_leaves_its_files(self, corpus, trained,
+                                                             tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["checkpoint.mckpt", "config.resolved.json", "metrics.jsonl"]
+        rc = main(["train", "--data", str(corpus), "--out", str(out),
+                   "--epochs", "1", "--set", "lr=1e308", *TINY_MODEL])
+        assert rc == 1, capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def _non_utf8_skeleton(data):
@@ -426,6 +446,23 @@ class TestPredict:
         assert "1000000000 predicted frames of 3 joints" in done.stderr
         assert not out.exists()
 
+    def test_horizon_whose_history_exceeds_memory_exits_2_before_predicting(
+            self, corpus, trained, tmp_path):
+        # the output, 24 bytes per frame and joint, would take half the machine's
+        # memory; the growing history and key-code cache take more than all of it
+        ckpt = load_checkpoint(trained / "checkpoint.mckpt")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        horizon = memory // (48 * ckpt.skeleton.joint_count)
+        assert prediction_bytes(ckpt.model_config, 40, horizon) > memory
+        out = tmp_path / "x.mseq"
+        done = run_with_memory_cap(["predict", str(trained / "checkpoint.mckpt"),
+                                    str(corpus / "sinusoid_000.mseq"), str(out),
+                                    "--horizon", str(horizon)])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert f"{horizon} predicted frames of 3 joints" in done.stderr
+        assert not out.exists()
+
     def test_non_utf8_checkpoint_header_exits_1_with_one_error_line(
             self, corpus, trained, tmp_path, capsys):
         blob = bytearray((trained / "checkpoint.mckpt").read_bytes())
@@ -452,6 +489,21 @@ class TestEval:
         assert len(record["stage_mpjpe"]) == 3  # baseline + two stages
         assert record["per_action"]["sinusoid"]["count"] == record["window_count"]
         assert json.loads(json.dumps(record)) == record
+
+    def test_skeleton_of_other_chains_exits_2(self, trained, tmp_path, capsys):
+        # 3 joints like the checkpoint's skeleton-3j-1c, but in 2 chains
+        other = tmp_path / "other"
+        assert main(["gen-synth", "--out", str(other), "--count", "1", "--frames", "40",
+                     "--chains", "2", "--joints-per-chain", "2"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "evalout"
+        rc = main(["eval", str(trained / "checkpoint.mckpt"), str(other),
+                   "--frames-ms", "40", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "skeleton-3j-1c" in err and "skeleton-3j-2c" in err
+        assert not out.exists()
 
     def test_ablation_switches_are_applied(self, corpus, trained, tmp_path):
         out_full = tmp_path / "full"

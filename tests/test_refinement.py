@@ -28,7 +28,7 @@ from motionrefine.tensor import (
     add,
     backward,
     concat,
-    graph_block,
+    graph_blocks,
     matmul,
     no_grad,
     tensor_sum,
@@ -135,10 +135,10 @@ def _composed_block(g, layer, mode, dropout_rate=0.3, second=None):
 
 
 def _separate_block_nodes(g, layer, mode, dropout_rate=0.3, second=None):
-    """The block, or with ``second`` the residual pair, as ``graph_block`` and
-    ``add`` nodes."""
-    h = graph_block(g, layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats,
-                    mode, dropout_rate)
+    """The block, or with ``second`` the residual pair, as single-block
+    ``graph_blocks`` and ``add`` nodes."""
+    h = graph_blocks(g, [(layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats)],
+                     mode, dropout_rate)
     return h if second is None else add(_separate_block_nodes(h, second, mode, dropout_rate), g)
 
 
@@ -252,8 +252,8 @@ class TestFusedGraphBlock:
         layer = _tracked_layer(rng, 1, 4, 3, RunningStats())
         g = Tensor(rng.normal(size=(1, 4)))
         with contextlib.nullcontext() if recording else no_grad():
-            out = graph_block(g, layer.adjacency, layer.weights, layer.gamma, layer.beta,
-                              layer.stats, Mode.train(np.random.default_rng(0)), 0.0)
+            out = graph_blocks(g, [(layer.adjacency, layer.weights, layer.gamma, layer.beta,
+                                    layer.stats)], Mode.train(np.random.default_rng(0)), 0.0)
         assert out.requires_grad == recording
         assert np.isfinite(out.data).all()
         assert np.array_equal(out.data, np.tanh(layer.beta.data)[None])
@@ -264,7 +264,7 @@ class TestFusedGraphBlock:
         layer = _tracked_layer(rng, 3, 4, 5, RunningStats())
         g = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(0)))
-        assert out._op == "graph_block"
+        assert out._op == "graph_blocks"
         assert all(p._op == "leaf" for p in out._parents)
 
     def test_bad_dropout_rate_leaves_stats_untouched(self):
@@ -341,7 +341,7 @@ class TestResidualPair:
         h = Tensor(x, requires_grad=True)
         out = graph_learning_block(h, first, Mode.train(np.random.default_rng(0)),
                                    second=second)
-        assert out._op == "residual_pair"
+        assert out._op == "graph_blocks"
         assert list(out._parents) == [h] + _layer_tensors(first) + _layer_tensors(second)
 
     def test_output_of_another_shape_raises(self):
@@ -407,8 +407,10 @@ class TestTapeMemory:
         monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
         composed_bytes = retained_bytes(forward_loss()).total
         ops = [node._op for node in fused_nodes]
-        assert ops.count("graph_block") == config.stages
-        assert ops.count("residual_pair") == config.stages * config.glb_pairs
+        # an entry block has 5 operands (h and 4 parameters), a pair 9
+        operands = [len(node._parents) for node in fused_nodes if node._op == "graph_blocks"]
+        assert operands.count(5) == config.stages
+        assert operands.count(9) == config.stages * config.glb_pairs
         assert fused_bytes <= 0.75 * composed_bytes, (fused_bytes, composed_bytes)
 
 

@@ -39,7 +39,7 @@ def collector_off():
 
 def _watch_block_output(loss):
     """A weakref to the .data of a graph-learning block's output on ``loss``'s tape."""
-    block = next(node for node in retained_bytes(loss).nodes if node._op == "graph_block")
+    block = next(node for node in retained_bytes(loss).nodes if node._op == "graph_blocks")
     return weakref.ref(block.data)
 
 

@@ -17,14 +17,13 @@ from motionrefine.tensor import (
     concat,
     conv1d,
     div,
-    graph_block,
+    graph_blocks,
     graph_conv,
     matmul,
     mul,
     no_grad,
     relu,
     reshape,
-    residual_pair,
     sqrt,
     sub,
     take,
@@ -579,8 +578,8 @@ def _tracked(rng, *shape, low=-1.0, high=1.0):
 def _graph_block_case(rng):
     # C_in == C_out: the backward writes the input gradient over its dx buffer
     def forward(g, adjacency, weights, gamma, beta):
-        return graph_block(g, adjacency, weights, gamma, beta, RunningStats(),
-                           Mode.train(np.random.default_rng(0)), 0.3)
+        return graph_blocks(g, [(adjacency, weights, gamma, beta, RunningStats())],
+                            Mode.train(np.random.default_rng(0)), 0.3)
     return forward, [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3), _tracked(rng, 4, 4),
                      _tracked(rng, 4, low=0.5, high=1.5), _tracked(rng, 4)]
 
@@ -590,7 +589,8 @@ def _residual_pair_case(rng, training=True, rate=0.3, inner=5):
     def forward(h, *tensors):
         mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
         stats = [RunningStats() if training else RunningStats(r.mean, r.var) for r in running]
-        return residual_pair(h, tensors[:4] + (stats[0],), tensors[4:] + (stats[1],), mode, rate)
+        return graph_blocks(h, [tensors[:4] + (stats[0],), tensors[4:] + (stats[1],)], mode,
+                            rate, residual=True)
     running = []
     inputs = [_tracked(rng, 2, 3, 4)]
     for channels_in, channels_out in ((4, inner), (inner, 4)):
@@ -599,6 +599,15 @@ def _residual_pair_case(rng, training=True, rate=0.3, inner=5):
         running.append(RunningStats())
         running[-1].update(rng.normal(size=channels_out), rng.uniform(0.5, 2.0, channels_out))
     return forward, inputs
+
+
+def _graph_blocks_case(rng):
+    # an entry block, then a residual pair on its output: both kinds of node
+    entry, entry_inputs = _graph_block_case(rng)
+    pair, pair_inputs = _residual_pair_case(rng)
+    def forward(g, *tensors):
+        return pair(entry(g, *tensors[:4]), *tensors[4:])
+    return forward, entry_inputs + pair_inputs[1:]
 
 
 # tape op name (as passed to ``_result``) -> (forward, tracked inputs), checked
@@ -627,8 +636,7 @@ DIRECT_GRADCHECKS = {
         lambda x, gamma, beta: batchnorm(x, gamma, beta, RunningStats(), Mode.train(None),
                                          channel_axis=-1),
         [_tracked(rng, 4, 3), _tracked(rng, 3, low=0.5, high=1.5), _tracked(rng, 3)]),
-    "graph_block": _graph_block_case,
-    "residual_pair": _residual_pair_case,
+    "graph_blocks": _graph_blocks_case,
     "graph_conv": lambda rng: (graph_conv, [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3),
                                             _tracked(rng, 4, 5)]),
 }
@@ -652,7 +660,7 @@ class TestDirectGradchecks:
         rng = np.random.default_rng(301)
         forward, inputs = _residual_pair_case(rng, training, rate, inner=4)
         out = forward(*inputs)
-        assert out._op == "residual_pair" and out._parents[0] is inputs[0]
+        assert out._op == "graph_blocks" and out._parents[0] is inputs[0]
         upstream = Tensor(rng.normal(size=out.shape))
         assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
 

@@ -48,6 +48,7 @@ from motionrefine.trainer import (
     load_checkpoint,
     lr_schedule,
     predict_autoregressive,
+    prediction_bytes,
     save_checkpoint,
     train,
     window_errors,
@@ -518,6 +519,21 @@ class TestKeyCodeCache:
         # more; re-encoding every pass would take 31 + 41 + ... + 221 = 2520
         assert encoded["windows"] == 31 + 19 * 10
 
+    @pytest.mark.parametrize("horizon", [800, 1600])
+    def test_reference_peak_stays_within_prediction_bytes(self, horizon):
+        # 4.4 and 7.9 MiB against figures of 4.6 and 8.9 MiB (tracemalloc,
+        # numpy 64-bit); the history, the key codes and the output grow
+        config = ModelConfig(joints=22)
+        params = self._model(config)
+        history = PoseSequence(np.random.default_rng(3).normal(size=(50, 22, 3)))
+        tracemalloc.start()
+        try:
+            predict_autoregressive(history, params, config, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= prediction_bytes(config, history.frames, horizon)
+
 
 class TestEvaluate:
     def test_millisecond_mapping_at_25fps(self):
@@ -816,6 +832,26 @@ class TestWindowErrors:
         model_forward(params, Tensor(hist.transpose(0, 2, 1)), config,
                       dct_basis(config.window), Mode.train(rng))  # batch-norm statistics
         return dataset, config, params, windows
+
+    def test_copy_mode_runs_no_key_net(self, model, monkeypatch):
+        dataset, config, params, windows = model
+        copy = dataclasses.replace(config, attention_mode="copy")
+        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
+                                     LossConfig())
+        calls = []
+        real = trainer_module.encode_span
+
+        def counting(net, span):
+            calls.append(net)
+            return real(net, span)
+        monkeypatch.setattr(trainer_module, "encode_span", counting)
+        errors, loss = window_errors(windows, params, copy, 4, LossConfig(), weights)
+        assert calls == []
+        # a model without attention parameters gives the same figures
+        without = dataclasses.replace(params, attention=None)
+        expected, expected_loss = window_errors(windows, without, copy, 4, LossConfig(),
+                                                weights)
+        assert np.array_equal(errors, expected) and loss == expected_loss
 
     def test_stage_major_layout_with_baseline_as_stage_zero(self, model):
         _, config, params, windows = model
