@@ -16,7 +16,9 @@ frees it with its last tensor, swept or not.  The fused nodes keep less:
 backward; ``graph_conv`` holds only its operands; ``graph_blocks``, a
 run of graph blocks and an optional residual add, holds its operands and
 each block's normalized activations and recomputes ``adjacency @ x``, the
-tanh output and every later block's input there.  The sweep drops each
+tanh output and every later block's input there.  Both graph nodes
+build ``(adjacency @ x) @ weights`` a chunk of windows at a time through
+one cache-sized workspace (``_graph_product``).  The sweep drops each
 closure, its edges and the node's gradient as soon as the closure has
 run, so the arrays a node saved and the gradients already consumed are
 released during the sweep.  A
@@ -495,24 +497,25 @@ def _channel_layout(ndim: int, axis: int, channels: int):
     return bshape, tuple(i for i in range(ndim) if i != axis)
 
 
+def _running_stats(stats: RunningStats):
+    """Eval-mode batch norm's per-channel mean and std, from the running statistics."""
+    if not stats.initialized:
+        raise StateError("eval-mode batchnorm before any training batch")
+    return stats.mean, np.sqrt(stats.var + BN_EPS)
+
+
 def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                       stats: RunningStats, training: bool, axis: int,
-                       keep_normalized: bool = True):
+                       stats: RunningStats, training: bool, axis: int):
     """Batch-normalize ``x`` per channel along ``axis``, overwriting it.
 
     ``x`` is left holding the normalized activations.  Returns the affine
-    output ``gamma * normalized + beta`` and the per-channel std; the output
-    is a new array, except in eval mode without ``keep_normalized``, where it
-    is written over ``x``.  Train mode normalizes with the batch statistics
-    and folds them into ``stats`` (unbiased variance); eval mode uses the
-    running ones.
+    output ``gamma * normalized + beta``, a new array, and the per-channel
+    std.  Train mode normalizes with the batch statistics and folds them into
+    ``stats`` (unbiased variance); eval mode uses the running ones.
     """
-    if not training and not stats.initialized:
-        raise StateError("eval-mode batchnorm before any training batch")
     channels = x.shape[axis]
     bshape, pooled = _channel_layout(x.ndim, axis, channels)
-    # train mode needs the second buffer for the centered squares anyway
-    out = np.empty_like(x) if training or keep_normalized else x
+    out = np.empty_like(x)
     if training:
         n = x.size // channels
         mu = x.sum(axis=pooled, keepdims=True) * (1.0 / n)
@@ -522,8 +525,9 @@ def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         batch_var = var.reshape(channels)
         stats.update(mu.reshape(channels), batch_var * (n / (n - 1)) if n > 1 else batch_var)
     else:
-        std = np.sqrt(stats.var + BN_EPS).reshape(bshape)
-        np.subtract(x, stats.mean.reshape(bshape), out=x)
+        mean, std = _running_stats(stats)
+        std = std.reshape(bshape)
+        np.subtract(x, mean.reshape(bshape), out=x)
     normalized = np.divide(x, std, out=x)
     np.multiply(gamma.reshape(bshape), normalized, out=out)
     out += beta.reshape(bshape)
@@ -575,16 +579,57 @@ def _dropout_draw(shape: tuple, rate: float, rng: np.random.Generator):
     return draw, draw >= rate
 
 
+# The one workspace a graph product streams its chunks of ``adjacency @ x``
+# through: half of a 2 MiB-per-core L2, so a chunk's product and output stay
+# in cache while the next GEMM and the epilogue read them.
+_WORKSPACE_BYTES = 1 << 20
+
+
+def _graph_product(adjacency: np.ndarray, x: np.ndarray, weights: np.ndarray,
+                   out: np.ndarray | None = None, epilogue=None) -> np.ndarray:
+    """``(adjacency @ x) @ weights`` over a (B, P, C_in) ``x``, a chunk of windows at a time.
+
+    Each chunk's ``adjacency @ x`` goes into one workspace of about
+    ``_WORKSPACE_BYTES``, never into a full-size array, and ``epilogue``, where
+    given, runs in place on each output chunk while it is still in cache.
+    numpy runs a batched GEMM as one GEMM per window, so the values are
+    bitwise those of the whole-batch expression.  The output is ``out`` where
+    given, which may be ``x`` itself when C_in == C_out (each chunk of x is
+    in the workspace before its rows are overwritten), else a new array.
+    Where one chunk covers the batch, or x is not 3-D, the plain expression
+    runs, with no workspace.
+    """
+    if x.ndim != 3 or x.nbytes <= _WORKSPACE_BYTES:
+        out = np.matmul(adjacency @ x, weights, out=out)
+        if epilogue is not None:
+            epilogue(out)
+        return out
+    if out is None:
+        out = np.empty(x.shape[:-1] + weights.shape[-1:])
+    chunk = max(1, _WORKSPACE_BYTES // x[0].nbytes)
+    workspace = np.empty((chunk,) + x.shape[1:])
+    for start in range(0, len(x), chunk):
+        part = out[start:start + chunk]
+        mixed = np.matmul(adjacency, x[start:start + chunk], out=workspace[:len(part)])
+        np.matmul(mixed, weights, out=part)
+        if epilogue is not None:
+            epilogue(part)
+    return out
+
+
 def graph_conv(g, adjacency, weights) -> Tensor:
     """``(adjacency @ g) @ weights`` as one tape node that keeps only its operands.
 
-    g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out).  Values and
-    gradients are bit-identical to those of the two composed ``matmul`` ops:
-    the backward recomputes ``adjacency @ g`` with the forward's GEMM instead
-    of keeping it, then runs their GEMMs in their order.
+    g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out).  The
+    forward streams a batched g through ``_graph_product``'s workspace, so no
+    full-size ``adjacency @ g`` is built.  Values and gradients are
+    bit-identical to those of the two composed ``matmul`` ops: the backward
+    recomputes ``adjacency @ g`` with the forward's GEMMs instead of keeping
+    it, then runs their GEMMs in their order.
     """
     g, adjacency, weights = as_tensor(g), as_tensor(adjacency), as_tensor(weights)
-    out = _result((adjacency.data @ g.data) @ weights.data, (g, adjacency, weights), "graph_conv")
+    data = _graph_product(adjacency.data, g.data, weights.data)
+    out = _result(data, (g, adjacency, weights), "graph_conv")
     if out.requires_grad:
         def _bw(grad):
             _accum(g, _graph_conv_backward(grad, g.data, g.requires_grad, adjacency, weights))
@@ -640,21 +685,36 @@ def _as_block(adjacency, weights, gamma, beta, stats: RunningStats) -> _Block:
     return block
 
 
-def _block_forward(x: np.ndarray, block: _Block, mode: Mode, rate: float, tracked: bool):
+def _block_forward(x: np.ndarray, block: _Block, mode: Mode, rate: float, tracked: bool,
+                   overwrite: bool):
     """``dropout(tanh(batchnorm(adjacency @ x @ weights)))`` on the array ``x``.
 
-    Returns the output, a new array, and, where ``tracked``, the block's
-    ``_BlockTape`` (else None: nothing outlives the call).  The pre-norm
-    product is overwritten by the normalized activations and the dropout
-    draw's buffer takes the output; off the tape, eval mode runs the whole
-    epilogue in the pre-norm product's buffer.
+    Returns the output and, where ``tracked``, the block's ``_BlockTape``
+    (else None: nothing outlives the call).  The product streams through
+    ``_graph_product``'s workspace.  Off the tape in eval mode, each chunk of
+    it takes ``_batchnorm_forward``'s eval-mode ops and the tanh while still
+    in cache, and where ``overwrite`` (x is the caller's to spend) and
+    C_in == C_out the output is written over x; else it is a new array.  In
+    train mode or on the tape, batch norm needs the whole product: it is
+    overwritten by the normalized activations and the dropout draw's buffer
+    takes the output.
     """
     adjacency, weights, gamma, beta, stats = block
     dropping = _dropout_active(rate, mode.rng, mode)
-    normalized = (adjacency.data @ x) @ weights.data
+    if not (mode.training or tracked):
+        mean, std = _running_stats(stats)
+
+        def epilogue(part):
+            np.subtract(part, mean, out=part)
+            np.divide(part, std, out=part)
+            np.multiply(gamma.data, part, out=part)
+            part += beta.data
+            np.tanh(part, out=part)
+        out = x if overwrite and x.shape[-1] == weights.shape[-1] else None
+        return _graph_product(adjacency.data, x, weights.data, out, epilogue), None
+    normalized = _graph_product(adjacency.data, x, weights.data)
     activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats,
-                                        mode.training, normalized.ndim - 1,
-                                        keep_normalized=tracked)
+                                        mode.training, normalized.ndim - 1)
     np.tanh(activated, out=activated)
     if not dropping:
         return activated, _BlockTape(normalized, std, None) if tracked else None
@@ -741,7 +801,11 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, residual: bool = False) -> 
     each later block's input (that tanh output times the mask and the
     scale), which is dropped once that block's backward has run.  Off the
     tape (under ``no_grad`` or with no tracked input) nothing is kept, so a
-    block's input is the only array that lives on across its forward.
+    block's input is the only array that lives on across its forward.  Each
+    block's product streams through ``_graph_product``'s workspace.  Off the
+    tape in eval mode every block after the first whose C_in == C_out writes
+    its output over its input, an array this call made, so ``h`` is never
+    written.
     """
     h = as_tensor(h)
     blocks = [_as_block(*block) for block in blocks]
@@ -752,8 +816,9 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, residual: bool = False) -> 
     operands = (h,) + tuple(t for block in blocks for t in block[:4])
     tracked = _grad_enabled and any(t.requires_grad for t in operands)
     data, tapes = h.data, []
-    for block in blocks:
-        data, tape = _block_forward(data, block, mode, rate, tracked)
+    for k, block in enumerate(blocks):
+        # every block's input but the first is an array this call made
+        data, tape = _block_forward(data, block, mode, rate, tracked, k > 0)
         tapes.append(tape)
     if residual:
         data += h.data

@@ -345,23 +345,28 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
     future = config.future_len
     errors = np.empty((config.stages + 1, len(windows), future))
     losses, counts = [], []
+
+    def score(start: int, batch: list[TrainingWindow]):
+        """Fill the batch's rows of ``errors``; its arrays die with the call,
+        before the next batch's forward."""
+        rows = slice(start, start + len(batch))
+        key_codes = (_shared_key_codes(params.attention.key_net, batch, config)
+                     if config.attention_mode == "attention" else None)
+        out, truth = _forward_batch(params, config, basis, batch, Mode.eval(), key_codes)
+        targets = truth[:, -future:]
+        last_pose = truth[:, config.query_len - 1:config.query_len]
+        errors[0, rows] = mpjpe_per_frame(np.repeat(last_pose, future, axis=1), targets)
+        for n, stage in enumerate(out.stage_outputs, start=1):
+            errors[n, rows] = mpjpe_per_frame(channels_to_poses(stage.data[..., -future:]),
+                                              targets)
+        if loss_config is not None:
+            losses.append(float(loss_total(channels_to_poses(out.prediction), Tensor(truth),
+                                           loss_weights, loss_config, future).data))
+            counts.append(len(batch))
+
     with no_grad():
         for start in range(0, len(windows), batch_size):
-            batch = windows[start:start + batch_size]
-            rows = slice(start, start + len(batch))
-            key_codes = (_shared_key_codes(params.attention.key_net, batch, config)
-                         if config.attention_mode == "attention" else None)
-            out, truth = _forward_batch(params, config, basis, batch, Mode.eval(), key_codes)
-            targets = truth[:, -future:]
-            last_pose = truth[:, config.query_len - 1:config.query_len]
-            errors[0, rows] = mpjpe_per_frame(np.repeat(last_pose, future, axis=1), targets)
-            for n, stage in enumerate(out.stage_outputs, start=1):
-                errors[n, rows] = mpjpe_per_frame(channels_to_poses(stage.data[..., -future:]),
-                                                  targets)
-            if loss_config is not None:
-                losses.append(float(loss_total(channels_to_poses(out.prediction), Tensor(truth),
-                                               loss_weights, loss_config, future).data))
-                counts.append(len(batch))
+            score(start, windows[start:start + batch_size])
     return errors, (_window_mean(losses, counts) if loss_config is not None else None)
 
 
@@ -466,8 +471,9 @@ def prediction_bytes(config: ModelConfig, history_frames: int, horizon: int) -> 
     attention mode, their key codes to the cache, and copies each into a new
     array while the old one lives: 16 bytes per channel (and latent row) and
     frame, up to the end of the last pass, plus the float64 output poses.
-    One forward pass's working memory, which does not grow with the horizon
-    (about 0.7 MiB at the reference config), is not counted.
+    One forward pass's working memory, which does not grow with the horizon,
+    is not counted: at the reference config a horizon-10 call from a 50-frame
+    history peaks at 0.54 MiB against a figure of 0.30 MiB (tracemalloc).
     """
     frames = history_frames + math.ceil(horizon / config.future_len) * config.future_len
     rows = config.pose_dim + (config.latent_dim if config.attention_mode == "attention" else 0)

@@ -1,4 +1,6 @@
-"""Walk an autodiff tape and count the array bytes it keeps alive."""
+"""Walk an autodiff tape and count the array bytes it keeps alive, and take
+the traced peak of a call."""
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -79,3 +81,19 @@ def retained_bytes(*roots) -> TapeBytes:
     return TapeBytes(sum(a.nbytes for a in buffers.values()),
                      sum(a.nbytes for a in closure_buffers.values()),
                      nodes)
+
+
+def peak_traced_bytes(fn, calls: int = 2) -> int:
+    """The least tracemalloc peak of ``calls`` calls of ``fn``, each traced on
+    its own, after one untraced call (which may make once-only state, such as
+    running statistics)."""
+    fn()
+    peaks = []
+    for _ in range(calls):
+        tracemalloc.start()
+        try:
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)

@@ -1,14 +1,13 @@
 import contextlib
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
 from reference_ops import batchnorm, dropout, refine_round_trip, tanh
-from tape_memory import closure_arrays, retained_bytes
-from motionrefine import LossConfig, refinement
+from tape_memory import closure_arrays, peak_traced_bytes, retained_bytes
+from motionrefine import LossConfig, refinement, tensor
 from motionrefine.errors import ConfigurationError, DimensionError
 from motionrefine.losses import loss_total
 from motionrefine.model import ModelConfig, init_model_params, model_forward, named_parameters
@@ -390,6 +389,95 @@ class TestResidualPair:
         assert [m.shape for m in masks] == [(-(-out.size // 8),)] * (2 if dropping else 0)
 
 
+# a 7-window batch that spans several workspace chunks and ends in a partial
+# one, a single window (one chunk: the plain expression) and a 2-D input
+STREAMED_ROWS = [(7, 5), (1, 5), (5,)]
+
+
+def _small_workspace(monkeypatch):
+    """Shrink the graph products' workspace to three windows of 5 rows by 6
+    channels: chunks of 3, 3 and 1 windows of a 6-channel input, 4 and 3 of a
+    4-channel one."""
+    monkeypatch.setattr(tensor, "_WORKSPACE_BYTES", 3 * 5 * 6 * 8)
+
+
+class TestStreamedProduct:
+    @pytest.mark.parametrize("rows", STREAMED_ROWS)
+    def test_untracked_eval_block_equals_composed_chain_bitwise(self, monkeypatch, rows):
+        _small_workspace(monkeypatch)
+        _rng, layer, x = _fused_case(False, rows + (4,))
+        reference = _clone_layer(layer)
+        with no_grad():
+            outs = [block(Tensor(x), params, Mode.eval()).data
+                    for block, params in ((graph_learning_block, layer),
+                                          (_composed_block, reference))]
+        assert np.array_equal(outs[0], outs[1])
+
+    # a square inner block writes its output over the first block's
+    @pytest.mark.parametrize("inner", [6, 4])
+    @pytest.mark.parametrize("rows", STREAMED_ROWS)
+    def test_untracked_eval_pair_equals_composed_chain_bitwise(self, monkeypatch, rows, inner):
+        _small_workspace(monkeypatch)
+        _rng, layers, x = _pair_case(False, rows + (6,), inner)
+        references = [_clone_layer(layer) for layer in layers]
+        with no_grad():
+            outs = [block(Tensor(x), first, Mode.eval(), second=second).data
+                    for block, (first, second) in ((graph_learning_block, layers),
+                                                   (_composed_block, references))]
+        assert np.array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("rows", STREAMED_ROWS)
+    def test_untracked_eval_pair_leaves_its_input_untouched(self, monkeypatch, rows):
+        _small_workspace(monkeypatch)
+        _rng, (first, second), x = _pair_case(False, rows + (6,), 6)
+        h = Tensor(x)
+        before = h.data.tobytes()
+        with no_grad():
+            out = graph_learning_block(h, first, Mode.eval(), second=second)
+        assert h.data.tobytes() == before
+        assert not np.shares_memory(out.data, h.data)
+
+    # the module's output conv streams too, on the tape and off it, and in
+    # train mode each block's product does before batch norm; at 6 rows a
+    # 7-window batch takes chunks of 1 window into the entry block and of
+    # 2, 2, 2 and 1 into the 6-channel ones
+    @pytest.mark.parametrize("tracked", [True, False])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("rows", [(7, 6), (1, 6), (6,)])
+    def test_glm_forward_equals_composed_ops_bitwise(self, monkeypatch, rows, training,
+                                                     tracked):
+        _small_workspace(monkeypatch)
+        rng = np.random.default_rng(42)
+        glm = init_refinement_params(pose_dim=6, window=4, stages=1, pair_count=2,
+                                     latent_dim=6, rng=rng).stages[0]
+        glm.output_gc.weights.data = rng.normal(size=glm.output_gc.weights.shape)
+        glm_forward(Tensor(rng.normal(size=(2, 6, 8))), glm,
+                    Mode.train(np.random.default_rng(0)))
+        reference = copy.deepcopy(glm)
+        x = rng.normal(size=rows + (8,))
+        upstream = Tensor(rng.normal(size=x.shape))
+
+        def run(module):
+            g = Tensor(x.copy(), requires_grad=tracked)
+            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            with contextlib.nullcontext() if tracked else no_grad():
+                out = glm_forward(g, module, mode)
+            values = [out.data] + [v for layer in module.blocks
+                                   for v in (layer.stats.mean, layer.stats.var)]
+            if tracked:
+                backward(tensor_sum(out * upstream))
+                values += [g.grad, module.output_gc.adjacency.grad,
+                           module.output_gc.weights.grad]
+                values += [t.grad for layer in module.blocks for t in _layer_tensors(layer)]
+            return values
+        streamed = run(glm)
+        monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
+        monkeypatch.setattr(refinement, "_graph_conv", lambda g, adjacency, weights:
+                            matmul(matmul(adjacency, g), weights))
+        for value, composed in zip(streamed, run(reference), strict=True):
+            assert np.array_equal(value, composed)
+
+
 class TestTapeMemory:
     def test_fused_blocks_retain_a_quarter_less_than_composed_ops(self, monkeypatch):
         # refinement-heavy like the reference config: short history, 24 pose rows
@@ -544,20 +632,35 @@ class TestTapeMemory:
                                      latent_dim=256, rng=rng, dropout=dropout).stages[0]
         x = Tensor(rng.normal(size=(4, 66, 40)))
 
-        def peak():
-            peaks = []
-            for _ in range(3):  # the first call also initializes the running stats
-                tracemalloc.start()
-                base = tracemalloc.get_traced_memory()[0]
-                with no_grad():
-                    glm_forward(x, glm, Mode.train(np.random.default_rng(1)))
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-                tracemalloc.stop()
-            return min(peaks[1:])
+        def forward():
+            with no_grad():
+                glm_forward(x, glm, Mode.train(np.random.default_rng(1)))
 
-        pair_peak = peak()
+        pair_peak = peak_traced_bytes(forward)
         monkeypatch.setattr(refinement, "graph_learning_block", _separate_block_nodes)
-        assert pair_peak <= peak() + 1024, pair_peak
+        assert pair_peak <= peak_traced_bytes(forward) + 1024, pair_peak
+
+    def test_untracked_eval_glm_holds_two_activations(self):
+        # at the reference shapes an untracked eval module streams each
+        # product through the workspace, and a pair's second block writes over
+        # the first's output: the peak is the pair's input and output, one
+        # (64, 66, 256) activation each, and the workspace (about four
+        # activations when each block built adjacency @ x and its product whole)
+        rng = np.random.default_rng(8)
+        glm = init_refinement_params(pose_dim=66, window=20, stages=1, pair_count=2,
+                                     latent_dim=256, rng=rng).stages[0]
+        with no_grad():  # running statistics
+            glm_forward(Tensor(rng.normal(size=(8, 66, 40))), glm,
+                        Mode.train(np.random.default_rng(1)))
+        x = Tensor(rng.normal(size=(64, 66, 40)))
+
+        def forward():
+            with no_grad():
+                glm_forward(x, glm, Mode.eval())
+
+        activation = 64 * 66 * 256 * 8
+        peak = peak_traced_bytes(forward)
+        assert peak <= 2 * activation + tensor._WORKSPACE_BYTES + 2**20, peak / activation
 
 
 def _reference_tape_per_window(config, batch):
