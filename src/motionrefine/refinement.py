@@ -7,11 +7,11 @@ prediction half is converted back to pose space, as the stage's output: the
 basis is orthonormal, so the coefficients carry from stage to stage without
 a round trip through pose space.  The graph convolution is adjacency @ input
 @ weights with both factors learnable; a block follows it with batch
-normalization, tanh and dropout.  A module's entry block is one tape node
-and each residual pair of blocks with its add is another, both
-``tensor.graph_blocks`` nodes, which keep no copy of a block's output; each
-module closes with a bare graph convolution restoring the coefficient
-channel count (one ``tensor.graph_conv`` node).
+normalization, tanh and dropout.  A module is an entry block, residual
+pairs of blocks (each adding its input to its output) and a bare graph
+convolution restoring the coefficient channel count, all one
+``tensor.graph_blocks`` tape node, which keeps no block's or pair's output
+and rebuilds them in its backward.
 
 The final convolution's weight matrix starts at zero, so a freshly
 initialized model is exactly the repeat-last-pose baseline (only the
@@ -92,6 +92,17 @@ def _check_graph_input(shape: tuple, layer: GraphLayerParams):
             f"got {shape[-2]}")
 
 
+def _check_layers(shape: tuple, layers):
+    """Check every layer's input shape, before any running statistic moves."""
+    for layer in layers:
+        _check_graph_input(shape, layer)
+        shape = shape[:-1] + layer.weights.shape[-1:]
+
+
+def _block(layer: GraphLayerParams) -> tuple:
+    return layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats
+
+
 def graph_conv(g, layer: GraphLayerParams) -> Tensor:
     """adjacency @ g @ weights over (..., pose_dim, channels) inputs: one tape node."""
     g = as_tensor(g)
@@ -110,26 +121,19 @@ def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
     """
     g = as_tensor(g)
     layers = [layer] if second is None else [layer, second]
-    shape = g.shape
-    for each in layers:     # every block's input, before any running statistic moves
-        _check_graph_input(shape, each)
-        shape = shape[:-1] + each.weights.shape[-1:]
-    blocks = [(each.adjacency, each.weights, each.gamma, each.beta, each.stats)
-              for each in layers]
-    return graph_blocks(g, blocks, mode, dropout_rate, residual=second is not None)
+    _check_layers(g.shape, layers)
+    return graph_blocks(g, [_block(each) for each in layers], mode, dropout_rate,
+                        pairs=len(layers) - 1)
 
 
 def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:
-    """Entry block, residual block pairs, then the bare output conv."""
+    """Entry block, residual block pairs, then the bare output conv: one tape
+    node, which rebuilds every block's and pair's output in its backward."""
     g = as_tensor(g)
-    if g.shape[-1] != params.in_channels:
-        raise DimensionError(
-            f"module expects {params.in_channels} channels, got {g.shape[-1]}")
-    h = graph_learning_block(g, params.blocks[0], mode, params.dropout)
-    for pair in range(params.pair_count):
-        h = graph_learning_block(h, params.blocks[1 + 2 * pair], mode, params.dropout,
-                                 second=params.blocks[2 + 2 * pair])
-    return graph_conv(h, params.output_gc)
+    _check_layers(g.shape, params.blocks + [params.output_gc])
+    return graph_blocks(g, [_block(layer) for layer in params.blocks], mode, params.dropout,
+                        pairs=params.pair_count,
+                        output=(params.output_gc.adjacency, params.output_gc.weights))
 
 
 @dataclass

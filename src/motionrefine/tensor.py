@@ -14,9 +14,10 @@ belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d`` holds only its operands and unfolds its input again in the
 backward; ``graph_conv`` holds only its operands; ``graph_blocks``, a
-run of graph blocks and an optional residual add, holds its operands and
-each block's normalized activations and recomputes ``adjacency @ x``, the
-tanh output and every later block's input there.  Both graph nodes
+whole graph learning module (entry block, residual pairs, output conv),
+holds its operands and each block's normalized activations and recomputes
+``adjacency @ x``, the tanh output and every block's and pair's output
+there.  Both graph nodes
 build ``(adjacency @ x) @ weights`` a chunk of windows at a time through
 one cache-sized workspace (``_graph_product``).  The sweep drops each
 closure, its edges and the node's gradient as soon as the closure has
@@ -696,8 +697,9 @@ def _block_forward(x: np.ndarray, block: _Block, mode: Mode, rate: float, tracke
     in cache, and where ``overwrite`` (x is the caller's to spend) and
     C_in == C_out the output is written over x; else it is a new array.  In
     train mode or on the tape, batch norm needs the whole product: it is
-    overwritten by the normalized activations and the dropout draw's buffer
-    takes the output.
+    overwritten by the normalized activations (off the tape, dropped once
+    batch norm's output exists) and the dropout draw's buffer takes the
+    output.
     """
     adjacency, weights, gamma, beta, stats = block
     dropping = _dropout_active(rate, mode.rng, mode)
@@ -715,13 +717,17 @@ def _block_forward(x: np.ndarray, block: _Block, mode: Mode, rate: float, tracke
     normalized = _graph_product(adjacency.data, x, weights.data)
     activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats,
                                         mode.training, normalized.ndim - 1)
+    tape = _BlockTape(normalized, std, None) if tracked else None
+    del normalized
     np.tanh(activated, out=activated)
     if not dropping:
-        return activated, _BlockTape(normalized, std, None) if tracked else None
+        return activated, tape
     data, keep = _dropout_draw(activated.shape, rate, mode.rng)
     np.multiply(activated, keep, out=data)
     data *= 1.0 / (1.0 - rate)
-    return data, _BlockTape(normalized, std, np.packbits(keep, axis=None)) if tracked else None
+    if tracked:
+        tape = tape._replace(keep=np.packbits(keep, axis=None))
+    return data, tape
 
 
 def _block_tanh(tape: _BlockTape, gamma: Tensor, beta: Tensor) -> np.ndarray:
@@ -780,62 +786,99 @@ def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: _B
                                 grad_g_out=dx if dx.shape == x.shape else None)
 
 
-def graph_blocks(h, blocks, mode: Mode, rate: float, residual: bool = False) -> Tensor:
-    """A run of graph blocks, plus ``h`` where ``residual``, as one tape node.
+def graph_blocks(h, blocks, mode: Mode, rate: float, pairs: int = 0, output=None) -> Tensor:
+    """A graph learning module, or a run of its blocks, as one tape node.
 
     ``blocks`` lists each block's ``(adjacency, weights, gamma, beta,
     stats)``; a block is ``dropout(tanh(batchnorm(adjacency @ x @ weights)))``
     on its predecessor's output ``x`` (h for the first), with x (..., P,
     C_in), adjacency (P, P), weights (C_in, C_out), batch norm over the last
-    (channel) axis and dropout drawing ``mode.rng``.  The arithmetic, its
-    order and the dropout draws are those of the composed ``matmul``,
-    ``batchnorm``, ``tanh``, ``dropout`` and ``add`` ops (test ops, in
-    ``tests/reference_ops.py``), so values, running statistics and gradients
-    (h's two contributions included) are bit-identical to theirs.  Besides
-    its operands the node keeps each block's normalized activations and,
-    under dropout, its keep mask packed to one bit per value, but no block's
-    output.  The backward recomputes the rest with the forward's own ops on
-    the same arrays, so bit-identically: ``adjacency @ x`` (the same GEMM)
-    for the weight gradient, the tanh output (``gamma * normalized + beta``,
-    then ``np.tanh``) for tanh's slope, and, walking the blocks in reverse,
-    each later block's input (that tanh output times the mask and the
-    scale), which is dropped once that block's backward has run.  Off the
-    tape (under ``no_grad`` or with no tracked input) nothing is kept, so a
-    block's input is the only array that lives on across its forward.  Each
-    block's product streams through ``_graph_product``'s workspace.  Off the
-    tape in eval mode every block after the first whose C_in == C_out writes
-    its output over its input, an array this call made, so ``h`` is never
+    (channel) axis and dropout drawing ``mode.rng``.  The last ``2 * pairs``
+    blocks form residual pairs, each adding its input to its second block's
+    output, and ``output``, where given, is the ``(adjacency, weights)`` of a
+    bare graph conv on the last block's output (or pair's sum).  The
+    arithmetic, its order and the dropout draws are those of the composed
+    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` and ``add`` ops (test
+    ops, in ``tests/reference_ops.py``), so values, running statistics and
+    gradients (a pair input's two contributions included) are bit-identical
+    to theirs.  Besides its operands the node keeps each block's normalized
+    activations and, under dropout, its keep mask packed to one bit per
+    value, but no block's output.  The backward recomputes the rest with the
+    forward's own ops on the same arrays, so bit-identically: first, in
+    forward order, the input of every pair and of the output conv (a block's
+    output is its tanh output, ``gamma * normalized + beta`` then
+    ``np.tanh``, times the mask and the scale; a pair adds its input to it);
+    then, walking back, ``adjacency @ x`` (the same GEMM) for each weight
+    gradient, tanh's slope, and a pair's inner output, dropping each rebuilt
+    array once its step has run.  Off the tape (under ``no_grad`` or with no
+    tracked input) nothing is kept, so a block's input is the only array of
+    its pair (or run) that lives on across its forward.  Each product streams
+    through ``_graph_product``'s workspace.  Off the tape in eval mode every
+    block after the first of a pair (or run) whose C_in == C_out writes its
+    output over its input, an array this call made, so ``h`` is never
     written.
     """
     h = as_tensor(h)
     blocks = [_as_block(*block) for block in blocks]
-    shape = h.shape[:-1] + blocks[-1].weights.shape[-1:]
-    if residual and shape != h.shape:
-        raise DimensionError(f"a residual pair's output {shape} must have the shape of "
-                             f"its input {h.shape}")
-    operands = (h,) + tuple(t for block in blocks for t in block[:4])
+    lead = len(blocks) - 2 * pairs
+    if not blocks or pairs < 0 or lead < 0:
+        raise ConfigurationError(f"{len(blocks)} blocks cannot end in {pairs} residual pairs")
+    # each run of blocks: (first, end, whether its input is added to its output)
+    runs = [(0, lead, False)] if lead else []
+    runs += [(k, k + 2, True) for k in range(lead, len(blocks), 2)]
+    shape = h.shape
+    for _start, stop, residual in runs:
+        run_shape = shape[:-1] + blocks[stop - 1].weights.shape[-1:]
+        if residual and run_shape != shape:
+            raise DimensionError(f"a residual pair's output {run_shape} must have the shape "
+                                 f"of its input {shape}")
+        shape = run_shape
+    output = () if output is None else tuple(as_tensor(t) for t in output)
+    operands = (h,) + tuple(t for block in blocks for t in block[:4]) + output
     tracked = _grad_enabled and any(t.requires_grad for t in operands)
-    data, tapes = h.data, []
-    for k, block in enumerate(blocks):
-        # every block's input but the first is an array this call made
-        data, tape = _block_forward(data, block, mode, rate, tracked, k > 0)
-        tapes.append(tape)
-    if residual:
-        data += h.data
-    out = _result(data, operands, "graph_blocks")
+    x, tapes = h.data, []
+    for start, stop, residual in runs:
+        data = x
+        for k in range(start, stop):
+            # every block's input but a run's first is an array this call made
+            data, tape = _block_forward(data, blocks[k], mode, rate, tracked, k > start)
+            tapes.append(tape)
+        if residual:
+            data += x
+        x = data
+    if output:
+        x = _graph_product(output[0].data, x, output[1].data)
+    out = _result(x, operands, "graph_blocks")
     if out.requires_grad:
         training = mode.training
-        # whether block k's input needs a gradient: h or an earlier block is tracked
-        need = [any(t.requires_grad for t in operands[:1 + 4 * k]) for k in range(len(blocks))]
+        # whether block k's input (k == len(blocks): the output conv's) needs a
+        # gradient: h or an earlier block is tracked
+        need = [any(t.requires_grad for t in operands[:1 + 4 * k])
+                for k in range(len(blocks) + 1)]
         def _bw(grad):
-            if residual:
-                _accum(h, grad)
-            for k in reversed(range(len(blocks))):
-                x = _block_output(blocks[k - 1], tapes[k - 1], rate) if k else h.data
-                grad = _block_backward(grad, x, need[k], blocks[k], tapes[k], training, rate)
-                del x
+            inputs = [h.data]           # each run's input, then the output conv's
+            for _start, stop, residual in runs if output else runs[:-1]:
+                inputs.append(_block_output(blocks[stop - 1], tapes[stop - 1], rate))
+                if residual:
+                    inputs[-1] += inputs[-2]
+            if output:
+                grad = _graph_conv_backward(grad, inputs.pop(), need[-1], *output)
                 if grad is None:
                     return
+            for r in reversed(range(len(runs))):
+                start, stop, residual = runs[r]
+                upstream, run_input = grad, inputs.pop()
+                for k in reversed(range(start, stop)):
+                    x = _block_output(blocks[k - 1], tapes[k - 1], rate) if k > start else run_input
+                    grad = _block_backward(grad, x, need[k], blocks[k], tapes[k], training, rate)
+                    if grad is None:
+                        return
+                # the pair input's two contributions, summed as the composed
+                # ops sum them: the add's first
+                if residual and r:
+                    grad += upstream
+                elif residual:
+                    _accum(h, upstream)
             _accum(h, grad)
         out._backward = _bw
     return out

@@ -5,14 +5,15 @@ the pose-space round trip per stage that ``refinement.refine`` skips.
 ``conv1d`` does the arithmetic of ``sliding_windows`` followed by
 ``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add``, and
 ``graph_blocks`` that of one ``matmul``, ``batchnorm``, ``tanh`` and
-``dropout`` chain per block (and an ``add`` for a residual pair); the tests
-compose these ops as the bitwise reference.
+``dropout`` chain per block, an ``add`` per residual pair and two ``matmul``s
+for a module's output conv; the tests compose these ops as the bitwise
+reference (``composed_block``, ``composed_module``).
 ``tensor_mean`` composes ``tensor_sum`` and ``mul``.
 """
 import numpy as np
 
 from motionrefine.errors import DimensionError
-from motionrefine.refinement import RefineResult, glm_forward, pad_query
+from motionrefine.refinement import DROPOUT, RefineResult, glm_forward, pad_query
 from motionrefine.tensor import (
     Mode,
     RunningStats,
@@ -27,6 +28,7 @@ from motionrefine.tensor import (
     add,
     as_tensor,
     concat,
+    matmul,
     mul,
     tensor_sum,
 )
@@ -115,6 +117,27 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis
             _accum(inputs, dx)
         out._backward = _bw
     return out
+
+
+def composed_block(g, layer, mode: Mode, dropout_rate: float = DROPOUT,
+                   second=None) -> Tensor:
+    """A graph block, or with ``second`` the residual pair
+    ``block(block(g, layer), second) + g``, as separate tape ops."""
+    h = matmul(matmul(layer.adjacency, g), layer.weights)
+    h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode, channel_axis=-1)
+    h = dropout(tanh(h), dropout_rate, mode.rng, mode)
+    return h if second is None else add(composed_block(h, second, mode, dropout_rate), g)
+
+
+def composed_module(g, glm, mode: Mode, block=composed_block) -> Tensor:
+    """``refinement.glm_forward`` as separate tape ops: ``block(x, layer,
+    mode, rate)`` per block, an ``add`` per residual pair and two ``matmul``s
+    for the output conv."""
+    h = block(g, glm.blocks[0], mode, glm.dropout)
+    for pair in range(glm.pair_count):
+        inner = block(h, glm.blocks[1 + 2 * pair], mode, glm.dropout)
+        h = add(block(inner, glm.blocks[2 + 2 * pair], mode, glm.dropout), h)
+    return matmul(matmul(glm.output_gc.adjacency, h), glm.output_gc.weights)
 
 
 def adam_step_reference(params: dict[str, Tensor], state, lr: float,

@@ -46,11 +46,13 @@ def test_bench_workload_configs_build(monkeypatch):
 
 @pytest.mark.parametrize("name", ["REFERENCE_CONFIG", "SMALL_CONFIG"])
 def test_refinement_spans_count_one_call_per_block_run(monkeypatch, name):
-    # refinement.graph_learning_block.s times one entry block or one residual
-    # pair, and refinement.graph_conv.s one output conv: a fusion that changes
-    # these counts changes what the per-layer metrics measure
+    # each module is one glm_forward call and one tape node, so
+    # refinement.glm_forward.s times the whole module and neither
+    # refinement.graph_learning_block.s nor refinement.graph_conv.s is called
+    # by a model_forward: a change to these counts changes what the
+    # per-layer metrics measure
     config = getattr(_load(monkeypatch, "workloads"), name)
-    calls = {"graph_learning_block": 0, "graph_conv": 0}
+    calls = {"glm_forward": 0, "graph_learning_block": 0, "graph_conv": 0}
     for attr in calls:
         def counting(*args, _real=getattr(refinement, attr), _attr=attr, **kwargs):
             calls[_attr] += 1
@@ -61,8 +63,7 @@ def test_refinement_spans_count_one_call_per_block_run(monkeypatch, name):
     with no_grad():
         model_forward(params, Tensor(histories), config, dct_basis(config.window),
                       Mode.train(np.random.default_rng(2)))
-    assert calls == {"graph_learning_block": config.stages * (1 + config.glb_pairs),
-                     "graph_conv": config.stages}
+    assert calls == {"glm_forward": config.stages, "graph_learning_block": 0, "graph_conv": 0}
 
 
 def test_train_small_workload_runs_one_checked_call(monkeypatch, tmp_path):

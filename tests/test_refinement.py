@@ -1,11 +1,12 @@
 import contextlib
 import copy
+import functools
 
 import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
-from reference_ops import batchnorm, dropout, refine_round_trip, tanh
+from reference_ops import composed_block, composed_module, refine_round_trip, tanh
 from tape_memory import closure_arrays, peak_traced_bytes, retained_bytes
 from motionrefine import LossConfig, refinement, tensor
 from motionrefine.errors import ConfigurationError, DimensionError
@@ -32,6 +33,7 @@ from motionrefine.tensor import (
     no_grad,
     tensor_sum,
     transpose,
+    zero_grads,
 )
 from motionrefine.transforms import dct_basis, dct, idct
 
@@ -124,23 +126,6 @@ class TestGraphLearningBlock:
         assert len(held) == 3 and all(any(a is t.data for t in out._parents) for a in held)
 
 
-def _composed_block(g, layer, mode, dropout_rate=0.3, second=None):
-    """The block, or with ``second`` the residual pair, as separate tape ops:
-    the fused nodes' reference."""
-    h = matmul(matmul(layer.adjacency, g), layer.weights)
-    h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode, channel_axis=-1)
-    h = dropout(tanh(h), dropout_rate, mode.rng, mode)
-    return h if second is None else add(_composed_block(h, second, mode, dropout_rate), g)
-
-
-def _separate_block_nodes(g, layer, mode, dropout_rate=0.3, second=None):
-    """The block, or with ``second`` the residual pair, as single-block
-    ``graph_blocks`` and ``add`` nodes."""
-    h = graph_blocks(g, [(layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats)],
-                     mode, dropout_rate)
-    return h if second is None else add(_separate_block_nodes(h, second, mode, dropout_rate), g)
-
-
 def _tracked_layer(rng, rows, channels_in, channels_out, stats):
     return GraphLayerParams(
         adjacency=Tensor(rng.normal(size=(rows, rows)), requires_grad=True),
@@ -189,7 +174,7 @@ class TestFusedGraphBlock:
         reference = _clone_layer(layer)
         upstream = Tensor(rng.normal(size=shape[:-1] + (6,)))
         results = []
-        for block, params in ((graph_learning_block, layer), (_composed_block, reference)):
+        for block, params in ((graph_learning_block, layer), (composed_block, reference)):
             g = Tensor(x.copy(), requires_grad=True)
             mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
             out = block(g, params, mode, dropout_rate=rate)
@@ -212,7 +197,7 @@ class TestFusedGraphBlock:
         _rng, layer, x = _fused_case(training, (3, 5, 4))
         reference = _clone_layer(layer)
         outs = []
-        for block, params in ((graph_learning_block, layer), (_composed_block, reference)):
+        for block, params in ((graph_learning_block, layer), (composed_block, reference)):
             mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
             with no_grad():
                 outs.append(block(Tensor(x), params, mode).data)
@@ -299,18 +284,19 @@ class TestResidualPair:
     @pytest.mark.parametrize("h_tracked", [True, False])
     @pytest.mark.parametrize("training, rate, shape, inner", PAIR_CASES)
     def test_equals_composed_chain_bitwise(self, training, rate, shape, inner, h_tracked):
-        # h feeds the first block and the add: its two gradient contributions
-        # add up in the composed ops' order
+        # h feeds the first block, the add and a product whose gradient
+        # reaches h first: its three contributions add up in the composed
+        # ops' order
         rng, layers, x = _pair_case(training, shape, inner)
         references = [_clone_layer(layer) for layer in layers]
-        upstream = Tensor(rng.normal(size=shape))
+        upstream, weight = (Tensor(rng.normal(size=shape)) for _ in range(2))
         results = []
         for block, (first, second) in ((graph_learning_block, layers),
-                                       (_composed_block, references)):
+                                       (composed_block, references)):
             h = Tensor(x.copy(), requires_grad=h_tracked)
             mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
             out = block(h, first, mode, dropout_rate=rate, second=second)
-            backward(tensor_sum(out * upstream))
+            backward(tensor_sum(h * weight) + tensor_sum(out * upstream))
             results.append([out.data, h.grad] + [
                 value for layer in (first, second)
                 for value in [layer.stats.mean, layer.stats.var]
@@ -325,7 +311,7 @@ class TestResidualPair:
         references = [_clone_layer(layer) for layer in layers]
         outs = []
         for block, (first, second) in ((graph_learning_block, layers),
-                                       (_composed_block, references)):
+                                       (composed_block, references)):
             mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
             with no_grad():
                 out = block(Tensor(x), first, mode, second=second)
@@ -410,7 +396,7 @@ class TestStreamedProduct:
         with no_grad():
             outs = [block(Tensor(x), params, Mode.eval()).data
                     for block, params in ((graph_learning_block, layer),
-                                          (_composed_block, reference))]
+                                          (composed_block, reference))]
         assert np.array_equal(outs[0], outs[1])
 
     # a square inner block writes its output over the first block's
@@ -423,7 +409,7 @@ class TestStreamedProduct:
         with no_grad():
             outs = [block(Tensor(x), first, Mode.eval(), second=second).data
                     for block, (first, second) in ((graph_learning_block, layers),
-                                                   (_composed_block, references))]
+                                                   (composed_block, references))]
         assert np.array_equal(outs[0], outs[1])
 
     @pytest.mark.parametrize("rows", STREAMED_ROWS)
@@ -457,11 +443,11 @@ class TestStreamedProduct:
         x = rng.normal(size=rows + (8,))
         upstream = Tensor(rng.normal(size=x.shape))
 
-        def run(module):
+        def run(forward, module):
             g = Tensor(x.copy(), requires_grad=tracked)
             mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
             with contextlib.nullcontext() if tracked else no_grad():
-                out = glm_forward(g, module, mode)
+                out = forward(g, module, mode)
             values = [out.data] + [v for layer in module.blocks
                                    for v in (layer.stats.mean, layer.stats.var)]
             if tracked:
@@ -470,11 +456,8 @@ class TestStreamedProduct:
                            module.output_gc.weights.grad]
                 values += [t.grad for layer in module.blocks for t in _layer_tensors(layer)]
             return values
-        streamed = run(glm)
-        monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
-        monkeypatch.setattr(refinement, "_graph_conv", lambda g, adjacency, weights:
-                            matmul(matmul(adjacency, g), weights))
-        for value, composed in zip(streamed, run(reference), strict=True):
+        for value, composed in zip(run(glm_forward, glm), run(composed_module, reference),
+                                   strict=True):
             assert np.array_equal(value, composed)
 
 
@@ -492,13 +475,11 @@ class TestTapeMemory:
             return tensor_sum(out.prediction * out.prediction)
 
         fused_bytes, _, fused_nodes = retained_bytes(forward_loss())
-        monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
+        monkeypatch.setattr(refinement, "glm_forward", composed_module)
         composed_bytes = retained_bytes(forward_loss()).total
-        ops = [node._op for node in fused_nodes]
-        # an entry block has 5 operands (h and 4 parameters), a pair 9
+        # one node per module: h, 4 parameters per block and the output conv's 2
         operands = [len(node._parents) for node in fused_nodes if node._op == "graph_blocks"]
-        assert operands.count(5) == config.stages
-        assert operands.count(9) == config.stages * config.glb_pairs
+        assert operands == [1 + 4 * (1 + 2 * config.glb_pairs) + 2] * config.stages
         assert fused_bytes <= 0.75 * composed_bytes, (fused_bytes, composed_bytes)
 
 
@@ -620,25 +601,68 @@ class TestTapeMemory:
         assert _reference_tape_per_window(config, batch=2) < 3_950 * 1024
 
     @pytest.mark.parametrize("dropout", [0.3, 0.0])
-    def test_untracked_pair_holds_no_first_block_array_across_the_second(self, monkeypatch,
-                                                                         dropout):
+    def test_reference_tape_keeps_no_block_run_output(self, dropout):
+        # as above; each module is one node, which rebuilds its entry block's
+        # and its pairs' outputs in its backward: about 2,620 KiB per window
+        # (2,590 at dropout 0; 3,810 and 3,780 with a node per block run)
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256, dropout=dropout)
+        assert _reference_tape_per_window(config, batch=2) < 2_750 * 1024
+
+    def test_reference_step_peak_stays_within_budget_per_window(self):
+        # the traced peak of a forward, loss and backward at the reference
+        # shapes, batch 8, parameter gradients included: about 3,470 KiB per
+        # window (4,370 with a node per block run), so the backward's rebuilt
+        # block-run outputs cannot grow back unseen
+        config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
+                             stages=3, glb_pairs=2, latent_dim=256)
+        params = init_model_params(config, np.random.default_rng(0))
+        batch = 8
+
+        def step():
+            zero_grads(named_parameters(params).values())
+            backward(_reference_loss(config, params, batch))
+        assert peak_traced_bytes(step) / batch < 3_700 * 1024
+
+    @pytest.mark.parametrize("dropout", [0.3, 0.0])
+    def test_untracked_pair_holds_no_first_block_array_across_the_second(self, dropout):
         # an untracked train-mode pass (the set-up forward of a model, the
         # per-pass forward of predict) keeps no normalized array of a pair's
         # first block while the second runs, so its peak is that of separate
-        # block nodes and an add; the Python objects of the two differ by
-        # under 1 KiB, one activation array at these shapes is 528 KiB
+        # block nodes, adds and the output conv's matmuls; the Python objects
+        # of the two differ by under 1 KiB, one activation array at these
+        # shapes is 528 KiB
         rng = np.random.default_rng(7)
         glm = init_refinement_params(pose_dim=66, window=20, stages=1, pair_count=2,
                                      latent_dim=256, rng=rng, dropout=dropout).stages[0]
         x = Tensor(rng.normal(size=(4, 66, 40)))
 
+        def forward(module_forward):
+            with no_grad():
+                module_forward(x, glm, Mode.train(np.random.default_rng(1)))
+
+        separate = functools.partial(composed_module, block=graph_learning_block)
+        separate_peak = peak_traced_bytes(lambda: forward(separate))
+        module_peak = peak_traced_bytes(lambda: forward(glm_forward))
+        assert module_peak <= separate_peak + 1024, (module_peak, separate_peak)
+
+    def test_untracked_train_block_holds_no_product_through_the_dropout_draw(self):
+        # off the tape a train-mode block frees its normalized product once
+        # batch norm's output exists: the peak is that output, the draw's
+        # buffer and its bool keep mask (about 3.1 activations when the
+        # product lived on through the draw), at the (64, 66, 256) reference
+        # eval batch, where the workspace is a small part of the bound
+        rng = np.random.default_rng(9)
+        layer = _tracked_layer(rng, 66, 256, 256, RunningStats())
+        x = Tensor(rng.normal(size=(64, 66, 256)))
+
         def forward():
             with no_grad():
-                glm_forward(x, glm, Mode.train(np.random.default_rng(1)))
+                graph_learning_block(x, layer, Mode.train(np.random.default_rng(1)), 0.3)
 
-        pair_peak = peak_traced_bytes(forward)
-        monkeypatch.setattr(refinement, "graph_learning_block", _separate_block_nodes)
-        assert pair_peak <= peak_traced_bytes(forward) + 1024, pair_peak
+        activation = x.data.nbytes
+        peak = peak_traced_bytes(forward)
+        assert peak <= 2.25 * activation + tensor._WORKSPACE_BYTES + 2**20, peak / activation
 
     def test_untracked_eval_glm_holds_two_activations(self):
         # at the reference shapes an untracked eval module streams each
@@ -663,17 +687,22 @@ class TestTapeMemory:
         assert peak <= 2 * activation + tensor._WORKSPACE_BYTES + 2**20, peak / activation
 
 
-def _reference_tape_per_window(config, batch):
-    """Bytes the train-mode tape of a model_forward and loss keeps per window,
-    besides the parameters."""
-    params = init_model_params(config, np.random.default_rng(0))
+def _reference_loss(config, params, batch):
+    """The train-mode loss of a model_forward over ``batch`` random windows."""
     rng = np.random.default_rng(1)
     histories = Tensor(rng.normal(size=(batch, config.pose_dim, config.history_len)))
     out = model_forward(params, histories, config, dct_basis(config.window),
                         Mode.train(np.random.default_rng(2)))
     poses = transpose(out.prediction, (0, 2, 1)).reshape(batch, config.window, config.joints, 3)
-    loss = loss_total(poses, Tensor(rng.normal(size=poses.shape)), None, LossConfig(),
+    return loss_total(poses, Tensor(rng.normal(size=poses.shape)), None, LossConfig(),
                       config.future_len)
+
+
+def _reference_tape_per_window(config, batch):
+    """Bytes the train-mode tape of a model_forward and loss keeps per window,
+    besides the parameters."""
+    params = init_model_params(config, np.random.default_rng(0))
+    loss = _reference_loss(config, params, batch)
     parameter_bytes = sum(p.data.nbytes for p in named_parameters(params).values())
     return (retained_bytes(loss).total - parameter_bytes) / batch
 
@@ -698,33 +727,45 @@ class TestGlmForward:
         assert glm.output_gc.gamma is None and glm.output_gc.stats is None
 
     @pytest.mark.parametrize("training", [True, False])
-    def test_equals_composed_blocks_bitwise(self, monkeypatch, training):
+    def test_equals_composed_blocks_bitwise(self, training):
         # the residual h also feeds the pair's first block: its two gradient
-        # contributions add up in the composed ops' order
-        rng = np.random.default_rng(40)
-        params = init_refinement_params(pose_dim=6, window=4, stages=1, pair_count=2,
-                                        latent_dim=5, rng=rng)
-        glm = params.stages[0]
-        glm.output_gc.weights.data = rng.normal(size=glm.output_gc.weights.shape)
-        if not training:
-            glm_forward(Tensor(rng.normal(size=(2, 6, 8))), glm,
-                        Mode.train(np.random.default_rng(0)))
-        reference = copy.deepcopy(glm)
-        x = rng.normal(size=(2, 6, 8))
-        upstream = Tensor(rng.normal(size=x.shape))
+        # contributions add up in the composed ops' order; at 0 pairs the
+        # entry block feeds the output conv, at 2 each pair's sum feeds the next
+        for pair_count in (0, 1, 2):
+            rng = np.random.default_rng(40)
+            glm = init_refinement_params(pose_dim=6, window=4, stages=1, pair_count=pair_count,
+                                         latent_dim=5, rng=rng).stages[0]
+            glm.output_gc.weights.data = rng.normal(size=glm.output_gc.weights.shape)
+            if not training:
+                glm_forward(Tensor(rng.normal(size=(2, 6, 8))), glm,
+                            Mode.train(np.random.default_rng(0)))
+            reference = copy.deepcopy(glm)
+            x = rng.normal(size=(2, 6, 8))
+            upstream = Tensor(rng.normal(size=x.shape))
 
-        def run(module):
-            g = Tensor(x.copy(), requires_grad=True)
-            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-            out = glm_forward(g, module, mode)
-            backward(tensor_sum(out * upstream))
-            tensors = [g] + [t for layer in module.blocks for t in _layer_tensors(layer)]
-            return ([out.data, module.output_gc.weights.grad] + [t.grad for t in tensors]
-                    + [layer.stats.var for layer in module.blocks])
-        fused = run(glm)
-        monkeypatch.setattr(refinement, "graph_learning_block", _composed_block)
-        for fused_value, composed_value in zip(fused, run(reference)):
-            assert np.array_equal(fused_value, composed_value)
+            def run(forward, module):
+                g = Tensor(x.copy(), requires_grad=True)
+                mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+                out = forward(g, module, mode)
+                backward(tensor_sum(out * upstream))
+                tensors = [g, module.output_gc.adjacency, module.output_gc.weights]
+                tensors += [t for layer in module.blocks for t in _layer_tensors(layer)]
+                return ([out.data] + [t.grad for t in tensors]
+                        + [layer.stats.var for layer in module.blocks])
+            for fused, composed in zip(run(glm_forward, glm), run(composed_module, reference),
+                                       strict=True):
+                assert np.array_equal(fused, composed), pair_count
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(41)
+        glm = init_refinement_params(pose_dim=6, window=4, stages=1, pair_count=2,
+                                     latent_dim=5, rng=rng).stages[0]
+        g = Tensor(rng.normal(size=(2, 6, 8)), requires_grad=True)
+        out = glm_forward(g, glm, Mode.train(np.random.default_rng(0)))
+        assert out._op == "graph_blocks"
+        assert list(out._parents) == ([g] + [t for layer in glm.blocks
+                                             for t in _layer_tensors(layer)]
+                                      + [glm.output_gc.adjacency, glm.output_gc.weights])
 
     def test_eval_forward_is_deterministic(self):
         rng = np.random.default_rng(6)

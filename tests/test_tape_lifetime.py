@@ -37,10 +37,10 @@ def collector_off():
             gc.enable()
 
 
-def _watch_block_output(loss):
-    """A weakref to the .data of a graph-learning block's output on ``loss``'s tape."""
-    block = next(node for node in retained_bytes(loss).nodes if node._op == "graph_blocks")
-    return weakref.ref(block.data)
+def _watch_module_output(loss):
+    """A weakref to the .data of a graph learning module's output on ``loss``'s tape."""
+    module = next(node for node in retained_bytes(loss).nodes if node._op == "graph_blocks")
+    return weakref.ref(module.data)
 
 
 def test_sweep_leaves_no_closure_held_bytes():
@@ -57,7 +57,7 @@ def test_sweep_leaves_no_closure_held_bytes():
 @pytest.mark.parametrize("swept", [True, False])
 def test_intermediates_die_with_the_loss_without_the_collector(collector_off, swept):
     loss = _forward_loss()
-    watched = _watch_block_output(loss)
+    watched = _watch_module_output(loss)
     assert watched() is not None
     if swept:
         backward(loss)

@@ -575,22 +575,13 @@ def _tracked(rng, *shape, low=-1.0, high=1.0):
     return Tensor(rng.uniform(low, high, shape), requires_grad=True)
 
 
-def _graph_block_case(rng):
-    # C_in == C_out: the backward writes the input gradient over its dx buffer
-    def forward(g, adjacency, weights, gamma, beta):
-        return graph_blocks(g, [(adjacency, weights, gamma, beta, RunningStats())],
-                            Mode.train(np.random.default_rng(0)), 0.3)
-    return forward, [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3), _tracked(rng, 4, 4),
-                     _tracked(rng, 4, low=0.5, high=1.5), _tracked(rng, 4)]
-
-
 def _residual_pair_case(rng, training=True, rate=0.3, inner=5):
     # h (2, 3, 4) -> inner channels -> 4; each block's parameters follow h
     def forward(h, *tensors):
         mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
         stats = [RunningStats() if training else RunningStats(r.mean, r.var) for r in running]
         return graph_blocks(h, [tensors[:4] + (stats[0],), tensors[4:] + (stats[1],)], mode,
-                            rate, residual=True)
+                            rate, pairs=1)
     running = []
     inputs = [_tracked(rng, 2, 3, 4)]
     for channels_in, channels_out in ((4, inner), (inner, 4)):
@@ -601,13 +592,18 @@ def _residual_pair_case(rng, training=True, rate=0.3, inner=5):
     return forward, inputs
 
 
-def _graph_blocks_case(rng):
-    # an entry block, then a residual pair on its output: both kinds of node
-    entry, entry_inputs = _graph_block_case(rng)
-    pair, pair_inputs = _residual_pair_case(rng)
+def _graph_blocks_case(rng, pairs=2):
+    # a whole module: an entry block (3 -> 4 channels), ``pairs`` residual
+    # pairs through a 5-channel inner block, and the output conv (4 -> 3)
     def forward(g, *tensors):
-        return pair(entry(g, *tensors[:4]), *tensors[4:])
-    return forward, entry_inputs + pair_inputs[1:]
+        blocks = [tensors[4 * k:4 * k + 4] + (RunningStats(),) for k in range(1 + 2 * pairs)]
+        return graph_blocks(g, blocks, Mode.train(np.random.default_rng(0)), 0.3, pairs=pairs,
+                            output=tensors[-2:])
+    inputs = [_tracked(rng, 2, 3, 3)]
+    for channels_in, channels_out in [(3, 4)] + [(4, 5), (5, 4)] * pairs:
+        inputs += [_tracked(rng, 3, 3), _tracked(rng, channels_in, channels_out),
+                   _tracked(rng, channels_out, low=0.5, high=1.5), _tracked(rng, channels_out)]
+    return forward, inputs + [_tracked(rng, 3, 3), _tracked(rng, 4, 3)]
 
 
 # tape op name (as passed to ``_result``) -> (forward, tracked inputs), checked
@@ -661,6 +657,17 @@ class TestDirectGradchecks:
         forward, inputs = _residual_pair_case(rng, training, rate, inner=4)
         out = forward(*inputs)
         assert out._op == "graph_blocks" and out._parents[0] is inputs[0]
+        upstream = Tensor(rng.normal(size=out.shape))
+        assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
+
+    # the row above has 2 pairs; a module of 0 pairs feeds its entry block's
+    # output to the output conv, and one of 1 its only pair's sum
+    @pytest.mark.parametrize("pairs", [0, 1])
+    def test_module_matches_finite_differences(self, pairs):
+        rng = np.random.default_rng(302)
+        forward, inputs = _graph_blocks_case(rng, pairs)
+        out = forward(*inputs)
+        assert out._op == "graph_blocks" and len(out._parents) == len(inputs)
         upstream = Tensor(rng.normal(size=out.shape))
         assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
 
