@@ -191,6 +191,8 @@ class SynthSpec:
             raise ConfigurationError(
                 f"a piecewise-constant-velocity period must be >= 1 frame, got {self.period}")
         frame_rate_millihertz(self.frame_rate, ConfigurationError)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 def rest_pose(skeleton: Skeleton) -> np.ndarray:

@@ -10,8 +10,11 @@ a round trip through pose space.  The graph convolution is adjacency @ input
 normalization, tanh and dropout.  A module is an entry block, residual
 pairs of blocks (each adding its input to its output) and a bare graph
 convolution restoring the coefficient channel count, all one
-``tensor.graph_blocks`` tape node, which keeps no block's or pair's output
-and rebuilds them in its backward.
+``tensor.graph_blocks`` tape node, which checks every layer's shape before
+any running statistic moves, keeps no block's or pair's output and rebuilds
+them in its backward.  ``graph_learning_block`` (one block, the same op) and
+``graph_conv`` (two ``matmul`` ops) are the lone layers, off the model's
+path.
 
 The final convolution's weight matrix starts at zero, so a freshly
 initialized model is exactly the repeat-last-pose baseline (only the
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 from .tensor import (
     Mode,
     RunningStats,
@@ -33,7 +36,7 @@ from .tensor import (
     as_tensor,
     concat,
     graph_blocks,
-    graph_conv as _graph_conv,
+    matmul,
 )
 from .transforms import DctBasis, dct, idct
 
@@ -82,57 +85,25 @@ def pad_query(query, future_len: int) -> Tensor:
     return concat([query] + [last] * future_len, axis=-1)
 
 
-def _check_graph_input(shape: tuple, layer: GraphLayerParams):
-    if shape[-1] != layer.weights.shape[0]:
-        raise DimensionError(
-            f"graph conv expects {layer.weights.shape[0]} channels, got {shape[-1]}")
-    if shape[-2] != layer.adjacency.shape[0]:
-        raise DimensionError(
-            f"graph conv expects {layer.adjacency.shape[0]} joints-coords rows, "
-            f"got {shape[-2]}")
-
-
-def _check_layers(shape: tuple, layers):
-    """Check every layer's input shape, before any running statistic moves."""
-    for layer in layers:
-        _check_graph_input(shape, layer)
-        shape = shape[:-1] + layer.weights.shape[-1:]
-
-
 def _block(layer: GraphLayerParams) -> tuple:
     return layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats
 
 
 def graph_conv(g, layer: GraphLayerParams) -> Tensor:
-    """adjacency @ g @ weights over (..., pose_dim, channels) inputs: one tape node."""
-    g = as_tensor(g)
-    _check_graph_input(g.shape, layer)
-    return _graph_conv(g, layer.adjacency, layer.weights)
+    """adjacency @ g @ weights over (..., pose_dim, channels) inputs."""
+    return matmul(matmul(layer.adjacency, g), layer.weights)
 
 
 def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
-                         dropout_rate: float = DROPOUT,
-                         second: GraphLayerParams | None = None) -> Tensor:
-    """Graph conv, batch norm over channels, tanh and dropout: one tape node.
-
-    With ``second``, the residual pair ``block(block(g, layer), second) + g``,
-    also one tape node, which rebuilds the first block's output in its
-    backward instead of keeping it.
-    """
-    g = as_tensor(g)
-    layers = [layer] if second is None else [layer, second]
-    _check_layers(g.shape, layers)
-    return graph_blocks(g, [_block(each) for each in layers], mode, dropout_rate,
-                        pairs=len(layers) - 1)
+                         dropout_rate: float = DROPOUT) -> Tensor:
+    """Graph conv, batch norm over channels, tanh and dropout: one tape node."""
+    return graph_blocks(g, [_block(layer)], mode, dropout_rate)
 
 
 def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:
     """Entry block, residual block pairs, then the bare output conv: one tape
     node, which rebuilds every block's and pair's output in its backward."""
-    g = as_tensor(g)
-    _check_layers(g.shape, params.blocks + [params.output_gc])
     return graph_blocks(g, [_block(layer) for layer in params.blocks], mode, params.dropout,
-                        pairs=params.pair_count,
                         output=(params.output_gc.adjacency, params.output_gc.weights))
 
 

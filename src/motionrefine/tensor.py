@@ -13,13 +13,12 @@ array where ``sqrt`` and ``div`` need it), never the tensor it
 belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d`` holds only its operands and unfolds its input again in the
-backward; ``graph_conv`` holds only its operands; ``graph_blocks``, a
-whole graph learning module (entry block, residual pairs, output conv),
-holds its operands and each block's normalized activations and recomputes
-``adjacency @ x``, the tanh output and every block's and pair's output
-there.  Both graph nodes
-build ``(adjacency @ x) @ weights`` a chunk of windows at a time through
-one cache-sized workspace (``_graph_product``).  The sweep drops each
+backward; ``graph_blocks``, a whole graph learning module (entry block,
+residual pairs, optional output conv), holds its operands and each block's
+normalized activations and recomputes ``adjacency @ x``, the tanh output
+and every block's and pair's output there.  It builds each
+``(adjacency @ x) @ weights`` a chunk of windows at a time through one
+cache-sized workspace (``_graph_product``).  The sweep drops each
 closure, its edges and the node's gradient as soon as the closure has
 run, so the arrays a node saved and the gradients already consumed are
 released during the sweep.  A
@@ -618,30 +617,11 @@ def _graph_product(adjacency: np.ndarray, x: np.ndarray, weights: np.ndarray,
     return out
 
 
-def graph_conv(g, adjacency, weights) -> Tensor:
-    """``(adjacency @ g) @ weights`` as one tape node that keeps only its operands.
-
-    g is (..., P, C_in), adjacency (P, P), weights (C_in, C_out).  The
-    forward streams a batched g through ``_graph_product``'s workspace, so no
-    full-size ``adjacency @ g`` is built.  Values and gradients are
-    bit-identical to those of the two composed ``matmul`` ops: the backward
-    recomputes ``adjacency @ g`` with the forward's GEMMs instead of keeping
-    it, then runs their GEMMs in their order.
-    """
-    g, adjacency, weights = as_tensor(g), as_tensor(adjacency), as_tensor(weights)
-    data = _graph_product(adjacency.data, g.data, weights.data)
-    out = _result(data, (g, adjacency, weights), "graph_conv")
-    if out.requires_grad:
-        def _bw(grad):
-            _accum(g, _graph_conv_backward(grad, g.data, g.requires_grad, adjacency, weights))
-        out._backward = _bw
-    return out
-
-
 def _graph_conv_backward(grad: np.ndarray, g: np.ndarray, need_g: bool, adjacency: Tensor,
                          weights: Tensor, mixed_out: np.ndarray | None = None,
                          grad_g_out: np.ndarray | None = None):
-    """Gradients of ``(adjacency @ g) @ weights`` for upstream ``grad``.
+    """Gradients of ``(adjacency @ g) @ weights`` for upstream ``grad``, run
+    as the GEMMs of the two composed ``matmul`` ops, in their order.
 
     The weights' and the adjacency's are accumulated; g's is returned, or
     None unless ``need_g``.  ``adjacency @ g`` is recomputed (the forward's
@@ -786,66 +766,81 @@ def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: _B
                                 grad_g_out=dx if dx.shape == x.shape else None)
 
 
-def graph_blocks(h, blocks, mode: Mode, rate: float, pairs: int = 0, output=None) -> Tensor:
-    """A graph learning module, or a run of its blocks, as one tape node.
+def _check_layers(shape: tuple, blocks: list, output: tuple):
+    """Raise ``DimensionError`` unless every layer takes its predecessor's
+    output (an input of ``shape`` for the entry block) and every residual
+    pair returns its input's width."""
+    if len(shape) < 2:
+        raise DimensionError(f"graph layers need a (..., P, C) input, got shape {shape}")
+    layers = [block[:2] for block in blocks] + ([output] if output else [])
+    channels = shape[-1]
+    for k, (adjacency, weights) in enumerate(layers):
+        if channels != weights.shape[0]:
+            raise DimensionError(f"graph conv expects {weights.shape[0]} channels, got {channels}")
+        if shape[-2] != adjacency.shape[0]:
+            raise DimensionError(f"graph conv expects {adjacency.shape[0]} joints-coords rows, "
+                                 f"got {shape[-2]}")
+        if k % 2:           # a pair's first block (or the output conv)
+            pair_input = channels
+        channels = weights.shape[-1]
+        if k and k % 2 == 0 and channels != pair_input:
+            raise DimensionError(f"a residual pair's output width {channels} must be its "
+                                 f"input's, {pair_input}")
+
+
+def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
+    """A graph learning module as one tape node: an entry block, residual
+    pairs of blocks and, where given, a bare output conv.
 
     ``blocks`` lists each block's ``(adjacency, weights, gamma, beta,
-    stats)``; a block is ``dropout(tanh(batchnorm(adjacency @ x @ weights)))``
-    on its predecessor's output ``x`` (h for the first), with x (..., P,
+    stats)``: the entry block, then each pair's two, so the pair count is
+    ``(len(blocks) - 1) / 2``.  A block is
+    ``dropout(tanh(batchnorm(adjacency @ x @ weights)))`` on its
+    predecessor's output ``x`` (h for the entry block), with x (..., P,
     C_in), adjacency (P, P), weights (C_in, C_out), batch norm over the last
-    (channel) axis and dropout drawing ``mode.rng``.  The last ``2 * pairs``
-    blocks form residual pairs, each adding its input to its second block's
-    output, and ``output``, where given, is the ``(adjacency, weights)`` of a
-    bare graph conv on the last block's output (or pair's sum).  The
-    arithmetic, its order and the dropout draws are those of the composed
-    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` and ``add`` ops (test
-    ops, in ``tests/reference_ops.py``), so values, running statistics and
-    gradients (a pair input's two contributions included) are bit-identical
-    to theirs.  Besides its operands the node keeps each block's normalized
-    activations and, under dropout, its keep mask packed to one bit per
-    value, but no block's output.  The backward recomputes the rest with the
-    forward's own ops on the same arrays, so bit-identically: first, in
-    forward order, the input of every pair and of the output conv (a block's
-    output is its tanh output, ``gamma * normalized + beta`` then
-    ``np.tanh``, times the mask and the scale; a pair adds its input to it);
-    then, walking back, ``adjacency @ x`` (the same GEMM) for each weight
-    gradient, tanh's slope, and a pair's inner output, dropping each rebuilt
-    array once its step has run.  Off the tape (under ``no_grad`` or with no
-    tracked input) nothing is kept, so a block's input is the only array of
-    its pair (or run) that lives on across its forward.  Each product streams
-    through ``_graph_product``'s workspace.  Off the tape in eval mode every
-    block after the first of a pair (or run) whose C_in == C_out writes its
-    output over its input, an array this call made, so ``h`` is never
-    written.
+    (channel) axis and dropout drawing ``mode.rng``.  A pair adds its input
+    to its second block's output, and ``output``, where given, is the
+    ``(adjacency, weights)`` of a bare graph conv on the last pair's sum (the
+    entry block's output at 0 pairs).  Every layer's shape is checked before
+    any running statistic moves.  The arithmetic, its order and the dropout
+    draws are those of the composed ``matmul``, ``batchnorm``, ``tanh``,
+    ``dropout`` and ``add`` ops (test ops, in ``tests/reference_ops.py``),
+    so values, running statistics and gradients (a pair input's two
+    contributions included) are bit-identical to theirs.  Besides its
+    operands the node keeps each block's normalized activations and, under
+    dropout, its keep mask packed to one bit per value, but no block's
+    output.  The backward recomputes the rest with the forward's own ops on
+    the same arrays, so bit-identically: first, in forward order, the input
+    of every pair and of the output conv (a block's output is its tanh
+    output, ``gamma * normalized + beta`` then ``np.tanh``, times the mask
+    and the scale; a pair adds its input to it); then, walking back,
+    ``adjacency @ x`` (the same GEMM) for each weight gradient, tanh's
+    slope, and a pair's inner output, dropping each rebuilt array once its
+    step has run.  Off the tape (under ``no_grad`` or with no tracked input)
+    nothing is kept, so a block's input is the only array of its pair that
+    lives on across its forward.  Each product streams through
+    ``_graph_product``'s workspace.  Off the tape in eval mode a pair's
+    second block whose C_in == C_out writes its output over its input, an
+    array this call made, so ``h`` is never written.
     """
     h = as_tensor(h)
     blocks = [_as_block(*block) for block in blocks]
-    lead = len(blocks) - 2 * pairs
-    if not blocks or pairs < 0 or lead < 0:
-        raise ConfigurationError(f"{len(blocks)} blocks cannot end in {pairs} residual pairs")
-    # each run of blocks: (first, end, whether its input is added to its output)
-    runs = [(0, lead, False)] if lead else []
-    runs += [(k, k + 2, True) for k in range(lead, len(blocks), 2)]
-    shape = h.shape
-    for _start, stop, residual in runs:
-        run_shape = shape[:-1] + blocks[stop - 1].weights.shape[-1:]
-        if residual and run_shape != shape:
-            raise DimensionError(f"a residual pair's output {run_shape} must have the shape "
-                                 f"of its input {shape}")
-        shape = run_shape
+    if len(blocks) % 2 == 0:
+        raise ConfigurationError(f"{len(blocks)} blocks are not an entry block and residual pairs")
     output = () if output is None else tuple(as_tensor(t) for t in output)
+    _check_layers(h.shape, blocks, output)
     operands = (h,) + tuple(t for block in blocks for t in block[:4]) + output
     tracked = _grad_enabled and any(t.requires_grad for t in operands)
-    x, tapes = h.data, []
-    for start, stop, residual in runs:
-        data = x
-        for k in range(start, stop):
-            # every block's input but a run's first is an array this call made
-            data, tape = _block_forward(data, blocks[k], mode, rate, tracked, k > start)
-            tapes.append(tape)
-        if residual:
-            data += x
-        x = data
+    x, tape = _block_forward(h.data, blocks[0], mode, rate, tracked, False)
+    tapes = [tape]
+    for first, second in zip(blocks[1::2], blocks[2::2]):
+        # x lives on for the add; the inner output is this call's to spend
+        y, tape = _block_forward(x, first, mode, rate, tracked, False)
+        tapes.append(tape)
+        y, tape = _block_forward(y, second, mode, rate, tracked, True)
+        tapes.append(tape)
+        y += x
+        x = y
     if output:
         x = _graph_product(output[0].data, x, output[1].data)
     out = _result(x, operands, "graph_blocks")
@@ -856,30 +851,33 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, pairs: int = 0, output=None
         need = [any(t.requires_grad for t in operands[:1 + 4 * k])
                 for k in range(len(blocks) + 1)]
         def _bw(grad):
-            inputs = [h.data]           # each run's input, then the output conv's
-            for _start, stop, residual in runs if output else runs[:-1]:
-                inputs.append(_block_output(blocks[stop - 1], tapes[stop - 1], rate))
-                if residual:
+            # each pair's input, then the output conv's: the entry block's
+            # output, then each pair's sum
+            inputs = []
+            for k in range(0, len(blocks) if output else len(blocks) - 1, 2):
+                inputs.append(_block_output(blocks[k], tapes[k], rate))
+                if k:
                     inputs[-1] += inputs[-2]
             if output:
                 grad = _graph_conv_backward(grad, inputs.pop(), need[-1], *output)
                 if grad is None:
                     return
-            for r in reversed(range(len(runs))):
-                start, stop, residual = runs[r]
-                upstream, run_input = grad, inputs.pop()
-                for k in reversed(range(start, stop)):
-                    x = _block_output(blocks[k - 1], tapes[k - 1], rate) if k > start else run_input
-                    grad = _block_backward(grad, x, need[k], blocks[k], tapes[k], training, rate)
-                    if grad is None:
-                        return
+            for k in range(len(blocks) - 1, 0, -2):     # each pair's second block
+                upstream, pair_input = grad, inputs.pop()
+                inner = _block_output(blocks[k - 1], tapes[k - 1], rate)
+                grad = _block_backward(grad, inner, need[k], blocks[k], tapes[k], training, rate)
+                del inner
+                if grad is None:
+                    return
+                grad = _block_backward(grad, pair_input, need[k - 1], blocks[k - 1],
+                                       tapes[k - 1], training, rate)
+                if grad is None:
+                    return
                 # the pair input's two contributions, summed as the composed
                 # ops sum them: the add's first
-                if residual and r:
-                    grad += upstream
-                elif residual:
-                    _accum(h, upstream)
-            _accum(h, grad)
+                grad += upstream
+                del upstream, pair_input        # neither outlives its pair
+            _accum(h, _block_backward(grad, h.data, need[0], blocks[0], tapes[0], training, rate))
         out._backward = _bw
     return out
 

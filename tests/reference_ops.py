@@ -4,10 +4,11 @@ the pose-space round trip per stage that ``refinement.refine`` skips.
 
 ``conv1d`` does the arithmetic of ``sliding_windows`` followed by
 ``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add``, and
-``graph_blocks`` that of one ``matmul``, ``batchnorm``, ``tanh`` and
-``dropout`` chain per block, an ``add`` per residual pair and two ``matmul``s
-for a module's output conv; the tests compose these ops as the bitwise
-reference (``composed_block``, ``composed_module``).
+``graph_blocks`` (a module: an entry block, residual pairs and an optional
+output conv) that of one ``matmul``, ``batchnorm``, ``tanh`` and ``dropout``
+chain per block, an ``add`` per residual pair and two ``matmul``s for the
+output conv; the tests compose these ops as the bitwise reference
+(``composed_block``, ``composed_module``).
 ``tensor_mean`` composes ``tensor_sum`` and ``mul``.
 """
 import numpy as np
@@ -119,14 +120,11 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis
     return out
 
 
-def composed_block(g, layer, mode: Mode, dropout_rate: float = DROPOUT,
-                   second=None) -> Tensor:
-    """A graph block, or with ``second`` the residual pair
-    ``block(block(g, layer), second) + g``, as separate tape ops."""
+def composed_block(g, layer, mode: Mode, dropout_rate: float = DROPOUT) -> Tensor:
+    """A graph block as separate tape ops."""
     h = matmul(matmul(layer.adjacency, g), layer.weights)
     h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode, channel_axis=-1)
-    h = dropout(tanh(h), dropout_rate, mode.rng, mode)
-    return h if second is None else add(composed_block(h, second, mode, dropout_rate), g)
+    return dropout(tanh(h), dropout_rate, mode.rng, mode)
 
 
 def composed_module(g, glm, mode: Mode, block=composed_block) -> Tensor:

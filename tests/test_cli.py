@@ -115,6 +115,7 @@ REJECTED = {
                                    "1e+308"),
     "gen_synth_dry_run": (["gen-synth", "--out", "D", "--dry-run"], "--dry-run"),
     "gen_synth_negative_count": (["gen-synth", "--out", "D", "--count", "-2"], "-2"),
+    "gen_synth_seed_negative": (["gen-synth", "--out", "D", "--seed", "-1"], "seed"),
     "gen_synth_frame_rate_not_millihertz": (["gen-synth", "--out", "D",
                                              "--frame-rate", "25.0001"], "25.0001"),
     "gen_synth_frame_rate_over_u32_millihertz": (["gen-synth", "--out", "D",

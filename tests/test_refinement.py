@@ -13,6 +13,8 @@ from motionrefine.errors import ConfigurationError, DimensionError
 from motionrefine.losses import loss_total
 from motionrefine.model import ModelConfig, init_model_params, model_forward, named_parameters
 from motionrefine.refinement import (
+    DROPOUT,
+    GlmParams,
     GraphLayerParams,
     glm_forward,
     graph_conv,
@@ -29,7 +31,6 @@ from motionrefine.tensor import (
     backward,
     concat,
     graph_blocks,
-    matmul,
     no_grad,
     tensor_sum,
     transpose,
@@ -98,33 +99,6 @@ class TestGraphLearningBlock:
         with pytest.raises(DimensionError):
             graph_conv(Tensor(np.zeros((3, 4))), layer)
 
-    @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4), (3, 5, 6)])
-    def test_graph_conv_equals_two_matmuls_bitwise(self, shape):
-        rng = np.random.default_rng(35)
-        layer = _tracked_layer(rng, shape[-2], shape[-1], 6, None)
-        reference = _clone_layer(layer)
-        x = rng.normal(size=shape)
-        upstream = Tensor(rng.normal(size=shape[:-1] + (6,)))
-        results = []
-        for params, conv in ((layer, graph_conv),
-                             (reference, lambda g, p: matmul(matmul(p.adjacency, g), p.weights))):
-            g = Tensor(x.copy(), requires_grad=True)
-            out = conv(g, params)
-            backward(tensor_sum(out * upstream))
-            results.append([out.data, g.grad, params.adjacency.grad, params.weights.grad])
-        for fused, composed in zip(*results):
-            assert np.array_equal(fused, composed)
-
-    def test_graph_conv_records_one_node_keeping_only_operands(self):
-        rng = np.random.default_rng(36)
-        layer = _tracked_layer(rng, 5, 4, 6, None)
-        g = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
-        out = graph_conv(g, layer)
-        assert out._op == "graph_conv" and list(out._parents) == [g, layer.adjacency,
-                                                                  layer.weights]
-        held = closure_arrays(out)
-        assert len(held) == 3 and all(any(a is t.data for t in out._parents) for a in held)
-
 
 def _tracked_layer(rng, rows, channels_in, channels_out, stats):
     return GraphLayerParams(
@@ -144,6 +118,18 @@ def _clone_layer(layer):
 
 def _layer_tensors(layer):
     return [layer.adjacency, layer.weights, layer.gamma, layer.beta]
+
+
+def _glm(rng, rows, channels, latent, pair_count, inner=None, dropout=DROPOUT):
+    """A module from ``channels`` to ``latent`` channels and back whose pairs
+    run through ``inner`` channels (``latent`` where None, as in the model),
+    with fresh running statistics and a nonzero output conv."""
+    inner = latent if inner is None else inner
+    widths = [(channels, latent)] + [(latent, inner), (inner, latent)] * pair_count
+    blocks = [_tracked_layer(rng, rows, c_in, c_out, RunningStats()) for c_in, c_out in widths]
+    output_gc = GraphLayerParams(Tensor(rng.normal(size=(rows, rows)), requires_grad=True),
+                                 Tensor(rng.normal(size=(latent, channels)), requires_grad=True))
+    return GlmParams(blocks, output_gc, dropout)
 
 
 # (training, dropout rate, input shape): 2-D (P, C) and batched (B, P, C), with
@@ -260,121 +246,6 @@ class TestFusedGraphBlock:
         assert not layer.stats.initialized
 
 
-# (training, dropout rate, h's shape, inner channels): 2-D (P, C) and batched
-# (B, P, C) h of 6 channels, through a square inner block like the model's and
-# through a 4-channel one (the backward's buffers then differ in shape)
-PAIR_CASES = [(training, rate, shape, inner)
-              for inner in (6, 4)
-              for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
-              for shape in ((5, 6), (3, 5, 6))]
-
-
-def _pair_case(training, shape, inner):
-    rng = np.random.default_rng(41)
-    layers = []
-    for channels_in, channels_out in ((shape[-1], inner), (inner, shape[-1])):
-        stats = RunningStats()
-        if not training:
-            stats.update(rng.normal(size=channels_out), rng.uniform(0.5, 2.0, channels_out))
-        layers.append(_tracked_layer(rng, shape[-2], channels_in, channels_out, stats))
-    return rng, layers, rng.normal(size=shape)
-
-
-class TestResidualPair:
-    @pytest.mark.parametrize("h_tracked", [True, False])
-    @pytest.mark.parametrize("training, rate, shape, inner", PAIR_CASES)
-    def test_equals_composed_chain_bitwise(self, training, rate, shape, inner, h_tracked):
-        # h feeds the first block, the add and a product whose gradient
-        # reaches h first: its three contributions add up in the composed
-        # ops' order
-        rng, layers, x = _pair_case(training, shape, inner)
-        references = [_clone_layer(layer) for layer in layers]
-        upstream, weight = (Tensor(rng.normal(size=shape)) for _ in range(2))
-        results = []
-        for block, (first, second) in ((graph_learning_block, layers),
-                                       (composed_block, references)):
-            h = Tensor(x.copy(), requires_grad=h_tracked)
-            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-            out = block(h, first, mode, dropout_rate=rate, second=second)
-            backward(tensor_sum(h * weight) + tensor_sum(out * upstream))
-            results.append([out.data, h.grad] + [
-                value for layer in (first, second)
-                for value in [layer.stats.mean, layer.stats.var]
-                + [t.grad for t in _layer_tensors(layer)]])
-        assert (results[0][1] is None) == (not h_tracked)
-        for fused, composed in zip(*results):
-            assert np.array_equal(fused, composed)
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_untracked_forward_equals_composed_chain_bitwise(self, training):
-        _rng, layers, x = _pair_case(training, (3, 5, 6), 6)
-        references = [_clone_layer(layer) for layer in layers]
-        outs = []
-        for block, (first, second) in ((graph_learning_block, layers),
-                                       (composed_block, references)):
-            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-            with no_grad():
-                out = block(Tensor(x), first, mode, second=second)
-            assert not out.requires_grad
-            outs.append([out.data] + [v for layer in (first, second)
-                                      for v in (layer.stats.mean, layer.stats.var)])
-        for fused, composed in zip(*outs):
-            assert np.array_equal(fused, composed)
-
-    def test_records_one_tape_node(self):
-        _rng, (first, second), x = _pair_case(True, (3, 5, 6), 6)
-        h = Tensor(x, requires_grad=True)
-        out = graph_learning_block(h, first, Mode.train(np.random.default_rng(0)),
-                                   second=second)
-        assert out._op == "graph_blocks"
-        assert list(out._parents) == [h] + _layer_tensors(first) + _layer_tensors(second)
-
-    def test_output_of_another_shape_raises(self):
-        # the second block maps back to 5 channels, not h's 6
-        rng = np.random.default_rng(38)
-        first = _tracked_layer(rng, 5, 6, 4, RunningStats())
-        second = _tracked_layer(rng, 5, 4, 5, RunningStats())
-        with pytest.raises(DimensionError, match="residual pair"):
-            graph_learning_block(Tensor(rng.normal(size=(3, 5, 6))), first,
-                                 Mode.train(np.random.default_rng(0)), second=second)
-        assert not first.stats.initialized and not second.stats.initialized
-
-    def test_inner_channel_mismatch_raises(self):
-        rng = np.random.default_rng(38)
-        first = _tracked_layer(rng, 5, 6, 4, RunningStats())
-        second = _tracked_layer(rng, 5, 5, 6, RunningStats())
-        with pytest.raises(DimensionError, match="expects 5 channels, got 4"):
-            graph_learning_block(Tensor(rng.normal(size=(3, 5, 6))), first,
-                                 Mode.train(np.random.default_rng(0)), second=second)
-        assert not first.stats.initialized and not second.stats.initialized
-
-    # 120 outputs per block at (4, 5, 6) do not pad the packed masks
-    @pytest.mark.parametrize("training, rate, shape",
-                             sorted({case[:3] for case in PAIR_CASES}) + [(True, 0.3, (4, 5, 6))])
-    def test_closure_keeps_no_inner_output(self, training, rate, shape):
-        # besides its operand h, the only full-size arrays are the two blocks'
-        # normalized activations: not the first block's output, nor either
-        # block's tanh output, nor the output
-        _rng, (first, second), x = _pair_case(training, shape, 6)
-        h = Tensor(x, requires_grad=True)
-        mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-        out = graph_learning_block(h, first, mode, dropout_rate=rate, second=second)
-        held = closure_arrays(out)
-        operands = [t.data for t in out._parents]
-        assert all(any(a is operand for a in held) for operand in operands)
-        assert not any(a is out.data for a in held)
-        full = [a for a in held if a.size >= out.size
-                and not any(a is operand for operand in operands)]
-        assert len(full) == 2 and all(a.shape == out.shape and a.dtype == np.float64
-                                      for a in full)
-        if training:  # normalized: zero-mean per channel
-            for a in full:
-                assert np.allclose(a.reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
-        masks = [a for a in held if a.dtype == np.uint8]
-        dropping = training and rate > 0
-        assert [m.shape for m in masks] == [(-(-out.size // 8),)] * (2 if dropping else 0)
-
-
 # a 7-window batch that spans several workspace chunks and ends in a partial
 # one, a single window (one chunk: the plain expression) and a 2-D input
 STREAMED_ROWS = [(7, 5), (1, 5), (5,)]
@@ -399,44 +270,20 @@ class TestStreamedProduct:
                                           (composed_block, reference))]
         assert np.array_equal(outs[0], outs[1])
 
-    # a square inner block writes its output over the first block's
-    @pytest.mark.parametrize("inner", [6, 4])
-    @pytest.mark.parametrize("rows", STREAMED_ROWS)
-    def test_untracked_eval_pair_equals_composed_chain_bitwise(self, monkeypatch, rows, inner):
-        _small_workspace(monkeypatch)
-        _rng, layers, x = _pair_case(False, rows + (6,), inner)
-        references = [_clone_layer(layer) for layer in layers]
-        with no_grad():
-            outs = [block(Tensor(x), first, Mode.eval(), second=second).data
-                    for block, (first, second) in ((graph_learning_block, layers),
-                                                   (composed_block, references))]
-        assert np.array_equal(outs[0], outs[1])
-
-    @pytest.mark.parametrize("rows", STREAMED_ROWS)
-    def test_untracked_eval_pair_leaves_its_input_untouched(self, monkeypatch, rows):
-        _small_workspace(monkeypatch)
-        _rng, (first, second), x = _pair_case(False, rows + (6,), 6)
-        h = Tensor(x)
-        before = h.data.tobytes()
-        with no_grad():
-            out = graph_learning_block(h, first, Mode.eval(), second=second)
-        assert h.data.tobytes() == before
-        assert not np.shares_memory(out.data, h.data)
-
+    # a pair's square inner block writes its output over the first block's;
     # the module's output conv streams too, on the tape and off it, and in
     # train mode each block's product does before batch norm; at 6 rows a
-    # 7-window batch takes chunks of 1 window into the entry block and of
-    # 2, 2, 2 and 1 into the 6-channel ones
+    # 7-window batch takes chunks of 1 window into the entry block, of 2, 2, 2
+    # and 1 into the 6-channel ones and of 3, 3 and 1 into a 4-channel one
+    @pytest.mark.parametrize("inner", [6, 4])
     @pytest.mark.parametrize("tracked", [True, False])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("rows", [(7, 6), (1, 6), (6,)])
     def test_glm_forward_equals_composed_ops_bitwise(self, monkeypatch, rows, training,
-                                                     tracked):
+                                                     tracked, inner):
         _small_workspace(monkeypatch)
         rng = np.random.default_rng(42)
-        glm = init_refinement_params(pose_dim=6, window=4, stages=1, pair_count=2,
-                                     latent_dim=6, rng=rng).stages[0]
-        glm.output_gc.weights.data = rng.normal(size=glm.output_gc.weights.shape)
+        glm = _glm(rng, rows=6, channels=8, latent=6, pair_count=2, inner=inner)
         glm_forward(Tensor(rng.normal(size=(2, 6, 8))), glm,
                     Mode.train(np.random.default_rng(0)))
         reference = copy.deepcopy(glm)
@@ -459,6 +306,23 @@ class TestStreamedProduct:
         for value, composed in zip(run(glm_forward, glm), run(composed_module, reference),
                                    strict=True):
             assert np.array_equal(value, composed)
+
+    # each pair's square second block writes over an array the call made,
+    # never over the caller's h
+    @pytest.mark.parametrize("rows", STREAMED_ROWS)
+    def test_untracked_eval_glm_leaves_its_input_untouched(self, monkeypatch, rows):
+        _small_workspace(monkeypatch)
+        rng = np.random.default_rng(43)
+        glm = _glm(rng, rows=5, channels=6, latent=6, pair_count=2)
+        with no_grad():  # running statistics
+            glm_forward(Tensor(rng.normal(size=(2, 5, 6))), glm,
+                        Mode.train(np.random.default_rng(0)))
+        h = Tensor(rng.normal(size=rows + (6,)))
+        before = h.data.tobytes()
+        with no_grad():
+            out = glm_forward(h, glm, Mode.eval())
+        assert h.data.tobytes() == before
+        assert not np.shares_memory(out.data, h.data)
 
 
 class TestTapeMemory:
@@ -510,6 +374,39 @@ class TestTapeMemory:
         assert [m.shape for m in masks] == [(-(-out.size // 8),)]
         keep = np.unpackbits(masks[0], count=out.size).reshape(out.shape)
         assert np.array_equal(keep == 1, out.data != 0.0)
+
+    # 120 outputs per block at (4, 5, 6) do not pad the packed masks
+    @pytest.mark.parametrize("training, rate, shape",
+                             [(training, rate, shape)
+                              for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
+                              for shape in ((5, 6), (3, 5, 6))] + [(True, 0.3, (4, 5, 6))])
+    def test_module_closure_keeps_no_block_output(self, training, rate, shape):
+        # besides its operands, the only full-size arrays are the blocks'
+        # normalized activations: no block's output or tanh output, no pair's
+        # inner output or sum, nor the output
+        rng = np.random.default_rng(41)
+        glm = _glm(rng, rows=shape[-2], channels=6, latent=6, pair_count=2, dropout=rate)
+        if not training:
+            with no_grad():  # running statistics
+                glm_forward(Tensor(rng.normal(size=(2,) + shape[-2:])), glm,
+                            Mode.train(np.random.default_rng(0)))
+        h = Tensor(rng.normal(size=shape), requires_grad=True)
+        mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+        out = glm_forward(h, glm, mode)
+        held = closure_arrays(out)
+        operands = [t.data for t in out._parents]
+        assert all(any(a is operand for a in held) for operand in operands)
+        assert not any(a is out.data for a in held)
+        full = [a for a in held if a.size >= out.size
+                and not any(a is operand for operand in operands)]
+        assert len(full) == len(glm.blocks) and all(a.shape == out.shape
+                                                    and a.dtype == np.float64 for a in full)
+        if training:  # normalized: zero-mean per channel
+            for a in full:
+                assert np.allclose(a.reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        masks = [a for a in held if a.dtype == np.uint8]
+        dropping = training and rate > 0
+        assert [m.shape for m in masks] == [(-(-out.size // 8),)] * (5 if dropping else 0)
 
     # square like the model's residual blocks; without dropout (train mode at
     # rate 0, or eval mode) the tanh output is rebuilt from normalized too
@@ -707,6 +604,16 @@ def _reference_tape_per_window(config, batch):
     return (retained_bytes(loss).total - parameter_bytes) / batch
 
 
+# (training, dropout rate, h's leading axes, inner channels): 2-D (P, C) and
+# batched (B, P, C) h, through pairs whose inner block is square like the
+# model's and through a 3-channel one (the backward's buffers then differ in
+# shape)
+MODULE_CASES = [(training, rate, leading, inner)
+                for inner in (5, 3)
+                for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
+                for leading in ((), (3,))]
+
+
 class TestGlmForward:
     def test_zero_output_conv_nullifies_everything(self):
         rng = np.random.default_rng(4)
@@ -726,32 +633,36 @@ class TestGlmForward:
         assert glm.output_gc.weights.shape == (16, 40)
         assert glm.output_gc.gamma is None and glm.output_gc.stats is None
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_equals_composed_blocks_bitwise(self, training):
-        # the residual h also feeds the pair's first block: its two gradient
-        # contributions add up in the composed ops' order; at 0 pairs the
-        # entry block feeds the output conv, at 2 each pair's sum feeds the next
+    @pytest.mark.parametrize("h_tracked", [True, False])
+    @pytest.mark.parametrize("training, rate, leading, inner", MODULE_CASES)
+    def test_equals_composed_blocks_bitwise(self, training, rate, leading, inner, h_tracked):
+        # h feeds the entry block and a product whose gradient reaches h
+        # first; a pair's input feeds its first block and its add, whose
+        # gradient contributions add up in the composed ops' order; at 0 pairs
+        # the entry block feeds the output conv, at 2 each pair's sum feeds
+        # the next
         for pair_count in (0, 1, 2):
             rng = np.random.default_rng(40)
-            glm = init_refinement_params(pose_dim=6, window=4, stages=1, pair_count=pair_count,
-                                         latent_dim=5, rng=rng).stages[0]
-            glm.output_gc.weights.data = rng.normal(size=glm.output_gc.weights.shape)
+            glm = _glm(rng, rows=6, channels=8, latent=5, pair_count=pair_count, inner=inner,
+                       dropout=rate)
             if not training:
                 glm_forward(Tensor(rng.normal(size=(2, 6, 8))), glm,
                             Mode.train(np.random.default_rng(0)))
             reference = copy.deepcopy(glm)
-            x = rng.normal(size=(2, 6, 8))
-            upstream = Tensor(rng.normal(size=x.shape))
+            x = rng.normal(size=leading + (6, 8))
+            upstream, weight = (Tensor(rng.normal(size=x.shape)) for _ in range(2))
 
             def run(forward, module):
-                g = Tensor(x.copy(), requires_grad=True)
+                g = Tensor(x.copy(), requires_grad=h_tracked)
                 mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
                 out = forward(g, module, mode)
-                backward(tensor_sum(out * upstream))
-                tensors = [g, module.output_gc.adjacency, module.output_gc.weights]
+                backward(tensor_sum(g * weight) + tensor_sum(out * upstream))
+                tensors = [module.output_gc.adjacency, module.output_gc.weights]
                 tensors += [t for layer in module.blocks for t in _layer_tensors(layer)]
-                return ([out.data] + [t.grad for t in tensors]
-                        + [layer.stats.var for layer in module.blocks])
+                assert (g.grad is not None) == h_tracked
+                return ([out.data, g.grad if h_tracked else x] + [t.grad for t in tensors]
+                        + [v for layer in module.blocks
+                           for v in (layer.stats.mean, layer.stats.var)])
             for fused, composed in zip(run(glm_forward, glm), run(composed_module, reference),
                                        strict=True):
                 assert np.array_equal(fused, composed), pair_count
@@ -766,6 +677,43 @@ class TestGlmForward:
         assert list(out._parents) == ([g] + [t for layer in glm.blocks
                                              for t in _layer_tensors(layer)]
                                       + [glm.output_gc.adjacency, glm.output_gc.weights])
+
+    # (the input's shape, each block's C_in, C_out and adjacency rows, the
+    # output conv's, the error): an entry block that does not take 6
+    # channels, an inner block that does not take the entry block's 4, a pair
+    # whose output width is not its input's, a block of other rows, an output
+    # conv that does not take the last pair's sum, and an input with no rows
+    @pytest.mark.parametrize("shape, widths, output, match", [
+        ((3, 5, 6), [(7, 4, 5)], None, "expects 7 channels, got 6"),
+        ((3, 5, 6), [(6, 4, 5), (5, 4, 5), (4, 4, 5)], None, "expects 5 channels, got 4"),
+        ((3, 5, 6), [(6, 4, 5), (4, 3, 5), (3, 5, 5)], None, "residual pair"),
+        ((3, 5, 6), [(6, 4, 5), (4, 4, 7), (4, 4, 5)], None,
+         "expects 7 joints-coords rows, got 5"),
+        ((3, 5, 6), [(6, 4, 5), (4, 4, 5), (4, 4, 5)], (5, 6, 5), "expects 5 channels, got 4"),
+        ((6,), [(6, 4, 5)], None, "P, C"),
+    ])
+    def test_layer_shape_mismatch_raises_before_any_statistic_moves(self, shape, widths,
+                                                                      output, match):
+        rng = np.random.default_rng(44)
+        layers = [_tracked_layer(rng, rows, c_in, c_out, RunningStats())
+                  for c_in, c_out, rows in widths]
+        conv = None if output is None else (Tensor(rng.normal(size=(output[2],) * 2)),
+                                            Tensor(rng.normal(size=output[:2])))
+        with pytest.raises(DimensionError, match=match):
+            graph_blocks(Tensor(rng.normal(size=shape)),
+                         [_layer_tensors(layer) + [layer.stats] for layer in layers],
+                         Mode.train(np.random.default_rng(0)), 0.3, output=conv)
+        assert not any(layer.stats.initialized for layer in layers)
+
+    def test_blocks_that_are_not_an_entry_block_and_pairs_raise(self):
+        rng = np.random.default_rng(45)
+        layers = [_tracked_layer(rng, 5, 6, 4, RunningStats()),
+                  _tracked_layer(rng, 5, 4, 4, RunningStats())]
+        with pytest.raises(ConfigurationError, match="entry block and residual pairs"):
+            graph_blocks(Tensor(rng.normal(size=(3, 5, 6))),
+                         [_layer_tensors(layer) + [layer.stats] for layer in layers],
+                         Mode.train(np.random.default_rng(0)), 0.3)
+        assert not any(layer.stats.initialized for layer in layers)
 
     def test_eval_forward_is_deterministic(self):
         rng = np.random.default_rng(6)

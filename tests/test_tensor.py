@@ -18,7 +18,6 @@ from motionrefine.tensor import (
     conv1d,
     div,
     graph_blocks,
-    graph_conv,
     matmul,
     mul,
     no_grad,
@@ -575,34 +574,22 @@ def _tracked(rng, *shape, low=-1.0, high=1.0):
     return Tensor(rng.uniform(low, high, shape), requires_grad=True)
 
 
-def _residual_pair_case(rng, training=True, rate=0.3, inner=5):
-    # h (2, 3, 4) -> inner channels -> 4; each block's parameters follow h
-    def forward(h, *tensors):
-        mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
-        stats = [RunningStats() if training else RunningStats(r.mean, r.var) for r in running]
-        return graph_blocks(h, [tensors[:4] + (stats[0],), tensors[4:] + (stats[1],)], mode,
-                            rate, pairs=1)
-    running = []
-    inputs = [_tracked(rng, 2, 3, 4)]
-    for channels_in, channels_out in ((4, inner), (inner, 4)):
-        inputs += [_tracked(rng, 3, 3), _tracked(rng, channels_in, channels_out),
-                   _tracked(rng, channels_out, low=0.5, high=1.5), _tracked(rng, channels_out)]
-        running.append(RunningStats())
-        running[-1].update(rng.normal(size=channels_out), rng.uniform(0.5, 2.0, channels_out))
-    return forward, inputs
-
-
-def _graph_blocks_case(rng, pairs=2):
+def _graph_blocks_case(rng, pairs=2, training=True, rate=0.3, inner=5):
     # a whole module: an entry block (3 -> 4 channels), ``pairs`` residual
-    # pairs through a 5-channel inner block, and the output conv (4 -> 3)
+    # pairs through an ``inner``-channel block, and the output conv (4 -> 3);
+    # in eval mode each block has running statistics
     def forward(g, *tensors):
-        blocks = [tensors[4 * k:4 * k + 4] + (RunningStats(),) for k in range(1 + 2 * pairs)]
-        return graph_blocks(g, blocks, Mode.train(np.random.default_rng(0)), 0.3, pairs=pairs,
-                            output=tensors[-2:])
+        mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
+        blocks = [tensors[4 * k:4 * k + 4] + (RunningStats(*stats),)
+                  for k, stats in enumerate(running)]
+        return graph_blocks(g, blocks, mode, rate, output=tensors[-2:])
+    running = []
     inputs = [_tracked(rng, 2, 3, 3)]
-    for channels_in, channels_out in [(3, 4)] + [(4, 5), (5, 4)] * pairs:
+    for channels_in, channels_out in [(3, 4)] + [(4, inner), (inner, 4)] * pairs:
         inputs += [_tracked(rng, 3, 3), _tracked(rng, channels_in, channels_out),
                    _tracked(rng, channels_out, low=0.5, high=1.5), _tracked(rng, channels_out)]
+        running.append(() if training else (rng.normal(size=channels_out),
+                                            rng.uniform(0.5, 2.0, channels_out)))
     return forward, inputs + [_tracked(rng, 3, 3), _tracked(rng, 4, 3)]
 
 
@@ -633,8 +620,6 @@ DIRECT_GRADCHECKS = {
                                          channel_axis=-1),
         [_tracked(rng, 4, 3), _tracked(rng, 3, low=0.5, high=1.5), _tracked(rng, 3)]),
     "graph_blocks": _graph_blocks_case,
-    "graph_conv": lambda rng: (graph_conv, [_tracked(rng, 2, 3, 4), _tracked(rng, 3, 3),
-                                            _tracked(rng, 4, 5)]),
 }
 
 
@@ -649,25 +634,18 @@ class TestDirectGradchecks:
         upstream = Tensor(rng.normal(size=out.shape))
         assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
 
-    # the row above runs train mode with dropout and a 5-channel inner block;
-    # these run train mode at rate 0 and eval mode on the tape, square inside
-    @pytest.mark.parametrize("training, rate", [(True, 0.0), (False, 0.3)])
-    def test_residual_pair_matches_finite_differences(self, training, rate):
-        rng = np.random.default_rng(301)
-        forward, inputs = _residual_pair_case(rng, training, rate, inner=4)
-        out = forward(*inputs)
-        assert out._op == "graph_blocks" and out._parents[0] is inputs[0]
-        upstream = Tensor(rng.normal(size=out.shape))
-        assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
-
-    # the row above has 2 pairs; a module of 0 pairs feeds its entry block's
-    # output to the output conv, and one of 1 its only pair's sum
-    @pytest.mark.parametrize("pairs", [0, 1])
-    def test_module_matches_finite_differences(self, pairs):
+    # the row above has 2 pairs through a 5-channel inner block in train mode
+    # with dropout; a module of 0 pairs feeds its entry block's output to the
+    # output conv and one of 1 its only pair's sum, and one of 1 pair through
+    # a square inner block runs train mode at rate 0 and eval mode on the tape
+    @pytest.mark.parametrize("pairs, training, rate, inner",
+                             [(0, True, 0.3, 5), (1, True, 0.3, 5), (1, True, 0.0, 4),
+                              (1, False, 0.3, 4)])
+    def test_module_matches_finite_differences(self, pairs, training, rate, inner):
         rng = np.random.default_rng(302)
-        forward, inputs = _graph_blocks_case(rng, pairs)
+        forward, inputs = _graph_blocks_case(rng, pairs, training, rate, inner)
         out = forward(*inputs)
-        assert out._op == "graph_blocks" and len(out._parents) == len(inputs)
+        assert out._op == "graph_blocks" and list(out._parents) == inputs
         upstream = Tensor(rng.normal(size=out.shape))
         assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
 
