@@ -11,12 +11,13 @@ then --set KEY=VALUE overrides, then dedicated flags; unknown keys and values
 of the wrong type are rejected.  ``train --dry-run`` builds no model, and a run
 whose parameters and Adam moments exceed physical memory exits 2 before it
 writes, as does a ``predict`` whose history, key-code cache and output would
-(``trainer.prediction_bytes``).  ``train`` prints each epoch's metrics record
-as one JSON line as it ends, and writes into its output directory only once
-training has succeeded: the resolved configuration, the per-epoch metrics
-log (line-delimited JSON, the printed records) and the checkpoint.  A run
-that fails writes no file and removes the directories it made, so a finished
-run's files in that directory stay as they were.
+(``trainer.prediction_bytes``) and a ``gen-synth`` whose files would.
+``train`` prints each epoch's metrics record as one JSON line as it ends,
+and writes into its output directory only once training has succeeded: the
+resolved configuration, the per-epoch metrics log (line-delimited JSON, the
+printed records) and the checkpoint.  A run that fails writes no file and
+removes the directories it made, so a finished run's files in that
+directory stay as they were.
 
 Exit codes: 0 success, 1 runtime failure (running out of memory included),
 2 usage or configuration error; every failure, parser errors included, is one
@@ -39,6 +40,7 @@ from .data import (
     load_dataset,
     load_sequence,
     mseq_bytes,
+    mseq_size,
     save_sequence,
 )
 from .errors import (
@@ -136,8 +138,10 @@ def _check_fits(need: int, what: str):
     """Refuse, as a usage error, work whose arrays exceed physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
+        # past about 1e308 bytes a float quotient would overflow
+        gib = need / 2 ** 30 if need.bit_length() < 1000 else float("inf")
         raise ConfigurationError(
-            f"{what} need {need / 2 ** 30:.1f} GiB, "
+            f"{what} need {gib:.1f} GiB, "
             f"more than the machine's {memory / 2 ** 30:.1f} GiB of memory")
 
 
@@ -294,6 +298,9 @@ def cmd_gen_synth(args) -> int:
     skeleton = synthetic_skeleton(args.chains, args.joints_per_chain, args.bone_length)
     spec = SynthSpec(kind=args.kind, amplitude=args.amplitude, period=args.period,
                      frames=args.frames, seed=args.seed, frame_rate=args.frame_rate)
+    # every file is built before the first is written
+    _check_fits(args.count * mseq_size(skeleton.joint_count, args.frames, skeleton.name),
+                f"{args.count} sequences of {args.frames} frames")
     files = [mseq_bytes(gen_synthetic(skeleton, dataclasses.replace(spec, seed=args.seed + i)),
                         skeleton.name, ConfigurationError) for i in range(args.count)]
     out_dir = Path(args.out)

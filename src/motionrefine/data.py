@@ -84,6 +84,11 @@ def mseq_bytes(seq: PoseSequence, skeleton_name: str,
             + single.tobytes())
 
 
+def mseq_size(joints: int, frames: int, skeleton_name: str) -> int:
+    """The byte count of the MSEQ1 file ``mseq_bytes`` builds for such a sequence."""
+    return len(MAGIC) + 16 + len(skeleton_name.encode("utf-8")) + 12 * joints * frames
+
+
 def save_sequence(path, seq: PoseSequence, skeleton_name: str):
     Path(path).write_bytes(mseq_bytes(seq, skeleton_name))
 

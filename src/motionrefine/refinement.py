@@ -96,7 +96,8 @@ def graph_conv(g, layer: GraphLayerParams) -> Tensor:
 
 def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
                          dropout_rate: float = DROPOUT) -> Tensor:
-    """Graph conv, batch norm over channels, tanh and dropout: one tape node."""
+    """Graph conv, batch norm over channels, tanh and dropout: one tape node
+    in train mode; eval mode runs only under ``no_grad`` (else ``TapeError``)."""
     return graph_blocks(g, [_block(layer)], mode, dropout_rate)
 
 

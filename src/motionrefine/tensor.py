@@ -16,7 +16,9 @@ frees it with its last tensor, swept or not.  The fused nodes keep less:
 backward; ``graph_blocks``, a whole graph learning module (entry block,
 residual pairs, optional output conv), holds its operands and each block's
 normalized activations and recomputes ``adjacency @ x``, the tanh output
-and every block's and pair's output there.  It builds each
+and every block's and pair's output there.  Only train mode records it:
+eval mode, whose batch norm is one fixed map from the running statistics,
+runs only under ``no_grad`` or on untracked operands.  The node builds each
 ``(adjacency @ x) @ weights`` a chunk of windows at a time through one
 cache-sized workspace (``_graph_product``).  The sweep drops each
 closure, its edges and the node's gradient as soon as the closure has
@@ -447,7 +449,7 @@ def _unfold(x: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass
 class Mode:
-    """Forward-pass context: training vs eval plus the noise source."""
+    """Forward-pass context: training vs eval (run only off the tape) plus the noise source."""
 
     training: bool
     rng: np.random.Generator | None = None
@@ -490,76 +492,49 @@ def _check_affine(gamma: Tensor, beta: Tensor, channels: int):
             f"gamma/beta must be ({channels},), got {gamma.shape} and {beta.shape}")
 
 
-def _channel_layout(ndim: int, axis: int, channels: int):
-    """Broadcast shape of a per-channel vector, and the axes pooled over."""
-    bshape = [1] * ndim
-    bshape[axis] = channels
-    return bshape, tuple(i for i in range(ndim) if i != axis)
-
-
-def _running_stats(stats: RunningStats):
-    """Eval-mode batch norm's per-channel mean and std, from the running statistics."""
-    if not stats.initialized:
-        raise StateError("eval-mode batchnorm before any training batch")
-    return stats.mean, np.sqrt(stats.var + BN_EPS)
-
-
 def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                       stats: RunningStats, training: bool, axis: int):
-    """Batch-normalize ``x`` per channel along ``axis``, overwriting it.
+                       stats: RunningStats):
+    """Train-mode batch norm of ``x`` over its last (channel) axis, in place.
 
-    ``x`` is left holding the normalized activations.  Returns the affine
-    output ``gamma * normalized + beta``, a new array, and the per-channel
-    std.  Train mode normalizes with the batch statistics and folds them into
-    ``stats`` (unbiased variance); eval mode uses the running ones.
+    ``x`` is left holding the normalized activations, and the batch
+    statistics are folded into ``stats`` (unbiased variance).  Returns the
+    affine output ``gamma * normalized + beta``, a new array, and the
+    per-channel std.
     """
-    channels = x.shape[axis]
-    bshape, pooled = _channel_layout(x.ndim, axis, channels)
+    pooled = tuple(range(x.ndim - 1))
+    n = x.size // x.shape[-1]
     out = np.empty_like(x)
-    if training:
-        n = x.size // channels
-        mu = x.sum(axis=pooled, keepdims=True) * (1.0 / n)
-        centered = np.subtract(x, mu, out=x)
-        var = np.multiply(centered, centered, out=out).sum(axis=pooled, keepdims=True) * (1.0 / n)
-        std = np.sqrt(var + BN_EPS)
-        batch_var = var.reshape(channels)
-        stats.update(mu.reshape(channels), batch_var * (n / (n - 1)) if n > 1 else batch_var)
-    else:
-        mean, std = _running_stats(stats)
-        std = std.reshape(bshape)
-        np.subtract(x, mean.reshape(bshape), out=x)
+    mu = x.sum(axis=pooled) * (1.0 / n)
+    centered = np.subtract(x, mu, out=x)
+    var = np.multiply(centered, centered, out=out).sum(axis=pooled) * (1.0 / n)
+    std = np.sqrt(var + BN_EPS)
+    stats.update(mu, var * (n / (n - 1)) if n > 1 else var)
     normalized = np.divide(x, std, out=x)
-    np.multiply(gamma.reshape(bshape), normalized, out=out)
-    out += beta.reshape(bshape)
+    np.multiply(gamma, normalized, out=out)
+    out += beta
     return out, std
 
 
 def _batchnorm_backward(g: np.ndarray, normalized: np.ndarray, gamma: np.ndarray,
-                        std: np.ndarray, training: bool, axis: int, need_input: bool,
-                        spare: np.ndarray | None = None):
-    """Closed-form batch-norm gradients ``(dgamma, dbeta, dx)`` for upstream ``g``.
+                        std: np.ndarray, need_input: bool, spare: np.ndarray | None = None):
+    """Closed-form train-mode batch-norm gradients ``(dgamma, dbeta, dx)`` for upstream ``g``.
 
     ``dx`` is None unless ``need_input``; it is written over ``normalized``,
     which the forward pass left to this one backward call.  ``spare``, a
     spent buffer of ``g``'s shape, takes the product ``g * normalized``.
     """
-    channels = g.shape[axis]
-    bshape, pooled = _channel_layout(g.ndim, axis, channels)
-    dbeta = g.sum(axis=pooled, keepdims=True)
-    dgamma = np.multiply(g, normalized, out=spare).sum(axis=pooled, keepdims=True)
-    dx = None
-    if need_input:
-        scale = gamma.reshape(bshape) / std
-        if training:
-            # gamma/std * (g - mean(g) - normalized * mean(g * normalized))
-            n = g.size // channels
-            dx = np.multiply(normalized, dgamma * (-1.0 / n), out=normalized)
-            dx += g
-            dx -= dbeta * (1.0 / n)
-            dx *= scale
-        else:
-            dx = np.multiply(g, scale, out=normalized)
-    return dgamma.reshape(channels), dbeta.reshape(channels), dx
+    pooled = tuple(range(g.ndim - 1))
+    dbeta = g.sum(axis=pooled)
+    dgamma = np.multiply(g, normalized, out=spare).sum(axis=pooled)
+    if not need_input:
+        return dgamma, dbeta, None
+    # gamma/std * (g - mean(g) - normalized * mean(g * normalized))
+    n = g.size // g.shape[-1]
+    dx = np.multiply(normalized, dgamma * (-1.0 / n), out=normalized)
+    dx += g
+    dx -= dbeta * (1.0 / n)
+    dx *= gamma / std
+    return dgamma, dbeta, dx
 
 
 def _dropout_active(rate: float, rng: np.random.Generator | None, mode: Mode) -> bool:
@@ -670,21 +645,24 @@ def _block_forward(x: np.ndarray, block: _Block, mode: Mode, rate: float, tracke
                    overwrite: bool):
     """``dropout(tanh(batchnorm(adjacency @ x @ weights)))`` on the array ``x``.
 
-    Returns the output and, where ``tracked``, the block's ``_BlockTape``
-    (else None: nothing outlives the call).  The product streams through
-    ``_graph_product``'s workspace.  Off the tape in eval mode, each chunk of
-    it takes ``_batchnorm_forward``'s eval-mode ops and the tanh while still
-    in cache, and where ``overwrite`` (x is the caller's to spend) and
-    C_in == C_out the output is written over x; else it is a new array.  In
-    train mode or on the tape, batch norm needs the whole product: it is
-    overwritten by the normalized activations (off the tape, dropped once
-    batch norm's output exists) and the dropout draw's buffer takes the
-    output.
+    Returns the output and, where ``tracked`` (train mode only), the block's
+    ``_BlockTape`` (else None: nothing outlives the call).  The product
+    streams through ``_graph_product``'s workspace.  In eval mode, which
+    runs only off the tape, each chunk of it takes batch norm's one eval
+    map, from the running statistics (subtract the mean, divide by the std,
+    multiply by gamma, add beta), and the tanh while still in cache, and
+    where ``overwrite`` (x is the caller's to spend) and C_in == C_out the
+    output is written over x; else it is a new array.  In train mode batch
+    norm needs the whole product: it is overwritten by the normalized
+    activations (off the tape, dropped once batch norm's output exists) and
+    the dropout draw's buffer takes the output.
     """
     adjacency, weights, gamma, beta, stats = block
     dropping = _dropout_active(rate, mode.rng, mode)
-    if not (mode.training or tracked):
-        mean, std = _running_stats(stats)
+    if not mode.training:
+        if not stats.initialized:
+            raise StateError("eval-mode batchnorm before any training batch")
+        mean, std = stats.mean, np.sqrt(stats.var + BN_EPS)
 
         def epilogue(part):
             np.subtract(part, mean, out=part)
@@ -695,8 +673,7 @@ def _block_forward(x: np.ndarray, block: _Block, mode: Mode, rate: float, tracke
         out = x if overwrite and x.shape[-1] == weights.shape[-1] else None
         return _graph_product(adjacency.data, x, weights.data, out, epilogue), None
     normalized = _graph_product(adjacency.data, x, weights.data)
-    activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats,
-                                        mode.training, normalized.ndim - 1)
+    activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
     tape = _BlockTape(normalized, std, None) if tracked else None
     del normalized
     np.tanh(activated, out=activated)
@@ -729,7 +706,7 @@ def _block_output(block: _Block, tape: _BlockTape, rate: float) -> np.ndarray:
 
 
 def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: _Block,
-                    tape: _BlockTape, training: bool, rate: float):
+                    tape: _BlockTape, rate: float):
     """Accumulate a block's parameter gradients for upstream ``grad_out``.
 
     ``x`` is the block's input array; its gradient is returned, or None
@@ -752,8 +729,7 @@ def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: _B
     need_mixed = adjacency.requires_grad or need_x
     # the spent slope takes the batch-norm backward's product
     dgamma, dbeta, dx = _batchnorm_backward(
-        grad, tape.normalized, gamma.data, tape.std, training, grad.ndim - 1,
-        need_mixed or weights.requires_grad, slope)
+        grad, tape.normalized, gamma.data, tape.std, need_mixed or weights.requires_grad, slope)
     _accum(gamma, dgamma)
     _accum(beta, dbeta)
     if dx is None:
@@ -802,12 +778,15 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
     to its second block's output, and ``output``, where given, is the
     ``(adjacency, weights)`` of a bare graph conv on the last pair's sum (the
     entry block's output at 0 pairs).  Every layer's shape is checked before
-    any running statistic moves.  The arithmetic, its order and the dropout
-    draws are those of the composed ``matmul``, ``batchnorm``, ``tanh``,
-    ``dropout`` and ``add`` ops (test ops, in ``tests/reference_ops.py``),
-    so values, running statistics and gradients (a pair input's two
-    contributions included) are bit-identical to theirs.  Besides its
-    operands the node keeps each block's normalized activations and, under
+    any running statistic moves.  Eval mode runs only off the tape: with a
+    tracked operand and grad enabled it raises ``TapeError`` before any
+    block runs, so run it under ``no_grad``.  The arithmetic, its order and
+    the dropout draws are those of the composed ``matmul``, ``batchnorm``,
+    ``tanh``, ``dropout`` and ``add`` ops (test ops, in
+    ``tests/reference_ops.py``), so values, running statistics and gradients
+    (a pair input's two contributions included) are bit-identical to
+    theirs.  On the tape (train mode) the node keeps, besides its
+    operands, each block's normalized activations and, under
     dropout, its keep mask packed to one bit per value, but no block's
     output.  The backward recomputes the rest with the forward's own ops on
     the same arrays, so bit-identically: first, in forward order, the input
@@ -819,9 +798,9 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
     step has run.  Off the tape (under ``no_grad`` or with no tracked input)
     nothing is kept, so a block's input is the only array of its pair that
     lives on across its forward.  Each product streams through
-    ``_graph_product``'s workspace.  Off the tape in eval mode a pair's
-    second block whose C_in == C_out writes its output over its input, an
-    array this call made, so ``h`` is never written.
+    ``_graph_product``'s workspace.  In eval mode a pair's second block
+    whose C_in == C_out writes its output over its input, an array this
+    call made, so ``h`` is never written.
     """
     h = as_tensor(h)
     blocks = [_as_block(*block) for block in blocks]
@@ -831,6 +810,8 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
     _check_layers(h.shape, blocks, output)
     operands = (h,) + tuple(t for block in blocks for t in block[:4]) + output
     tracked = _grad_enabled and any(t.requires_grad for t in operands)
+    if tracked and not mode.training:
+        raise TapeError("eval mode runs off the tape: call it under no_grad")
     x, tape = _block_forward(h.data, blocks[0], mode, rate, tracked, False)
     tapes = [tape]
     for first, second in zip(blocks[1::2], blocks[2::2]):
@@ -845,7 +826,6 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
         x = _graph_product(output[0].data, x, output[1].data)
     out = _result(x, operands, "graph_blocks")
     if out.requires_grad:
-        training = mode.training
         # whether block k's input (k == len(blocks): the output conv's) needs a
         # gradient: h or an earlier block is tracked
         need = [any(t.requires_grad for t in operands[:1 + 4 * k])
@@ -865,19 +845,19 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
             for k in range(len(blocks) - 1, 0, -2):     # each pair's second block
                 upstream, pair_input = grad, inputs.pop()
                 inner = _block_output(blocks[k - 1], tapes[k - 1], rate)
-                grad = _block_backward(grad, inner, need[k], blocks[k], tapes[k], training, rate)
+                grad = _block_backward(grad, inner, need[k], blocks[k], tapes[k], rate)
                 del inner
                 if grad is None:
                     return
                 grad = _block_backward(grad, pair_input, need[k - 1], blocks[k - 1],
-                                       tapes[k - 1], training, rate)
+                                       tapes[k - 1], rate)
                 if grad is None:
                     return
                 # the pair input's two contributions, summed as the composed
                 # ops sum them: the add's first
                 grad += upstream
                 del upstream, pair_input        # neither outlives its pair
-            _accum(h, _block_backward(grad, h.data, need[0], blocks[0], tapes[0], training, rate))
+            _accum(h, _block_backward(grad, h.data, need[0], blocks[0], tapes[0], rate))
         out._backward = _bw
     return out
 

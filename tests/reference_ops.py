@@ -8,7 +8,10 @@ the pose-space round trip per stage that ``refinement.refine`` skips.
 output conv) that of one ``matmul``, ``batchnorm``, ``tanh`` and ``dropout``
 chain per block, an ``add`` per residual pair and two ``matmul``s for the
 output conv; the tests compose these ops as the bitwise reference
-(``composed_block``, ``composed_module``).
+(``composed_block``, ``composed_module``).  Batch norm's channels are the
+last axis; in eval mode, which the model runs only off the tape,
+``batchnorm`` is an untracked numpy expression in the order of
+``graph_blocks``' eval epilogue.
 ``tensor_mean`` composes ``tensor_sum`` and ``mul``.
 """
 import numpy as np
@@ -16,6 +19,7 @@ import numpy as np
 from motionrefine.errors import DimensionError
 from motionrefine.refinement import DROPOUT, RefineResult, glm_forward, pad_query
 from motionrefine.tensor import (
+    BN_EPS,
     Mode,
     RunningStats,
     Tensor,
@@ -92,27 +96,31 @@ def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis: int = 0) -> Tensor:
-    """Normalize per channel over every other axis, then apply the affine pair.
+def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode) -> Tensor:
+    """Normalize per channel (the last axis) over every other axis, then
+    apply the affine pair.
 
     Train mode uses batch statistics and folds them into ``stats`` with the
-    momentum ``BN_MOMENTUM`` (unbiased variance, like the usual convention).
-    Eval mode is deterministic and requires initialized running stats.
-    The op is one tape node with the closed-form gradient.
+    momentum ``BN_MOMENTUM`` (unbiased variance, like the usual convention);
+    the op is one tape node with the closed-form gradient.  Eval mode is the
+    fixed map from the running statistics in the order of ``graph_blocks``'
+    eval epilogue (subtract the mean, divide by the std, multiply by gamma,
+    add beta), off the tape like the model's eval mode.
     """
     inputs = as_tensor(inputs)
     gamma = as_tensor(gamma)
     beta = as_tensor(beta)
-    axis = channel_axis % inputs.ndim
-    _check_affine(gamma, beta, inputs.shape[axis])
+    _check_affine(gamma, beta, inputs.shape[-1])
+    if not mode.training:
+        return Tensor(gamma.data * ((inputs.data - stats.mean) / np.sqrt(stats.var + BN_EPS))
+                      + beta.data)
     normalized = inputs.data.copy()
-    data, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats, mode.training, axis)
+    data, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
     out = _result(data, (inputs, gamma, beta), "batchnorm")
     if out.requires_grad:
-        training = mode.training
         def _bw(grad):
             dgamma, dbeta, dx = _batchnorm_backward(grad, normalized, gamma.data, std,
-                                                    training, axis, inputs.requires_grad)
+                                                    inputs.requires_grad)
             _accum(gamma, dgamma)
             _accum(beta, dbeta)
             _accum(inputs, dx)
@@ -123,7 +131,7 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode, channel_axis
 def composed_block(g, layer, mode: Mode, dropout_rate: float = DROPOUT) -> Tensor:
     """A graph block as separate tape ops."""
     h = matmul(matmul(layer.adjacency, g), layer.weights)
-    h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode, channel_axis=-1)
+    h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode)
     return dropout(tanh(h), dropout_rate, mode.rng, mode)
 
 

@@ -33,6 +33,15 @@ def corpus(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def untrained(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("untrained")
+    rc = main(["train", "--data", str(corpus), "--out", str(out),
+               "--epochs", "0", "--seed", "0", *TINY_MODEL])
+    assert rc == 0
+    return out / "checkpoint.mckpt"
+
+
+@pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     rc = main(["train", "--data", str(corpus), "--out", str(out),
@@ -130,6 +139,14 @@ REJECTED = {
     "gen_synth_piecewise_period_below_one_frame": (
         ["gen-synth", "--out", "D", "--kind", "piecewise-constant-velocity",
          "--period", "1e-300"], "1e-300"),
+    # every file is built before the first write: 447,000 GiB of them here
+    "gen_synth_files_past_memory": (["gen-synth", "--out", "D", "--count", "100000000",
+                                     "--frames", "100000"], "100000000 sequences"),
+    "gen_synth_count_2_63": (["gen-synth", "--out", "D", "--count", str(2 ** 63)],
+                             "GiB, more than"),
+    # a byte count past the float range
+    "gen_synth_count_10_400": (["gen-synth", "--out", "D", "--count", str(10 ** 400)],
+                               "inf GiB"),
 }
 
 
@@ -144,6 +161,22 @@ def test_rejected_invocation_exits_2_with_one_error_line_and_writes_nothing(
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# a checkpoint of 0 epochs has no running statistics for eval-mode batch norm
+@pytest.mark.parametrize("command", [
+    ["eval", "{ckpt}", "{data}", "--frames-ms", "80", "--out", "out"],
+    ["predict", "{ckpt}", "{seq}", "out.mseq", "--horizon", "4"]], ids=["eval", "predict"])
+def test_untrained_checkpoint_exits_1_with_one_error_line_and_writes_nothing(
+        corpus, untrained, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    paths = {"ckpt": untrained, "seq": corpus / "sinusoid_000.mseq", "data": corpus}
+    rc = main([arg.format(**paths) for arg in command])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "before any training batch" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -225,9 +258,10 @@ class TestGenSynth:
         assert not out.exists()
 
     # a skeleton of 1e8 joints per chain grows Python lists until memory runs
-    # out; a 1e9-frame sequence asks numpy for 7.45 GiB at once
+    # out; a 1e7-frame sequence, a 458 MiB file that passes the size
+    # pre-flight, asks numpy for 916 MiB at once
     @pytest.mark.parametrize("args", [["--joints-per-chain", "100000000"],
-                                      ["--frames", "1000000000", "--count", "1"]])
+                                      ["--frames", "10000000", "--count", "1"]])
     def test_out_of_memory_exits_1_with_one_error_line_and_leaves_no_path(self, tmp_path,
                                                                           args):
         out = tmp_path / "corpus"

@@ -9,9 +9,15 @@ from gradcheck import assert_gradients_match
 from reference_ops import composed_block, composed_module, refine_round_trip, tanh
 from tape_memory import closure_arrays, peak_traced_bytes, retained_bytes
 from motionrefine import LossConfig, refinement, tensor
-from motionrefine.errors import ConfigurationError, DimensionError
+from motionrefine.errors import ConfigurationError, DimensionError, StateError, TapeError
 from motionrefine.losses import loss_total
-from motionrefine.model import ModelConfig, init_model_params, model_forward, named_parameters
+from motionrefine.model import (
+    ModelConfig,
+    init_model_params,
+    model_forward,
+    named_parameters,
+    named_running_stats,
+)
 from motionrefine.refinement import (
     DROPOUT,
     GlmParams,
@@ -132,16 +138,15 @@ def _glm(rng, rows, channels, latent, pair_count, inner=None, dropout=DROPOUT):
     return GlmParams(blocks, output_gc, dropout)
 
 
-# (training, dropout rate, input shape): 2-D (P, C) and batched (B, P, C), with
-# C_in 4 to C_out 6 and then square (the backward reuses a buffer for dx)
-FUSED_CASES = [(training, rate, shape)
+# (train-mode dropout rate, input shape): 2-D (P, C) and batched (B, P, C),
+# with C_in 4 to C_out 6 and then square (the backward reuses a buffer for dx)
+FUSED_CASES = [(rate, shape)
                for channels_in in (4, 6)
-               for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
+               for rate in (0.3, 0.0)
                for shape in ((5, channels_in), (3, 5, channels_in))]
 # the shapes of the dropping cases, whose outputs (30 and 90 values) pad the
 # packed keep mask, and one of 4 * 5 * 6 = 120 outputs, which does not
-DROPPING_SHAPES = [shape for training, rate, shape in FUSED_CASES
-                   if training and rate > 0] + [(4, 5, 4)]
+DROPPING_SHAPES = [shape for rate, shape in FUSED_CASES if rate > 0] + [(4, 5, 4)]
 
 
 def _fused_case(training, shape):
@@ -154,16 +159,15 @@ def _fused_case(training, shape):
 
 
 class TestFusedGraphBlock:
-    @pytest.mark.parametrize("training, rate, shape", FUSED_CASES)
-    def test_equals_composed_chain_bitwise(self, training, rate, shape):
-        rng, layer, x = _fused_case(training, shape)
+    @pytest.mark.parametrize("rate, shape", FUSED_CASES)
+    def test_equals_composed_chain_bitwise(self, rate, shape):
+        rng, layer, x = _fused_case(True, shape)
         reference = _clone_layer(layer)
         upstream = Tensor(rng.normal(size=shape[:-1] + (6,)))
         results = []
         for block, params in ((graph_learning_block, layer), (composed_block, reference)):
             g = Tensor(x.copy(), requires_grad=True)
-            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-            out = block(g, params, mode, dropout_rate=rate)
+            out = block(g, params, Mode.train(np.random.default_rng(5)), dropout_rate=rate)
             backward(tensor_sum(out * upstream))
             results.append((out.data, params.stats, g.grad,
                             [t.grad for t in _layer_tensors(params)]))
@@ -176,7 +180,7 @@ class TestFusedGraphBlock:
             assert np.array_equal(grad, ref_grad)
 
     def test_unpadded_mask_equals_composed_chain_bitwise(self):
-        self.test_equals_composed_chain_bitwise(True, 0.3, DROPPING_SHAPES[-1])
+        self.test_equals_composed_chain_bitwise(0.3, DROPPING_SHAPES[-1])
 
     @pytest.mark.parametrize("training", [True, False])
     def test_untracked_forward_equals_composed_chain_bitwise(self, training):
@@ -190,15 +194,15 @@ class TestFusedGraphBlock:
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(layer.stats.var, reference.stats.var)
 
-    @pytest.mark.parametrize("training, rate, shape", FUSED_CASES)
-    def test_gradcheck(self, training, rate, shape):
-        _rng, layer, x = _fused_case(training, shape)
+    @pytest.mark.parametrize("rate, shape", FUSED_CASES)
+    def test_gradcheck(self, rate, shape):
+        _rng, layer, x = _fused_case(True, shape)
         g = Tensor(x, requires_grad=True)
         stats = layer.stats
 
         def build():
             layer.stats = copy.deepcopy(stats)
-            mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
+            mode = Mode.train(np.random.default_rng(5))
             return tensor_sum(tanh(graph_learning_block(g, layer, mode, dropout_rate=rate)))
         assert_gradients_match(build, [g] + _layer_tensors(layer))
 
@@ -276,8 +280,7 @@ class TestStreamedProduct:
     # 7-window batch takes chunks of 1 window into the entry block, of 2, 2, 2
     # and 1 into the 6-channel ones and of 3, 3 and 1 into a 4-channel one
     @pytest.mark.parametrize("inner", [6, 4])
-    @pytest.mark.parametrize("tracked", [True, False])
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("training, tracked", [(True, True), (True, False), (False, False)])
     @pytest.mark.parametrize("rows", [(7, 6), (1, 6), (6,)])
     def test_glm_forward_equals_composed_ops_bitwise(self, monkeypatch, rows, training,
                                                      tracked, inner):
@@ -376,23 +379,17 @@ class TestTapeMemory:
         assert np.array_equal(keep == 1, out.data != 0.0)
 
     # 120 outputs per block at (4, 5, 6) do not pad the packed masks
-    @pytest.mark.parametrize("training, rate, shape",
-                             [(training, rate, shape)
-                              for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
-                              for shape in ((5, 6), (3, 5, 6))] + [(True, 0.3, (4, 5, 6))])
-    def test_module_closure_keeps_no_block_output(self, training, rate, shape):
+    @pytest.mark.parametrize("rate, shape",
+                             [(rate, shape) for rate in (0.3, 0.0)
+                              for shape in ((5, 6), (3, 5, 6))] + [(0.3, (4, 5, 6))])
+    def test_module_closure_keeps_no_block_output(self, rate, shape):
         # besides its operands, the only full-size arrays are the blocks'
         # normalized activations: no block's output or tanh output, no pair's
         # inner output or sum, nor the output
         rng = np.random.default_rng(41)
         glm = _glm(rng, rows=shape[-2], channels=6, latent=6, pair_count=2, dropout=rate)
-        if not training:
-            with no_grad():  # running statistics
-                glm_forward(Tensor(rng.normal(size=(2,) + shape[-2:])), glm,
-                            Mode.train(np.random.default_rng(0)))
         h = Tensor(rng.normal(size=shape), requires_grad=True)
-        mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-        out = glm_forward(h, glm, mode)
+        out = glm_forward(h, glm, Mode.train(np.random.default_rng(5)))
         held = closure_arrays(out)
         operands = [t.data for t in out._parents]
         assert all(any(a is operand for a in held) for operand in operands)
@@ -401,31 +398,26 @@ class TestTapeMemory:
                 and not any(a is operand for operand in operands)]
         assert len(full) == len(glm.blocks) and all(a.shape == out.shape
                                                     and a.dtype == np.float64 for a in full)
-        if training:  # normalized: zero-mean per channel
-            for a in full:
-                assert np.allclose(a.reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        for a in full:  # normalized: zero-mean per channel
+            assert np.allclose(a.reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
         masks = [a for a in held if a.dtype == np.uint8]
-        dropping = training and rate > 0
-        assert [m.shape for m in masks] == [(-(-out.size // 8),)] * (5 if dropping else 0)
+        assert [m.shape for m in masks] == [(-(-out.size // 8),)] * (5 if rate > 0 else 0)
 
-    # square like the model's residual blocks; without dropout (train mode at
-    # rate 0, or eval mode) the tanh output is rebuilt from normalized too
-    @pytest.mark.parametrize("training, rate, shape",
-                             [case for case in FUSED_CASES
-                              if case[2][-1] == 6 and not (case[0] and case[1] > 0)])
-    def test_block_without_dropout_keeps_no_tanh_output(self, training, rate, shape):
-        _rng, layer, x = _fused_case(training, shape)
+    # square like the model's residual blocks; without dropout (rate 0) the
+    # tanh output is rebuilt from normalized too
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
+    def test_block_without_dropout_keeps_no_tanh_output(self, shape):
+        _rng, layer, x = _fused_case(True, shape)
         g = Tensor(x, requires_grad=True)
-        mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-        out = graph_learning_block(g, layer, mode, dropout_rate=rate)
+        out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(5)),
+                                   dropout_rate=0.0)
         held = closure_arrays(out)
         full = [a for a in held if a.shape == out.shape and a.dtype == np.float64
                 and a is not g.data]
         assert any(a is g.data for a in held)
-        # that one is normalized (zero-mean per channel in train mode)
+        # that one is normalized: zero-mean per channel
         assert len(full) == 1 and full[0] is not out.data
-        if training:
-            assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
         assert not any(a.dtype == np.uint8 for a in held)
 
     def test_reference_tape_stays_within_budget_per_window(self):
@@ -604,13 +596,13 @@ def _reference_tape_per_window(config, batch):
     return (retained_bytes(loss).total - parameter_bytes) / batch
 
 
-# (training, dropout rate, h's leading axes, inner channels): 2-D (P, C) and
+# (train-mode dropout rate, h's leading axes, inner channels): 2-D (P, C) and
 # batched (B, P, C) h, through pairs whose inner block is square like the
 # model's and through a 3-channel one (the backward's buffers then differ in
 # shape)
-MODULE_CASES = [(training, rate, leading, inner)
+MODULE_CASES = [(rate, leading, inner)
                 for inner in (5, 3)
-                for training, rate in ((True, 0.3), (True, 0.0), (False, 0.3))
+                for rate in (0.3, 0.0)
                 for leading in ((), (3,))]
 
 
@@ -634,8 +626,8 @@ class TestGlmForward:
         assert glm.output_gc.gamma is None and glm.output_gc.stats is None
 
     @pytest.mark.parametrize("h_tracked", [True, False])
-    @pytest.mark.parametrize("training, rate, leading, inner", MODULE_CASES)
-    def test_equals_composed_blocks_bitwise(self, training, rate, leading, inner, h_tracked):
+    @pytest.mark.parametrize("rate, leading, inner", MODULE_CASES)
+    def test_equals_composed_blocks_bitwise(self, rate, leading, inner, h_tracked):
         # h feeds the entry block and a product whose gradient reaches h
         # first; a pair's input feeds its first block and its add, whose
         # gradient contributions add up in the composed ops' order; at 0 pairs
@@ -645,17 +637,13 @@ class TestGlmForward:
             rng = np.random.default_rng(40)
             glm = _glm(rng, rows=6, channels=8, latent=5, pair_count=pair_count, inner=inner,
                        dropout=rate)
-            if not training:
-                glm_forward(Tensor(rng.normal(size=(2, 6, 8))), glm,
-                            Mode.train(np.random.default_rng(0)))
             reference = copy.deepcopy(glm)
             x = rng.normal(size=leading + (6, 8))
             upstream, weight = (Tensor(rng.normal(size=x.shape)) for _ in range(2))
 
             def run(forward, module):
                 g = Tensor(x.copy(), requires_grad=h_tracked)
-                mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-                out = forward(g, module, mode)
+                out = forward(g, module, Mode.train(np.random.default_rng(5)))
                 backward(tensor_sum(g * weight) + tensor_sum(out * upstream))
                 tensors = [module.output_gc.adjacency, module.output_gc.weights]
                 tensors += [t for layer in module.blocks for t in _layer_tensors(layer)]
@@ -723,9 +711,58 @@ class TestGlmForward:
             block.weights.data = rng.normal(size=block.weights.shape)
         x = rng.normal(size=(3, 6))
         glm_forward(Tensor(x), glm, Mode.train(np.random.default_rng(0)))  # init stats
-        one = glm_forward(Tensor(x), glm, Mode.eval())
-        two = glm_forward(Tensor(x), glm, Mode.eval())
+        with no_grad():
+            one = glm_forward(Tensor(x), glm, Mode.eval())
+            two = glm_forward(Tensor(x), glm, Mode.eval())
         assert np.array_equal(one.data, two.data)
+
+
+def _eval_entry(name, rng):
+    """A tracked eval call of ``graph_blocks``, ``glm_forward`` or
+    ``model_forward`` with trained running statistics: the input, the
+    statistics and a thunk that runs it."""
+    if name == "model_forward":
+        config = ModelConfig(joints=4, history_len=12, query_len=5, future_len=5,
+                             stages=2, glb_pairs=1, latent_dim=8)
+        params = init_model_params(config, rng)
+        h = Tensor(rng.normal(size=(2, config.pose_dim, config.history_len)))
+        basis = dct_basis(config.window)
+        with no_grad():
+            model_forward(params, h, config, basis, Mode.train(rng))
+        return (h, list(named_running_stats(params).values()),
+                lambda: model_forward(params, h, config, basis, Mode.eval()).prediction)
+    glm = _glm(rng, rows=5, channels=6, latent=4, pair_count=1)
+    h = Tensor(rng.normal(size=(3, 5, 6)), requires_grad=name == "graph_blocks")
+    with no_grad():
+        glm_forward(h, glm, Mode.train(rng))
+    stats = [layer.stats for layer in glm.blocks]
+    if name == "glm_forward":
+        return h, stats, lambda: glm_forward(h, glm, Mode.eval())
+    # tracked through h alone: every parameter here is untracked
+    blocks = [[Tensor(t.data) for t in _layer_tensors(layer)] + [layer.stats]
+              for layer in glm.blocks]
+    return h, stats, lambda: graph_blocks(h, blocks, Mode.eval(), glm.dropout)
+
+
+class TestEvalOffTape:
+    @pytest.mark.parametrize("name", ["graph_blocks", "glm_forward", "model_forward"])
+    def test_tracked_eval_raises_and_changes_nothing(self, name):
+        h, stats, run = _eval_entry(name, np.random.default_rng(60))
+
+        def snapshot():
+            return [h.data.tobytes()] + [a.tobytes() for s in stats for a in (s.mean, s.var)]
+        before = snapshot()
+        with pytest.raises(TapeError, match="under no_grad"):
+            run()
+        assert snapshot() == before
+        with no_grad():
+            assert not run().requires_grad
+
+    def test_untrained_statistics_raise_under_no_grad(self):
+        glm = _glm(np.random.default_rng(61), rows=5, channels=6, latent=4, pair_count=1)
+        with no_grad(), pytest.raises(StateError, match="before any training batch"):
+            glm_forward(Tensor(np.ones((3, 5, 6))), glm, Mode.eval())
+        assert not any(layer.stats.initialized for layer in glm.blocks)
 
 
 class TestRefine:
@@ -853,9 +890,14 @@ def _stage_parameters(params):
 
 
 def _run_refinement(refine_fn, params, query, summary, upstream, training):
-    """Outputs, stage outputs and parameter gradients of a loss on every stage."""
-    mode = Mode.train(np.random.default_rng(5)) if training else Mode.eval()
-    result = refine_fn(query, summary, params, dct_basis(summary.shape[-1]), mode)
+    """Outputs, stage outputs and, in train mode, the parameter gradients of a
+    loss on every stage; eval mode runs under ``no_grad``."""
+    basis = dct_basis(summary.shape[-1])
+    if not training:
+        with no_grad():
+            result = refine_fn(query, summary, params, basis, Mode.eval())
+        return [result.prediction.data] + [stage.data for stage in result.stage_outputs]
+    result = refine_fn(query, summary, params, basis, Mode.train(np.random.default_rng(5)))
     loss = tensor_sum(result.stage_outputs[0] * upstream[0])
     for stage, weight in zip(result.stage_outputs[1:], upstream[1:]):
         loss = loss + tensor_sum(stage * weight)
@@ -878,7 +920,8 @@ class TestCoefficientChain:
         chain = _run_refinement(refine, params, query, summary, upstream, training)
         round_trip = _run_refinement(refine_round_trip, reference, query, summary, upstream,
                                      training)
-        assert len(chain) == len(round_trip) == 4 + len(_stage_parameters(params))
+        gradients = len(_stage_parameters(params)) if training else 0
+        assert len(chain) == len(round_trip) == 4 + gradients
         for value, ref in zip(chain, round_trip):
             assert value.shape == ref.shape
             assert np.abs(value - ref).max() <= 1e-12 * np.abs(ref).max()

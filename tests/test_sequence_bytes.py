@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from motionrefine.data import MAGIC, load_sequence, mseq_bytes
+from motionrefine.data import MAGIC, load_sequence, mseq_bytes, mseq_size
 from motionrefine.errors import ConfigurationError, DataError
 from motionrefine.kinematics import PoseSequence
 
@@ -27,3 +27,10 @@ def test_frame_rate_zero_file_names_its_path(tmp_path):
 def test_every_rejection_raises_the_given_error(coords, frame_rate, message):
     with pytest.raises(ConfigurationError, match=message):
         mseq_bytes(PoseSequence(coords, frame_rate), "skel", ConfigurationError)
+
+
+@pytest.mark.parametrize("joints, frames, name",
+                         [(1, 1, ""), (5, 40, "chains1x4"), (3, 7, "sk\u00e9l")])
+def test_size_is_the_built_file_length(joints, frames, name):
+    blob = mseq_bytes(PoseSequence(np.zeros((frames, joints, 3))), name)
+    assert mseq_size(joints, frames, name) == len(blob)

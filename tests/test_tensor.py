@@ -6,7 +6,7 @@ import pytest
 
 from gradcheck import assert_gradients_match, finite_difference_gradient, relative_error
 from motionrefine import tensor as tensor_module
-from motionrefine.errors import ConfigurationError, DimensionError, StateError, TapeError
+from motionrefine.errors import ConfigurationError, DimensionError, TapeError
 from motionrefine.tensor import (
     BN_EPS,
     Mode,
@@ -237,8 +237,8 @@ class TestElementwise:
 class TestBatchnorm:
     def test_prenormalized_input_is_near_identity(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(3, 50))
-        x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+        x = rng.normal(size=(50, 3))
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
         stats = RunningStats()
         out = batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), stats,
                         Mode.train(rng))
@@ -248,30 +248,25 @@ class TestBatchnorm:
     def test_zero_gamma_gives_beta(self):
         rng = np.random.default_rng(8)
         beta = np.array([1.0, -1.0, 0.0])
-        out = batchnorm(Tensor(rng.normal(size=(3, 6))), Tensor(np.zeros(3)),
+        out = batchnorm(Tensor(rng.normal(size=(6, 3))), Tensor(np.zeros(3)),
                         Tensor(beta), RunningStats(), Mode.train(rng))
-        assert np.allclose(out.data, beta[:, None], atol=1e-12)
+        assert np.allclose(out.data, beta, atol=1e-12)
 
     def test_train_normalizes_per_channel(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(loc=3.0, scale=2.5, size=(4, 40))
+        x = rng.normal(loc=3.0, scale=2.5, size=(40, 4))
         out = batchnorm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
                         RunningStats(), Mode.train(rng))
-        assert np.abs(out.data.mean(axis=1)).max() < 1e-10
-        assert np.abs(out.data.var(axis=1) - 1.0).max() < 1e-4
-
-    def test_eval_uninitialized_raises(self):
-        with pytest.raises(StateError):
-            batchnorm(Tensor(np.zeros((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                      RunningStats(), Mode.eval())
+        assert np.abs(out.data.mean(axis=0)).max() < 1e-10
+        assert np.abs(out.data.var(axis=0) - 1.0).max() < 1e-4
 
     def test_eval_uses_running_stats_and_is_deterministic(self):
         rng = np.random.default_rng(10)
         stats = RunningStats()
-        x = rng.normal(size=(3, 20))
+        x = rng.normal(size=(20, 3))
         batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), stats,
                   Mode.train(rng))
-        y = rng.normal(size=(3, 5))
+        y = rng.normal(size=(5, 3))
         one = batchnorm(Tensor(y), Tensor(np.ones(3)), Tensor(np.zeros(3)), stats,
                         Mode.eval())
         two = batchnorm(Tensor(y), Tensor(np.ones(3)), Tensor(np.zeros(3)), stats,
@@ -280,7 +275,7 @@ class TestBatchnorm:
 
     def test_gradcheck_3x4(self):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
         beta = Tensor(rng.normal(size=3), requires_grad=True)
 
@@ -290,90 +285,67 @@ class TestBatchnorm:
         assert_gradients_match(build, [x, gamma, beta])
 
 
-def _op_chain_batchnorm(inputs, gamma, beta, stats, mode, channel_axis):
-    """Batch norm built from elementwise tape ops, the fused node's reference."""
-    axis = channel_axis % inputs.ndim
-    channels = inputs.shape[axis]
-    bshape = [1] * inputs.ndim
-    bshape[axis] = channels
-    pooled = tuple(i for i in range(inputs.ndim) if i != axis)
+def _op_chain_batchnorm(inputs, gamma, beta, stats, mode):
+    """Batch norm over the last (channel) axis built from elementwise tape
+    ops, the fused node's reference."""
+    pooled = tuple(range(inputs.ndim - 1))
     if mode.training:
-        mu = tensor_mean(inputs, axis=pooled, keepdims=True)
+        mu = tensor_mean(inputs, axis=pooled)
         centered = inputs - mu
-        var = tensor_mean(centered * centered, axis=pooled, keepdims=True)
+        var = tensor_mean(centered * centered, axis=pooled)
         normalized = centered / sqrt(var + BN_EPS)
-        n = inputs.size // channels
-        batch_var = var.data.reshape(channels)
-        stats.update(mu.data.reshape(channels),
-                     batch_var * (n / (n - 1)) if n > 1 else batch_var)
+        n = inputs.size // inputs.shape[-1]
+        stats.update(mu.data, var.data * (n / (n - 1)) if n > 1 else var.data)
     else:
-        normalized = ((inputs - Tensor(stats.mean.reshape(bshape)))
-                      / Tensor(np.sqrt(stats.var + BN_EPS).reshape(bshape)))
-    return gamma.reshape(bshape) * normalized + beta.reshape(bshape)
+        normalized = (inputs - Tensor(stats.mean)) / Tensor(np.sqrt(stats.var + BN_EPS))
+    return gamma * normalized + beta
 
 
 class TestFusedBatchnorm:
-    @pytest.mark.parametrize("channel_axis", [0, 1, -1])
-    def test_train_gradcheck_3d(self, channel_axis):
+    def test_train_gradcheck_3d(self):
         rng = np.random.default_rng(20)
         x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
-        channels = x.shape[channel_axis]
-        gamma = Tensor(rng.uniform(0.5, 1.5, channels), requires_grad=True)
-        beta = Tensor(rng.normal(size=channels), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True)
+        beta = Tensor(rng.normal(size=5), requires_grad=True)
 
         def build():
             return tensor_sum(tanh(batchnorm(x, gamma, beta, RunningStats(),
-                                             Mode.train(None), channel_axis)))
-        assert_gradients_match(build, [x, gamma, beta])
-
-    def test_eval_gradcheck_with_tracked_input_gamma_beta(self):
-        rng = np.random.default_rng(21)
-        stats = RunningStats()
-        batchnorm(Tensor(rng.normal(size=(6, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                  stats, Mode.train(None), channel_axis=-1)
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
-        beta = Tensor(rng.normal(size=3), requires_grad=True)
-
-        def build():
-            return tensor_sum(tanh(batchnorm(x, gamma, beta, stats, Mode.eval(),
-                                             channel_axis=-1)))
+                                             Mode.train(None))))
         assert_gradients_match(build, [x, gamma, beta])
 
     def test_single_sample_train_gives_zero_input_gradient(self):
         x = Tensor(np.array([[0.5, -2.0, 3.0]]), requires_grad=True)
         stats = RunningStats()
         out = batchnorm(x, Tensor(np.array([1.5, 0.5, 2.0])), Tensor(np.zeros(3)),
-                        stats, Mode.train(None), channel_axis=-1)
+                        stats, Mode.train(None))
         backward(tensor_sum(tanh(out) * Tensor([1.0, -3.0, 2.0])))
         assert np.array_equal(x.grad, np.zeros((1, 3)))
         assert np.array_equal(stats.var, np.full(3, 0.9))
 
-    @pytest.mark.parametrize("channel_axis", [0, -1])
-    def test_forward_and_stats_equal_op_chain_bitwise(self, channel_axis):
+    def test_forward_and_stats_equal_op_chain_bitwise(self):
         rng = np.random.default_rng(22)
         channels = 5
-        shape = (channels, 7, 3) if channel_axis == 0 else (4, 7, channels)
+        shape = (4, 7, channels)
         gamma = Tensor(rng.uniform(0.5, 1.5, channels))
         beta = Tensor(rng.normal(size=channels))
         fused, chain = RunningStats(), RunningStats()
         for _ in range(2):
             x = Tensor(rng.normal(loc=2.0, scale=3.0, size=shape))
-            out = batchnorm(x, gamma, beta, fused, Mode.train(None), channel_axis)
-            ref = _op_chain_batchnorm(x, gamma, beta, chain, Mode.train(None), channel_axis)
+            out = batchnorm(x, gamma, beta, fused, Mode.train(None))
+            ref = _op_chain_batchnorm(x, gamma, beta, chain, Mode.train(None))
             assert np.array_equal(out.data, ref.data)
         assert np.array_equal(fused.mean, chain.mean)
         assert np.array_equal(fused.var, chain.var)
         x = Tensor(rng.normal(size=shape))
-        out = batchnorm(x, gamma, beta, fused, Mode.eval(), channel_axis)
-        ref = _op_chain_batchnorm(x, gamma, beta, chain, Mode.eval(), channel_axis)
+        out = batchnorm(x, gamma, beta, fused, Mode.eval())
+        ref = _op_chain_batchnorm(x, gamma, beta, chain, Mode.eval())
         assert np.array_equal(out.data, ref.data)
 
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         out = batchnorm(x, Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3)),
-                        RunningStats(), Mode.train(None), channel_axis=-1)
+                        RunningStats(), Mode.train(None))
         assert out._op == "batchnorm"
         assert all(p._op == "leaf" for p in out._parents)
 
@@ -574,22 +546,18 @@ def _tracked(rng, *shape, low=-1.0, high=1.0):
     return Tensor(rng.uniform(low, high, shape), requires_grad=True)
 
 
-def _graph_blocks_case(rng, pairs=2, training=True, rate=0.3, inner=5):
-    # a whole module: an entry block (3 -> 4 channels), ``pairs`` residual
-    # pairs through an ``inner``-channel block, and the output conv (4 -> 3);
-    # in eval mode each block has running statistics
+def _graph_blocks_case(rng, pairs=2, rate=0.3, inner=5):
+    # a whole train-mode module: an entry block (3 -> 4 channels), ``pairs``
+    # residual pairs through an ``inner``-channel block, and the output conv
+    # (4 -> 3)
     def forward(g, *tensors):
-        mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
-        blocks = [tensors[4 * k:4 * k + 4] + (RunningStats(*stats),)
-                  for k, stats in enumerate(running)]
-        return graph_blocks(g, blocks, mode, rate, output=tensors[-2:])
-    running = []
+        blocks = [tensors[4 * k:4 * k + 4] + (RunningStats(),) for k in range(1 + 2 * pairs)]
+        return graph_blocks(g, blocks, Mode.train(np.random.default_rng(0)), rate,
+                            output=tensors[-2:])
     inputs = [_tracked(rng, 2, 3, 3)]
     for channels_in, channels_out in [(3, 4)] + [(4, inner), (inner, 4)] * pairs:
         inputs += [_tracked(rng, 3, 3), _tracked(rng, channels_in, channels_out),
                    _tracked(rng, channels_out, low=0.5, high=1.5), _tracked(rng, channels_out)]
-        running.append(() if training else (rng.normal(size=channels_out),
-                                            rng.uniform(0.5, 2.0, channels_out)))
     return forward, inputs + [_tracked(rng, 3, 3), _tracked(rng, 4, 3)]
 
 
@@ -616,8 +584,7 @@ DIRECT_GRADCHECKS = {
     "conv1d": lambda rng: (conv1d, [_tracked(rng, 2, 3, 6), _tracked(rng, 4, 3, 3),
                                     _tracked(rng, 4)]),
     "batchnorm": lambda rng: (
-        lambda x, gamma, beta: batchnorm(x, gamma, beta, RunningStats(), Mode.train(None),
-                                         channel_axis=-1),
+        lambda x, gamma, beta: batchnorm(x, gamma, beta, RunningStats(), Mode.train(None)),
         [_tracked(rng, 4, 3), _tracked(rng, 3, low=0.5, high=1.5), _tracked(rng, 3)]),
     "graph_blocks": _graph_blocks_case,
 }
@@ -634,16 +601,14 @@ class TestDirectGradchecks:
         upstream = Tensor(rng.normal(size=out.shape))
         assert_gradients_match(lambda: tensor_sum(forward(*inputs) * upstream), inputs)
 
-    # the row above has 2 pairs through a 5-channel inner block in train mode
-    # with dropout; a module of 0 pairs feeds its entry block's output to the
-    # output conv and one of 1 its only pair's sum, and one of 1 pair through
-    # a square inner block runs train mode at rate 0 and eval mode on the tape
-    @pytest.mark.parametrize("pairs, training, rate, inner",
-                             [(0, True, 0.3, 5), (1, True, 0.3, 5), (1, True, 0.0, 4),
-                              (1, False, 0.3, 4)])
-    def test_module_matches_finite_differences(self, pairs, training, rate, inner):
+    # the row above has 2 pairs through a 5-channel inner block with dropout;
+    # a module of 0 pairs feeds its entry block's output to the output conv
+    # and one of 1 its only pair's sum, and one of 1 pair through a square
+    # inner block runs at rate 0
+    @pytest.mark.parametrize("pairs, rate, inner", [(0, 0.3, 5), (1, 0.3, 5), (1, 0.0, 4)])
+    def test_module_matches_finite_differences(self, pairs, rate, inner):
         rng = np.random.default_rng(302)
-        forward, inputs = _graph_blocks_case(rng, pairs, training, rate, inner)
+        forward, inputs = _graph_blocks_case(rng, pairs, rate, inner)
         out = forward(*inputs)
         assert out._op == "graph_blocks" and list(out._parents) == inputs
         upstream = Tensor(rng.normal(size=out.shape))
