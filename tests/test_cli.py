@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import motionrefine
+from motionrefine import cli
 from motionrefine.cli import _apply_ablation, build_parser, main, resolve_config
 from motionrefine.data import load_dataset, load_sequence
 from motionrefine.errors import ConfigurationError
@@ -178,6 +179,19 @@ def test_untrained_checkpoint_exits_1_with_one_error_line_and_writes_nothing(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "before any training batch" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# a need is refused only past physical memory; one past 1e308 bytes reads inf GiB
+@pytest.mark.parametrize("excess, shown", [(0, None), (1, "GiB"), (10 ** 400, "need inf GiB")],
+                         ids=["at_memory", "one_byte_past", "past_float_range"])
+def test_memory_preflight_refuses_only_past_physical_memory(excess, shown):
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if shown is None:
+        cli._check_fits(memory + excess, "the work")
+        return
+    with pytest.raises(ConfigurationError, match=re.escape(shown)) as raised:
+        cli._check_fits(memory + excess, "the work")
+    assert str(raised.value).startswith("the work need ")
 
 
 class TestConfigResolution:

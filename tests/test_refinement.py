@@ -764,6 +764,66 @@ class TestEvalOffTape:
             glm_forward(Tensor(np.ones((3, 5, 6))), glm, Mode.eval())
         assert not any(layer.stats.initialized for layer in glm.blocks)
 
+    # (block index, or "output" for the output conv; tensor index in the layer)
+    @pytest.mark.parametrize("layer, k", [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 3),
+                                          ("output", 0), ("output", 1)])
+    def test_any_tracked_operand_raises_before_any_block_runs(self, monkeypatch, layer, k):
+        blocks, output, h = _untracked_module(np.random.default_rng(62), pair_count=1)
+        layers = blocks if layer != "output" else [output]
+        picked = layers[layer if layer != "output" else 0]
+        picked[k] = Tensor(picked[k].data, requires_grad=True)
+        calls = []
+        real = tensor._block_forward
+        monkeypatch.setattr(tensor, "_block_forward",
+                            lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(TapeError, match="under no_grad"):
+            graph_blocks(h, blocks, Mode.eval(), 0.3, output=output)
+        assert calls == []
+        with no_grad():
+            assert not graph_blocks(h, blocks, Mode.eval(), 0.3, output=output).requires_grad
+        assert len(calls) == len(blocks)
+
+    @pytest.mark.parametrize("with_output", [True, False])
+    @pytest.mark.parametrize("pair_count", [0, 1, 2])
+    def test_off_tape_eval_is_the_same_with_or_without_tracked_operands(self, pair_count,
+                                                                         with_output):
+        # untracked operands with grad enabled run, as do tracked ones under no_grad
+        blocks, output, h = _untracked_module(np.random.default_rng(63), pair_count)
+        output = output if with_output else None
+        plain = graph_blocks(h, blocks, Mode.eval(), 0.3, output=output)
+        tracked = [[Tensor(t.data, requires_grad=True) for t in block[:4]] + [block[4]]
+                   for block in blocks]
+        with no_grad():
+            quiet = graph_blocks(Tensor(h.data, requires_grad=True), tracked, Mode.eval(), 0.3,
+                                 output=output)
+        assert not plain.requires_grad and not quiet.requires_grad
+        assert np.array_equal(plain.data, quiet.data)
+
+    @pytest.mark.parametrize("untrained", range(5))
+    def test_untrained_block_raises_and_leaves_h_and_statistics_untouched(self, untrained):
+        blocks, output, h = _untracked_module(np.random.default_rng(64), pair_count=2)
+        blocks[untrained][4] = RunningStats()
+        before = [h.data.tobytes()] + [a.tobytes() for block in blocks if block[4].initialized
+                                       for a in (block[4].mean, block[4].var)]
+        with no_grad(), pytest.raises(StateError, match="before any training batch"):
+            graph_blocks(h, blocks, Mode.eval(), 0.3, output=output)
+        after = [h.data.tobytes()] + [a.tobytes() for block in blocks if block[4].initialized
+                                      for a in (block[4].mean, block[4].var)]
+        assert after == before
+        assert not blocks[untrained][4].initialized
+
+
+def _untracked_module(rng, pair_count):
+    """The untracked blocks (as lists, trained running statistics) and output
+    conv of a square 4-channel module on 5 rows, and an untracked input h."""
+    glm = _glm(rng, rows=5, channels=4, latent=4, pair_count=pair_count)
+    with no_grad():
+        glm_forward(Tensor(rng.normal(size=(3, 5, 4))), glm, Mode.train(rng))
+    blocks = [[Tensor(t.data) for t in _layer_tensors(layer)] + [layer.stats]
+              for layer in glm.blocks]
+    output = [Tensor(glm.output_gc.adjacency.data), Tensor(glm.output_gc.weights.data)]
+    return blocks, output, Tensor(rng.normal(size=(3, 5, 4)))
+
 
 class TestRefine:
     def test_residual_identity_at_zero_init(self):

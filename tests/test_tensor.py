@@ -341,6 +341,34 @@ class TestFusedBatchnorm:
         ref = _op_chain_batchnorm(x, gamma, beta, chain, Mode.eval())
         assert np.array_equal(out.data, ref.data)
 
+    # channels are the last axis of any rank: every other axis is pooled
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 3, 2, 4)])
+    def test_train_gradcheck_at_rank(self, shape):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, shape[-1]), requires_grad=True)
+        beta = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+
+        def build():
+            return tensor_sum(tanh(batchnorm(x, gamma, beta, RunningStats(),
+                                             Mode.train(None))))
+        assert_gradients_match(build, [x, gamma, beta])
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 3, 2, 4)])
+    def test_train_forward_and_stats_equal_op_chain_bitwise_at_rank(self, shape):
+        rng = np.random.default_rng(25)
+        gamma = Tensor(rng.uniform(0.5, 1.5, shape[-1]))
+        beta = Tensor(rng.normal(size=shape[-1]))
+        fused, chain = RunningStats(), RunningStats()
+        for _ in range(2):
+            x = Tensor(rng.normal(loc=-1.0, scale=2.0, size=shape))
+            out = batchnorm(x, gamma, beta, fused, Mode.train(None))
+            ref = _op_chain_batchnorm(x, gamma, beta, chain, Mode.train(None))
+            assert np.array_equal(out.data, ref.data)
+        assert fused.mean.shape == fused.var.shape == (shape[-1],)
+        assert np.array_equal(fused.mean, chain.mean)
+        assert np.array_equal(fused.var, chain.var)
+
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
