@@ -60,7 +60,6 @@ from .model import (
 )
 from .refinement import (
     GlmParams,
-    GraphLayerParams,
     RefinementParams,
     glm_forward,
     graph_conv,
@@ -69,7 +68,17 @@ from .refinement import (
     pad_query,
     refine,
 )
-from .tensor import Mode, RunningStats, Tensor, backward, conv1d, matmul, no_grad
+from .tensor import (
+    GraphBlock,
+    GraphConv,
+    Mode,
+    RunningStats,
+    Tensor,
+    backward,
+    conv1d,
+    matmul,
+    no_grad,
+)
 from .trainer import (
     AdamState,
     OptimizerConfig,

@@ -8,9 +8,10 @@ dot products (nonnegative by construction) and the summary is the
 score-normalized convex combination of the value windows.  A history whose
 scores are all zero takes uniform weights instead, each row of a batch on
 its own.  The key net runs once over the whole key span: its convs are
-valid-only with stride 1, so each output column is one key window's code,
-and codes already computed for a prefix of the history can be passed back
-in and reused.
+valid-only with stride 1, so each output column is one key window's code.
+A caller that already holds the codes of every key window of the history
+(``encode_span`` over its key span) passes them in, and the key net does
+not run.
 """
 from __future__ import annotations
 
@@ -82,7 +83,6 @@ class AttentionParams:
 class MotionSummary:
     values: Tensor             # (..., joints*3, query_len + future_len)
     attention_weights: Tensor  # (..., window_count), simplex rows
-    key_codes: Tensor          # (..., latent_dim, window_count)
     used_fallback: bool = False
 
 
@@ -128,10 +128,10 @@ def summarize_history(history, params: AttentionParams, query_len: int,
     """Attention core over channel-major history tensors.
 
     history: (pose_dim, frames) or (batch, pose_dim, frames) with
-    frames >= query_len + future_len.  key_codes, when given, holds the codes
-    of the first key windows of this history, shaped like the summary's
-    ``key_codes`` ((latent_dim, cached) or (batch, latent_dim, cached));
-    only the windows after them are encoded.  A row whose scores sum to zero
+    frames >= query_len + future_len.  key_codes, when given, are the codes
+    of every key window of this history, shaped (latent_dim, count) or
+    (batch, latent_dim, count) with count = frames - query_len - future_len
+    + 1, and the key net does not run.  A row whose scores sum to zero
     weighs its windows uniformly, and ``used_fallback`` says if any row did.
     """
     history = as_tensor(history)
@@ -151,19 +151,15 @@ def summarize_history(history, params: AttentionParams, query_len: int,
     query_code = encode(params.query_net, query)                      # (B, d)
     latent = params.key_net.latent_dim
 
-    cached = 0
-    if key_codes is not None:
-        key_codes = as_tensor(key_codes)
-        cached = key_codes.shape[-1]
-        expected = (latent,) if single else (batch, latent)
-        if key_codes.shape[:-1] != expected or cached > count:
-            raise DimensionError(f"key codes {key_codes.shape} are not a prefix "
-                                 f"of this history's {expected + (count,)} codes")
-        key_codes = reshape(key_codes, (batch, latent, cached))
-    codes = key_codes
-    if cached < count:
-        fresh = encode_span(params.key_net, history[:, :, cached:count + query_len - 1])
-        codes = fresh if key_codes is None else concat([key_codes, fresh], axis=2)
+    if key_codes is None:
+        codes = encode_span(params.key_net, history[:, :, :count + query_len - 1])
+    else:
+        codes = as_tensor(key_codes)
+        expected = (latent, count) if single else (batch, latent, count)
+        if codes.shape != expected:
+            raise DimensionError(
+                f"key codes {codes.shape} are not this history's {expected} codes")
+        codes = reshape(codes, (batch, latent, count))
 
     scores = reshape(matmul(reshape(query_code, (batch, 1, latent)), codes), (batch, count))
     denom = tensor_sum(scores, axis=1, keepdims=True)                 # (B, 1)
@@ -180,6 +176,4 @@ def summarize_history(history, params: AttentionParams, query_len: int,
     if single:
         summary = reshape(summary, summary.shape[1:])
         weights = reshape(weights, (count,))
-        codes = reshape(codes, codes.shape[1:])
-    return MotionSummary(summary, weights, codes, bool(zero_rows.any()))
-
+    return MotionSummary(summary, weights, bool(zero_rows.any()))

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="MPJPE table at millisecond marks")
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("data", help="dataset directory")
-    p_eval.add_argument("--frames-ms", default="80,400,560,1000",
+    p_eval.add_argument("--frames-ms", default="80,160,320,400",
                         help="comma-separated millisecond marks")
     p_eval.add_argument("--stride", type=int, default=1)
     p_eval.add_argument("--stages", action="store_true",

@@ -15,7 +15,6 @@ from .attention import (
 from .errors import ConfigurationError, FormatError
 from .refinement import (
     DROPOUT,
-    RefineResult,
     RefinementParams,
     init_refinement_params,
     pad_query,
@@ -140,8 +139,9 @@ def model_forward(params: ModelParams, histories, config: ModelConfig,
 
     histories: (pose_dim, frames) or (batch, pose_dim, frames); any frame
     count >= query_len + future_len works, not just the training length.
-    key_codes: an earlier summary's ``key_codes`` for a prefix of these
-    histories, so only the later key windows are encoded.
+    key_codes: the key net's codes of every key window of these histories,
+    (..., latent_dim, frames - query_len - future_len + 1) as ``encode_span``
+    gives them, so the key net does not run.
     In copy mode the summary is simply the padded query.
     """
     histories = as_tensor(histories)
@@ -156,8 +156,8 @@ def model_forward(params: ModelParams, histories, config: ModelConfig,
         summary_values = summary.values
     else:
         summary_values = pad_query(query, config.future_len)
-    result: RefineResult = refine(query, summary_values, params.refinement, basis, mode)
-    return ModelOutput(result.prediction, result.stage_outputs, summary)
+    stage_outputs = refine(query, summary_values, params.refinement, basis, mode)
+    return ModelOutput(stage_outputs[-1], stage_outputs, summary)
 
 
 # JSON types a config field of each annotated type accepts (a bool is no number)

@@ -5,16 +5,18 @@ once and concatenated channel-wise.  Each stage adds a graph learning
 module's output to that coefficient tensor (a residual update), and only the
 prediction half is converted back to pose space, as the stage's output: the
 basis is orthonormal, so the coefficients carry from stage to stage without
-a round trip through pose space.  The graph convolution is adjacency @ input
-@ weights with both factors learnable; a block follows it with batch
-normalization, tanh and dropout.  A module is an entry block, residual
-pairs of blocks (each adding its input to its output) and a bare graph
-convolution restoring the coefficient channel count, all one
-``tensor.graph_blocks`` tape node, which checks every layer's shape before
-any running statistic moves, keeps no block's or pair's output and rebuilds
-them in its backward.  ``graph_learning_block`` (one block, the same op) and
-``graph_conv`` (two ``matmul`` ops) are the lone layers, off the model's
-path.
+a round trip through pose space; ``refine`` returns the list of stage
+outputs.  The graph convolution is adjacency @ input @ weights with both
+factors learnable; a block follows it with batch normalization, tanh and
+dropout.  A module is an entry block, residual pairs of blocks (each adding
+its input to its output) and a bare graph convolution restoring the
+coefficient channel count, stored as the ``tensor.GraphBlock`` and
+``tensor.GraphConv`` parameters that ``tensor.graph_blocks`` takes as they
+are.  That op runs the module as one tape node, checks every layer's shape
+before any running statistic moves, keeps no block's or pair's output and
+rebuilds them in its backward.  ``graph_learning_block`` (one block, the
+same op) and ``graph_conv`` (two ``matmul`` ops) are the lone layers, off
+the model's path.
 
 The final convolution's weight matrix starts at zero, so a freshly
 initialized model is exactly the repeat-last-pose baseline (only the
@@ -29,6 +31,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .tensor import (
+    GraphBlock,
+    GraphConv,
     Mode,
     RunningStats,
     Tensor,
@@ -44,25 +48,12 @@ DROPOUT = 0.3  # the graph blocks' dropout rate wherever none is given
 
 
 @dataclass
-class GraphLayerParams:
-    adjacency: Tensor              # (pose_dim, pose_dim)
-    weights: Tensor                # (channels_in, channels_out)
-    gamma: Tensor | None = None    # (channels_out,), None for the bare output conv
-    beta: Tensor | None = None
-    stats: RunningStats | None = None
-
-
-@dataclass
 class GlmParams:
     """One graph learning module: entry block, residual pairs, output conv."""
 
-    blocks: list[GraphLayerParams]
-    output_gc: GraphLayerParams
+    blocks: list[GraphBlock]
+    output_gc: GraphConv
     dropout: float
-
-    @property
-    def pair_count(self) -> int:
-        return (len(self.blocks) - 1) // 2
 
     @property
     def in_channels(self) -> int:
@@ -85,38 +76,28 @@ def pad_query(query, future_len: int) -> Tensor:
     return concat([query] + [last] * future_len, axis=-1)
 
 
-def _block(layer: GraphLayerParams) -> tuple:
-    return layer.adjacency, layer.weights, layer.gamma, layer.beta, layer.stats
-
-
-def graph_conv(g, layer: GraphLayerParams) -> Tensor:
+def graph_conv(g, layer: GraphConv) -> Tensor:
     """adjacency @ g @ weights over (..., pose_dim, channels) inputs."""
     return matmul(matmul(layer.adjacency, g), layer.weights)
 
 
-def graph_learning_block(g, layer: GraphLayerParams, mode: Mode,
+def graph_learning_block(g, layer: GraphBlock, mode: Mode,
                          dropout_rate: float = DROPOUT) -> Tensor:
     """Graph conv, batch norm over channels, tanh and dropout: one tape node
     in train mode; eval mode runs only under ``no_grad`` (else ``TapeError``)."""
-    return graph_blocks(g, [_block(layer)], mode, dropout_rate)
+    return graph_blocks(g, [layer], mode, dropout_rate)
 
 
 def glm_forward(g, params: GlmParams, mode: Mode) -> Tensor:
     """Entry block, residual block pairs, then the bare output conv: one tape
     node, which rebuilds every block's and pair's output in its backward."""
-    return graph_blocks(g, [_block(layer) for layer in params.blocks], mode, params.dropout,
-                        output=(params.output_gc.adjacency, params.output_gc.weights))
-
-
-@dataclass
-class RefineResult:
-    prediction: Tensor              # (..., pose_dim, window)
-    stage_outputs: list[Tensor]     # one refined prediction per stage
+    return graph_blocks(g, params.blocks, mode, params.dropout, output=params.output_gc)
 
 
 def refine(query, summary, params: RefinementParams, basis: DctBasis,
-           mode: Mode) -> RefineResult:
-    """Run every refinement stage and return the last prediction.
+           mode: Mode) -> list[Tensor]:
+    """Run every refinement stage and return each stage's prediction, the
+    last one the model's.
 
     query: (..., pose_dim, query_len); summary: (..., pose_dim, window) where
     window == basis.size.  The [summary; padded query] coefficients are one
@@ -146,30 +127,21 @@ def refine(query, summary, params: RefinementParams, basis: DctBasis,
     for glm in params.stages:
         g = add(glm_forward(g, glm, mode), g)
         stage_outputs.append(idct(g[..., window:], basis))
-    return RefineResult(stage_outputs[-1], stage_outputs)
+    return stage_outputs
 
 
-def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
+def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
+    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
-def _init_layer(rng: np.random.Generator, pose_dim: int, channels_in: int,
-                channels_out: int, zero_weights: bool = False,
-                with_norm: bool = True) -> GraphLayerParams:
-    adjacency = Tensor(_uniform(rng, (pose_dim, pose_dim), pose_dim), requires_grad=True)
-    if zero_weights:
-        weights = Tensor(np.zeros((channels_in, channels_out)), requires_grad=True)
-    else:
-        weights = Tensor(_uniform(rng, (channels_in, channels_out), channels_in),
-                         requires_grad=True)
-    if not with_norm:
-        return GraphLayerParams(adjacency, weights)
-    return GraphLayerParams(
-        adjacency, weights,
-        gamma=Tensor(np.ones(channels_out), requires_grad=True),
-        beta=Tensor(np.zeros(channels_out), requires_grad=True),
-        stats=RunningStats())
+def _init_block(rng: np.random.Generator, pose_dim: int, channels_in: int,
+                channels_out: int) -> GraphBlock:
+    return GraphBlock(_uniform(rng, (pose_dim, pose_dim), pose_dim),
+                      _uniform(rng, (channels_in, channels_out), channels_in),
+                      gamma=Tensor(np.ones(channels_out), requires_grad=True),
+                      beta=Tensor(np.zeros(channels_out), requires_grad=True),
+                      stats=RunningStats())
 
 
 def init_refinement_params(pose_dim: int, window: int, stages: int, pair_count: int,
@@ -182,10 +154,10 @@ def init_refinement_params(pose_dim: int, window: int, stages: int, pair_count: 
     channels = 2 * window      # [summary; prediction] coefficients
     built = []
     for _ in range(stages):
-        blocks = [_init_layer(rng, pose_dim, channels, latent_dim)]
+        blocks = [_init_block(rng, pose_dim, channels, latent_dim)]
         for _ in range(2 * pair_count):
-            blocks.append(_init_layer(rng, pose_dim, latent_dim, latent_dim))
-        output_gc = _init_layer(rng, pose_dim, latent_dim, channels,
-                                zero_weights=True, with_norm=False)
+            blocks.append(_init_block(rng, pose_dim, latent_dim, latent_dim))
+        output_gc = GraphConv(_uniform(rng, (pose_dim, pose_dim), pose_dim),
+                              Tensor(np.zeros((latent_dim, channels)), requires_grad=True))
         built.append(GlmParams(blocks, output_gc, dropout))
     return RefinementParams(built)

@@ -13,10 +13,11 @@ array where ``sqrt`` and ``div`` need it), never the tensor it
 belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d`` holds only its operands and unfolds its input again in the
-backward; ``graph_blocks``, a whole graph learning module (entry block,
-residual pairs, optional output conv), holds its operands and each block's
-normalized activations and recomputes ``adjacency @ x``, the tanh output
-and every block's and pair's output there.  Only train mode records it:
+backward; ``graph_blocks``, a whole graph learning module (entry block and
+residual pairs, each a ``GraphBlock``, and an optional ``GraphConv`` output
+conv), holds its operands and each block's normalized activations and
+recomputes ``adjacency @ x``, the tanh output and every block's and pair's
+output there.  Only train mode records it:
 eval mode, whose batch norm is one fixed map from the running statistics,
 runs only under ``no_grad`` or on untracked operands.  The node builds each
 ``(adjacency @ x) @ weights`` a chunk of windows at a time through one
@@ -423,7 +424,7 @@ def conv1d(inputs, kernels, bias) -> Tensor:
             win = _unfold(x, width)
             if kernels.requires_grad:
                 _, grad_kmat = _matmul_grads(win, kmat, grad, False, True)
-                _accum(kernels, grad_kmat.T.reshape(kernels.shape))
+                _accum(kernels, np.ascontiguousarray(grad_kmat.T.reshape(kernels.shape)))
             if inputs.requires_grad:
                 # the spent unfold takes the GEMM's input gradient, which
                 # sliding_windows' fold order then adds back up
@@ -625,23 +626,26 @@ class _BlockTape(NamedTuple):
     keep: np.ndarray | None         # the dropout keep mask, one bit per value
 
 
-class _Block(NamedTuple):
-    """A graph block's parameters."""
+class GraphBlock(NamedTuple):
+    """A graph block's parameters:
+    ``dropout(tanh(batchnorm(adjacency @ x @ weights)))``, batch norm with
+    the affine pair ``gamma``, ``beta`` and its running statistics."""
 
-    adjacency: Tensor
-    weights: Tensor
-    gamma: Tensor
-    beta: Tensor
+    adjacency: Tensor               # (P, P)
+    weights: Tensor                 # (C_in, C_out)
+    gamma: Tensor                   # (C_out,)
+    beta: Tensor                    # (C_out,)
     stats: RunningStats
 
 
-def _as_block(adjacency, weights, gamma, beta, stats: RunningStats) -> _Block:
-    block = _Block(*(as_tensor(t) for t in (adjacency, weights, gamma, beta)), stats)
-    _check_affine(block.gamma, block.beta, block.weights.shape[-1])
-    return block
+class GraphConv(NamedTuple):
+    """A bare graph convolution's parameters: ``adjacency @ x @ weights``."""
+
+    adjacency: Tensor               # (P, P)
+    weights: Tensor                 # (C_in, C_out)
 
 
-def _block_forward(x: np.ndarray, block: _Block, mode: Mode, rate: float, tracked: bool,
+def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tracked: bool,
                    overwrite: bool):
     """``dropout(tanh(batchnorm(adjacency @ x @ weights)))`` on the array ``x``.
 
@@ -695,7 +699,7 @@ def _block_tanh(tape: _BlockTape, gamma: Tensor, beta: Tensor) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def _block_output(block: _Block, tape: _BlockTape, rate: float) -> np.ndarray:
+def _block_output(block: GraphBlock, tape: _BlockTape, rate: float) -> np.ndarray:
     """The block's output rebuilt bitwise in one new array: its tanh output
     times the keep mask and the scale, as the forward applied them."""
     out = _block_tanh(tape, block.gamma, block.beta)
@@ -705,7 +709,7 @@ def _block_output(block: _Block, tape: _BlockTape, rate: float) -> np.ndarray:
     return out
 
 
-def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: _Block,
+def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: GraphBlock,
                     tape: _BlockTape, rate: float):
     """Accumulate a block's parameter gradients for upstream ``grad_out``.
 
@@ -742,15 +746,19 @@ def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: _B
                                 grad_g_out=dx if dx.shape == x.shape else None)
 
 
-def _check_layers(shape: tuple, blocks: list, output: tuple):
+def _check_layers(shape: tuple, blocks: list[GraphBlock], output: GraphConv | None):
     """Raise ``DimensionError`` unless every layer takes its predecessor's
-    output (an input of ``shape`` for the entry block) and every residual
-    pair returns its input's width."""
+    output (an input of ``shape`` for the entry block), every block's gamma
+    and beta have its output width and every residual pair returns its
+    input's width."""
     if len(shape) < 2:
         raise DimensionError(f"graph layers need a (..., P, C) input, got shape {shape}")
-    layers = [block[:2] for block in blocks] + ([output] if output else [])
+    layers = list(blocks) + ([output] if output is not None else [])
     channels = shape[-1]
-    for k, (adjacency, weights) in enumerate(layers):
+    for k, layer in enumerate(layers):
+        adjacency, weights = layer[:2]
+        if k < len(blocks):
+            _check_affine(layer.gamma, layer.beta, weights.shape[-1])
         if channels != weights.shape[0]:
             raise DimensionError(f"graph conv expects {weights.shape[0]} channels, got {channels}")
         if shape[-2] != adjacency.shape[0]:
@@ -764,21 +772,21 @@ def _check_layers(shape: tuple, blocks: list, output: tuple):
                                  f"input's, {pair_input}")
 
 
-def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
+def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
+                 output: GraphConv | None = None) -> Tensor:
     """A graph learning module as one tape node: an entry block, residual
     pairs of blocks and, where given, a bare output conv.
 
-    ``blocks`` lists each block's ``(adjacency, weights, gamma, beta,
-    stats)``: the entry block, then each pair's two, so the pair count is
-    ``(len(blocks) - 1) / 2``.  A block is
+    ``blocks`` lists the entry block, then each pair's two, so the pair
+    count is ``(len(blocks) - 1) / 2``.  A block is
     ``dropout(tanh(batchnorm(adjacency @ x @ weights)))`` on its
     predecessor's output ``x`` (h for the entry block), with x (..., P,
     C_in), adjacency (P, P), weights (C_in, C_out), batch norm over the last
     (channel) axis and dropout drawing ``mode.rng``.  A pair adds its input
-    to its second block's output, and ``output``, where given, is the
-    ``(adjacency, weights)`` of a bare graph conv on the last pair's sum (the
-    entry block's output at 0 pairs).  Every layer's shape is checked before
-    any running statistic moves.  Eval mode runs only off the tape: with a
+    to its second block's output, and ``output``, where given, is a bare
+    graph conv on the last pair's sum (the entry block's output at 0 pairs).
+    Every layer's shape, gamma and beta included, is checked before any
+    running statistic moves.  Eval mode runs only off the tape: with a
     tracked operand and grad enabled it raises ``TapeError`` before any
     block runs, so run it under ``no_grad``.  The arithmetic, its order and
     the dropout draws are those of the composed ``matmul``, ``batchnorm``,
@@ -803,12 +811,10 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
     call made, so ``h`` is never written.
     """
     h = as_tensor(h)
-    blocks = [_as_block(*block) for block in blocks]
     if len(blocks) % 2 == 0:
         raise ConfigurationError(f"{len(blocks)} blocks are not an entry block and residual pairs")
-    output = () if output is None else tuple(as_tensor(t) for t in output)
     _check_layers(h.shape, blocks, output)
-    operands = (h,) + tuple(t for block in blocks for t in block[:4]) + output
+    operands = (h,) + tuple(t for block in blocks for t in block[:4]) + tuple(output or ())
     tracked = _grad_enabled and any(t.requires_grad for t in operands)
     if tracked and not mode.training:
         raise TapeError("eval mode runs off the tape: call it under no_grad")
@@ -822,8 +828,8 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
         tapes.append(tape)
         y += x
         x = y
-    if output:
-        x = _graph_product(output[0].data, x, output[1].data)
+    if output is not None:
+        x = _graph_product(output.adjacency.data, x, output.weights.data)
     out = _result(x, operands, "graph_blocks")
     if out.requires_grad:
         # whether block k's input (k == len(blocks): the output conv's) needs a
@@ -834,11 +840,11 @@ def graph_blocks(h, blocks, mode: Mode, rate: float, output=None) -> Tensor:
             # each pair's input, then the output conv's: the entry block's
             # output, then each pair's sum
             inputs = []
-            for k in range(0, len(blocks) if output else len(blocks) - 1, 2):
+            for k in range(0, len(blocks) if output is not None else len(blocks) - 1, 2):
                 inputs.append(_block_output(blocks[k], tapes[k], rate))
                 if k:
                     inputs[-1] += inputs[-2]
-            if output:
+            if output is not None:
                 grad = _graph_conv_backward(grad, inputs.pop(), need[-1], *output)
                 if grad is None:
                     return

@@ -485,8 +485,9 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
     """Repeatedly refine and append the predicted future until ``horizon`` frames.
 
     Eval mode throughout: batch-norm running statistics stay frozen, so
-    repeated calls are bit-identical.  Each pass reuses the key codes of the
-    previous one, so it encodes only the future_len windows the new frames add.
+    repeated calls are bit-identical.  In attention mode the call keeps the
+    key codes of the history so far: each pass encodes only the future_len
+    key windows the last pass's frames added and appends them.
     """
     if horizon < 0:
         raise ConfigurationError("horizon must be nonnegative")
@@ -498,13 +499,17 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
             f"query+future window {config.window}")
     basis = dct_basis(config.window)
     channels = np.ascontiguousarray(poses_to_channels(history.coords))
-    key_codes = None
+    codes = None
     with no_grad():
         for _ in range(math.ceil(horizon / config.future_len)):
+            if config.attention_mode == "attention":
+                # the key span ends future_len frames before the history does
+                known = 0 if codes is None else codes.shape[-1]
+                fresh = encode_span(params.attention.key_net,
+                                    channels[:, known:channels.shape[1] - config.future_len]).data
+                codes = fresh if codes is None else np.concatenate([codes, fresh], axis=1)
             out = model_forward(params, Tensor(channels), config, basis, Mode.eval(),
-                                key_codes=key_codes)
-            if out.summary is not None:
-                key_codes = out.summary.key_codes
+                                key_codes=codes)
             future = out.prediction.data[:, -config.future_len:]
             channels = np.concatenate([channels, future], axis=1)
     return PoseSequence(channels_to_poses(channels[:, history.frames:history.frames + horizon]),

@@ -17,7 +17,7 @@ last axis; in eval mode, which the model runs only off the tape,
 import numpy as np
 
 from motionrefine.errors import DimensionError
-from motionrefine.refinement import DROPOUT, RefineResult, glm_forward, pad_query
+from motionrefine.refinement import DROPOUT, glm_forward, pad_query
 from motionrefine.tensor import (
     BN_EPS,
     Mode,
@@ -140,7 +140,7 @@ def composed_module(g, glm, mode: Mode, block=composed_block) -> Tensor:
     mode, rate)`` per block, an ``add`` per residual pair and two ``matmul``s
     for the output conv."""
     h = block(g, glm.blocks[0], mode, glm.dropout)
-    for pair in range(glm.pair_count):
+    for pair in range((len(glm.blocks) - 1) // 2):
         inner = block(h, glm.blocks[1 + 2 * pair], mode, glm.dropout)
         h = add(block(inner, glm.blocks[2 + 2 * pair], mode, glm.dropout), h)
     return matmul(matmul(glm.output_gc.adjacency, h), glm.output_gc.weights)
@@ -164,7 +164,7 @@ def adam_step_reference(params: dict[str, Tensor], state, lr: float,
         p.data = p.data - lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
 
 
-def refine_round_trip(query, summary, params, basis, mode: Mode) -> RefineResult:
+def refine_round_trip(query, summary, params, basis, mode: Mode) -> list[Tensor]:
     """``refinement.refine`` with a round trip through pose space per stage.
 
     Each stage converts the summary and the prediction to coefficients, adds
@@ -184,4 +184,4 @@ def refine_round_trip(query, summary, params, basis, mode: Mode) -> RefineResult
             s = idct(g[..., :window], basis)
         x = idct(g[..., window:], basis)
         stage_outputs.append(x)
-    return RefineResult(x, stage_outputs)
+    return stage_outputs

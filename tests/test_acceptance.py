@@ -224,10 +224,10 @@ def test_criterion_04_residual_identity_at_init():
     for trial in range(3):
         query = Tensor(rng.normal(size=(pose_dim, 10)))
         summary = Tensor(rng.normal(size=(pose_dim, 20)))
-        result = refine(query, summary, params, basis,
-                        Mode.train(np.random.default_rng(trial)))
+        outputs = refine(query, summary, params, basis,
+                         Mode.train(np.random.default_rng(trial)))
         expected = pad_query(query, 10).data
-        worst = max(worst, np.abs(result.prediction.data - expected).max())
+        worst = max(worst, np.abs(outputs[-1].data - expected).max())
     elapsed = time.perf_counter() - start
     _report(4, f"residual identity at init, reference config: max err "
                f"{worst:.1e} < 1e-10 ({elapsed:.1f}s < 5s)",

@@ -270,43 +270,47 @@ def test_encode_span_columns_are_window_codes():
         assert np.abs(single[:, i] - encode(net, Tensor(window[1])).data).max() < 1e-12
 
 
-def _assert_same_summary(cached, full):
-    assert cached.used_fallback == full.used_fallback
-    for name in ("values", "attention_weights", "key_codes"):
-        a, b = getattr(cached, name).data, getattr(full, name).data
-        assert a.shape == b.shape and np.abs(a - b).max() < 1e-12, name
+def _assert_same_summary(given, full):
+    assert given.used_fallback == full.used_fallback
+    for name in ("values", "attention_weights"):
+        a, b = getattr(given, name).data, getattr(full, name).data
+        assert a.shape == b.shape and np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("shape", [(6, 19), (3, 6, 19)])
-def test_key_code_prefix_matches_uncached(shape):
+def test_given_key_codes_give_the_same_summary_bitwise(shape):
     rng = np.random.default_rng(15)
     params = init_attention_params(pose_dim=6, query_len=4, latent_dim=8, rng=rng)
     history = rng.normal(size=shape)
+    codes = encode_span(params.key_net, Tensor(history[..., :16]))     # 13 key windows
+    assert codes.shape == shape[:-2] + (8, 13)
     full = summarize_history(Tensor(history), params, 4, 3)
-    assert full.key_codes.shape == shape[:-2] + (8, 13)
-    prefix = summarize_history(Tensor(history[..., :15]), params, 4, 3).key_codes
-    for codes in (prefix, full.key_codes.data[..., :0], full.key_codes):
-        cached = summarize_history(Tensor(history), params, 4, 3, key_codes=codes)
-        _assert_same_summary(cached, full)
+    for given in (codes, codes.data):
+        _assert_same_summary(summarize_history(Tensor(history), params, 4, 3, key_codes=given),
+                             full)
 
 
-def test_key_code_prefix_keeps_uniform_fallback():
+def test_given_key_codes_keep_uniform_fallback():
     params = _constant_code_params(2, 3, 4)
     history = Tensor(np.zeros((2, 12)))
     full = summarize_history(history, params, 3, 2)
-    prefix = summarize_history(history[:, :9], params, 3, 2).key_codes
-    cached = summarize_history(history, params, 3, 2, key_codes=prefix)
-    assert cached.used_fallback
-    _assert_same_summary(cached, full)
+    codes = encode_span(params.key_net, history[:, :10])
+    given = summarize_history(history, params, 3, 2, key_codes=codes)
+    assert given.used_fallback
+    _assert_same_summary(given, full)
 
 
-def test_key_codes_that_do_not_fit_are_rejected():
+def test_key_codes_that_are_not_the_history_s_are_rejected():
     rng = np.random.default_rng(16)
     params = init_attention_params(pose_dim=3, query_len=3, latent_dim=4, rng=rng)
     history = Tensor(rng.normal(size=(2, 3, 10)))       # 6 key windows
-    for bad in (np.zeros((2, 4, 7)), np.zeros((2, 5, 3)), np.zeros((4, 3))):
+    # a prefix, an extra column, another batch, another latent width, no batch axis
+    for bad in (np.zeros((2, 4, 5)), np.zeros((2, 4, 7)), np.zeros((3, 4, 6)),
+                np.zeros((2, 5, 6)), np.zeros((4, 6))):
         with pytest.raises(DimensionError, match="key codes"):
             summarize_history(history, params, 3, 2, key_codes=bad)
+    with pytest.raises(DimensionError, match="key codes"):   # a prefix of a single history
+        summarize_history(history[0], params, 3, 2, key_codes=np.zeros((4, 5)))
 
 
 def test_channel_layout_round_trip():

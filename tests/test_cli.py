@@ -14,9 +14,10 @@ import pytest
 import motionrefine
 from motionrefine import cli
 from motionrefine.cli import _apply_ablation, build_parser, main, resolve_config
-from motionrefine.data import load_dataset, load_sequence
+from motionrefine.data import SynthSpec, load_dataset, load_sequence
 from motionrefine.errors import ConfigurationError
-from motionrefine.trainer import load_checkpoint, prediction_bytes
+from motionrefine.model import ModelConfig
+from motionrefine.trainer import frames_from_milliseconds, load_checkpoint, prediction_bytes
 
 
 TINY_MODEL = ["--set", "history_len=14", "--set", "query_len=4", "--set", "future_len=4",
@@ -538,6 +539,24 @@ class TestEval:
         assert len(record["stage_mpjpe"]) == 3  # baseline + two stages
         assert record["per_action"]["sinusoid"]["count"] == record["window_count"]
         assert json.loads(json.dumps(record)) == record
+
+    def test_default_marks_fall_within_the_default_future(self):
+        marks = build_parser().parse_args(["eval", "CKPT", "DATA"]).frames_ms
+        frames = frames_from_milliseconds([float(ms) for ms in marks.split(",")],
+                                          SynthSpec.frame_rate, ModelConfig.future_len)
+        assert len(frames) == 4 and all(1 <= f <= ModelConfig.future_len for f in frames)
+
+    def test_default_marks_run_at_the_default_future_length(self, corpus, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--out", str(run), "--epochs", "1",
+                     "--seed", "0", *TINY_MODEL, "--set", "history_len=20",
+                     "--set", "future_len=10"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "evalout"
+        rc = main(["eval", str(run / "checkpoint.mckpt"), str(corpus), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        record = json.loads((out / "eval_record.json").read_text())
+        assert len(record["frames_ms"]) == len(record["mpjpe"]) == 4
 
     def test_skeleton_of_other_chains_exits_2(self, trained, tmp_path, capsys):
         # 3 joints like the checkpoint's skeleton-3j-1c, but in 2 chains

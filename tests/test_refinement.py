@@ -21,7 +21,6 @@ from motionrefine.model import (
 from motionrefine.refinement import (
     DROPOUT,
     GlmParams,
-    GraphLayerParams,
     glm_forward,
     graph_conv,
     graph_learning_block,
@@ -30,6 +29,8 @@ from motionrefine.refinement import (
     refine,
 )
 from motionrefine.tensor import (
+    GraphBlock,
+    GraphConv,
     Mode,
     RunningStats,
     Tensor,
@@ -67,7 +68,7 @@ class TestGraphLearningBlock:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 6))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        layer = GraphLayerParams(
+        layer = GraphBlock(
             adjacency=Tensor(np.eye(4)), weights=Tensor(np.eye(6)),
             gamma=Tensor(np.ones(6)), beta=Tensor(np.zeros(6)),
             stats=RunningStats(mean=np.zeros(6), var=np.ones(6)))
@@ -76,7 +77,7 @@ class TestGraphLearningBlock:
 
     def test_zero_input_zero_beta_gives_zero(self):
         rng = np.random.default_rng(2)
-        layer = GraphLayerParams(
+        layer = GraphBlock(
             adjacency=Tensor(rng.normal(size=(3, 3))),
             weights=Tensor(rng.normal(size=(5, 4))),
             gamma=Tensor(np.ones(4)), beta=Tensor(np.zeros(4)),
@@ -89,10 +90,10 @@ class TestGraphLearningBlock:
         rng = np.random.default_rng(3)
         adjacency = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         weights = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-        layer = GraphLayerParams(adjacency, weights,
-                                 gamma=Tensor(np.ones(6), requires_grad=True),
-                                 beta=Tensor(np.zeros(6), requires_grad=True),
-                                 stats=RunningStats())
+        layer = GraphBlock(adjacency, weights,
+                           gamma=Tensor(np.ones(6), requires_grad=True),
+                           beta=Tensor(np.zeros(6), requires_grad=True),
+                           stats=RunningStats())
         x = Tensor(rng.normal(size=(4, 6)))
 
         def build():
@@ -101,13 +102,13 @@ class TestGraphLearningBlock:
         assert_gradients_match(build, [adjacency, weights, layer.gamma, layer.beta])
 
     def test_channel_mismatch(self):
-        layer = GraphLayerParams(Tensor(np.eye(3)), Tensor(np.zeros((5, 2))))
+        layer = GraphConv(Tensor(np.eye(3)), Tensor(np.zeros((5, 2))))
         with pytest.raises(DimensionError):
             graph_conv(Tensor(np.zeros((3, 4))), layer)
 
 
 def _tracked_layer(rng, rows, channels_in, channels_out, stats):
-    return GraphLayerParams(
+    return GraphBlock(
         adjacency=Tensor(rng.normal(size=(rows, rows)), requires_grad=True),
         weights=Tensor(rng.normal(size=(channels_in, channels_out)), requires_grad=True),
         gamma=Tensor(rng.uniform(0.5, 1.5, channels_out), requires_grad=True),
@@ -116,10 +117,9 @@ def _tracked_layer(rng, rows, channels_in, channels_out, stats):
 
 
 def _clone_layer(layer):
-    return GraphLayerParams(*(Tensor(t.data.copy(), requires_grad=True)
-                              for t in (layer.adjacency, layer.weights,
-                                        layer.gamma, layer.beta)),
-                            stats=copy.deepcopy(layer.stats))
+    return GraphBlock(*(Tensor(t.data.copy(), requires_grad=True)
+                        for t in (layer.adjacency, layer.weights, layer.gamma, layer.beta)),
+                      stats=copy.deepcopy(layer.stats))
 
 
 def _layer_tensors(layer):
@@ -133,8 +133,8 @@ def _glm(rng, rows, channels, latent, pair_count, inner=None, dropout=DROPOUT):
     inner = latent if inner is None else inner
     widths = [(channels, latent)] + [(latent, inner), (inner, latent)] * pair_count
     blocks = [_tracked_layer(rng, rows, c_in, c_out, RunningStats()) for c_in, c_out in widths]
-    output_gc = GraphLayerParams(Tensor(rng.normal(size=(rows, rows)), requires_grad=True),
-                                 Tensor(rng.normal(size=(latent, channels)), requires_grad=True))
+    output_gc = GraphConv(Tensor(rng.normal(size=(rows, rows)), requires_grad=True),
+                          Tensor(rng.normal(size=(latent, channels)), requires_grad=True))
     return GlmParams(blocks, output_gc, dropout)
 
 
@@ -201,9 +201,9 @@ class TestFusedGraphBlock:
         stats = layer.stats
 
         def build():
-            layer.stats = copy.deepcopy(stats)
+            block = layer._replace(stats=copy.deepcopy(stats))
             mode = Mode.train(np.random.default_rng(5))
-            return tensor_sum(tanh(graph_learning_block(g, layer, mode, dropout_rate=rate)))
+            return tensor_sum(tanh(graph_learning_block(g, block, mode, dropout_rate=rate)))
         assert_gradients_match(build, [g] + _layer_tensors(layer))
 
     def test_single_row_gives_zero_input_gradient(self):
@@ -226,8 +226,7 @@ class TestFusedGraphBlock:
         layer = _tracked_layer(rng, 1, 4, 3, RunningStats())
         g = Tensor(rng.normal(size=(1, 4)))
         with contextlib.nullcontext() if recording else no_grad():
-            out = graph_blocks(g, [(layer.adjacency, layer.weights, layer.gamma, layer.beta,
-                                    layer.stats)], Mode.train(np.random.default_rng(0)), 0.0)
+            out = graph_blocks(g, [layer], Mode.train(np.random.default_rng(0)), 0.0)
         assert out.requires_grad == recording
         assert np.isfinite(out.data).all()
         assert np.array_equal(out.data, np.tanh(layer.beta.data)[None])
@@ -619,11 +618,11 @@ class TestGlmForward:
         rng = np.random.default_rng(5)
         glm = init_refinement_params(pose_dim=6, window=20, stages=1, pair_count=2,
                                      latent_dim=16, rng=rng).stages[0]
-        assert len(glm.blocks) == 5 and glm.pair_count == 2
+        assert len(glm.blocks) == 5
         assert glm.blocks[0].weights.shape == (40, 16)
         assert glm.blocks[1].weights.shape == (16, 16)
         assert glm.output_gc.weights.shape == (16, 40)
-        assert glm.output_gc.gamma is None and glm.output_gc.stats is None
+        assert isinstance(glm.output_gc, GraphConv)
 
     @pytest.mark.parametrize("h_tracked", [True, False])
     @pytest.mark.parametrize("rate, leading, inner", MODULE_CASES)
@@ -685,21 +684,43 @@ class TestGlmForward:
         rng = np.random.default_rng(44)
         layers = [_tracked_layer(rng, rows, c_in, c_out, RunningStats())
                   for c_in, c_out, rows in widths]
-        conv = None if output is None else (Tensor(rng.normal(size=(output[2],) * 2)),
-                                            Tensor(rng.normal(size=output[:2])))
+        conv = None if output is None else GraphConv(Tensor(rng.normal(size=(output[2],) * 2)),
+                                                     Tensor(rng.normal(size=output[:2])))
         with pytest.raises(DimensionError, match=match):
-            graph_blocks(Tensor(rng.normal(size=shape)),
-                         [_layer_tensors(layer) + [layer.stats] for layer in layers],
+            graph_blocks(Tensor(rng.normal(size=shape)), layers,
                          Mode.train(np.random.default_rng(0)), 0.3, output=conv)
         assert not any(layer.stats.initialized for layer in layers)
+
+    @pytest.mark.parametrize("name", ["gamma", "beta"])
+    @pytest.mark.parametrize("bad", range(5))
+    def test_affine_of_the_wrong_width_raises_before_any_block_runs(self, monkeypatch, bad,
+                                                                     name):
+        rng = np.random.default_rng(46)
+        glm = _glm(rng, rows=5, channels=6, latent=4, pair_count=2)
+        with no_grad():  # running statistics
+            glm_forward(Tensor(rng.normal(size=(3, 5, 6))), glm, Mode.train(rng))
+        short = Tensor(getattr(glm.blocks[bad], name).data[:-1], requires_grad=True)
+        glm.blocks[bad] = glm.blocks[bad]._replace(**{name: short})
+
+        def snapshot():
+            return [a.tobytes() for layer in glm.blocks for a in (layer.stats.mean,
+                                                                  layer.stats.var)]
+        before = snapshot()
+        calls = []
+        real = tensor._block_forward
+        monkeypatch.setattr(tensor, "_block_forward",
+                            lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(DimensionError, match="gamma/beta"):
+            glm_forward(Tensor(rng.normal(size=(3, 5, 6))), glm,
+                        Mode.train(np.random.default_rng(0)))
+        assert calls == [] and snapshot() == before
 
     def test_blocks_that_are_not_an_entry_block_and_pairs_raise(self):
         rng = np.random.default_rng(45)
         layers = [_tracked_layer(rng, 5, 6, 4, RunningStats()),
                   _tracked_layer(rng, 5, 4, 4, RunningStats())]
         with pytest.raises(ConfigurationError, match="entry block and residual pairs"):
-            graph_blocks(Tensor(rng.normal(size=(3, 5, 6))),
-                         [_layer_tensors(layer) + [layer.stats] for layer in layers],
+            graph_blocks(Tensor(rng.normal(size=(3, 5, 6))), layers,
                          Mode.train(np.random.default_rng(0)), 0.3)
         assert not any(layer.stats.initialized for layer in layers)
 
@@ -739,8 +760,7 @@ def _eval_entry(name, rng):
     if name == "glm_forward":
         return h, stats, lambda: glm_forward(h, glm, Mode.eval())
     # tracked through h alone: every parameter here is untracked
-    blocks = [[Tensor(t.data) for t in _layer_tensors(layer)] + [layer.stats]
-              for layer in glm.blocks]
+    blocks = [_untracked(layer) for layer in glm.blocks]
     return h, stats, lambda: graph_blocks(h, blocks, Mode.eval(), glm.dropout)
 
 
@@ -769,9 +789,13 @@ class TestEvalOffTape:
                                           ("output", 0), ("output", 1)])
     def test_any_tracked_operand_raises_before_any_block_runs(self, monkeypatch, layer, k):
         blocks, output, h = _untracked_module(np.random.default_rng(62), pair_count=1)
-        layers = blocks if layer != "output" else [output]
-        picked = layers[layer if layer != "output" else 0]
-        picked[k] = Tensor(picked[k].data, requires_grad=True)
+        picked = output if layer == "output" else blocks[layer]
+        picked = picked._replace(**{picked._fields[k]: Tensor(picked[k].data,
+                                                              requires_grad=True)})
+        if layer == "output":
+            output = picked
+        else:
+            blocks[layer] = picked
         calls = []
         real = tensor._block_forward
         monkeypatch.setattr(tensor, "_block_forward",
@@ -791,8 +815,8 @@ class TestEvalOffTape:
         blocks, output, h = _untracked_module(np.random.default_rng(63), pair_count)
         output = output if with_output else None
         plain = graph_blocks(h, blocks, Mode.eval(), 0.3, output=output)
-        tracked = [[Tensor(t.data, requires_grad=True) for t in block[:4]] + [block[4]]
-                   for block in blocks]
+        tracked = [GraphBlock(*(Tensor(t.data, requires_grad=True) for t in block[:4]),
+                              block.stats) for block in blocks]
         with no_grad():
             quiet = graph_blocks(Tensor(h.data, requires_grad=True), tracked, Mode.eval(), 0.3,
                                  output=output)
@@ -802,27 +826,31 @@ class TestEvalOffTape:
     @pytest.mark.parametrize("untrained", range(5))
     def test_untrained_block_raises_and_leaves_h_and_statistics_untouched(self, untrained):
         blocks, output, h = _untracked_module(np.random.default_rng(64), pair_count=2)
-        blocks[untrained][4] = RunningStats()
-        before = [h.data.tobytes()] + [a.tobytes() for block in blocks if block[4].initialized
-                                       for a in (block[4].mean, block[4].var)]
+        blocks[untrained] = blocks[untrained]._replace(stats=RunningStats())
+        before = [h.data.tobytes()] + [a.tobytes() for block in blocks if block.stats.initialized
+                                       for a in (block.stats.mean, block.stats.var)]
         with no_grad(), pytest.raises(StateError, match="before any training batch"):
             graph_blocks(h, blocks, Mode.eval(), 0.3, output=output)
-        after = [h.data.tobytes()] + [a.tobytes() for block in blocks if block[4].initialized
-                                      for a in (block[4].mean, block[4].var)]
+        after = [h.data.tobytes()] + [a.tobytes() for block in blocks if block.stats.initialized
+                                      for a in (block.stats.mean, block.stats.var)]
         assert after == before
-        assert not blocks[untrained][4].initialized
+        assert not blocks[untrained].stats.initialized
+
+
+def _untracked(layer):
+    """The layer with untracked copies of its tensors (and the same statistics)."""
+    return layer._replace(**{name: Tensor(t.data) for name, t in layer._asdict().items()
+                             if isinstance(t, Tensor)})
 
 
 def _untracked_module(rng, pair_count):
-    """The untracked blocks (as lists, trained running statistics) and output
-    conv of a square 4-channel module on 5 rows, and an untracked input h."""
+    """The untracked blocks (trained running statistics) and output conv of a
+    square 4-channel module on 5 rows, and an untracked input h."""
     glm = _glm(rng, rows=5, channels=4, latent=4, pair_count=pair_count)
     with no_grad():
         glm_forward(Tensor(rng.normal(size=(3, 5, 4))), glm, Mode.train(rng))
-    blocks = [[Tensor(t.data) for t in _layer_tensors(layer)] + [layer.stats]
-              for layer in glm.blocks]
-    output = [Tensor(glm.output_gc.adjacency.data), Tensor(glm.output_gc.weights.data)]
-    return blocks, output, Tensor(rng.normal(size=(3, 5, 4)))
+    blocks = [_untracked(layer) for layer in glm.blocks]
+    return blocks, _untracked(glm.output_gc), Tensor(rng.normal(size=(3, 5, 4)))
 
 
 class TestRefine:
@@ -833,21 +861,20 @@ class TestRefine:
         basis = dct_basis(8)
         query = Tensor(rng.normal(size=(6, 5)))
         summary = Tensor(rng.normal(size=(6, 8)))
-        result = refine(query, summary, params, basis,
-                        Mode.train(np.random.default_rng(0)))
+        outputs = refine(query, summary, params, basis, Mode.train(np.random.default_rng(0)))
         expected = pad_query(query, 3).data
-        assert np.abs(result.prediction.data - expected).max() < 1e-10
+        assert np.abs(outputs[-1].data - expected).max() < 1e-10
 
     def test_stage_outputs_have_stage_count_length(self):
         rng = np.random.default_rng(10)
         for stages in (1, 2, 3, 4):
             params = init_refinement_params(pose_dim=3, window=4, stages=stages,
                                             pair_count=1, latent_dim=5, rng=rng)
-            result = refine(Tensor(rng.normal(size=(3, 2))),
-                            Tensor(rng.normal(size=(3, 4))), params, dct_basis(4),
-                            Mode.train(np.random.default_rng(0)))
-            assert len(result.stage_outputs) == stages
-            assert result.prediction.shape == (3, 4)
+            outputs = refine(Tensor(rng.normal(size=(3, 2))),
+                             Tensor(rng.normal(size=(3, 4))), params, dct_basis(4),
+                             Mode.train(np.random.default_rng(0)))
+            assert len(outputs) == stages
+            assert all(stage.shape == (3, 4) for stage in outputs)
 
     # the summary and the padded query go forward once; each stage sends only
     # its prediction half back
@@ -875,14 +902,14 @@ class TestRefine:
         query = Tensor(rng.normal(size=(4, 3)))
         summary = Tensor(rng.normal(size=(4, 5)))
 
-        result = refine(query, summary, params, basis, Mode.train(np.random.default_rng(42)))
+        outputs = refine(query, summary, params, basis, Mode.train(np.random.default_rng(42)))
 
         # [summary; padded query] coefficients, residual module, then the
         # prediction half back to pose space
         coeffs = concat([dct(summary, basis), dct(pad_query(query, 2), basis)], axis=-1)
         refined = glm_forward(coeffs, glm, Mode.train(np.random.default_rng(42))) + coeffs
         manual = idct(refined[..., 5:], basis)
-        assert np.array_equal(result.prediction.data, manual.data)
+        assert np.array_equal(outputs[-1].data, manual.data)
 
     def test_summary_basis_mismatch(self):
         rng = np.random.default_rng(12)
@@ -917,9 +944,9 @@ class TestRefine:
         target = rng.normal(size=(6, 5))
 
         def build():
-            result = refine(query, summary, params, basis,
-                            Mode.train(np.random.default_rng(7)))
-            diff = result.prediction - Tensor(target)
+            outputs = refine(query, summary, params, basis,
+                             Mode.train(np.random.default_rng(7)))
+            diff = outputs[-1] - Tensor(target)
             return tensor_sum(diff * diff) * (1.0 / target.size)
         assert_gradients_match(build, named)
 
@@ -950,20 +977,19 @@ def _stage_parameters(params):
 
 
 def _run_refinement(refine_fn, params, query, summary, upstream, training):
-    """Outputs, stage outputs and, in train mode, the parameter gradients of a
-    loss on every stage; eval mode runs under ``no_grad``."""
+    """Stage outputs and, in train mode, the parameter gradients of a loss on
+    every stage; eval mode runs under ``no_grad``."""
     basis = dct_basis(summary.shape[-1])
     if not training:
         with no_grad():
-            result = refine_fn(query, summary, params, basis, Mode.eval())
-        return [result.prediction.data] + [stage.data for stage in result.stage_outputs]
-    result = refine_fn(query, summary, params, basis, Mode.train(np.random.default_rng(5)))
-    loss = tensor_sum(result.stage_outputs[0] * upstream[0])
-    for stage, weight in zip(result.stage_outputs[1:], upstream[1:]):
+            outputs = refine_fn(query, summary, params, basis, Mode.eval())
+        return [stage.data for stage in outputs]
+    outputs = refine_fn(query, summary, params, basis, Mode.train(np.random.default_rng(5)))
+    loss = tensor_sum(outputs[0] * upstream[0])
+    for stage, weight in zip(outputs[1:], upstream[1:]):
         loss = loss + tensor_sum(stage * weight)
     backward(loss)
-    return ([result.prediction.data] + [stage.data for stage in result.stage_outputs]
-            + [t.grad for t in _stage_parameters(params)])
+    return [stage.data for stage in outputs] + [t.grad for t in _stage_parameters(params)]
 
 
 # (pose_dim, window, query_len, pair_count, latent_dim, batch): the overfit
@@ -981,7 +1007,7 @@ class TestCoefficientChain:
         round_trip = _run_refinement(refine_round_trip, reference, query, summary, upstream,
                                      training)
         gradients = len(_stage_parameters(params)) if training else 0
-        assert len(chain) == len(round_trip) == 4 + gradients
+        assert len(chain) == len(round_trip) == 3 + gradients
         for value, ref in zip(chain, round_trip):
             assert value.shape == ref.shape
             assert np.abs(value - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -1002,7 +1028,7 @@ class TestCoefficientChain:
             outputs.append(idct(g[..., window:], basis))
             g = add(glm_forward(g, third, mode), g)
             outputs.append(idct(g[..., window:], basis))
-            return refinement.RefineResult(outputs[-1], outputs)
+            return outputs
 
         chain = _run_refinement(refine, params, query, summary, upstream, training)
         manual = _run_refinement(hand_written, reference, query, summary, upstream, training)

@@ -9,6 +9,8 @@ from motionrefine import tensor as tensor_module
 from motionrefine.errors import ConfigurationError, DimensionError, TapeError
 from motionrefine.tensor import (
     BN_EPS,
+    GraphBlock,
+    GraphConv,
     Mode,
     RunningStats,
     Tensor,
@@ -166,6 +168,7 @@ class TestFusedConv1d:
         else:
             assert grad_x is None and ref_x is None
         assert np.array_equal(grad_k, ref_k)
+        assert grad_k.flags.c_contiguous      # Adam reads it in place
         assert np.array_equal(grad_b, ref_b)
 
     @pytest.mark.parametrize("shape, width, channel_last", CONV_CASES)
@@ -579,9 +582,10 @@ def _graph_blocks_case(rng, pairs=2, rate=0.3, inner=5):
     # residual pairs through an ``inner``-channel block, and the output conv
     # (4 -> 3)
     def forward(g, *tensors):
-        blocks = [tensors[4 * k:4 * k + 4] + (RunningStats(),) for k in range(1 + 2 * pairs)]
+        blocks = [GraphBlock(*tensors[4 * k:4 * k + 4], RunningStats())
+                  for k in range(1 + 2 * pairs)]
         return graph_blocks(g, blocks, Mode.train(np.random.default_rng(0)), rate,
-                            output=tensors[-2:])
+                            output=GraphConv(*tensors[-2:]))
     inputs = [_tracked(rng, 2, 3, 3)]
     for channels_in, channels_out in [(3, 4)] + [(4, inner), (inner, 4)] * pairs:
         inputs += [_tracked(rng, 3, 3), _tracked(rng, channels_in, channels_out),

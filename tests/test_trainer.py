@@ -463,7 +463,7 @@ class TestAutoregressive:
 
 
 class TestKeyCodeCache:
-    """predict_autoregressive reuses each pass's key codes in the next pass."""
+    """predict_autoregressive keeps the key codes of its history from pass to pass."""
 
     @staticmethod
     def _model(config):
@@ -512,12 +512,38 @@ class TestKeyCodeCache:
             if net is params.attention.key_net:
                 encoded["windows"] += codes.shape[-1]
             return codes
-        monkeypatch.setattr(attention_module, "encode_span", counting)
+        for module in (attention_module, trainer_module):
+            monkeypatch.setattr(module, "encode_span", counting)
         history = PoseSequence(np.random.default_rng(3).normal(size=(50, 22, 3)))
         predict_autoregressive(history, params, config, 200)
         # 31 windows in the first pass, then future_len new ones in each of 19
         # more; re-encoding every pass would take 31 + 41 + ... + 221 = 2520
         assert encoded["windows"] == 31 + 19 * 10
+
+    def test_each_pass_takes_the_encoder_or_concatenate_output(self, monkeypatch):
+        # a prediction's bits depend on the codes' memory layout: the first
+        # pass takes encode_span's own output, each later one np.concatenate's
+        config = tiny_config(history_len=20, query_len=10, future_len=10, latent_dim=16)
+        params = self._model(config)
+        encoded, passed = [], []
+        real_encode, real_forward = trainer_module.encode_span, trainer_module.model_forward
+
+        def encoding(net, span):
+            encoded.append(real_encode(net, span))
+            return encoded[-1]
+
+        def forward(*args, key_codes):
+            passed.append(key_codes)
+            return real_forward(*args, key_codes=key_codes)
+        monkeypatch.setattr(trainer_module, "encode_span", encoding)
+        monkeypatch.setattr(trainer_module, "model_forward", forward)
+        history = PoseSequence(np.random.default_rng(4).normal(size=(30, config.joints, 3)))
+        predict_autoregressive(history, params, config, 30)
+        assert [codes.shape[-1] for codes in passed] == [11, 21, 31]
+        assert passed[0] is encoded[0].data
+        for earlier, fresh, codes in zip(passed, encoded[1:], passed[1:]):
+            expected = np.concatenate([earlier, fresh.data], axis=1)
+            assert codes.strides == expected.strides and np.array_equal(codes, expected)
 
     @pytest.mark.parametrize("horizon", [800, 1600])
     def test_reference_peak_stays_within_prediction_bytes(self, horizon):
