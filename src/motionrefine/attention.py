@@ -11,7 +11,9 @@ its own.  The key net runs once over the whole key span: its convs are
 valid-only with stride 1, so each output column is one key window's code.
 A caller that already holds the codes of every key window of the history
 (``encode_span`` over its key span) passes them in, and the key net does
-not run.
+not run.  Every layer takes a leading batch axis, (batch, pose_dim,
+frames) histories and (batch, latent_dim, count) codes; a single history is
+a batch of one, and a 2-D input raises ``DimensionError``.
 """
 from __future__ import annotations
 
@@ -81,8 +83,8 @@ class AttentionParams:
 
 @dataclass
 class MotionSummary:
-    values: Tensor             # (..., joints*3, query_len + future_len)
-    attention_weights: Tensor  # (..., window_count), simplex rows
+    values: Tensor             # (batch, joints*3, query_len + future_len)
+    attention_weights: Tensor  # (batch, window_count), simplex rows
     used_fallback: bool = False
 
 
@@ -104,7 +106,7 @@ def init_attention_params(pose_dim: int, query_len: int, latent_dim: int,
 
 
 def encode_span(net: WindowEncoder, span) -> Tensor:
-    """(..., pose_dim, frames) span -> (..., latent_dim, frames - query_len + 1) codes.
+    """(batch, pose_dim, frames) span -> (batch, latent_dim, frames - query_len + 1) codes.
 
     Both conv layers are valid-only with stride 1, so output column i is the
     code of the query-length window that starts at frame i.
@@ -114,7 +116,7 @@ def encode_span(net: WindowEncoder, span) -> Tensor:
 
 
 def encode(net: WindowEncoder, window) -> Tensor:
-    """(..., pose_dim, query_len) window -> (..., latent_dim) code."""
+    """(batch, pose_dim, query_len) window -> (batch, latent_dim) code."""
     window = as_tensor(window)
     if window.shape[-1] != net.receptive_field:
         raise DimensionError(
@@ -125,21 +127,18 @@ def encode(net: WindowEncoder, window) -> Tensor:
 
 def summarize_history(history, params: AttentionParams, query_len: int,
                       future_len: int, key_codes=None) -> MotionSummary:
-    """Attention core over channel-major history tensors.
+    """Attention core over a batch of channel-major histories.
 
-    history: (pose_dim, frames) or (batch, pose_dim, frames) with
-    frames >= query_len + future_len.  key_codes, when given, are the codes
-    of every key window of this history, shaped (latent_dim, count) or
-    (batch, latent_dim, count) with count = frames - query_len - future_len
-    + 1, and the key net does not run.  A row whose scores sum to zero
-    weighs its windows uniformly, and ``used_fallback`` says if any row did.
+    history: (batch, pose_dim, frames) with frames >= query_len + future_len.
+    key_codes, when given, are the codes of every key window of this
+    history, shaped (batch, latent_dim, count) with count = frames -
+    query_len - future_len + 1, and the key net does not run.  A row whose
+    scores sum to zero weighs its windows uniformly, and ``used_fallback``
+    says if any row did.
     """
     history = as_tensor(history)
-    single = history.ndim == 2
-    if single:
-        history = reshape(history, (1,) + history.shape)
     if history.ndim != 3:
-        raise DimensionError(f"history must be 2-D or 3-D, got {history.shape}")
+        raise DimensionError(f"history must be (batch, pose_dim, frames), got {history.shape}")
     batch, _, frames = history.shape
     window = query_len + future_len
     count = frames - window + 1
@@ -155,11 +154,9 @@ def summarize_history(history, params: AttentionParams, query_len: int,
         codes = encode_span(params.key_net, history[:, :, :count + query_len - 1])
     else:
         codes = as_tensor(key_codes)
-        expected = (latent, count) if single else (batch, latent, count)
-        if codes.shape != expected:
-            raise DimensionError(
-                f"key codes {codes.shape} are not this history's {expected} codes")
-        codes = reshape(codes, (batch, latent, count))
+        if codes.shape != (batch, latent, count):
+            raise DimensionError(f"key codes {codes.shape} are not this history's "
+                                 f"{(batch, latent, count)} codes")
 
     scores = reshape(matmul(reshape(query_code, (batch, 1, latent)), codes), (batch, count))
     denom = tensor_sum(scores, axis=1, keepdims=True)                 # (B, 1)
@@ -172,8 +169,4 @@ def summarize_history(history, params: AttentionParams, query_len: int,
     column = reshape(weights, (batch, count, 1))
     summary = concat([matmul(history[:, :, t:t + count], column)
                       for t in range(window)], axis=2)                # (B, P, L+F)
-
-    if single:
-        summary = reshape(summary, summary.shape[1:])
-        weights = reshape(weights, (count,))
     return MotionSummary(summary, weights, bool(zero_rows.any()))

@@ -111,8 +111,8 @@ def resolve_config(config_path: str | None, overrides: list[str] | None,
     if config_path:
         try:
             payload = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as bad:
-            raise ConfigurationError(f"{config_path}: invalid JSON ({bad})") from None
+        except (ValueError, RecursionError) as bad:  # not UTF-8, not JSON, nested too deep
+            raise ConfigurationError(f"{config_path}: not UTF-8 JSON ({bad})") from None
         if not isinstance(payload, dict):
             raise ConfigurationError(f"{config_path}: expected a JSON object")
         for key, value in payload.items():

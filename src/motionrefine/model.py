@@ -7,7 +7,6 @@ import numpy as np
 
 from .attention import (
     AttentionParams,
-    MotionSummary,
     init_attention_params,
     kernel_widths,
     summarize_history,
@@ -130,18 +129,18 @@ def count_parameters(config: ModelConfig) -> int:
 class ModelOutput:
     prediction: Tensor
     stage_outputs: list[Tensor]
-    summary: MotionSummary | None
 
 
 def model_forward(params: ModelParams, histories, config: ModelConfig,
                   basis: DctBasis, mode: Mode, key_codes=None) -> ModelOutput:
     """Summarize the history, then refine the padded query stage by stage.
 
-    histories: (pose_dim, frames) or (batch, pose_dim, frames); any frame
-    count >= query_len + future_len works, not just the training length.
+    histories: (batch, pose_dim, frames), a single history as a batch of
+    one (a 2-D input raises ``DimensionError``); any frame count >=
+    query_len + future_len works, not just the training length.
     key_codes: the key net's codes of every key window of these histories,
-    (..., latent_dim, frames - query_len - future_len + 1) as ``encode_span``
-    gives them, so the key net does not run.
+    (batch, latent_dim, frames - query_len - future_len + 1) as
+    ``encode_span`` gives them, so the key net does not run.
     In copy mode the summary is simply the padded query.
     """
     histories = as_tensor(histories)
@@ -149,15 +148,13 @@ def model_forward(params: ModelParams, histories, config: ModelConfig,
         raise ConfigurationError(
             f"basis size {basis.size} != query+future window {config.window}")
     query = histories[..., -config.query_len:]
-    summary = None
     if config.attention_mode == "attention":
         summary = summarize_history(histories, params.attention, config.query_len,
-                                    config.future_len, key_codes=key_codes)
-        summary_values = summary.values
+                                    config.future_len, key_codes=key_codes).values
     else:
-        summary_values = pad_query(query, config.future_len)
-    stage_outputs = refine(query, summary_values, params.refinement, basis, mode)
-    return ModelOutput(stage_outputs[-1], stage_outputs, summary)
+        summary = pad_query(query, config.future_len)
+    stage_outputs = refine(query, summary, params.refinement, basis, mode)
+    return ModelOutput(stage_outputs[-1], stage_outputs)
 
 
 # JSON types a config field of each annotated type accepts (a bool is no number)

@@ -99,10 +99,11 @@ def refine(query, summary, params: RefinementParams, basis: DctBasis,
     """Run every refinement stage and return each stage's prediction, the
     last one the model's.
 
-    query: (..., pose_dim, query_len); summary: (..., pose_dim, window) where
-    window == basis.size.  The [summary; padded query] coefficients are one
-    residual chain through the stages; each stage's output is the idct of
-    its prediction half, and the summary half never leaves frequency space.
+    query: (batch, pose_dim, query_len); summary: (batch, pose_dim, window)
+    where window == basis.size.  The [summary; padded query] coefficients
+    are one residual chain through the stages; each stage's output is the
+    idct of its prediction half, and the summary half never leaves
+    frequency space.
     """
     query = as_tensor(query)
     summary = as_tensor(summary)

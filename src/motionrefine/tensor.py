@@ -29,6 +29,10 @@ closure never writes into the gradient it receives, which may be shared
 with other operands.  A graph can be walked only once; rebuilding the
 forward pass resets the tape.
 
+The fused nodes take one layout, batch first: ``conv1d`` a (B, C, T)
+input and ``graph_blocks`` a (B, P, C) one.  A single window is a batch of
+one; a 2-D input raises ``DimensionError``.
+
 Tensors are immutable once created: no op writes into an operand's
 ``.data`` (optimizers mutate parameter ``data`` between steps, never
 mid-graph).  So ``take`` returns a view of its operand's array, not a
@@ -380,10 +384,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def conv1d(inputs, kernels, bias) -> Tensor:
     """Valid cross-correlation along the trailing (temporal) axis, as one tape node.
 
-    inputs:  (channels_in, T) or (batch, channels_in, T)
+    inputs:  (batch, channels_in, T)
     kernels: (channels_out, channels_in, width)
     bias:    (channels_out,)
-    returns  (..., channels_out, T - width + 1)
+    returns  (batch, channels_out, T - width + 1)
 
     The arithmetic is that of the composed ``sliding_windows`` (a test op,
     in ``tests/reference_ops.py``), ``transpose``, ``reshape``, ``matmul``,
@@ -397,10 +401,9 @@ def conv1d(inputs, kernels, bias) -> Tensor:
     inputs, kernels, bias = as_tensor(inputs), as_tensor(kernels), as_tensor(bias)
     if kernels.ndim != 3:
         raise DimensionError(f"kernels must be (out, in, width), got {kernels.shape}")
-    single = inputs.ndim == 2
-    x = inputs.data.reshape((1,) + inputs.shape) if single else inputs.data
+    x = inputs.data
     if x.ndim != 3:
-        raise DimensionError(f"conv1d input must be 2-D or 3-D, got {inputs.shape}")
+        raise DimensionError(f"conv1d input must be (batch, channels, T), got {inputs.shape}")
     batch, chans_in, length = x.shape
     chans_out, k_in, width = kernels.shape
     if k_in != chans_in:
@@ -413,12 +416,9 @@ def conv1d(inputs, kernels, bias) -> Tensor:
     kmat = kernels.data.reshape(chans_out, chans_in * width).T    # (C_in*W, C_out)
     bshape = (1, chans_out, 1)
     data = np.transpose(_unfold(x, width) @ kmat, (0, 2, 1)) + bias.data.reshape(bshape)
-    if single:
-        data = data.reshape(chans_out, steps)
     out = _result(data, (inputs, kernels, bias), "conv1d")
     if out.requires_grad:
         def _bw(grad):
-            grad = grad.reshape(batch, chans_out, steps)
             _accum(bias, _unbroadcast(grad, bshape).reshape(chans_out))
             grad = np.transpose(grad, (0, 2, 1))                  # (B, steps, C_out)
             win = _unfold(x, width)
@@ -433,7 +433,7 @@ def conv1d(inputs, kernels, bias) -> Tensor:
                 g = np.zeros_like(x)
                 for offset in range(width):
                     g[..., offset:offset + steps] += grad_win[..., offset]
-                _accum(inputs, g.reshape(inputs.shape))
+                _accum(inputs, g)
         out._backward = _bw
     return out
 
@@ -565,24 +565,18 @@ def _graph_product(adjacency: np.ndarray, x: np.ndarray, weights: np.ndarray,
                    out: np.ndarray | None = None, epilogue=None) -> np.ndarray:
     """``(adjacency @ x) @ weights`` over a (B, P, C_in) ``x``, a chunk of windows at a time.
 
-    Each chunk's ``adjacency @ x`` goes into one workspace of about
-    ``_WORKSPACE_BYTES``, never into a full-size array, and ``epilogue``, where
-    given, runs in place on each output chunk while it is still in cache.
-    numpy runs a batched GEMM as one GEMM per window, so the values are
-    bitwise those of the whole-batch expression.  The output is ``out`` where
-    given, which may be ``x`` itself when C_in == C_out (each chunk of x is
-    in the workspace before its rows are overwritten), else a new array.
-    Where one chunk covers the batch, or x is not 3-D, the plain expression
-    runs, with no workspace.
+    Each chunk's ``adjacency @ x`` goes into one workspace of at most the
+    batch and about ``_WORKSPACE_BYTES``, never into a full-size array, and
+    ``epilogue``, where given, runs in place on each output chunk while it
+    is still in cache.  numpy runs a batched GEMM as one GEMM per window, so
+    the values are bitwise those of the whole-batch expression.  The output
+    is ``out`` where given, which may be ``x`` itself when C_in == C_out
+    (each chunk of x is in the workspace before its rows are overwritten),
+    else a new array.
     """
-    if x.ndim != 3 or x.nbytes <= _WORKSPACE_BYTES:
-        out = np.matmul(adjacency @ x, weights, out=out)
-        if epilogue is not None:
-            epilogue(out)
-        return out
     if out is None:
         out = np.empty(x.shape[:-1] + weights.shape[-1:])
-    chunk = max(1, _WORKSPACE_BYTES // x[0].nbytes)
+    chunk = min(len(x), max(1, _WORKSPACE_BYTES // x[0].nbytes))
     workspace = np.empty((chunk,) + x.shape[1:])
     for start in range(0, len(x), chunk):
         part = out[start:start + chunk]
@@ -751,8 +745,8 @@ def _check_layers(shape: tuple, blocks: list[GraphBlock], output: GraphConv | No
     output (an input of ``shape`` for the entry block), every block's gamma
     and beta have its output width and every residual pair returns its
     input's width."""
-    if len(shape) < 2:
-        raise DimensionError(f"graph layers need a (..., P, C) input, got shape {shape}")
+    if len(shape) != 3:
+        raise DimensionError(f"graph layers need a (B, P, C) input, got shape {shape}")
     layers = list(blocks) + ([output] if output is not None else [])
     channels = shape[-1]
     for k, layer in enumerate(layers):
@@ -780,18 +774,19 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
     ``blocks`` lists the entry block, then each pair's two, so the pair
     count is ``(len(blocks) - 1) / 2``.  A block is
     ``dropout(tanh(batchnorm(adjacency @ x @ weights)))`` on its
-    predecessor's output ``x`` (h for the entry block), with x (..., P,
-    C_in), adjacency (P, P), weights (C_in, C_out), batch norm over the last
+    predecessor's output ``x`` (h for the entry block), with x (B, P, C_in),
+    adjacency (P, P), weights (C_in, C_out), batch norm over the last
     (channel) axis and dropout drawing ``mode.rng``.  A pair adds its input
     to its second block's output, and ``output``, where given, is a bare
     graph conv on the last pair's sum (the entry block's output at 0 pairs).
     Every layer's shape, gamma and beta included, is checked before any
-    running statistic moves.  Eval mode runs only off the tape: with a
-    tracked operand and grad enabled it raises ``TapeError`` before any
-    block runs, so run it under ``no_grad``.  The arithmetic, its order and
-    the dropout draws are those of the composed ``matmul``, ``batchnorm``,
-    ``tanh``, ``dropout`` and ``add`` ops (test ops, in
-    ``tests/reference_ops.py``), so values, running statistics and gradients
+    running statistic moves, so an input that is not (B, P, C) raises
+    ``DimensionError`` with the statistics untouched.  Eval mode runs only
+    off the tape: with a tracked operand and grad enabled it raises
+    ``TapeError`` before any block runs, so run it under ``no_grad``.  The
+    arithmetic, its order and the dropout draws are those of the composed
+    ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` and ``add`` ops (test
+    ops, in ``tests/reference_ops.py``), so values, running statistics and gradients
     (a pair input's two contributions included) are bit-identical to
     theirs.  On the tape (train mode) the node keeps, besides its
     operands, each block's normalized activations and, under

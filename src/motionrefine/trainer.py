@@ -314,7 +314,7 @@ def _shared_key_codes(key_net: WindowEncoder, batch: list[TrainingWindow],
             offsets.append(frames)
         frames += step
         previous = w.source
-    codes = encode_span(key_net, poses_to_channels(np.concatenate(pieces))).data
+    codes = encode_span(key_net, poses_to_channels(np.concatenate(pieces)[None])).data[0]
     return np.stack([codes[:, offset:offset + count] for offset in offsets])
 
 
@@ -485,9 +485,11 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
     """Repeatedly refine and append the predicted future until ``horizon`` frames.
 
     Eval mode throughout: batch-norm running statistics stay frozen, so
-    repeated calls are bit-identical.  In attention mode the call keeps the
-    key codes of the history so far: each pass encodes only the future_len
-    key windows the last pass's frames added and appends them.
+    repeated calls are bit-identical.  The history runs as a batch of one,
+    (1, pose_dim, frames).  In attention mode the call keeps the (1,
+    latent_dim, count) key codes of the history so far: each pass encodes
+    only the future_len key windows the last pass's frames added and appends
+    them.
     """
     if horizon < 0:
         raise ConfigurationError("horizon must be nonnegative")
@@ -498,21 +500,21 @@ def predict_autoregressive(history: PoseSequence, params: ModelParams,
             f"history of {history.frames} frames is shorter than one "
             f"query+future window {config.window}")
     basis = dct_basis(config.window)
-    channels = np.ascontiguousarray(poses_to_channels(history.coords))
+    channels = np.ascontiguousarray(poses_to_channels(history.coords[None]))
     codes = None
     with no_grad():
         for _ in range(math.ceil(horizon / config.future_len)):
             if config.attention_mode == "attention":
                 # the key span ends future_len frames before the history does
                 known = 0 if codes is None else codes.shape[-1]
-                fresh = encode_span(params.attention.key_net,
-                                    channels[:, known:channels.shape[1] - config.future_len]).data
-                codes = fresh if codes is None else np.concatenate([codes, fresh], axis=1)
+                end = channels.shape[-1] - config.future_len
+                fresh = encode_span(params.attention.key_net, channels[..., known:end]).data
+                codes = fresh if codes is None else np.concatenate([codes, fresh], axis=-1)
             out = model_forward(params, Tensor(channels), config, basis, Mode.eval(),
                                 key_codes=codes)
-            future = out.prediction.data[:, -config.future_len:]
-            channels = np.concatenate([channels, future], axis=1)
-    return PoseSequence(channels_to_poses(channels[:, history.frames:history.frames + horizon]),
+            future = out.prediction.data[..., -config.future_len:]
+            channels = np.concatenate([channels, future], axis=-1)
+    return PoseSequence(channels_to_poses(channels[0, :, history.frames:history.frames + horizon]),
                         history.frame_rate)
 
 
@@ -660,7 +662,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[12:12 + header_len].decode("utf-8"))
-    except ValueError as bad:  # UnicodeDecodeError or JSONDecodeError
+    except (ValueError, RecursionError) as bad:  # not UTF-8, not JSON, nested too deep
         raise FormatError(f"{path}: header is not UTF-8 JSON: {bad}") from None
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")

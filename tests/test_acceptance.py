@@ -107,14 +107,14 @@ def test_criterion_01_gradient_suite():
                                  latent_dim=6, rng=rng)
     glm = ref.stages[0]
     glm.output_gc.weights.data = rng.normal(scale=0.3, size=glm.output_gc.weights.shape)
-    gx = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    gx = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
     entry = glm.blocks[0]
     check(lambda: tensor_sum(graph_conv(gx, entry)),
           [gx, entry.adjacency, entry.weights])
     check(lambda: tensor_sum(graph_learning_block(
         gx, entry, Mode.train(np.random.default_rng(1)), 0.3)),
         [gx, entry.adjacency, entry.weights, entry.gamma, entry.beta])
-    mx = Tensor(rng.normal(size=(4, 6)))
+    mx = Tensor(rng.normal(size=(1, 4, 6)))
     check(lambda: tensor_sum(glm_forward(
         mx, glm, Mode.train(np.random.default_rng(2)))),
         [blk.weights for blk in glm.blocks] + [glm.output_gc.weights])
@@ -124,7 +124,7 @@ def test_criterion_01_gradient_suite():
     att_tensors = [att.query_net.first.kernels, att.query_net.second.kernels,
                    att.key_net.first.kernels, att.key_net.second.kernels,
                    att.query_net.first.bias, att.key_net.second.bias]
-    hist = Tensor(rng.normal(size=(4, 9)))
+    hist = Tensor(rng.normal(size=(1, 4, 9)))
 
     def attention_loss():
         values = summarize_history(hist, att, 3, 2).values
@@ -194,19 +194,19 @@ def test_criterion_03_attention_suite():
     rng = np.random.default_rng(2)
     params = init_attention_params(pose_dim=9, query_len=10, latent_dim=16, rng=rng)
     history = rng.normal(size=(9, 50))
-    summary = summarize_history(Tensor(history), params, 10, 10)
+    summary = summarize_history(Tensor(history[None]), params, 10, 10)
     weights = summary.attention_weights.data
-    count_ok = weights.shape == (31,)
+    count_ok = weights.shape == (1, 31)
     simplex_ok = (weights >= 0).all() and abs(weights.sum() - 1.0) < 1e-12
 
-    single = summarize_history(Tensor(rng.normal(size=(9, 20))), params, 10, 10)
-    single_ok = single.attention_weights.shape == (1,) and \
-        abs(single.attention_weights.data[0] - 1.0) < 1e-12
+    single = summarize_history(Tensor(rng.normal(size=(1, 9, 20))), params, 10, 10)
+    single_ok = single.attention_weights.shape == (1, 1) and \
+        abs(single.attention_weights.data[0, 0] - 1.0) < 1e-12
 
     windows = np.stack([history[:, i:i + 20] for i in range(31)])
     lo, hi = windows.min(axis=0), windows.max(axis=0)
-    convex_ok = (summary.values.data >= lo - 1e-9).all() and \
-        (summary.values.data <= hi + 1e-9).all()
+    convex_ok = (summary.values.data[0] >= lo - 1e-9).all() and \
+        (summary.values.data[0] <= hi + 1e-9).all()
     elapsed = time.perf_counter() - start
     ok = count_ok and simplex_ok and single_ok and convex_ok and elapsed < 5.0
     _report(3, f"attention: 31 weights, simplex within 1e-12, single-window [1], "
@@ -222,8 +222,8 @@ def test_criterion_04_residual_identity_at_init():
     basis = dct_basis(20)
     worst = 0.0
     for trial in range(3):
-        query = Tensor(rng.normal(size=(pose_dim, 10)))
-        summary = Tensor(rng.normal(size=(pose_dim, 20)))
+        query = Tensor(rng.normal(size=(1, pose_dim, 10)))
+        summary = Tensor(rng.normal(size=(1, pose_dim, 20)))
         outputs = refine(query, summary, params, basis,
                          Mode.train(np.random.default_rng(trial)))
         expected = pad_query(query, 10).data

@@ -28,23 +28,23 @@ def test_kernel_widths_match_known_config():
 def test_encode_zero_window_zero_bias_is_zero():
     rng = np.random.default_rng(0)
     params = init_attention_params(pose_dim=6, query_len=4, latent_dim=5, rng=rng)
-    out = encode(params.query_net, Tensor(np.zeros((6, 4))))
-    assert out.shape == (5,)
-    assert np.array_equal(out.data, np.zeros(5))
+    out = encode(params.query_net, Tensor(np.zeros((1, 6, 4))))
+    assert out.shape == (1, 5)
+    assert np.array_equal(out.data, np.zeros((1, 5)))
 
 
 def test_encode_output_dim_at_reference_config():
     rng = np.random.default_rng(1)
     params = init_attention_params(pose_dim=66, query_len=10, latent_dim=256, rng=rng)
-    out = encode(params.query_net, Tensor(rng.normal(size=(66, 10))))
-    assert out.shape == (256,)
+    out = encode(params.query_net, Tensor(rng.normal(size=(1, 66, 10))))
+    assert out.shape == (1, 256)
 
 
 def test_encode_wrong_window_length():
     rng = np.random.default_rng(2)
     params = init_attention_params(pose_dim=4, query_len=6, latent_dim=3, rng=rng)
     with pytest.raises(DimensionError):
-        encode(params.query_net, Tensor(np.zeros((4, 5))))
+        encode(params.query_net, Tensor(np.zeros((1, 4, 5))))
 
 
 def test_receptive_field_sees_frame_zero_only_inside_window():
@@ -53,10 +53,10 @@ def test_receptive_field_sees_frame_zero_only_inside_window():
     params = init_attention_params(pose_dim=2, query_len=10, latent_dim=3, rng=rng)
     for layer in (params.query_net.first, params.query_net.second):
         layer.kernels.data = np.abs(layer.kernels.data) + 0.05
-    window = rng.uniform(0.5, 1.0, size=(2, 10))
+    window = rng.uniform(0.5, 1.0, size=(1, 2, 10))
     base = encode(params.query_net, Tensor(window)).data
     bumped = window.copy()
-    bumped[:, 0] += 1.0
+    bumped[..., 0] += 1.0
     assert np.abs(encode(params.query_net, Tensor(bumped)).data - base).max() > 1e-9
 
 
@@ -84,63 +84,63 @@ def test_two_window_scores_three_to_one():
     history[0, 1] = 1.0                          # key window 1 score source
     history[0, frames - query_len] = 1.0         # query code = 1
     params = _constant_code_params(2, query_len, 4)
-    summary = summarize_history(Tensor(history), params, query_len, future_len)
-    assert np.allclose(summary.attention_weights.data, [0.75, 0.25], atol=1e-12)
+    summary = summarize_history(Tensor(history[None]), params, query_len, future_len)
+    assert np.allclose(summary.attention_weights.data, [[0.75, 0.25]], atol=1e-12)
     windows = np.stack([history[:, 0:5], history[:, 1:6]])
     expected = 0.75 * windows[0] + 0.25 * windows[1]
-    assert np.abs(summary.values.data - expected).max() < 1e-12
+    assert np.abs(summary.values.data[0] - expected).max() < 1e-12
     assert not summary.used_fallback
 
 
 def test_single_window_history_gives_unit_weight():
     rng = np.random.default_rng(4)
     params = init_attention_params(pose_dim=3, query_len=2, latent_dim=4, rng=rng)
-    history = rng.normal(size=(3, 5))  # frames == query+future -> one window
+    history = rng.normal(size=(1, 3, 5))  # frames == query+future -> one window
     summary = summarize_history(Tensor(history), params, 2, 3)
-    assert summary.attention_weights.shape == (1,)
+    assert summary.attention_weights.shape == (1, 1)
     if not summary.used_fallback:
-        assert abs(summary.attention_weights.data[0] - 1.0) < 1e-12
+        assert abs(summary.attention_weights.data[0, 0] - 1.0) < 1e-12
     assert np.abs(summary.values.data - history).max() < 1e-12
 
 
 def test_reference_window_count_and_simplex():
     rng = np.random.default_rng(5)
     params = init_attention_params(pose_dim=9, query_len=10, latent_dim=16, rng=rng)
-    history = rng.normal(size=(9, 50))
+    history = rng.normal(size=(1, 9, 50))
     summary = summarize_history(Tensor(history), params, 10, 10)
     weights = summary.attention_weights.data
-    assert weights.shape == (31,)
+    assert weights.shape == (1, 31)
     assert (weights >= 0).all()
     assert abs(weights.sum() - 1.0) < 1e-12
-    assert summary.values.shape == (9, 20)
+    assert summary.values.shape == (1, 9, 20)
 
 
 def test_summary_is_convex_combination():
     rng = np.random.default_rng(6)
     params = init_attention_params(pose_dim=4, query_len=3, latent_dim=8, rng=rng)
     history = rng.normal(size=(4, 14))
-    summary = summarize_history(Tensor(history), params, 3, 2)
+    summary = summarize_history(Tensor(history[None]), params, 3, 2)
     count = 14 - 5 + 1
     windows = np.stack([history[:, i:i + 5] for i in range(count)])
     lo, hi = windows.min(axis=0), windows.max(axis=0)
-    assert (summary.values.data >= lo - 1e-9).all()
-    assert (summary.values.data <= hi + 1e-9).all()
+    assert (summary.values.data[0] >= lo - 1e-9).all()
+    assert (summary.values.data[0] <= hi + 1e-9).all()
 
 
 def test_history_too_short():
     rng = np.random.default_rng(7)
     params = init_attention_params(pose_dim=3, query_len=4, latent_dim=4, rng=rng)
     with pytest.raises(DimensionError, match="history too short"):
-        summarize_history(Tensor(np.zeros((3, 6))), params, 4, 3)
+        summarize_history(Tensor(np.zeros((1, 3, 6))), params, 4, 3)
 
 
 def test_zero_scores_fall_back_to_uniform():
     params = _constant_code_params(2, 3, 4)
-    history = np.zeros((2, 8))  # every code is zero -> all scores zero
+    history = np.zeros((1, 2, 8))  # every code is zero -> all scores zero
     summary = summarize_history(Tensor(history), params, 3, 2)
     assert summary.used_fallback
     n = 8 - 5 + 1
-    assert np.allclose(summary.attention_weights.data, np.full(n, 1.0 / n), atol=1e-12)
+    assert np.allclose(summary.attention_weights.data, np.full((1, n), 1.0 / n), atol=1e-12)
     assert abs(summary.attention_weights.data.sum() - 1.0) < 1e-12
 
 
@@ -150,11 +150,11 @@ def test_uniform_fallback_gradcheck():
     params = _constant_code_params(2, 3, 4)
     for layer in (params.key_net.first, params.key_net.second):
         layer.kernels.requires_grad = True
-    other = Tensor(np.random.default_rng(17).normal(size=(1, 8)), requires_grad=True)
-    upstream = Tensor(np.random.default_rng(18).normal(size=(2, 5)))
+    other = Tensor(np.random.default_rng(17).normal(size=(1, 1, 8)), requires_grad=True)
+    upstream = Tensor(np.random.default_rng(18).normal(size=(1, 2, 5)))
 
     def build():
-        history = concat([Tensor(np.zeros((1, 8))), other], axis=0)
+        history = concat([Tensor(np.zeros((1, 1, 8))), other], axis=1)
         summary = summarize_history(history, params, 3, 2)
         assert summary.used_fallback
         return tensor_sum(summary.values * upstream)
@@ -212,38 +212,41 @@ def test_one_tiny_positive_score_takes_no_fallback():
     history[0, 2] = 1e-300                       # key window 2 scores 1e-300
     history[0, frames - query_len] = 1.0         # query code = 1
     history[1] = np.arange(frames)
-    summary = summarize_history(Tensor(history), _constant_code_params(2, query_len, 4),
+    summary = summarize_history(Tensor(history[None]), _constant_code_params(2, query_len, 4),
                                 query_len, future_len)
     weights = summary.attention_weights.data
     assert not summary.used_fallback
     assert np.isfinite(weights).all() and (weights >= 0).all()
-    assert np.array_equal(weights, np.eye(frames - query_len - future_len + 1)[2])
-    assert np.array_equal(summary.values.data, history[:, 2:7])
+    assert np.array_equal(weights, np.eye(frames - query_len - future_len + 1)[2:3])
+    assert np.array_equal(summary.values.data, history[None, :, 2:7])
 
 
 def test_shift_by_one_frame_changes_window_set():
     rng = np.random.default_rng(8)
     params = init_attention_params(pose_dim=3, query_len=3, latent_dim=4, rng=rng)
-    history = rng.normal(size=(3, 12))
+    history = rng.normal(size=(1, 3, 12))
     a = summarize_history(Tensor(history), params, 3, 2)
-    b = summarize_history(Tensor(history[:, 1:]), params, 3, 2)
-    assert a.attention_weights.shape[0] == b.attention_weights.shape[0] + 1
+    b = summarize_history(Tensor(history[..., 1:]), params, 3, 2)
+    assert a.attention_weights.shape[1] == b.attention_weights.shape[1] + 1
 
 
 def test_batched_matches_single():
+    # row b of a batch is, to the bit, row b run as a batch of one
     rng = np.random.default_rng(9)
     params = init_attention_params(pose_dim=4, query_len=3, latent_dim=6, rng=rng)
     batch = rng.normal(size=(3, 4, 11))
     batched = summarize_history(Tensor(batch), params, 3, 2)
     for i in range(3):
-        one = summarize_history(Tensor(batch[i]), params, 3, 2)
-        assert np.abs(batched.values.data[i] - one.values.data).max() < 1e-12
+        one = summarize_history(Tensor(batch[i:i + 1]), params, 3, 2)
+        assert np.array_equal(batched.values.data[i:i + 1], one.values.data)
+        assert np.array_equal(batched.attention_weights.data[i:i + 1],
+                              one.attention_weights.data)
 
 
 def test_gradients_through_summary():
     rng = np.random.default_rng(10)
     params = init_attention_params(pose_dim=6, query_len=4, latent_dim=5, rng=rng)
-    history = Tensor(rng.normal(size=(6, 14)))
+    history = Tensor(rng.normal(size=(1, 6, 14)))
     tensors = [params.query_net.first.kernels, params.query_net.first.bias,
                params.query_net.second.kernels, params.query_net.second.bias,
                params.key_net.first.kernels, params.key_net.first.bias,
@@ -261,13 +264,11 @@ def test_encode_span_columns_are_window_codes():
     net = params.key_net
     span = rng.normal(size=(2, 6, 17))
     batched = encode_span(net, Tensor(span)).data
-    single = encode_span(net, Tensor(span[1])).data
-    assert batched.shape == (2, 7, 13) and single.shape == (7, 13)
+    assert batched.shape == (2, 7, 13)
     assert batched.any()
     for i in range(13):
         window = span[..., i:i + 5]
         assert np.abs(batched[..., i] - encode(net, Tensor(window)).data).max() < 1e-12
-        assert np.abs(single[:, i] - encode(net, Tensor(window[1])).data).max() < 1e-12
 
 
 def _assert_same_summary(given, full):
@@ -277,7 +278,7 @@ def _assert_same_summary(given, full):
         assert a.shape == b.shape and np.array_equal(a, b), name
 
 
-@pytest.mark.parametrize("shape", [(6, 19), (3, 6, 19)])
+@pytest.mark.parametrize("shape", [(1, 6, 19), (3, 6, 19)])
 def test_given_key_codes_give_the_same_summary_bitwise(shape):
     rng = np.random.default_rng(15)
     params = init_attention_params(pose_dim=6, query_len=4, latent_dim=8, rng=rng)
@@ -292,9 +293,9 @@ def test_given_key_codes_give_the_same_summary_bitwise(shape):
 
 def test_given_key_codes_keep_uniform_fallback():
     params = _constant_code_params(2, 3, 4)
-    history = Tensor(np.zeros((2, 12)))
+    history = Tensor(np.zeros((1, 2, 12)))
     full = summarize_history(history, params, 3, 2)
-    codes = encode_span(params.key_net, history[:, :10])
+    codes = encode_span(params.key_net, history[..., :10])
     given = summarize_history(history, params, 3, 2, key_codes=codes)
     assert given.used_fallback
     _assert_same_summary(given, full)
@@ -309,8 +310,19 @@ def test_key_codes_that_are_not_the_history_s_are_rejected():
                 np.zeros((2, 5, 6)), np.zeros((4, 6))):
         with pytest.raises(DimensionError, match="key codes"):
             summarize_history(history, params, 3, 2, key_codes=bad)
-    with pytest.raises(DimensionError, match="key codes"):   # a prefix of a single history
-        summarize_history(history[0], params, 3, 2, key_codes=np.zeros((4, 5)))
+    with pytest.raises(DimensionError, match="key codes"):   # a batch of one's codes, unbatched
+        summarize_history(history[:1], params, 3, 2, key_codes=np.zeros((4, 6)))
+
+
+def test_unbatched_history_is_rejected():
+    rng = np.random.default_rng(21)
+    params = init_attention_params(pose_dim=3, query_len=3, latent_dim=4, rng=rng)
+    history = rng.normal(size=(3, 10))
+    for key_codes in (None, np.zeros((4, 6))):
+        with pytest.raises(DimensionError, match="batch"):
+            summarize_history(Tensor(history), params, 3, 2, key_codes=key_codes)
+    with pytest.raises(DimensionError, match="batch"):
+        encode_span(params.key_net, Tensor(history))
 
 
 def test_channel_layout_round_trip():

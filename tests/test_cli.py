@@ -52,6 +52,19 @@ def trained(corpus, tmp_path_factory):
     return out
 
 
+# nested past the interpreter's recursion limit: json.loads raises
+# RecursionError, not a ValueError
+DEEP_JSON = b"[" * 200_000
+
+
+@pytest.fixture(scope="module")
+def bad_configs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("configs")
+    (out / "utf16.json").write_bytes(b"\xff\xfe" + '{"epochs": 1}'.encode("utf-16-le"))
+    (out / "deep.json").write_bytes(DEEP_JSON)
+    return out
+
+
 # the address space a capped CLI child may map: about 250 MiB past an
 # interpreter with numpy loaded, so a run that asks for more fails at once
 # instead of claiming the host's memory
@@ -120,6 +133,10 @@ REJECTED = {
     # the corpus sequences have 40 frames, a window here 50
     "train_no_training_windows": (["train", "--data", "{data}", "--out", "run",
                                    "--set", "history_len=40"], "no training windows"),
+    "train_config_not_utf8": (["train", "--data", "{data}", "--out", "run",
+                               "--config", "{configs}/utf16.json"], "utf16.json"),
+    "train_config_nested_too_deep": (["train", "--data", "{data}", "--out", "run",
+                                      "--config", "{configs}/deep.json"], "deep.json"),
     "eval_frames_ms_nan": (["eval", "{ckpt}", "{data}", "--frames-ms", "nan"], "nan"),
     "eval_frames_ms_inf": (["eval", "{ckpt}", "{data}", "--frames-ms", "inf"], "inf"),
     "eval_frames_ms_overflowing": (["eval", "{ckpt}", "{data}", "--frames-ms", "1e308"],
@@ -154,11 +171,11 @@ REJECTED = {
 
 @pytest.mark.parametrize("case", list(REJECTED))
 def test_rejected_invocation_exits_2_with_one_error_line_and_writes_nothing(
-        corpus, trained, tmp_path, monkeypatch, capsys, case):
+        corpus, trained, bad_configs, tmp_path, monkeypatch, capsys, case):
     command, named = REJECTED[case]
     monkeypatch.chdir(tmp_path)
     paths = {"ckpt": trained / "checkpoint.mckpt", "seq": corpus / "sinusoid_000.mseq",
-             "data": corpus}
+             "data": corpus, "configs": bad_configs}
     rc = main([arg.format(**paths) for arg in command])
     err = capsys.readouterr().err
     assert rc == 2, err
@@ -396,17 +413,22 @@ def _truncated_sequence(data):
     mseq.write_bytes(mseq.read_bytes()[:-5])
 
 
+def _splice_header(data, edit):
+    """Write the checkpoint back with ``edit(its header bytes)`` as its header."""
+    ckpt = data / "checkpoint.mckpt"
+    blob = ckpt.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = edit(blob[12:12 + header_len])
+    ckpt.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                     + blob[12 + header_len:])
+
+
 def _checkpoint_header(change):
-    def edit(data):
-        ckpt = data / "checkpoint.mckpt"
-        blob = ckpt.read_bytes()
-        (header_len,) = struct.unpack("<I", blob[8:12])
-        meta = json.loads(blob[12:12 + header_len])
+    def edit(header):
+        meta = json.loads(header)
         change(meta)
-        header = json.dumps(meta).encode("utf-8")
-        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
-                         + blob[12 + header_len:])
-    return edit
+        return json.dumps(meta).encode("utf-8")
+    return lambda data: _splice_header(data, edit)
 
 
 def _checkpoint_without(field):
@@ -445,6 +467,8 @@ BAD_FILES = {
     "mckpt_joints_not_a_number": (
         _checkpoint_header(lambda meta: meta["model_config"].update(joints="four")), _predict),
     "mckpt_format1_use_summary_off": (_checkpoint_header(_format1_use_summary_off), _eval),
+    "mckpt_header_nested_too_deep": (
+        lambda data: _splice_header(data, lambda header: DEEP_JSON), _predict),
 }
 
 

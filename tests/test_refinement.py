@@ -72,8 +72,8 @@ class TestGraphLearningBlock:
             adjacency=Tensor(np.eye(4)), weights=Tensor(np.eye(6)),
             gamma=Tensor(np.ones(6)), beta=Tensor(np.zeros(6)),
             stats=RunningStats(mean=np.zeros(6), var=np.ones(6)))
-        out = graph_learning_block(Tensor(x), layer, Mode.eval())
-        assert np.abs(out.data - np.tanh(x)).max() < 1e-4
+        out = graph_learning_block(Tensor(x[None]), layer, Mode.eval())
+        assert np.abs(out.data[0] - np.tanh(x)).max() < 1e-4
 
     def test_zero_input_zero_beta_gives_zero(self):
         rng = np.random.default_rng(2)
@@ -82,9 +82,9 @@ class TestGraphLearningBlock:
             weights=Tensor(rng.normal(size=(5, 4))),
             gamma=Tensor(np.ones(4)), beta=Tensor(np.zeros(4)),
             stats=RunningStats())
-        out = graph_learning_block(Tensor(np.zeros((3, 5))), layer,
+        out = graph_learning_block(Tensor(np.zeros((1, 3, 5))), layer,
                                    Mode.train(np.random.default_rng(0)))
-        assert np.array_equal(out.data, np.zeros((3, 4)))
+        assert np.array_equal(out.data, np.zeros((1, 3, 4)))
 
     def test_adjacency_gradient_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -94,7 +94,7 @@ class TestGraphLearningBlock:
                            gamma=Tensor(np.ones(6), requires_grad=True),
                            beta=Tensor(np.zeros(6), requires_grad=True),
                            stats=RunningStats())
-        x = Tensor(rng.normal(size=(4, 6)))
+        x = Tensor(rng.normal(size=(1, 4, 6)))
 
         def build():
             return tensor_sum(graph_learning_block(
@@ -138,12 +138,13 @@ def _glm(rng, rows, channels, latent, pair_count, inner=None, dropout=DROPOUT):
     return GlmParams(blocks, output_gc, dropout)
 
 
-# (train-mode dropout rate, input shape): 2-D (P, C) and batched (B, P, C),
-# with C_in 4 to C_out 6 and then square (the backward reuses a buffer for dx)
+# (train-mode dropout rate, input shape): one window (1, P, C) and three
+# (3, P, C), with C_in 4 to C_out 6 and then square (the backward reuses a
+# buffer for dx)
 FUSED_CASES = [(rate, shape)
                for channels_in in (4, 6)
                for rate in (0.3, 0.0)
-               for shape in ((5, channels_in), (3, 5, channels_in))]
+               for shape in ((1, 5, channels_in), (3, 5, channels_in))]
 # the shapes of the dropping cases, whose outputs (30 and 90 values) pad the
 # packed keep mask, and one of 4 * 5 * 6 = 120 outputs, which does not
 DROPPING_SHAPES = [shape for rate, shape in FUSED_CASES if rate > 0] + [(4, 5, 4)]
@@ -209,11 +210,11 @@ class TestFusedGraphBlock:
     def test_single_row_gives_zero_input_gradient(self):
         rng = np.random.default_rng(32)
         layer = _tracked_layer(rng, 1, 4, 3, RunningStats())
-        g = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        g = Tensor(rng.normal(size=(1, 1, 4)), requires_grad=True)
         out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(0)),
                                    dropout_rate=0.0)
-        backward(tensor_sum(out * Tensor([[1.0, -3.0, 2.0]])))
-        assert np.array_equal(g.grad, np.zeros((1, 4)))
+        backward(tensor_sum(out * Tensor([[[1.0, -3.0, 2.0]]])))
+        assert np.array_equal(g.grad, np.zeros((1, 1, 4)))
         assert np.array_equal(layer.weights.grad, np.zeros((4, 3)))
 
     # on the tape the block keeps its normalized activations, off it it does not
@@ -224,12 +225,12 @@ class TestFusedGraphBlock:
         # in the biased 0, and the normalized value is 0, so the output is tanh(beta)
         rng = np.random.default_rng(38)
         layer = _tracked_layer(rng, 1, 4, 3, RunningStats())
-        g = Tensor(rng.normal(size=(1, 4)))
+        g = Tensor(rng.normal(size=(1, 1, 4)))
         with contextlib.nullcontext() if recording else no_grad():
             out = graph_blocks(g, [layer], Mode.train(np.random.default_rng(0)), 0.0)
         assert out.requires_grad == recording
         assert np.isfinite(out.data).all()
-        assert np.array_equal(out.data, np.tanh(layer.beta.data)[None])
+        assert np.array_equal(out.data, np.tanh(layer.beta.data)[None, None])
         assert np.array_equal(layer.stats.var, np.full(3, 0.9))
 
     def test_records_one_tape_node(self):
@@ -244,14 +245,14 @@ class TestFusedGraphBlock:
         rng = np.random.default_rng(34)
         layer = _tracked_layer(rng, 3, 4, 5, RunningStats())
         with pytest.raises(ConfigurationError):
-            graph_learning_block(Tensor(rng.normal(size=(3, 4))), layer,
+            graph_learning_block(Tensor(rng.normal(size=(1, 3, 4))), layer,
                                  Mode.train(np.random.default_rng(0)), dropout_rate=1.0)
         assert not layer.stats.initialized
 
 
 # a 7-window batch that spans several workspace chunks and ends in a partial
-# one, a single window (one chunk: the plain expression) and a 2-D input
-STREAMED_ROWS = [(7, 5), (1, 5), (5,)]
+# one, and a single window (one chunk, as small as the batch)
+STREAMED_ROWS = [(7, 5), (1, 5)]
 
 
 def _small_workspace(monkeypatch):
@@ -280,7 +281,7 @@ class TestStreamedProduct:
     # and 1 into the 6-channel ones and of 3, 3 and 1 into a 4-channel one
     @pytest.mark.parametrize("inner", [6, 4])
     @pytest.mark.parametrize("training, tracked", [(True, True), (True, False), (False, False)])
-    @pytest.mark.parametrize("rows", [(7, 6), (1, 6), (6,)])
+    @pytest.mark.parametrize("rows", [(7, 6), (1, 6)])
     def test_glm_forward_equals_composed_ops_bitwise(self, monkeypatch, rows, training,
                                                      tracked, inner):
         _small_workspace(monkeypatch)
@@ -380,7 +381,7 @@ class TestTapeMemory:
     # 120 outputs per block at (4, 5, 6) do not pad the packed masks
     @pytest.mark.parametrize("rate, shape",
                              [(rate, shape) for rate in (0.3, 0.0)
-                              for shape in ((5, 6), (3, 5, 6))] + [(0.3, (4, 5, 6))])
+                              for shape in ((1, 5, 6), (3, 5, 6))] + [(0.3, (4, 5, 6))])
     def test_module_closure_keeps_no_block_output(self, rate, shape):
         # besides its operands, the only full-size arrays are the blocks'
         # normalized activations: no block's output or tanh output, no pair's
@@ -404,7 +405,7 @@ class TestTapeMemory:
 
     # square like the model's residual blocks; without dropout (rate 0) the
     # tanh output is rebuilt from normalized too
-    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
+    @pytest.mark.parametrize("shape", [(1, 5, 6), (3, 5, 6)])
     def test_block_without_dropout_keeps_no_tanh_output(self, shape):
         _rng, layer, x = _fused_case(True, shape)
         g = Tensor(x, requires_grad=True)
@@ -595,14 +596,14 @@ def _reference_tape_per_window(config, batch):
     return (retained_bytes(loss).total - parameter_bytes) / batch
 
 
-# (train-mode dropout rate, h's leading axes, inner channels): 2-D (P, C) and
-# batched (B, P, C) h, through pairs whose inner block is square like the
-# model's and through a 3-channel one (the backward's buffers then differ in
-# shape)
+# (train-mode dropout rate, h's batch axis, inner channels): h of one window
+# (1, P, C) and of three (3, P, C), through pairs whose inner block is square
+# like the model's and through a 3-channel one (the backward's buffers then
+# differ in shape)
 MODULE_CASES = [(rate, leading, inner)
                 for inner in (5, 3)
                 for rate in (0.3, 0.0)
-                for leading in ((), (3,))]
+                for leading in ((1,), (3,))]
 
 
 class TestGlmForward:
@@ -610,9 +611,9 @@ class TestGlmForward:
         rng = np.random.default_rng(4)
         glm = init_refinement_params(pose_dim=3, window=4, stages=1, pair_count=1,
                                      latent_dim=6, rng=rng).stages[0]
-        x = rng.normal(size=(3, 8))
+        x = rng.normal(size=(1, 3, 8))
         out = glm_forward(Tensor(x), glm, Mode.train(np.random.default_rng(0)))
-        assert np.array_equal(out.data, np.zeros((3, 8)))
+        assert np.array_equal(out.data, np.zeros((1, 3, 8)))
 
     def test_reference_block_layout(self):
         rng = np.random.default_rng(5)
@@ -715,6 +716,20 @@ class TestGlmForward:
                         Mode.train(np.random.default_rng(0)))
         assert calls == [] and snapshot() == before
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_unbatched_input_raises_and_leaves_statistics_untouched(self, training):
+        # one window is a batch of one: a 2-D (P, C) input is no layout
+        blocks, output, h = _untracked_module(np.random.default_rng(47), pair_count=1)
+
+        def snapshot():
+            return [a.tobytes() for block in blocks for a in (block.stats.mean,
+                                                              block.stats.var)]
+        before = snapshot()
+        mode = Mode.train(np.random.default_rng(0)) if training else Mode.eval()
+        with no_grad(), pytest.raises(DimensionError, match="B, P, C"):
+            graph_blocks(Tensor(h.data[0]), blocks, mode, 0.3, output=output)
+        assert snapshot() == before
+
     def test_blocks_that_are_not_an_entry_block_and_pairs_raise(self):
         rng = np.random.default_rng(45)
         layers = [_tracked_layer(rng, 5, 6, 4, RunningStats()),
@@ -730,7 +745,7 @@ class TestGlmForward:
                                      latent_dim=5, rng=rng).stages[0]
         for block in glm.blocks:
             block.weights.data = rng.normal(size=block.weights.shape)
-        x = rng.normal(size=(3, 6))
+        x = rng.normal(size=(1, 3, 6))
         glm_forward(Tensor(x), glm, Mode.train(np.random.default_rng(0)))  # init stats
         with no_grad():
             one = glm_forward(Tensor(x), glm, Mode.eval())
@@ -859,8 +874,8 @@ class TestRefine:
         params = init_refinement_params(pose_dim=6, window=8, stages=3, pair_count=1,
                                         latent_dim=12, rng=rng)
         basis = dct_basis(8)
-        query = Tensor(rng.normal(size=(6, 5)))
-        summary = Tensor(rng.normal(size=(6, 8)))
+        query = Tensor(rng.normal(size=(1, 6, 5)))
+        summary = Tensor(rng.normal(size=(1, 6, 8)))
         outputs = refine(query, summary, params, basis, Mode.train(np.random.default_rng(0)))
         expected = pad_query(query, 3).data
         assert np.abs(outputs[-1].data - expected).max() < 1e-10
@@ -870,11 +885,11 @@ class TestRefine:
         for stages in (1, 2, 3, 4):
             params = init_refinement_params(pose_dim=3, window=4, stages=stages,
                                             pair_count=1, latent_dim=5, rng=rng)
-            outputs = refine(Tensor(rng.normal(size=(3, 2))),
-                             Tensor(rng.normal(size=(3, 4))), params, dct_basis(4),
+            outputs = refine(Tensor(rng.normal(size=(1, 3, 2))),
+                             Tensor(rng.normal(size=(1, 3, 4))), params, dct_basis(4),
                              Mode.train(np.random.default_rng(0)))
             assert len(outputs) == stages
-            assert all(stage.shape == (3, 4) for stage in outputs)
+            assert all(stage.shape == (1, 3, 4) for stage in outputs)
 
     # the summary and the padded query go forward once; each stage sends only
     # its prediction half back
@@ -888,7 +903,7 @@ class TestRefine:
         rng = np.random.default_rng(12)
         params = init_refinement_params(pose_dim=3, window=4, stages=stages, pair_count=1,
                                         latent_dim=5, rng=rng)
-        refine(Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 4))), params,
+        refine(Tensor(rng.normal(size=(1, 3, 2))), Tensor(rng.normal(size=(1, 3, 4))), params,
                dct_basis(4), Mode.train(rng))
         assert (calls.count("dct"), calls.count("idct")) == (2, stages)
 
@@ -899,8 +914,8 @@ class TestRefine:
         glm = params.stages[0]
         glm.output_gc.weights.data = rng.normal(size=glm.output_gc.weights.shape)
         basis = dct_basis(5)
-        query = Tensor(rng.normal(size=(4, 3)))
-        summary = Tensor(rng.normal(size=(4, 5)))
+        query = Tensor(rng.normal(size=(1, 4, 3)))
+        summary = Tensor(rng.normal(size=(1, 4, 5)))
 
         outputs = refine(query, summary, params, basis, Mode.train(np.random.default_rng(42)))
 
@@ -916,7 +931,7 @@ class TestRefine:
         params = init_refinement_params(pose_dim=3, window=4, stages=1, pair_count=0,
                                         latent_dim=5, rng=rng)
         with pytest.raises(ConfigurationError):
-            refine(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 5))), params,
+            refine(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((1, 3, 5))), params,
                    dct_basis(4), Mode.eval())
 
     def test_channel_config_mismatch(self):
@@ -924,7 +939,7 @@ class TestRefine:
         params = init_refinement_params(pose_dim=3, window=5, stages=1, pair_count=0,
                                         latent_dim=5, rng=rng)
         with pytest.raises(ConfigurationError, match="channels"):
-            refine(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4))), params,
+            refine(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((1, 3, 4))), params,
                    dct_basis(4), Mode.eval())
 
     def test_gradients_through_two_stages(self):
@@ -939,9 +954,9 @@ class TestRefine:
                 named += [block.adjacency, block.weights, block.gamma, block.beta]
             named += [glm.output_gc.adjacency, glm.output_gc.weights]
         basis = dct_basis(5)
-        query = Tensor(rng.normal(size=(6, 3)))
-        summary = Tensor(rng.normal(size=(6, 5)))
-        target = rng.normal(size=(6, 5))
+        query = Tensor(rng.normal(size=(1, 6, 3)))
+        summary = Tensor(rng.normal(size=(1, 6, 5)))
+        target = rng.normal(size=(1, 6, 5))
 
         def build():
             outputs = refine(query, summary, params, basis,

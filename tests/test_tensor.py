@@ -91,26 +91,31 @@ class TestConv1d:
     def test_zero_input_gives_bias_columns(self):
         kernels = Tensor(np.random.default_rng(1).normal(size=(3, 2, 4)))
         bias = Tensor([1.0, -2.0, 0.5])
-        out = conv1d(Tensor(np.zeros((2, 9))), kernels, bias)
-        assert out.shape == (3, 6)
+        out = conv1d(Tensor(np.zeros((1, 2, 9))), kernels, bias)
+        assert out.shape == (1, 3, 6)
         assert np.allclose(out.data, np.array([1.0, -2.0, 0.5])[:, None])
 
     def test_identity_kernel(self):
-        x = Tensor(np.arange(5.0).reshape(1, 5))
+        x = Tensor(np.arange(5.0).reshape(1, 1, 5))
         out = conv1d(x, Tensor(np.ones((1, 1, 1))), Tensor([0.0]))
         assert np.array_equal(out.data, x.data)
 
     def test_stacked_widths_six_five_collapse_length_ten_to_one(self):
-        x = Tensor(np.random.default_rng(2).normal(size=(6, 10)))
+        x = Tensor(np.random.default_rng(2).normal(size=(1, 6, 10)))
         h = conv1d(x, Tensor(np.random.default_rng(3).normal(size=(4, 6, 6))),
                    Tensor(np.zeros(4)))
         out = conv1d(h, Tensor(np.random.default_rng(4).normal(size=(4, 4, 5))),
                      Tensor(np.zeros(4)))
-        assert out.shape == (4, 1)
+        assert out.shape == (1, 4, 1)
 
     def test_too_short_input(self):
         with pytest.raises(DimensionError, match="temporal length"):
-            conv1d(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(1)))
+            conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(1)))
+
+    def test_unbatched_input_is_rejected(self):
+        kernels, bias = Tensor(np.zeros((4, 3, 2))), Tensor(np.zeros(4))
+        with pytest.raises(DimensionError, match="batch"):
+            conv1d(Tensor(np.zeros((3, 7))), kernels, bias)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
@@ -122,21 +127,17 @@ class TestConv1d:
 
 def _composed_conv1d(inputs, kernels, bias):
     """The convolution as separate tape ops, the fused node's reference."""
-    single = inputs.ndim == 2
-    if single:
-        inputs = reshape(inputs, (1,) + inputs.shape)
     batch, chans_in, length = inputs.shape
     chans_out, _, width = kernels.shape
     steps = length - width + 1
     win = reshape(transpose(sliding_windows(inputs, width), (0, 2, 1, 3)),
                   (batch, steps, chans_in * width))
     kmat = transpose(reshape(kernels, (chans_out, chans_in * width)), (1, 0))
-    out = add(transpose(matmul(win, kmat), (0, 2, 1)), reshape(bias, (1, chans_out, 1)))
-    return reshape(out, (chans_out, steps)) if single else out
+    return add(transpose(matmul(win, kmat), (0, 2, 1)), reshape(bias, (1, chans_out, 1)))
 
 
 # (input shape, kernel width, stored channel-last like a conv output fed onward)
-CONV_CASES = [((2, 3, 7), 3, False), ((3, 7), 3, False), ((2, 3, 5), 1, False),
+CONV_CASES = [((2, 3, 7), 3, False), ((1, 3, 7), 3, False), ((2, 3, 5), 1, False),
               ((2, 3, 4), 4, False), ((2, 3, 7), 3, True)]
 
 
@@ -481,7 +482,7 @@ class TestDeterminism:
     def test_identical_seeds_bitwise_identical(self):
         def run():
             rng = np.random.default_rng(42)
-            x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+            x = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
             k = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
             out = conv1d(tanh(x), k, Tensor(np.zeros(3)))
             out = dropout(out, 0.3, rng, Mode.train(rng))
@@ -537,9 +538,9 @@ class TestShapeAlgebra:
         c_in, c_out = rng.integers(1, 5, size=2)
         t = int(rng.integers(4, 10))
         w = int(rng.integers(1, t + 1))
-        assert conv1d(Tensor(np.zeros((c_in, t))),
+        assert conv1d(Tensor(np.zeros((m, c_in, t))),
                       Tensor(np.zeros((c_out, c_in, w))), Tensor(np.zeros(c_out))).shape == \
-            (c_out, t - w + 1)
+            (m, c_out, t - w + 1)
         assert sliding_windows(Tensor(np.zeros((c_in, t))), w).shape == \
             (c_in, t - w + 1, w)
 

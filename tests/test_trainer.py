@@ -445,6 +445,31 @@ class TestAutoregressive:
         with pytest.raises(DimensionError):
             predict_autoregressive(short, params, cfg, 5)
 
+    def test_each_pass_runs_a_batch_of_one(self, warm_model, monkeypatch):
+        cfg, params = warm_model
+        shapes = []
+        real = trainer_module.model_forward
+
+        def recording(params, histories, *args, **kwargs):
+            shapes.append((histories.shape, kwargs["key_codes"].shape))
+            return real(params, histories, *args, **kwargs)
+        monkeypatch.setattr(trainer_module, "model_forward", recording)
+        predict_autoregressive(self._history(cfg), params, cfg, 20)
+        # 20 - 4 - 10 + 1 = 7 key windows, then 10 more
+        assert shapes == [((1, cfg.pose_dim, 20), (1, cfg.latent_dim, 7)),
+                          ((1, cfg.pose_dim, 30), (1, cfg.latent_dim, 17))]
+
+    @pytest.mark.parametrize("mode", ["attention", "copy"])
+    def test_unbatched_history_raises_before_any_statistic_moves(self, mode):
+        # one history is a batch of one: a 2-D (pose_dim, frames) one is no layout
+        cfg = tiny_config(future_len=10, history_len=20, query_len=4, attention_mode=mode)
+        params = init_model_params(cfg, np.random.default_rng(0))
+        history = np.random.default_rng(1).normal(size=(cfg.pose_dim, cfg.history_len))
+        with pytest.raises(DimensionError):
+            model_forward(params, Tensor(history), cfg, dct_basis(cfg.window),
+                          Mode.train(np.random.default_rng(2)))
+        assert not any(stats.initialized for stats in named_running_stats(params).values())
+
     @staticmethod
     def _history(cfg):
         rng = np.random.default_rng(2)
@@ -479,14 +504,14 @@ class TestKeyCodeCache:
 
     @staticmethod
     def _uncached_passes(history, params, config, horizon):
-        channels = np.ascontiguousarray(poses_to_channels(history.coords))
+        channels = np.ascontiguousarray(poses_to_channels(history.coords[None]))
         with no_grad():
-            while channels.shape[1] < history.frames + horizon:
+            while channels.shape[-1] < history.frames + horizon:
                 out = model_forward(params, Tensor(channels), config, dct_basis(config.window),
                                     Mode.eval())
-                future = out.prediction.data[:, -config.future_len:]
-                channels = np.concatenate([channels, future], axis=1)
-        return channels[:, history.frames:history.frames + horizon]
+                future = out.prediction.data[..., -config.future_len:]
+                channels = np.concatenate([channels, future], axis=-1)
+        return channels[0, :, history.frames:history.frames + horizon]
 
     @pytest.mark.parametrize("frames", [20, 300])
     @pytest.mark.parametrize("mode", ["attention", "copy"])
@@ -539,10 +564,10 @@ class TestKeyCodeCache:
         monkeypatch.setattr(trainer_module, "model_forward", forward)
         history = PoseSequence(np.random.default_rng(4).normal(size=(30, config.joints, 3)))
         predict_autoregressive(history, params, config, 30)
-        assert [codes.shape[-1] for codes in passed] == [11, 21, 31]
+        assert [codes.shape for codes in passed] == [(1, 16, 11), (1, 16, 21), (1, 16, 31)]
         assert passed[0] is encoded[0].data
         for earlier, fresh, codes in zip(passed, encoded[1:], passed[1:]):
-            expected = np.concatenate([earlier, fresh.data], axis=1)
+            expected = np.concatenate([earlier, fresh.data], axis=-1)
             assert codes.strides == expected.strides and np.array_equal(codes, expected)
 
     @pytest.mark.parametrize("horizon", [800, 1600])
