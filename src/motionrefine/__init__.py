@@ -75,7 +75,7 @@ from .tensor import (
     RunningStats,
     Tensor,
     backward,
-    conv1d,
+    conv1d_relu,
     matmul,
     no_grad,
 )

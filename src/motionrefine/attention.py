@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .tensor import Tensor, as_tensor, concat, conv1d, matmul, relu, reshape, tensor_sum
+from .tensor import Tensor, as_tensor, concat, conv1d_relu, matmul, reshape, tensor_sum
 
 
 def poses_to_channels(poses: np.ndarray) -> np.ndarray:
@@ -109,10 +109,12 @@ def encode_span(net: WindowEncoder, span) -> Tensor:
     """(batch, pose_dim, frames) span -> (batch, latent_dim, frames - query_len + 1) codes.
 
     Both conv layers are valid-only with stride 1, so output column i is the
-    code of the query-length window that starts at frame i.
+    code of the query-length window that starts at frame i.  Each layer is
+    one ``conv1d_relu`` tape node, which keeps its input and its rectified
+    output, not the pre-activation.
     """
-    hidden = relu(conv1d(span, net.first.kernels, net.first.bias))
-    return relu(conv1d(hidden, net.second.kernels, net.second.bias))
+    hidden = conv1d_relu(span, net.first.kernels, net.first.bias)
+    return conv1d_relu(hidden, net.second.kernels, net.second.bias)
 
 
 def encode(net: WindowEncoder, window) -> Tensor:

@@ -12,12 +12,14 @@ A closure holds its operand tensors and the arrays it needs (the output
 array where ``sqrt`` and ``div`` need it), never the tensor it
 belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
-``conv1d`` holds only its operands and unfolds its input again in the
-backward; ``graph_blocks``, a whole graph learning module (entry block and
-residual pairs, each a ``GraphBlock``, and an optional ``GraphConv`` output
-conv), holds its operands and each block's normalized activations and
-recomputes ``adjacency @ x``, the tanh output and every block's and pair's
-output there.  Only train mode records it:
+``conv1d_relu``, the window encoder's rectified conv layer, holds only its
+operands and its output and unfolds its input again in the backward;
+``graph_blocks``, a whole graph learning module (entry block and residual
+pairs, each a ``GraphBlock``, and an optional ``GraphConv`` output conv),
+holds its operands, the entry block's batch statistics and each pair
+block's normalized activations, and recomputes the entry block's
+normalized activations, ``adjacency @ x``, the tanh output and every
+block's and pair's output there.  Only train mode records it:
 eval mode, whose batch norm is one fixed map from the running statistics,
 runs only under ``no_grad`` or on untracked operands.  The node builds each
 ``(adjacency @ x) @ weights`` a chunk of windows at a time through one
@@ -29,7 +31,7 @@ closure never writes into the gradient it receives, which may be shared
 with other operands.  A graph can be walked only once; rebuilding the
 forward pass resets the tape.
 
-The fused nodes take one layout, batch first: ``conv1d`` a (B, C, T)
+The fused nodes take one layout, batch first: ``conv1d_relu`` a (B, C, T)
 input and ``graph_blocks`` a (B, P, C) one.  A single window is a batch of
 one; a 2-D input raises ``DimensionError``.
 
@@ -40,6 +42,7 @@ copy.  All math is 64-bit.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -275,17 +278,6 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, nee
     return grad_a, grad_b
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = _result(np.maximum(a.data, 0.0), (a,), "relu")
-    if out.requires_grad:
-        def _bw(grad):
-            # subgradient at exactly 0 is 0
-            _accum(a, grad * (a.data > 0.0))
-        out._backward = _bw
-    return out
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     data = np.sqrt(a.data)
@@ -381,33 +373,38 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
-def conv1d(inputs, kernels, bias) -> Tensor:
-    """Valid cross-correlation along the trailing (temporal) axis, as one tape node.
+def conv1d_relu(inputs, kernels, bias) -> Tensor:
+    """Rectified valid cross-correlation along the trailing (temporal) axis,
+    ``relu(conv(x))``, as one tape node: the window encoder's layer.
 
     inputs:  (batch, channels_in, T)
     kernels: (channels_out, channels_in, width)
     bias:    (channels_out,)
     returns  (batch, channels_out, T - width + 1)
 
-    The arithmetic is that of the composed ``sliding_windows`` (a test op,
-    in ``tests/reference_ops.py``), ``transpose``, ``reshape``, ``matmul``,
-    ``transpose`` and ``add`` ops (the same GEMMs, the same fold order), so
-    outputs and gradients are bit-identical to theirs.  The windowed copy of
-    the input is built once and freed after the GEMM; the node keeps only its
-    operand tensors.  The backward unfolds the input again for the kernel
-    gradient, then writes the windows' gradient over that unfold and folds it
-    back onto the input.
+    The arithmetic is that of the composed ``conv1d`` and ``relu`` test ops
+    (in ``tests/reference_ops.py``; ``conv1d`` composes ``sliding_windows``,
+    ``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add``: the
+    same GEMMs, the same fold order), so outputs and gradients are
+    bit-identical to theirs.  The windowed copy of the input is built once
+    and freed after the GEMM, and the rectifier runs in place, so the node
+    keeps only its operand tensors and its output, never the
+    pre-activation: the rectifier's subgradient, 1 where the output is
+    positive and 0 elsewhere (at an exact-zero pre-activation too), is read
+    off the output.  The backward unfolds the input again for the kernel
+    gradient, then writes the windows' gradient over that unfold and folds
+    it back onto the input.
     """
     inputs, kernels, bias = as_tensor(inputs), as_tensor(kernels), as_tensor(bias)
     if kernels.ndim != 3:
         raise DimensionError(f"kernels must be (out, in, width), got {kernels.shape}")
     x = inputs.data
     if x.ndim != 3:
-        raise DimensionError(f"conv1d input must be (batch, channels, T), got {inputs.shape}")
+        raise DimensionError(f"conv input must be (batch, channels, T), got {inputs.shape}")
     batch, chans_in, length = x.shape
     chans_out, k_in, width = kernels.shape
     if k_in != chans_in:
-        raise DimensionError(f"conv1d channel mismatch: input {chans_in}, kernels expect {k_in}")
+        raise DimensionError(f"conv channel mismatch: input {chans_in}, kernels expect {k_in}")
     if length < width:
         raise DimensionError(f"temporal length {length} is shorter than kernel width {width}")
     if bias.shape != (chans_out,):
@@ -416,9 +413,11 @@ def conv1d(inputs, kernels, bias) -> Tensor:
     kmat = kernels.data.reshape(chans_out, chans_in * width).T    # (C_in*W, C_out)
     bshape = (1, chans_out, 1)
     data = np.transpose(_unfold(x, width) @ kmat, (0, 2, 1)) + bias.data.reshape(bshape)
-    out = _result(data, (inputs, kernels, bias), "conv1d")
+    np.maximum(data, 0.0, out=data)
+    out = _result(data, (inputs, kernels, bias), "conv1d_relu")
     if out.requires_grad:
         def _bw(grad):
+            grad = grad * (data > 0.0)
             _accum(bias, _unbroadcast(grad, bshape).reshape(chans_out))
             grad = np.transpose(grad, (0, 2, 1))                  # (B, steps, C_out)
             win = _unfold(x, width)
@@ -500,7 +499,8 @@ def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     ``x`` is left holding the normalized activations, and the batch
     statistics are folded into ``stats`` (unbiased variance).  Returns the
     affine output ``gamma * normalized + beta``, a new array, and the
-    per-channel std.
+    per-channel mean and std, from which ``_block_normalized`` rebuilds the
+    normalized activations with the same ``subtract`` and ``divide``.
     """
     pooled = tuple(range(x.ndim - 1))
     n = x.size // x.shape[-1]
@@ -513,7 +513,7 @@ def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     normalized = np.divide(x, std, out=x)
     np.multiply(gamma, normalized, out=out)
     out += beta
-    return out, std
+    return out, mu, std
 
 
 def _batchnorm_backward(g: np.ndarray, normalized: np.ndarray, gamma: np.ndarray,
@@ -613,9 +613,15 @@ def _graph_conv_backward(grad: np.ndarray, g: np.ndarray, need_g: bool, adjacenc
 
 
 class _BlockTape(NamedTuple):
-    """What a block keeps for its backward besides its operands."""
+    """What a block keeps for its backward besides its operands.
 
-    normalized: np.ndarray          # the batch-norm input, normalized per channel
+    A module's entry block keeps no ``normalized`` (None): its input is
+    narrow, so ``_block_normalized`` rebuilds them from the batch mean and
+    std.
+    """
+
+    normalized: np.ndarray | None   # the batch-norm input, normalized per channel
+    mean: np.ndarray                # the per-channel batch mean it was centred by
     std: np.ndarray                 # the per-channel std it was divided by
     keep: np.ndarray | None         # the dropout keep mask, one bit per value
 
@@ -671,8 +677,8 @@ def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tr
         out = x if overwrite and x.shape[-1] == weights.shape[-1] else None
         return _graph_product(adjacency.data, x, weights.data, out, epilogue), None
     normalized = _graph_product(adjacency.data, x, weights.data)
-    activated, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
-    tape = _BlockTape(normalized, std, None) if tracked else None
+    activated, mean, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
+    tape = _BlockTape(normalized, mean, std, None) if tracked else None
     del normalized
     np.tanh(activated, out=activated)
     if not dropping:
@@ -685,43 +691,62 @@ def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tr
     return data, tape
 
 
-def _block_tanh(tape: _BlockTape, gamma: Tensor, beta: Tensor) -> np.ndarray:
+def _block_normalized(x: np.ndarray, block: GraphBlock, tape: _BlockTape) -> np.ndarray:
+    """The block's normalized activations rebuilt bitwise from its input
+    ``x``: the forward's product on the same arrays, then
+    ``_batchnorm_forward``'s ``subtract`` and ``divide`` in place."""
+    normalized = _graph_product(block.adjacency.data, x, block.weights.data)
+    np.subtract(normalized, tape.mean, out=normalized)
+    return np.divide(normalized, tape.std, out=normalized)
+
+
+def _block_tanh(tape: _BlockTape, gamma: Tensor, beta: Tensor,
+                out: np.ndarray | None = None) -> np.ndarray:
     """The block's tanh output, rebuilt by ``_batchnorm_forward``'s affine
-    step (channels are the last axis) and the forward's tanh, in order."""
-    t = np.multiply(gamma.data, tape.normalized)
+    step (channels are the last axis) and the forward's tanh, in order, into
+    ``out`` where given (``tape.normalized`` itself may take it)."""
+    t = np.multiply(gamma.data, tape.normalized, out=out)
     t += beta.data
     return np.tanh(t, out=t)
 
 
-def _block_output(block: GraphBlock, tape: _BlockTape, rate: float) -> np.ndarray:
-    """The block's output rebuilt bitwise in one new array: its tanh output
-    times the keep mask and the scale, as the forward applied them."""
-    out = _block_tanh(tape, block.gamma, block.beta)
+def _block_output(block: GraphBlock, tape: _BlockTape, rate: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The block's output rebuilt bitwise, into ``out`` where given: its tanh
+    output times the keep mask and the scale, as the forward applied them."""
+    out = _block_tanh(tape, block.gamma, block.beta, out)
     if tape.keep is not None:
         out *= np.unpackbits(tape.keep, count=out.size).reshape(out.shape)
         out *= 1.0 / (1.0 - rate)
     return out
 
 
-def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: GraphBlock,
-                    tape: _BlockTape, rate: float):
+def _block_backward(grad_out: np.ndarray, x, need_x: bool, block: GraphBlock,
+                    tape: _BlockTape, rate: float, overwrite: bool):
     """Accumulate a block's parameter gradients for upstream ``grad_out``.
 
-    ``x`` is the block's input array; its gradient is returned, or None
-    unless ``need_x``.  The backward writes its full-size gradients over the
-    buffers it has finished with, ``tape.normalized`` among them, so it runs
-    once per tape.
+    ``x`` is the block's input array, or a function that rebuilds it into a
+    given spent buffer (None: a new array); a pair's second block passes the
+    first block's ``_block_output``, which runs once batch norm's backward
+    is done with tanh's slope, so the input and the slope are never both
+    live.  x's gradient is returned, or None unless ``need_x``.  Where
+    ``overwrite``, ``grad_out`` is the caller's to spend and takes the
+    gradient at the batch-norm output.  The backward writes its other
+    full-size gradients over the buffers it has finished with,
+    ``tape.normalized`` among them, so it runs once per tape.
     """
     adjacency, weights, gamma, beta, _stats = block
     slope = _block_tanh(tape, gamma, beta)       # tanh's slope 1 - t*t
     np.multiply(slope, slope, out=slope)
     np.subtract(1.0, slope, out=slope)
     # gradient at the batch-norm output: the dropout mask, then the slope
+    out = grad_out if overwrite else None
     if tape.keep is None:
-        grad = np.multiply(grad_out, slope)
+        grad = np.multiply(grad_out, slope, out=out)
     else:
         mask = np.unpackbits(tape.keep, count=slope.size).reshape(slope.shape)
-        grad = np.multiply(grad_out, mask)
+        grad = np.multiply(grad_out, mask, out=out)
+        del mask
         grad *= 1.0 / (1.0 - rate)
         grad *= slope
     need_mixed = adjacency.requires_grad or need_x
@@ -732,6 +757,9 @@ def _block_backward(grad_out: np.ndarray, x: np.ndarray, need_x: bool, block: Gr
     _accum(beta, dbeta)
     if dx is None:
         return None
+    if callable(x):
+        x = x(out=slope if weights.shape[0] == weights.shape[1] else None)
+    del slope
     # the spent grad takes adjacency @ x where it has x's shape, and dx,
     # once spent, x's gradient
     spent = grad if grad.shape == x.shape else None
@@ -788,22 +816,31 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
     ``matmul``, ``batchnorm``, ``tanh``, ``dropout`` and ``add`` ops (test
     ops, in ``tests/reference_ops.py``), so values, running statistics and gradients
     (a pair input's two contributions included) are bit-identical to
-    theirs.  On the tape (train mode) the node keeps, besides its
-    operands, each block's normalized activations and, under
-    dropout, its keep mask packed to one bit per value, but no block's
-    output.  The backward recomputes the rest with the forward's own ops on
-    the same arrays, so bit-identically: first, in forward order, the input
-    of every pair and of the output conv (a block's output is its tanh
-    output, ``gamma * normalized + beta`` then ``np.tanh``, times the mask
-    and the scale; a pair adds its input to it); then, walking back,
-    ``adjacency @ x`` (the same GEMM) for each weight gradient, tanh's
-    slope, and a pair's inner output, dropping each rebuilt array once its
-    step has run.  Off the tape (under ``no_grad`` or with no tracked input)
-    nothing is kept, so a block's input is the only array of its pair that
-    lives on across its forward.  Each product streams through
-    ``_graph_product``'s workspace.  In eval mode a pair's second block
-    whose C_in == C_out writes its output over its input, an array this
-    call made, so ``h`` is never written.
+    theirs.  On the tape (train mode) the node keeps, besides its operands,
+    the entry block's batch mean and std, each pair block's normalized
+    activations and, under dropout, each block's keep mask packed to one bit
+    per value, but no block's output.  The backward recomputes the rest with
+    the forward's own ops on the same arrays, so bit-identically.  First, in
+    forward order, it rebuilds the input of every pair but the first and of
+    the output conv: the entry block's output (its normalized activations
+    from h's narrow product, the mean and the std, then ``gamma *
+    normalized + beta``, ``np.tanh``, the mask and the scale), dropped once
+    the first pair's sum exists, and each pair's sum (its input plus its
+    second block's output).  Then, walking back, each block's backward
+    recomputes ``adjacency @ x`` (the same GEMM) for the weight gradient and
+    tanh's slope, rebuilds a pair's inner output into that slope's buffer
+    once batch norm's backward is done with it, and releases the block's
+    tape; the first pair rebuilds the entry block's normalized activations
+    and output again, and the entry block's backward reuses those
+    normalized activations.  So at the module backward's peak (a later
+    pair's second block) the live full-size buffers besides the tape are
+    the pair's input, its upstream gradient, the slope (then the inner
+    output) and the gradient at the batch-norm output.  Off the tape (under
+    ``no_grad`` or with no tracked input) nothing is kept, so a block's
+    input is the only array of its pair that lives on across its forward.
+    Each product streams through ``_graph_product``'s workspace.  In eval
+    mode a pair's second block whose C_in == C_out writes its output over
+    its input, an array this call made, so ``h`` is never written.
     """
     h = as_tensor(h)
     if len(blocks) % 2 == 0:
@@ -814,7 +851,7 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
     if tracked and not mode.training:
         raise TapeError("eval mode runs off the tape: call it under no_grad")
     x, tape = _block_forward(h.data, blocks[0], mode, rate, tracked, False)
-    tapes = [tape]
+    tapes = [tape and tape._replace(normalized=None)]
     for first, second in zip(blocks[1::2], blocks[2::2]):
         # x lives on for the add; the inner output is this call's to spend
         y, tape = _block_forward(x, first, mode, rate, tracked, False)
@@ -831,34 +868,59 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
         # gradient: h or an earlier block is tracked
         need = [any(t.requires_grad for t in operands[:1 + 4 * k])
                 for k in range(len(blocks) + 1)]
+        def entry_tape():
+            return tapes[0]._replace(normalized=_block_normalized(h.data, blocks[0], tapes[0]))
+
         def _bw(grad):
-            # each pair's input, then the output conv's: the entry block's
-            # output, then each pair's sum
+            # the input of each pair but the first, then the output conv's
             inputs = []
-            for k in range(0, len(blocks) if output is not None else len(blocks) - 1, 2):
-                inputs.append(_block_output(blocks[k], tapes[k], rate))
-                if k:
-                    inputs[-1] += inputs[-2]
+            if output is not None or len(blocks) > 3:
+                # the entry block's output, over its rebuilt normalized
+                # activations, which no one else holds once the first sum exists
+                tape = entry_tape()
+                x = _block_output(blocks[0], tape, rate, out=tape.normalized)
+                del tape
+                for k in range(2, len(blocks) if output is not None else len(blocks) - 2, 2):
+                    inputs.append(_block_output(blocks[k], tapes[k], rate))
+                    inputs[-1] += x
+                    x = inputs[-1]
+                if not inputs:      # no pair: the output conv takes the entry block's output
+                    inputs.append(x)
+                del x
             if output is not None:
-                grad = _graph_conv_backward(grad, inputs.pop(), need[-1], *output)
+                x = inputs.pop()    # spent once adjacency's gradient is taken: g's takes it
+                grad = _graph_conv_backward(grad, x, need[-1], *output, grad_g_out=x)
+                del x
                 if grad is None:
                     return
+            entry = None
             for k in range(len(blocks) - 1, 0, -2):     # each pair's second block
-                upstream, pair_input = grad, inputs.pop()
-                inner = _block_output(blocks[k - 1], tapes[k - 1], rate)
-                grad = _block_backward(grad, inner, need[k], blocks[k], tapes[k], rate)
-                del inner
+                upstream = grad
+                inner = functools.partial(_block_output, blocks[k - 1], tapes[k - 1], rate)
+                grad = _block_backward(grad, inner, need[k], blocks[k], tapes[k], rate,
+                                       overwrite=False)
+                tapes[k] = None
                 if grad is None:
                     return
+                if k > 2:
+                    pair_input = inputs.pop()
+                else:
+                    entry = entry_tape()
+                    pair_input = _block_output(blocks[0], entry, rate)
                 grad = _block_backward(grad, pair_input, need[k - 1], blocks[k - 1],
-                                       tapes[k - 1], rate)
+                                       tapes[k - 1], rate, overwrite=True)
+                tapes[k - 1] = None
                 if grad is None:
                     return
                 # the pair input's two contributions, summed as the composed
                 # ops sum them: the add's first
                 grad += upstream
                 del upstream, pair_input        # neither outlives its pair
-            _accum(h, _block_backward(grad, h.data, need[0], blocks[0], tapes[0], rate))
+            if entry is None:
+                entry = entry_tape()
+            # grad is this closure's own unless it is the one it received
+            _accum(h, _block_backward(grad, h.data, need[0], blocks[0], entry, rate,
+                                      overwrite=len(blocks) > 1 or output is not None))
         out._backward = _bw
     return out
 

@@ -2,14 +2,14 @@
 the per-tensor Adam recurrence ``trainer.adam_step`` matches bit for bit, and
 the pose-space round trip per stage that ``refinement.refine`` skips.
 
-``conv1d`` does the arithmetic of ``sliding_windows`` followed by
-``transpose``, ``reshape``, ``matmul``, ``transpose`` and ``add``, and
-``graph_blocks`` (a module: an entry block, residual pairs and an optional
-output conv) that of one ``matmul``, ``batchnorm``, ``tanh`` and ``dropout``
-chain per block, an ``add`` per residual pair and two ``matmul``s for the
-output conv; the tests compose these ops as the bitwise reference
-(``composed_block``, ``composed_module``).  Batch norm's channels are the
-last axis; in eval mode, which the model runs only off the tape,
+``conv1d_relu`` does the arithmetic of ``relu`` on ``conv1d``, the
+composed ``sliding_windows``, ``transpose``, ``reshape``, ``matmul``,
+``transpose`` and ``add`` ops, and ``graph_blocks`` (a module: an entry
+block, residual pairs and an optional output conv) that of one ``matmul``,
+``batchnorm``, ``tanh`` and ``dropout`` chain per block, an ``add`` per
+residual pair and two ``matmul``s for the output conv; the tests compose
+these ops as the bitwise reference (``conv1d``, ``composed_block``,
+``composed_module``).  Batch norm's channels are the last axis; in eval mode, which the model runs only off the tape,
 ``batchnorm`` is an untracked numpy expression in the order of
 ``graph_blocks``' eval epilogue.
 ``tensor_mean`` composes ``tensor_sum`` and ``mul``.
@@ -35,7 +35,9 @@ from motionrefine.tensor import (
     concat,
     matmul,
     mul,
+    reshape,
     tensor_sum,
+    transpose,
 )
 from motionrefine.transforms import dct, idct
 
@@ -60,6 +62,30 @@ def sliding_windows(a, width: int) -> Tensor:
             for offset in range(width):
                 g[..., offset:offset + steps] += grad[..., :, offset]
             _accum(a, g)
+        out._backward = _bw
+    return out
+
+
+def conv1d(inputs, kernels, bias) -> Tensor:
+    """Valid cross-correlation along the trailing axis as separate tape ops:
+    (batch, channels_in, T) inputs, (channels_out, channels_in, width)
+    kernels and a (channels_out,) bias give (batch, channels_out, T - width + 1)."""
+    batch, chans_in, length = inputs.shape
+    chans_out, _, width = kernels.shape
+    steps = length - width + 1
+    win = reshape(transpose(sliding_windows(inputs, width), (0, 2, 1, 3)),
+                  (batch, steps, chans_in * width))
+    kmat = transpose(reshape(kernels, (chans_out, chans_in * width)), (1, 0))
+    return add(transpose(matmul(win, kmat), (0, 2, 1)), reshape(bias, (1, chans_out, 1)))
+
+
+def relu(a) -> Tensor:
+    a = as_tensor(a)
+    out = _result(np.maximum(a.data, 0.0), (a,), "relu")
+    if out.requires_grad:
+        def _bw(grad):
+            # subgradient at exactly 0 is 0
+            _accum(a, grad * (a.data > 0.0))
         out._backward = _bw
     return out
 
@@ -115,7 +141,7 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode) -> Tensor:
         return Tensor(gamma.data * ((inputs.data - stats.mean) / np.sqrt(stats.var + BN_EPS))
                       + beta.data)
     normalized = inputs.data.copy()
-    data, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
+    data, _mean, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
     out = _result(data, (inputs, gamma, beta), "batchnorm")
     if out.requires_grad:
         def _bw(grad):
@@ -138,11 +164,13 @@ def composed_block(g, layer, mode: Mode, dropout_rate: float = DROPOUT) -> Tenso
 def composed_module(g, glm, mode: Mode, block=composed_block) -> Tensor:
     """``refinement.glm_forward`` as separate tape ops: ``block(x, layer,
     mode, rate)`` per block, an ``add`` per residual pair and two ``matmul``s
-    for the output conv."""
+    for the output conv, where ``glm.output_gc`` is not None."""
     h = block(g, glm.blocks[0], mode, glm.dropout)
     for pair in range((len(glm.blocks) - 1) // 2):
         inner = block(h, glm.blocks[1 + 2 * pair], mode, glm.dropout)
         h = add(block(inner, glm.blocks[2 + 2 * pair], mode, glm.dropout), h)
+    if glm.output_gc is None:
+        return h
     return matmul(matmul(glm.output_gc.adjacency, h), glm.output_gc.weights)
 
 

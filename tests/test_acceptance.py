@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from gradcheck import assert_gradients_match
-from reference_ops import batchnorm, tanh
+from reference_ops import batchnorm, relu, tanh
 from motionrefine.attention import init_attention_params, summarize_history
 from motionrefine.data import SequenceDataset, SynthSpec, extract_windows, gen_synthetic
 from motionrefine.kinematics import PoseSequence, synthetic_skeleton
@@ -39,9 +39,8 @@ from motionrefine.tensor import (
     Mode,
     RunningStats,
     Tensor,
-    conv1d,
+    conv1d_relu,
     matmul,
-    relu,
     tensor_sum,
     transpose,
 )
@@ -78,11 +77,11 @@ def test_criterion_01_gradient_suite():
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     check(lambda: tensor_sum(tanh(matmul(a, b))), [a, b])
 
-    # conv1d
+    # the window encoder's rectified conv
     x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
     k = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
     bias = Tensor(rng.normal(size=4), requires_grad=True)
-    check(lambda: tensor_sum(tanh(conv1d(x, k, bias))), [x, k, bias])
+    check(lambda: tensor_sum(tanh(conv1d_relu(x, k, bias))), [x, k, bias])
 
     # batchnorm (train mode)
     bx = Tensor(rng.normal(size=(4, 6)), requires_grad=True)

@@ -217,7 +217,7 @@ class TestFusedGraphBlock:
         assert np.array_equal(g.grad, np.zeros((1, 1, 4)))
         assert np.array_equal(layer.weights.grad, np.zeros((4, 3)))
 
-    # on the tape the block keeps its normalized activations, off it it does not
+    # on the tape the block keeps its batch mean and std, off it it does not
     @pytest.mark.parametrize("recording", [True, False])
     def test_single_row_train_is_finite_and_stats_take_the_biased_variance(self, recording):
         # batch norm over n = 1 value per channel: the batch variance is 0 and the
@@ -360,17 +360,18 @@ class TestTapeMemory:
         assert [a.shape for a in held if a.shape == g.shape and a is not g.data] == []
 
     @pytest.mark.parametrize("shape", DROPPING_SHAPES)
-    def test_dropping_block_closure_keeps_normalized_and_packed_mask(self, shape):
+    def test_dropping_entry_block_closure_keeps_statistics_and_packed_mask(self, shape):
+        # a lone block is a module's entry block: it keeps its batch mean and
+        # std, from which the backward rebuilds its normalized activations,
+        # and its keep mask, but no array of its output's shape
         _rng, layer, x = _fused_case(True, shape)
         g = Tensor(x, requires_grad=True)
         out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(5)),
                                    dropout_rate=0.3)
         held = closure_arrays(out)
         assert any(array is g.data for array in held)
-        # besides g, of the output's shape only normalized: zero-mean per channel
-        full = [a for a in held if a.shape == out.shape and a is not g.data]
-        assert len(full) == 1 and full[0].dtype == np.float64 and full[0] is not out.data
-        assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        assert [a.shape for a in _kept_besides_operands(out)] == [(6,), (6,)]
+        assert_holds_batch_statistics(held, layer, x)
         assert not any(a.dtype == bool for a in held)
         # the keep mask, one bit per output, is where the output is nonzero
         masks = [a for a in held if a.dtype == np.uint8]
@@ -382,10 +383,12 @@ class TestTapeMemory:
     @pytest.mark.parametrize("rate, shape",
                              [(rate, shape) for rate in (0.3, 0.0)
                               for shape in ((1, 5, 6), (3, 5, 6))] + [(0.3, (4, 5, 6))])
-    def test_module_closure_keeps_no_block_output(self, rate, shape):
-        # besides its operands, the only full-size arrays are the blocks'
-        # normalized activations: no block's output or tanh output, no pair's
-        # inner output or sum, nor the output
+    def test_module_closure_keeps_pair_blocks_normalized_and_entry_statistics(self, rate,
+                                                                             shape):
+        # besides its operands, the only full-size arrays are the pair
+        # blocks' normalized activations: not the entry block's, no block's
+        # output or tanh output, no pair's inner output or sum, nor the
+        # output; the entry block keeps its batch mean and std instead
         rng = np.random.default_rng(41)
         glm = _glm(rng, rows=shape[-2], channels=6, latent=6, pair_count=2, dropout=rate)
         h = Tensor(rng.normal(size=shape), requires_grad=True)
@@ -396,67 +399,45 @@ class TestTapeMemory:
         assert not any(a is out.data for a in held)
         full = [a for a in held if a.size >= out.size
                 and not any(a is operand for operand in operands)]
-        assert len(full) == len(glm.blocks) and all(a.shape == out.shape
-                                                    and a.dtype == np.float64 for a in full)
+        assert len(full) == len(glm.blocks) - 1 and all(a.shape == out.shape
+                                                        and a.dtype == np.float64 for a in full)
         for a in full:  # normalized: zero-mean per channel
             assert np.allclose(a.reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        assert_holds_batch_statistics(held, glm.blocks[0], h.data)
         masks = [a for a in held if a.dtype == np.uint8]
         assert [m.shape for m in masks] == [(-(-out.size // 8),)] * (5 if rate > 0 else 0)
 
     # square like the model's residual blocks; without dropout (rate 0) the
-    # tanh output is rebuilt from normalized too
+    # entry block keeps no mask either
     @pytest.mark.parametrize("shape", [(1, 5, 6), (3, 5, 6)])
-    def test_block_without_dropout_keeps_no_tanh_output(self, shape):
+    def test_entry_block_without_dropout_keeps_only_its_statistics(self, shape):
         _rng, layer, x = _fused_case(True, shape)
         g = Tensor(x, requires_grad=True)
         out = graph_learning_block(g, layer, Mode.train(np.random.default_rng(5)),
                                    dropout_rate=0.0)
         held = closure_arrays(out)
-        full = [a for a in held if a.shape == out.shape and a.dtype == np.float64
-                and a is not g.data]
         assert any(a is g.data for a in held)
-        # that one is normalized: zero-mean per channel
-        assert len(full) == 1 and full[0] is not out.data
-        assert np.allclose(full[0].reshape(-1, out.shape[-1]).mean(axis=0), 0.0)
+        assert [a.shape for a in _kept_besides_operands(out)] == [(6,), (6,)]
+        assert_holds_batch_statistics(held, layer, x)
         assert not any(a.dtype == np.uint8 for a in held)
 
     def test_reference_tape_stays_within_budget_per_window(self):
-        # the reference shapes at batch 2: the tape keeps about 8,500 KiB per
-        # window besides the parameters (about 11,000 KiB before recomputation)
+        # the reference shapes at batch 2: the tape keeps about 2,100 KiB per
+        # window besides the parameters (about 11,000 KiB before
+        # recomputation, 2,620 when the entry blocks kept their normalized
+        # activations and the encoder convs their pre-activations)
         config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
                              stages=3, glb_pairs=2, latent_dim=256)
-        params = init_model_params(config, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        batch = 2
-        histories = Tensor(rng.normal(size=(batch, config.pose_dim, config.history_len)))
-        out = model_forward(params, histories, config, dct_basis(config.window),
-                            Mode.train(np.random.default_rng(2)))
-        poses = transpose(out.prediction, (0, 2, 1)).reshape(
-            batch, config.window, config.joints, 3)
-        loss = loss_total(poses, Tensor(rng.normal(size=poses.shape)), None, LossConfig(),
-                          config.future_len)
-        parameter_bytes = sum(p.data.nbytes for p in named_parameters(params).values())
-        per_window = (retained_bytes(loss).total - parameter_bytes) / batch
-        assert per_window < 8_800 * 1024, per_window / 1024
+        assert _reference_tape_per_window(config, batch=2) < 2_200 * 1024
 
     def test_reference_tape_keeps_one_activation_array_per_block(self):
-        # as above; a dropping block keeps normalized and a packed mask, not
-        # the tanh output: about 6,300 KiB per window (8,500 KiB with it)
+        # as above at dropout 0, where no block keeps a mask: a pair block
+        # keeps normalized, not the tanh output, and an entry block only its
+        # batch statistics, about 2,070 KiB per window (6,300 at dropout 0.3
+        # with the tanh outputs)
         config = ModelConfig(joints=22, history_len=50, query_len=10, future_len=10,
-                             stages=3, glb_pairs=2, latent_dim=256)
-        params = init_model_params(config, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        batch = 2
-        histories = Tensor(rng.normal(size=(batch, config.pose_dim, config.history_len)))
-        out = model_forward(params, histories, config, dct_basis(config.window),
-                            Mode.train(np.random.default_rng(2)))
-        poses = transpose(out.prediction, (0, 2, 1)).reshape(
-            batch, config.window, config.joints, 3)
-        loss = loss_total(poses, Tensor(rng.normal(size=poses.shape)), None, LossConfig(),
-                          config.future_len)
-        parameter_bytes = sum(p.data.nbytes for p in named_parameters(params).values())
-        per_window = (retained_bytes(loss).total - parameter_bytes) / batch
-        assert per_window < 6_450 * 1024, per_window / 1024
+                             stages=3, glb_pairs=2, latent_dim=256, dropout=0.0)
+        assert _reference_tape_per_window(config, batch=2) < 2_200 * 1024
 
     def test_reference_tape_keeps_no_output_no_backward_reads(self):
         # as above; the residual add joins each pair's second block and the
@@ -512,6 +493,32 @@ class TestTapeMemory:
             zero_grads(named_parameters(params).values())
             backward(_reference_loss(config, params, batch))
         assert peak_traced_bytes(step) / batch < 3_700 * 1024
+
+    def test_reference_module_step_peaks_below_eight_point_two_activations(self):
+        # one train-mode module step at the reference module shapes (66 rows,
+        # 40 -> 256 channels, 2 pairs, the output conv), batch 16, forward,
+        # upstream product and backward: besides the parameter gradients the
+        # traced peak is about 7.84 (16, 66, 256) activations; 8.47 when a
+        # pair's inner output is rebuilt before batch norm's backward, beside
+        # tanh's slope; 10.96 when the entry block also kept its normalized
+        # activations and the backward held the entry block's output
+        rng = np.random.default_rng(7)
+        glm = init_refinement_params(pose_dim=66, window=20, stages=1, pair_count=2,
+                                     latent_dim=256, rng=rng).stages[0]
+        glm.output_gc.weights.data = rng.uniform(-0.1, 0.1, glm.output_gc.weights.shape)
+        tensors = [t for block in glm.blocks for t in _layer_tensors(block)] + list(glm.output_gc)
+        h = Tensor(rng.normal(size=(16, 66, 40)), requires_grad=True)
+        upstream = Tensor(rng.normal(size=h.shape))
+
+        def step():
+            zero_grads(tensors + [h])
+            out = glm_forward(h, glm, Mode.train(np.random.default_rng(1)))
+            backward(tensor_sum(out * upstream))
+
+        activation = 16 * 66 * 256 * 8
+        parameter_bytes = sum(t.data.nbytes for t in tensors)
+        peak = (peak_traced_bytes(step) - parameter_bytes) / activation
+        assert peak < 8.2, peak
 
     @pytest.mark.parametrize("dropout", [0.3, 0.0])
     def test_untracked_pair_holds_no_first_block_array_across_the_second(self, dropout):
@@ -576,6 +583,20 @@ class TestTapeMemory:
         assert peak <= 2 * activation + tensor._WORKSPACE_BYTES + 2**20, peak / activation
 
 
+def assert_holds_batch_statistics(held, layer, x):
+    """Assert that ``held`` has the per-channel batch mean and std of
+    ``layer``'s product ``adjacency @ x @ weights``."""
+    product = (layer.adjacency.data @ x @ layer.weights.data).reshape(-1, layer.gamma.shape[0])
+    for expected in (product.mean(axis=0), np.sqrt(product.var(axis=0) + tensor.BN_EPS)):
+        assert any(a.shape == expected.shape and np.allclose(a, expected) for a in held)
+
+
+def _kept_besides_operands(out):
+    """The float arrays ``out``'s closure holds that are not its operands'."""
+    return [a for a in closure_arrays(out) if a.dtype == np.float64
+            and not any(a is t.data for t in out._parents)]
+
+
 def _reference_loss(config, params, batch):
     """The train-mode loss of a model_forward over ``batch`` random windows."""
     rng = np.random.default_rng(1)
@@ -632,20 +653,25 @@ class TestGlmForward:
         # first; a pair's input feeds its first block and its add, whose
         # gradient contributions add up in the composed ops' order; at 0 pairs
         # the entry block feeds the output conv, at 2 each pair's sum feeds
-        # the next
-        for pair_count in (0, 1, 2):
+        # the next; without the output conv the last pair's sum is the output
+        # (the backward then rebuilds no input before the last pair)
+        for pair_count, with_output in [(0, True), (1, True), (2, True), (1, False),
+                                        (2, False)]:
             rng = np.random.default_rng(40)
             glm = _glm(rng, rows=6, channels=8, latent=5, pair_count=pair_count, inner=inner,
                        dropout=rate)
+            if not with_output:
+                glm.output_gc = None
             reference = copy.deepcopy(glm)
             x = rng.normal(size=leading + (6, 8))
-            upstream, weight = (Tensor(rng.normal(size=x.shape)) for _ in range(2))
+            out_shape = x.shape if with_output else leading + (6, 5)
+            upstream, weight = Tensor(rng.normal(size=out_shape)), Tensor(rng.normal(size=x.shape))
 
             def run(forward, module):
                 g = Tensor(x.copy(), requires_grad=h_tracked)
                 out = forward(g, module, Mode.train(np.random.default_rng(5)))
                 backward(tensor_sum(g * weight) + tensor_sum(out * upstream))
-                tensors = [module.output_gc.adjacency, module.output_gc.weights]
+                tensors = list(module.output_gc or ())
                 tensors += [t for layer in module.blocks for t in _layer_tensors(layer)]
                 assert (g.grad is not None) == h_tracked
                 return ([out.data, g.grad if h_tracked else x] + [t.grad for t in tensors]
@@ -653,7 +679,7 @@ class TestGlmForward:
                            for v in (layer.stats.mean, layer.stats.var)])
             for fused, composed in zip(run(glm_forward, glm), run(composed_module, reference),
                                        strict=True):
-                assert np.array_equal(fused, composed), pair_count
+                assert np.array_equal(fused, composed), (pair_count, with_output)
 
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(41)

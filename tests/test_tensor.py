@@ -17,13 +17,12 @@ from motionrefine.tensor import (
     add,
     backward,
     concat,
-    conv1d,
+    conv1d_relu,
     div,
     graph_blocks,
     matmul,
     mul,
     no_grad,
-    relu,
     reshape,
     sqrt,
     sub,
@@ -36,7 +35,7 @@ from motionrefine.losses import build_loss_weights, loss_total
 from motionrefine.model import init_model_params, model_forward, named_parameters
 from motionrefine.transforms import dct_basis
 import reference_ops
-from reference_ops import batchnorm, dropout, sliding_windows, tanh, tensor_mean
+from reference_ops import batchnorm, conv1d, dropout, relu, sliding_windows, tanh, tensor_mean
 from tape_memory import bytes_by_op, closure_arrays, retained_bytes
 
 
@@ -88,52 +87,48 @@ class TestMatmul:
 
 
 class TestConv1d:
-    def test_zero_input_gives_bias_columns(self):
+    def test_zero_input_gives_rectified_bias_columns(self):
         kernels = Tensor(np.random.default_rng(1).normal(size=(3, 2, 4)))
         bias = Tensor([1.0, -2.0, 0.5])
-        out = conv1d(Tensor(np.zeros((1, 2, 9))), kernels, bias)
+        out = conv1d_relu(Tensor(np.zeros((1, 2, 9))), kernels, bias)
         assert out.shape == (1, 3, 6)
-        assert np.allclose(out.data, np.array([1.0, -2.0, 0.5])[:, None])
+        assert np.array_equal(out.data, np.broadcast_to(np.array([1.0, 0.0, 0.5])[:, None],
+                                                        (1, 3, 6)))
 
-    def test_identity_kernel(self):
+    def test_identity_kernel_on_nonnegative_input(self):
         x = Tensor(np.arange(5.0).reshape(1, 1, 5))
-        out = conv1d(x, Tensor(np.ones((1, 1, 1))), Tensor([0.0]))
+        out = conv1d_relu(x, Tensor(np.ones((1, 1, 1))), Tensor([0.0]))
         assert np.array_equal(out.data, x.data)
 
     def test_stacked_widths_six_five_collapse_length_ten_to_one(self):
         x = Tensor(np.random.default_rng(2).normal(size=(1, 6, 10)))
-        h = conv1d(x, Tensor(np.random.default_rng(3).normal(size=(4, 6, 6))),
-                   Tensor(np.zeros(4)))
-        out = conv1d(h, Tensor(np.random.default_rng(4).normal(size=(4, 4, 5))),
-                     Tensor(np.zeros(4)))
+        h = conv1d_relu(x, Tensor(np.random.default_rng(3).normal(size=(4, 6, 6))),
+                        Tensor(np.zeros(4)))
+        out = conv1d_relu(h, Tensor(np.random.default_rng(4).normal(size=(4, 4, 5))),
+                          Tensor(np.zeros(4)))
         assert out.shape == (1, 4, 1)
 
     def test_too_short_input(self):
         with pytest.raises(DimensionError, match="temporal length"):
-            conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(1)))
+            conv1d_relu(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 4))),
+                        Tensor(np.zeros(1)))
 
     def test_unbatched_input_is_rejected(self):
         kernels, bias = Tensor(np.zeros((4, 3, 2))), Tensor(np.zeros(4))
         with pytest.raises(DimensionError, match="batch"):
-            conv1d(Tensor(np.zeros((3, 7))), kernels, bias)
+            conv1d_relu(Tensor(np.zeros((3, 7))), kernels, bias)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
         k = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
-        assert_gradients_match(lambda: tensor_sum(tanh(conv1d(x, k, b))), [x, k, b])
+        assert_gradients_match(lambda: tensor_sum(tanh(conv1d_relu(x, k, b))), [x, k, b])
 
 
-def _composed_conv1d(inputs, kernels, bias):
-    """The convolution as separate tape ops, the fused node's reference."""
-    batch, chans_in, length = inputs.shape
-    chans_out, _, width = kernels.shape
-    steps = length - width + 1
-    win = reshape(transpose(sliding_windows(inputs, width), (0, 2, 1, 3)),
-                  (batch, steps, chans_in * width))
-    kmat = transpose(reshape(kernels, (chans_out, chans_in * width)), (1, 0))
-    return add(transpose(matmul(win, kmat), (0, 2, 1)), reshape(bias, (1, chans_out, 1)))
+def _composed_conv1d_relu(inputs, kernels, bias):
+    """The rectified convolution as separate tape ops, the fused node's reference."""
+    return relu(conv1d(inputs, kernels, bias))
 
 
 # (input shape, kernel width, stored channel-last like a conv output fed onward)
@@ -149,21 +144,26 @@ def _conv_case(shape, width, channel_last):
     return rng, x, rng.normal(size=(4, shape[-2], width)), rng.normal(size=4)
 
 
+def _conv_results(conv, x, k, b, upstream, input_tracked=True):
+    """A conv's output and its input's, kernels' and bias's gradients under ``upstream``."""
+    inputs = Tensor(x, requires_grad=input_tracked)
+    kernels, bias = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+    out = conv(inputs, kernels, bias)
+    backward(tensor_sum(tanh(out) * upstream))
+    return out.data, inputs.grad, kernels.grad, bias.grad
+
+
 class TestFusedConv1d:
     @pytest.mark.parametrize("input_tracked", [True, False])
     @pytest.mark.parametrize("shape, width, channel_last", CONV_CASES)
     def test_equals_composed_chain_bitwise(self, shape, width, channel_last, input_tracked):
         rng, x, k, b = _conv_case(shape, width, channel_last)
         upstream = Tensor(rng.normal(size=shape[:-2] + (4, shape[-1] - width + 1)))
-        results = []
-        for conv in (conv1d, _composed_conv1d):
-            inputs = Tensor(x, requires_grad=input_tracked)
-            kernels, bias = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
-            out = conv(inputs, kernels, bias)
-            backward(tensor_sum(tanh(out) * upstream))
-            results.append((out.data, inputs.grad, kernels.grad, bias.grad))
-        (out, grad_x, grad_k, grad_b), (ref, ref_x, ref_k, ref_b) = results
+        (out, grad_x, grad_k, grad_b), (ref, ref_x, ref_k, ref_b) = (
+            _conv_results(conv, x, k, b, upstream, input_tracked)
+            for conv in (conv1d_relu, _composed_conv1d_relu))
         assert np.array_equal(out, ref)
+        assert (out == 0.0).any() and (out > 0.0).any()     # both sides of the rectifier
         if input_tracked:
             assert np.array_equal(grad_x, ref_x)
         else:
@@ -172,13 +172,34 @@ class TestFusedConv1d:
         assert grad_k.flags.c_contiguous      # Adam reads it in place
         assert np.array_equal(grad_b, ref_b)
 
+    def test_exact_zero_pre_activations_take_subgradient_zero(self):
+        # channel 0 has a zero kernel row and a zero bias, so every one of its
+        # pre-activations is exactly 0: its kernel and bias gradients are 0
+        # (at subgradient 1 its bias gradient would be the upstream's sum),
+        # and bitwise the composed ops'; perturbing the input leaves those
+        # zeros where they are, so its gradient has a finite-difference check
+        rng, x, k, b = _conv_case((2, 3, 7), 3, False)
+        k[0], b[0] = 0.0, 0.0
+        upstream = Tensor(rng.normal(size=(2, 4, 5)))
+        fused, composed = (_conv_results(conv, x, k, b, upstream)
+                           for conv in (conv1d_relu, _composed_conv1d_relu))
+        for a, ref in zip(fused, composed, strict=True):
+            assert np.array_equal(a, ref)
+        out, _grad_x, grad_k, grad_b = fused
+        assert np.array_equal(out[:, 0], np.zeros((2, 5)))
+        assert not grad_k[0].any() and grad_b[0] == 0.0
+        inputs = Tensor(x, requires_grad=True)
+        kernels, bias = Tensor(k), Tensor(b)
+        assert_gradients_match(
+            lambda: tensor_sum(conv1d_relu(inputs, kernels, bias) * upstream), [inputs])
+
     @pytest.mark.parametrize("shape, width, channel_last", CONV_CASES)
     def test_no_grad_equals_composed_chain_bitwise(self, shape, width, channel_last):
         _rng, x, k, b = _conv_case(shape, width, channel_last)
         args = [Tensor(a, requires_grad=True) for a in (x, k, b)]
         with no_grad():
-            out = conv1d(*args)
-            ref = _composed_conv1d(*args)
+            out = conv1d_relu(*args)
+            ref = _composed_conv1d_relu(*args)
         assert not out.requires_grad and out._parents == ()
         assert np.array_equal(out.data, ref.data)
 
@@ -187,19 +208,21 @@ class TestFusedConv1d:
         _rng, x, k, b = _conv_case((2, 3, 7), 3, False)
         inputs = Tensor(x, requires_grad=input_tracked)
         kernels, bias = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
-        out = conv1d(inputs, kernels, bias)
-        assert out._op == "conv1d"
+        out = conv1d_relu(inputs, kernels, bias)
+        assert out._op == "conv1d_relu"
         assert out._parents == ((inputs,) if input_tracked else ()) + (kernels, bias)
 
-    def test_tape_keeps_no_array_larger_than_input_and_kernels(self):
-        # the unfolded input, (2, 5, 15), is larger than both
+    def test_tape_keeps_input_and_output_not_pre_activation(self):
+        # the unfolded input, (2, 5, 15), is larger than the input and the
+        # kernels; the output, (2, 4, 5), is the only array of its shape kept
         _rng, x, k, b = _conv_case((2, 3, 9), 5, False)
         inputs, kernels, bias = (Tensor(a, requires_grad=True) for a in (x, k, b))
-        out = conv1d(inputs, kernels, bias)
-        largest = max(inputs.data.nbytes, kernels.data.nbytes)
-        for node in retained_bytes(out).nodes:
-            assert all(a.nbytes <= largest for a in closure_arrays(node)), node
-        assert retained_bytes(out).closures == x.nbytes + k.nbytes + b.nbytes
+        out = conv1d_relu(inputs, kernels, bias)
+        held = closure_arrays(out)
+        assert any(a is inputs.data for a in held) and any(a is out.data for a in held)
+        assert [a for a in held if a.shape == out.shape] == [out.data]
+        assert all(a.nbytes <= max(x.nbytes, k.nbytes) for a in held)
+        assert retained_bytes(out).closures == x.nbytes + k.nbytes + b.nbytes + out.data.nbytes
 
 
 class TestElementwise:
@@ -484,7 +507,7 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             x = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
             k = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
-            out = conv1d(tanh(x), k, Tensor(np.zeros(3)))
+            out = conv1d_relu(tanh(x), k, Tensor(np.zeros(3)))
             out = dropout(out, 0.3, rng, Mode.train(rng))
             loss = tensor_sum(out * out)
             backward(loss)
@@ -538,8 +561,8 @@ class TestShapeAlgebra:
         c_in, c_out = rng.integers(1, 5, size=2)
         t = int(rng.integers(4, 10))
         w = int(rng.integers(1, t + 1))
-        assert conv1d(Tensor(np.zeros((m, c_in, t))),
-                      Tensor(np.zeros((c_out, c_in, w))), Tensor(np.zeros(c_out))).shape == \
+        assert conv1d_relu(Tensor(np.zeros((m, c_in, t))),
+                           Tensor(np.zeros((c_out, c_in, w))), Tensor(np.zeros(c_out))).shape == \
             (m, c_out, t - w + 1)
         assert sliding_windows(Tensor(np.zeros((c_in, t))), w).shape == \
             (c_in, t - w + 1, w)
@@ -614,8 +637,9 @@ DIRECT_GRADCHECKS = {
     "concat": lambda rng: (lambda a, b: concat([a, b], axis=1),
                            [_tracked(rng, 2, 3), _tracked(rng, 2, 2)]),
     "windows": lambda rng: (lambda x: sliding_windows(x, 3), [_tracked(rng, 2, 6)]),
-    "conv1d": lambda rng: (conv1d, [_tracked(rng, 2, 3, 6), _tracked(rng, 4, 3, 3),
-                                    _tracked(rng, 4)]),
+    # both sides of the rectifier; its exact zeros are pinned in TestFusedConv1d
+    "conv1d_relu": lambda rng: (conv1d_relu, [_tracked(rng, 2, 3, 6), _tracked(rng, 4, 3, 3),
+                                              _tracked(rng, 4)]),
     "batchnorm": lambda rng: (
         lambda x, gamma, beta: batchnorm(x, gamma, beta, RunningStats(), Mode.train(None)),
         [_tracked(rng, 4, 3), _tracked(rng, 3, low=0.5, high=1.5), _tracked(rng, 3)]),
