@@ -19,10 +19,10 @@ pairs, each a ``GraphBlock``, and an optional ``GraphConv`` output conv),
 holds its operands, the entry block's batch statistics and each pair
 block's normalized activations, and recomputes the entry block's
 normalized activations, ``adjacency @ x``, the tanh output and every
-block's and pair's output there.  Only train mode records it:
-eval mode, whose batch norm is one fixed map from the running statistics,
-runs only under ``no_grad`` or on untracked operands.  The node builds each
-``(adjacency @ x) @ weights`` a chunk of windows at a time through one
+block's and pair's output there.  Only train mode records it: eval mode,
+whose batch norm is one per-channel scale and shift from the running
+statistics, runs only under ``no_grad`` or on untracked operands.  The node
+builds each ``(adjacency @ x) @ weights`` a chunk of windows at a time through one
 cache-sized workspace (``_graph_product``).  The sweep drops each
 closure, its edges and the node's gradient as soon as the closure has
 run, so the arrays a node saved and the gradients already consumed are
@@ -653,8 +653,9 @@ def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tr
     ``_BlockTape`` (else None: nothing outlives the call).  The product
     streams through ``_graph_product``'s workspace.  In eval mode, which
     runs only off the tape, each chunk of it takes batch norm's one eval
-    map, from the running statistics (subtract the mean, divide by the std,
-    multiply by gamma, add beta), and the tanh while still in cache, and
+    map, a per-channel scale and shift computed once per call from the
+    running statistics (``scale = gamma / sqrt(var + eps)``,
+    ``shift = beta - mean * scale``), and the tanh while still in cache, and
     where ``overwrite`` (x is the caller's to spend) and C_in == C_out the
     output is written over x; else it is a new array.  In train mode batch
     norm needs the whole product: it is overwritten by the normalized
@@ -666,13 +667,12 @@ def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tr
     if not mode.training:
         if not stats.initialized:
             raise StateError("eval-mode batchnorm before any training batch")
-        mean, std = stats.mean, np.sqrt(stats.var + BN_EPS)
+        scale = gamma.data / np.sqrt(stats.var + BN_EPS)
+        shift = beta.data - stats.mean * scale
 
         def epilogue(part):
-            np.subtract(part, mean, out=part)
-            np.divide(part, std, out=part)
-            np.multiply(gamma.data, part, out=part)
-            part += beta.data
+            part *= scale
+            part += shift
             np.tanh(part, out=part)
         out = x if overwrite and x.shape[-1] == weights.shape[-1] else None
         return _graph_product(adjacency.data, x, weights.data, out, epilogue), None

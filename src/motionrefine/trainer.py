@@ -727,9 +727,19 @@ def load_checkpoint(path) -> Checkpoint:
                               f"expected {shape}")
         return arrays[key]
 
+    def finite(key: str, shape: tuple) -> np.ndarray:
+        # eval batch norm divides by sqrt(var + eps): a non-finite value or a
+        # negative variance would turn every output into NaN or inf
+        values = array(key, shape)
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: array {key} holds a non-finite value")
+        if key.endswith(".var") and (values < 0).any():
+            raise FormatError(f"{path}: array {key} holds a negative variance")
+        return values
+
     for name, tensor in named.items():
         shape = tensor.data.shape
-        tensor.data[...] = array(f"param.{name}", shape)
+        tensor.data[...] = finite(f"param.{name}", shape)
         adam.m[name][...] = array(f"adam.m.{name}", shape)
         adam.v[name][...] = array(f"adam.v.{name}", shape)
     # the arrays are read-only views of the file's bytes: parameters and moments
@@ -738,8 +748,9 @@ def load_checkpoint(path) -> Checkpoint:
     for name, stats in named_running_stats(params).items():
         mean_key = f"stats.{name}.mean"
         if mean_key in arrays:
-            stats.mean = arrays[mean_key].copy()
-            stats.var = array(f"stats.{name}.var", stats.mean.shape).copy()
+            channels = named[f"{name}.gamma"].shape
+            stats.mean = finite(mean_key, channels).copy()
+            stats.var = finite(f"stats.{name}.var", channels).copy()
     adam.step = header["adam_step"]
     rng = np.random.default_rng(0)
     try:

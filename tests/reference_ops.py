@@ -9,9 +9,12 @@ block, residual pairs and an optional output conv) that of one ``matmul``,
 ``batchnorm``, ``tanh`` and ``dropout`` chain per block, an ``add`` per
 residual pair and two ``matmul``s for the output conv; the tests compose
 these ops as the bitwise reference (``conv1d``, ``composed_block``,
-``composed_module``).  Batch norm's channels are the last axis; in eval mode, which the model runs only off the tape,
-``batchnorm`` is an untracked numpy expression in the order of
-``graph_blocks``' eval epilogue.
+``composed_module``).  Batch norm's channels are the last axis; in eval
+mode, which the model runs only off the tape, ``batchnorm`` is an untracked
+numpy expression in the order of ``graph_blocks``' eval epilogue: one
+per-channel scale and shift from the running statistics.  Eval records and
+predictions made before that map replaced the textbook
+``gamma * (x - mean) / std + beta`` differ from today's in the last bits.
 ``tensor_mean`` composes ``tensor_sum`` and ``mul``.
 """
 import numpy as np
@@ -129,17 +132,21 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode) -> Tensor:
     Train mode uses batch statistics and folds them into ``stats`` with the
     momentum ``BN_MOMENTUM`` (unbiased variance, like the usual convention);
     the op is one tape node with the closed-form gradient.  Eval mode is the
-    fixed map from the running statistics in the order of ``graph_blocks``'
-    eval epilogue (subtract the mean, divide by the std, multiply by gamma,
-    add beta), off the tape like the model's eval mode.
+    fixed map from the running statistics as ``graph_blocks``' eval epilogue
+    computes it, one per-channel scale and shift
+    (``scale = gamma / sqrt(var + eps)``, ``shift = beta - mean * scale``,
+    then ``x * scale + shift``), off the tape like the model's eval mode.
+    It agrees with the textbook ``gamma * (x - mean) / std + beta`` to
+    within rounding, so eval outputs from before this map differ in the
+    last bits.
     """
     inputs = as_tensor(inputs)
     gamma = as_tensor(gamma)
     beta = as_tensor(beta)
     _check_affine(gamma, beta, inputs.shape[-1])
     if not mode.training:
-        return Tensor(gamma.data * ((inputs.data - stats.mean) / np.sqrt(stats.var + BN_EPS))
-                      + beta.data)
+        scale = gamma.data / np.sqrt(stats.var + BN_EPS)
+        return Tensor(inputs.data * scale + (beta.data - stats.mean * scale))
     normalized = inputs.data.copy()
     data, _mean, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
     out = _result(data, (inputs, gamma, beta), "batchnorm")

@@ -16,8 +16,13 @@ from motionrefine import cli
 from motionrefine.cli import _apply_ablation, build_parser, main, resolve_config
 from motionrefine.data import SynthSpec, load_dataset, load_sequence
 from motionrefine.errors import ConfigurationError
-from motionrefine.model import ModelConfig
-from motionrefine.trainer import frames_from_milliseconds, load_checkpoint, prediction_bytes
+from motionrefine.model import ModelConfig, named_parameters, named_running_stats
+from motionrefine.trainer import (
+    frames_from_milliseconds,
+    load_checkpoint,
+    prediction_bytes,
+    save_checkpoint,
+)
 
 
 TINY_MODEL = ["--set", "history_len=14", "--set", "query_len=4", "--set", "future_len=4",
@@ -435,6 +440,27 @@ def _checkpoint_without(field):
     return _checkpoint_header(lambda meta: meta.pop(field))
 
 
+def _resaved_checkpoint(change):
+    """Load the checkpoint, ``change(its params)`` and save it again, so its
+    payload hash is valid."""
+    def corrupt(data):
+        path = data / "checkpoint.mckpt"
+        ckpt = load_checkpoint(path)
+        change(ckpt.params)
+        save_checkpoint(path, ckpt.params, ckpt.adam, ckpt.rng, ckpt.epoch, ckpt.model_config,
+                        ckpt.loss_config, ckpt.optimizer_config, ckpt.replay_settings,
+                        ckpt.skeleton)
+    return corrupt
+
+
+def _negative_running_variance(params):
+    next(iter(named_running_stats(params).values())).var[3] = -1.0
+
+
+def _nan_parameter(params):
+    named_parameters(params)["refine.stage0.block1.weights"].data[2, 5] = np.nan
+
+
 def _train_dry_run(data):
     return ["train", "--data", str(data), "--dry-run", *TINY_MODEL]
 
@@ -446,7 +472,8 @@ def _format1_use_summary_off(meta):
 
 
 def _eval(data):
-    return ["eval", str(data / "checkpoint.mckpt"), str(data), "--out", str(data / "eval")]
+    return ["eval", str(data / "checkpoint.mckpt"), str(data), "--frames-ms", "40,160",
+            "--out", str(data / "eval")]
 
 
 def _predict(data):
@@ -469,6 +496,12 @@ BAD_FILES = {
     "mckpt_format1_use_summary_off": (_checkpoint_header(_format1_use_summary_off), _eval),
     "mckpt_header_nested_too_deep": (
         lambda data: _splice_header(data, lambda header: DEEP_JSON), _predict),
+    "mckpt_negative_running_variance_eval": (
+        _resaved_checkpoint(_negative_running_variance), _eval),
+    "mckpt_negative_running_variance_predict": (
+        _resaved_checkpoint(_negative_running_variance), _predict),
+    "mckpt_nan_parameter_eval": (_resaved_checkpoint(_nan_parameter), _eval),
+    "mckpt_nan_parameter_predict": (_resaved_checkpoint(_nan_parameter), _predict),
 }
 
 

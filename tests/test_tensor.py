@@ -323,8 +323,9 @@ def _op_chain_batchnorm(inputs, gamma, beta, stats, mode):
         normalized = centered / sqrt(var + BN_EPS)
         n = inputs.size // inputs.shape[-1]
         stats.update(mu.data, var.data * (n / (n - 1)) if n > 1 else var.data)
-    else:
-        normalized = (inputs - Tensor(stats.mean)) / Tensor(np.sqrt(stats.var + BN_EPS))
+    else:  # the per-channel scale and shift of the eval map
+        scale = gamma / Tensor(np.sqrt(stats.var + BN_EPS))
+        return inputs * scale + (beta - Tensor(stats.mean) * scale)
     return gamma * normalized + beta
 
 

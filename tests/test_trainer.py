@@ -740,6 +740,48 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"missing array {missing}"):
             load_checkpoint(path)
 
+    # (array, value written over its first entry): a parameter and a running
+    # mean that are not finite, and running variances below 0
+    @pytest.mark.parametrize("key, value", [
+        ("param.refine.stage0.block1.weights", np.nan),
+        ("stats.refine.stage1.block0.mean", np.inf),
+        ("stats.refine.stage0.block2.var", -np.inf),
+        ("stats.refine.stage0.block0.var", -1.0),
+    ])
+    def test_invalid_value_raises_format_error_naming_the_array(self, checkpoint_bytes,
+                                                                tmp_path, key, value):
+        magic, header, payload = self._split(checkpoint_bytes)
+        meta = json.loads(header)
+        offset = 0
+        for entry in meta["arrays"]:
+            if entry["name"] == key:
+                break
+            offset += 8 * int(np.prod(entry["shape"]))
+        payload = payload[:offset] + struct.pack("<d", value) + payload[offset + 8:]
+        meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        header = json.dumps(meta).encode("utf-8")
+        path = tmp_path / "bad.mckpt"
+        path.write_bytes(magic + struct.pack("<I", len(header)) + header + payload)
+        problem = "negative variance" if value == -1.0 else "non-finite value"
+        with pytest.raises(FormatError, match=f"array {key} holds a {problem}"):
+            load_checkpoint(path)
+
+    # a width-1 pair broadcasts over every channel, a width-2 one over none
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_running_statistics_of_another_width_raise_format_error(self, checkpoint_bytes,
+                                                                    tmp_path, width):
+        path = tmp_path / "bad.mckpt"
+        path.write_bytes(checkpoint_bytes)
+        ckpt = load_checkpoint(path)
+        stats = named_running_stats(ckpt.params)["refine.stage1.block2"]
+        stats.mean, stats.var = stats.mean[:width], stats.var[:width]
+        save_checkpoint(path, ckpt.params, ckpt.adam, ckpt.rng, ckpt.epoch, ckpt.model_config,
+                        ckpt.loss_config, ckpt.optimizer_config, ckpt.replay_settings,
+                        ckpt.skeleton)
+        with pytest.raises(FormatError, match=rf"array stats.refine.stage1.block2.mean has "
+                                              rf"shape \({width},\), expected \(12,\)"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("field", CKPT_HEADER_FIELDS)
     def test_missing_header_field_raises_format_error(self, checkpoint_bytes, tmp_path,
                                                       field):
@@ -961,6 +1003,16 @@ class TestWindowErrors:
                   for batch_size in (len(windows), 1, 7, 50, 64)]
         assert all(abs(loss - losses[0]) <= 1e-12 * abs(losses[0]) for loss in losses)
 
+    def test_reference_record_does_not_depend_on_the_batch_size(self):
+        # the eval_ref bench corpus's shape: 4 sequences of 91 frames, 128 windows,
+        # two batches of 64 or 128 of one
+        config = ModelConfig(joints=22)
+        dataset = _humanoid_corpus(3, 91)
+        params = _warm_model(config, 3, extract_windows(dataset, config.history_len,
+                                                        config.future_len))
+        one, full = (evaluate(dataset, params, config, [40, 200, 400], per_stage=True,
+                              batch_size=batch_size) for batch_size in (1, 64))
+        assert one == full
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_a_configuration_error(self, model, batch_size):
@@ -970,6 +1022,15 @@ class TestWindowErrors:
                      lambda: evaluate(dataset, params, config, [40], batch_size=batch_size)):
             with pytest.raises(ConfigurationError, match="batch_size"):
                 call()
+
+
+def _humanoid_corpus(seed, frames):
+    """Four seeded synthetic sequences of ``frames`` frames on the 22-joint humanoid."""
+    skeleton = default_humanoid_skeleton()
+    rng = np.random.default_rng(seed)
+    return SequenceDataset(skeleton, [gen_synthetic(skeleton, SynthSpec(
+        kind=SYNTH_KINDS[i % 3], amplitude=rng.uniform(50.0, 150.0),
+        period=rng.uniform(12.0, 32.0), frames=frames, seed=seed + i)) for i in range(4)])
 
 
 def _warm_model(config, seed, windows):
@@ -1004,14 +1065,10 @@ class TestSharedKeyCodes:
     def test_reference_config_equals_per_window_pass_bitwise(self, monkeypatch, frames,
                                                              seed, stride):
         config = ModelConfig(joints=22)
-        skeleton = default_humanoid_skeleton()
-        rng = np.random.default_rng(seed)
-        dataset = SequenceDataset(skeleton, [gen_synthetic(skeleton, SynthSpec(
-            kind=SYNTH_KINDS[i % 3], amplitude=rng.uniform(50.0, 150.0),
-            period=rng.uniform(12.0, 32.0), frames=frames, seed=seed + i)) for i in range(4)])
+        dataset = _humanoid_corpus(seed, frames)
         windows = extract_windows(dataset, config.history_len, config.future_len, stride)
         params = _warm_model(config, seed, windows)
-        weights = build_loss_weights(skeleton, config.query_len, config.future_len,
+        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
                                      LossConfig())
         # 64 and 32 mix sequences in one batch, 7 splits runs across batch edges
         for batch_size in (64, 32, 7):
