@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .tensor import Tensor, as_tensor, concat, conv1d_relu, matmul, reshape, tensor_sum
+from .tensor import Tensor, as_tensor, conv1d_relu, matmul, reshape, tensor_sum, value_windows
 
 
 def poses_to_channels(poses: np.ndarray) -> np.ndarray:
@@ -166,9 +166,5 @@ def summarize_history(history, params: AttentionParams, query_len: int,
     zero_rows = denom.data == 0.0
     weights = scores / (denom + Tensor(zero_rows)) + Tensor(zero_rows / count)
 
-    # value window i is history[..., i:i+window], so summary frame t is the
-    # weighted sum of the frames history[..., t:t+count]
-    column = reshape(weights, (batch, count, 1))
-    summary = concat([matmul(history[:, :, t:t + count], column)
-                      for t in range(window)], axis=2)                # (B, P, L+F)
+    summary = value_windows(history, weights)                         # (B, P, L+F)
     return MotionSummary(summary, weights, bool(zero_rows.any()))

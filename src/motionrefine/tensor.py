@@ -14,8 +14,10 @@ belongs to, so a graph holds no reference cycle: reference counting
 frees it with its last tensor, swept or not.  The fused nodes keep less:
 ``conv1d_relu``, the window encoder's rectified conv layer, holds only its
 operands and its output and unfolds its input again in the backward;
-``graph_blocks``, a whole graph learning module (entry block and residual
-pairs, each a ``GraphBlock``, and an optional ``GraphConv`` output conv),
+``value_windows``, motion attention's score-weighted sum of every value
+window of a history, holds only its operands; ``graph_blocks``, a whole
+graph learning module (entry block and residual pairs, each a
+``GraphBlock``, and an optional ``GraphConv`` output conv),
 holds its operands, the entry block's batch statistics and each pair
 block's normalized activations, and recomputes the entry block's
 normalized activations, ``adjacency @ x``, the tanh output and every
@@ -32,7 +34,8 @@ with other operands.  A graph can be walked only once; rebuilding the
 forward pass resets the tape.
 
 The fused nodes take one layout, batch first: ``conv1d_relu`` a (B, C, T)
-input and ``graph_blocks`` a (B, P, C) one.  A single window is a batch of
+input, ``value_windows`` a (B, P, T) history and ``graph_blocks`` a
+(B, P, C) input.  A single window is a batch of
 one; a 2-D input raises ``DimensionError``.
 
 Tensors are immutable once created: no op writes into an operand's
@@ -373,6 +376,53 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
+def value_windows(history, weights) -> Tensor:
+    """The weighted sum of every value window of a history, as one tape node:
+    motion attention's summary.
+
+    history: (batch, P, frames)
+    weights: (batch, count), count <= frames
+    returns  (batch, P, window), window = frames - count + 1
+
+    Value window i is ``history[..., i:i + window]``, so summary frame t is
+    ``history[..., t:t + count] @ weights``, row by row.  The arithmetic is
+    that of the composed form, a ``take`` and a ``matmul`` per frame and
+    one ``concat`` (``value_windows`` in ``tests/reference_ops.py``): the
+    same per-frame GEMM on the same views, and the weights' gradient summed
+    over t from 0 upward, the order in which the sweep reached the composed
+    nodes.  So outputs and gradients are bit-identical to theirs.  The
+    history's gradient is built only when the history is tracked.
+    """
+    history, weights = as_tensor(history), as_tensor(weights)
+    if history.ndim != 3 or weights.ndim != 2 or weights.shape[0] != history.shape[0]:
+        raise DimensionError(f"value windows need a (batch, P, frames) history and (batch, "
+                             f"count) weights, got {history.shape} and {weights.shape}")
+    batch, _, frames = history.shape
+    count = weights.shape[1]
+    window = frames - count + 1
+    if window < 1:
+        raise DimensionError(f"{count} weights for a history of {frames} frames")
+    h = history.data
+    column = weights.data.reshape(batch, count, 1)
+    data = np.concatenate([h[:, :, t:t + count] @ column for t in range(window)], axis=2)
+    out = _result(data, (history, weights), "value_windows")
+    if out.requires_grad:
+        def _bw(grad):
+            if weights.requires_grad:
+                grad_w = functools.reduce(np.add, (
+                    np.matmul(np.swapaxes(h[:, :, t:t + count], -1, -2), grad[:, :, t:t + 1])
+                    for t in range(window)))
+                _accum(weights, grad_w.reshape(batch, count))
+            if history.requires_grad:
+                row = np.swapaxes(column, -1, -2)
+                g = np.zeros_like(h)
+                for t in range(window):
+                    g[:, :, t:t + count] += np.matmul(grad[:, :, t:t + 1], row)
+                _accum(history, g)
+        out._backward = _bw
+    return out
+
+
 def conv1d_relu(inputs, kernels, bias) -> Tensor:
     """Rectified valid cross-correlation along the trailing (temporal) axis,
     ``relu(conv(x))``, as one tape node: the window encoder's layer.
@@ -438,12 +488,14 @@ def conv1d_relu(inputs, kernels, bias) -> Tensor:
 
 
 def _unfold(x: np.ndarray, width: int) -> np.ndarray:
-    """(B, C_in, T) -> a new (B, T - width + 1, C_in * width) array of its windows."""
+    """(B, C_in, T) -> a new (B, T - width + 1, C_in * width) array of its
+    windows, one slice copy of the input per kernel offset."""
     batch, chans_in, length = x.shape
     steps = length - width + 1
     windows = np.empty((batch, steps, chans_in, width))
-    view = np.lib.stride_tricks.sliding_window_view(x, width, axis=-1)
-    windows[...] = view.transpose(0, 2, 1, 3)
+    frames = x.transpose(0, 2, 1)
+    for offset in range(width):
+        windows[..., offset] = frames[:, offset:offset + steps]
     return windows.reshape(batch, steps, chans_in * width)
 
 

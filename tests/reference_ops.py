@@ -9,10 +9,15 @@ block, residual pairs and an optional output conv) that of one ``matmul``,
 ``batchnorm``, ``tanh`` and ``dropout`` chain per block, an ``add`` per
 residual pair and two ``matmul``s for the output conv; the tests compose
 these ops as the bitwise reference (``conv1d``, ``composed_block``,
-``composed_module``).  Batch norm's channels are the last axis; in eval
-mode, which the model runs only off the tape, ``batchnorm`` is an untracked
-numpy expression in the order of ``graph_blocks``' eval epilogue: one
-per-channel scale and shift from the running statistics.  Eval records and
+``composed_module``).  The ``value_windows`` node, motion attention's
+summary, does the arithmetic of a ``take`` and a ``matmul`` per summary
+frame and one ``concat``, composed here as ``value_windows``, and
+``conv1d_relu``'s window copy (``tensor._unfold``) gives the bits of one
+copy of numpy's ``sliding_window_view`` (``unfold``).  Batch norm's
+channels are the last axis; in eval mode, which the model runs only off
+the tape, ``batchnorm`` is an untracked numpy expression in the order of
+``graph_blocks``' eval epilogue: one per-channel scale and shift from the
+running statistics.  Eval records and
 predictions made before that map replaced the textbook
 ``gamma * (x - mean) / std + beta`` differ from today's in the last bits.
 ``tensor_mean`` composes ``tensor_sum`` and ``mul``.
@@ -67,6 +72,29 @@ def sliding_windows(a, width: int) -> Tensor:
             _accum(a, g)
         out._backward = _bw
     return out
+
+
+def unfold(x: np.ndarray, width: int) -> np.ndarray:
+    """``tensor._unfold`` as one copy of numpy's ``sliding_window_view``:
+    (B, C_in, T) -> a new (B, T - width + 1, C_in * width) array."""
+    batch, chans_in, length = x.shape
+    steps = length - width + 1
+    windows = np.empty((batch, steps, chans_in, width))
+    view = np.lib.stride_tricks.sliding_window_view(x, width, axis=-1)
+    windows[...] = view.transpose(0, 2, 1, 3)
+    return windows.reshape(batch, steps, chans_in * width)
+
+
+def value_windows(history, weights) -> Tensor:
+    """Motion attention's summary as separate tape ops: value window i is
+    ``history[..., i:i + window]``, so summary frame t is the ``take`` of the
+    frames ``history[..., t:t + count]`` times the weights as a column, and
+    one ``concat`` joins the frames."""
+    history, weights = as_tensor(history), as_tensor(weights)
+    batch, count = weights.shape
+    column = reshape(weights, (batch, count, 1))
+    return concat([matmul(history[:, :, t:t + count], column)
+                   for t in range(history.shape[-1] - count + 1)], axis=2)
 
 
 def conv1d(inputs, kernels, bias) -> Tensor:

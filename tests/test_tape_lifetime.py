@@ -1,4 +1,5 @@
-"""The tape frees itself: no reference cycles, nothing held after a sweep."""
+"""The tape stays small and frees itself: no reference cycles, nothing held
+after a sweep."""
 import gc
 import tracemalloc
 import weakref
@@ -6,7 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from motionrefine import LossConfig, trainer
+from motionrefine import LossConfig, extract_windows, trainer
+from motionrefine.attention import channels_to_poses
+from motionrefine.losses import build_loss_weights, loss_total
 from motionrefine.model import ModelConfig, init_model_params, model_forward
 from motionrefine.tensor import Mode, Tensor, backward, tensor_sum
 from motionrefine.trainer import OptimizerConfig, TrainSettings, train
@@ -41,6 +44,22 @@ def _watch_module_output(loss):
     """A weakref to the .data of a graph learning module's output on ``loss``'s tape."""
     module = next(node for node in retained_bytes(loss).nodes if node._op == "graph_blocks")
     return weakref.ref(module.data)
+
+
+def test_training_step_tape_node_count(overfit_fixture):
+    # one train-mode step of batch 4 at the small config, leaves included: the
+    # attention summary is one value_windows node, not a take and a matmul
+    # per summary frame and a concat (87 nodes)
+    dataset, config = overfit_fixture
+    windows = extract_windows(dataset, config.history_len, config.future_len)[:4]
+    params = init_model_params(config, np.random.default_rng(0))
+    out, truth = trainer._forward_batch(params, config, dct_basis(config.window), windows,
+                                        Mode.train(np.random.default_rng(1)))
+    weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
+                                 LossConfig())
+    loss = loss_total(channels_to_poses(out.prediction), Tensor(truth), weights, LossConfig(),
+                      config.future_len)
+    assert len(retained_bytes(loss).nodes) <= 76
 
 
 def test_sweep_leaves_no_closure_held_bytes():

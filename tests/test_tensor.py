@@ -29,8 +29,10 @@ from motionrefine.tensor import (
     take,
     tensor_sum,
     transpose,
+    value_windows,
 )
 from motionrefine import LossConfig, extract_windows
+from motionrefine.attention import poses_to_channels
 from motionrefine.losses import build_loss_weights, loss_total
 from motionrefine.model import init_model_params, model_forward, named_parameters
 from motionrefine.transforms import dct_basis
@@ -223,6 +225,70 @@ class TestFusedConv1d:
         assert [a for a in held if a.shape == out.shape] == [out.data]
         assert all(a.nbytes <= max(x.nbytes, k.nbytes) for a in held)
         assert retained_bytes(out).closures == x.nbytes + k.nbytes + b.nbytes + out.data.nbytes
+
+
+def _summary_results(summary, history, weights, upstream, history_tracked=True):
+    """A summary and its history's and weights' gradients under ``upstream``."""
+    history = Tensor(history, requires_grad=history_tracked)
+    weights = Tensor(weights, requires_grad=True)
+    out = summary(history, weights)
+    backward(tensor_sum(out * upstream))
+    return out.data, history.grad, weights.grad
+
+
+class TestValueWindows:
+    # (batch, P, window, count): the small config's and the reference config's
+    @pytest.mark.parametrize("history_tracked", [True, False])
+    @pytest.mark.parametrize("batch, dims, window, count", [(4, 12, 10, 11), (32, 66, 20, 31)])
+    def test_equals_composed_form_bitwise(self, batch, dims, window, count, history_tracked):
+        rng = np.random.default_rng(41)
+        history = rng.normal(size=(batch, dims, window + count - 1))
+        weights = rng.dirichlet(np.ones(count), size=batch)
+        upstream = Tensor(rng.normal(size=(batch, dims, window)))
+        (out, grad_h, grad_w), (ref, ref_h, ref_w) = (
+            _summary_results(summary, history, weights, upstream, history_tracked)
+            for summary in (value_windows, reference_ops.value_windows))
+        assert out.shape == (batch, dims, window)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(grad_w, ref_w)
+        if history_tracked:
+            assert np.array_equal(grad_h, ref_h)
+        else:
+            assert grad_h is None and ref_h is None
+
+    def test_records_one_tape_node(self):
+        history = Tensor(np.ones((2, 3, 6)))
+        weights = Tensor(np.full((2, 4), 0.25), requires_grad=True)
+        out = value_windows(history, weights)
+        assert out._op == "value_windows" and out._parents == (weights,)
+        assert np.array_equal(out.data, np.ones((2, 3, 3)))
+
+    @pytest.mark.parametrize("history_shape, weights_shape",
+                             [((3, 6), (2, 4)), ((2, 3, 6), (4,)), ((2, 3, 6), (1, 4)),
+                              ((2, 3, 6), (2, 7))])
+    def test_bad_shapes_raise(self, history_shape, weights_shape):
+        with pytest.raises(DimensionError):
+            value_windows(np.zeros(history_shape), np.zeros(weights_shape))
+
+
+def _unfold_inputs(batch, width):
+    """Three layouts a conv input takes: contiguous, a frame slice (the key
+    span) and the channel view of poses."""
+    rng = np.random.default_rng(42)
+    contiguous = rng.normal(size=(batch, 5, width + 6))
+    key_span = rng.normal(size=(batch, 5, width + 9))[:, :, :width + 6]
+    poses = poses_to_channels(rng.normal(size=(batch, width + 6, 4, 3)))
+    return [contiguous, key_span, poses]
+
+
+class TestUnfold:
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_equals_sliding_window_view_copy_bitwise(self, batch, width):
+        for x in _unfold_inputs(batch, width):
+            out = tensor_module._unfold(x, width)
+            assert out.shape == (batch, 7, x.shape[1] * width)
+            assert np.array_equal(out, reference_ops.unfold(x, width))
 
 
 class TestElementwise:
@@ -638,6 +704,7 @@ DIRECT_GRADCHECKS = {
     "concat": lambda rng: (lambda a, b: concat([a, b], axis=1),
                            [_tracked(rng, 2, 3), _tracked(rng, 2, 2)]),
     "windows": lambda rng: (lambda x: sliding_windows(x, 3), [_tracked(rng, 2, 6)]),
+    "value_windows": lambda rng: (value_windows, [_tracked(rng, 2, 3, 6), _tracked(rng, 2, 4)]),
     # both sides of the rectifier; its exact zeros are pinned in TestFusedConv1d
     "conv1d_relu": lambda rng: (conv1d_relu, [_tracked(rng, 2, 3, 6), _tracked(rng, 4, 3, 3),
                                               _tracked(rng, 4)]),
