@@ -99,6 +99,14 @@ def _coerce(key: str, value) -> object:
     return float(value) if kind == "float" else value
 
 
+def _key_value(item: str, option: str) -> tuple[str, str]:
+    """A ``KEY=VALUE`` option value as its key and value, each stripped."""
+    if "=" not in item:
+        raise ConfigurationError(f"{option} expects KEY=VALUE, got {item!r}")
+    key, _, value = item.partition("=")
+    return key.strip(), value.strip()
+
+
 def resolve_config(config_path: str | None, overrides: list[str] | None,
                    flags: dict | None = None) -> dict:
     resolved = dict(CONFIG_DEFAULTS)
@@ -118,10 +126,7 @@ def resolve_config(config_path: str | None, overrides: list[str] | None,
         for key, value in payload.items():
             apply(key, value, config_path)
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigurationError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        apply(key.strip(), value.strip(), "--set")
+        apply(*_key_value(item, "--set"), "--set")
     for key, value in (flags or {}).items():
         if value is not None:
             apply(key, value, "flag")
@@ -225,10 +230,7 @@ def _apply_ablation(ckpt, overrides: list[str]):
     """
     params, model_config, loss_config = ckpt.params, ckpt.model_config, ckpt.loss_config
     for item in overrides:
-        if "=" not in item:
-            raise ConfigurationError(f"--ablation expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
+        key, value = _key_value(item, "--ablation")
         if key not in ABLATION_KEYS:
             raise ConfigurationError(
                 f"--ablation key {key!r} not in {ABLATION_KEYS}")

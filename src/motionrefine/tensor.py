@@ -544,28 +544,24 @@ def _check_affine(gamma: Tensor, beta: Tensor, channels: int):
             f"gamma/beta must be ({channels},), got {gamma.shape} and {beta.shape}")
 
 
-def _batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                       stats: RunningStats):
-    """Train-mode batch norm of ``x`` over its last (channel) axis, in place.
+def _batchnorm_forward(x: np.ndarray, stats: RunningStats):
+    """Train-mode batch normalization of ``x`` over its last (channel) axis, in place.
 
     ``x`` is left holding the normalized activations, and the batch
     statistics are folded into ``stats`` (unbiased variance).  Returns the
-    affine output ``gamma * normalized + beta``, a new array, and the
     per-channel mean and std, from which ``_block_normalized`` rebuilds the
-    normalized activations with the same ``subtract`` and ``divide``.
+    normalized activations with the same ``subtract`` and ``divide``; the
+    affine step is ``_block_tanh``'s.
     """
     pooled = tuple(range(x.ndim - 1))
     n = x.size // x.shape[-1]
-    out = np.empty_like(x)
     mu = x.sum(axis=pooled) * (1.0 / n)
     centered = np.subtract(x, mu, out=x)
-    var = np.multiply(centered, centered, out=out).sum(axis=pooled) * (1.0 / n)
+    var = np.multiply(centered, centered).sum(axis=pooled) * (1.0 / n)
     std = np.sqrt(var + BN_EPS)
     stats.update(mu, var * (n / (n - 1)) if n > 1 else var)
-    normalized = np.divide(x, std, out=x)
-    np.multiply(gamma, normalized, out=out)
-    out += beta
-    return out, mu, std
+    np.divide(x, std, out=x)
+    return mu, std
 
 
 def _batchnorm_backward(g: np.ndarray, normalized: np.ndarray, gamma: np.ndarray,
@@ -599,12 +595,6 @@ def _dropout_active(rate: float, rng: np.random.Generator | None, mode: Mode) ->
     if rng is None:
         raise ConfigurationError("train-mode dropout needs an rng")
     return True
-
-
-def _dropout_draw(shape: tuple, rate: float, rng: np.random.Generator):
-    """The uniform draw of one dropout call and its bool keep mask ``draw >= rate``."""
-    draw = rng.random(shape)
-    return draw, draw >= rate
 
 
 # The one workspace a graph product streams its chunks of ``adjacency @ x``
@@ -710,9 +700,10 @@ def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tr
     ``shift = beta - mean * scale``), and the tanh while still in cache, and
     where ``overwrite`` (x is the caller's to spend) and C_in == C_out the
     output is written over x; else it is a new array.  In train mode batch
-    norm needs the whole product: it is overwritten by the normalized
-    activations (off the tape, dropped once batch norm's output exists) and
-    the dropout draw's buffer takes the output.
+    norm needs the whole product: it is normalized in place, the dropout
+    draw is packed into the keep mask at once, and ``_block_output``, the
+    backward's own rebuild, makes the output from that tape, over the
+    normalized activations where they are off the tape.
     """
     adjacency, weights, gamma, beta, stats = block
     dropping = _dropout_active(rate, mode.rng, mode)
@@ -729,18 +720,11 @@ def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tr
         out = x if overwrite and x.shape[-1] == weights.shape[-1] else None
         return _graph_product(adjacency.data, x, weights.data, out, epilogue), None
     normalized = _graph_product(adjacency.data, x, weights.data)
-    activated, mean, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
-    tape = _BlockTape(normalized, mean, std, None) if tracked else None
-    del normalized
-    np.tanh(activated, out=activated)
-    if not dropping:
-        return activated, tape
-    data, keep = _dropout_draw(activated.shape, rate, mode.rng)
-    np.multiply(activated, keep, out=data)
-    data *= 1.0 / (1.0 - rate)
-    if tracked:
-        tape = tape._replace(keep=np.packbits(keep, axis=None))
-    return data, tape
+    mean, std = _batchnorm_forward(normalized, stats)
+    keep = np.packbits(mode.rng.random(normalized.shape) >= rate) if dropping else None
+    tape = _BlockTape(normalized, mean, std, keep)
+    out = _block_output(block, tape, rate, out=None if tracked else normalized)
+    return out, tape if tracked else None
 
 
 def _block_normalized(x: np.ndarray, block: GraphBlock, tape: _BlockTape) -> np.ndarray:
@@ -754,9 +738,9 @@ def _block_normalized(x: np.ndarray, block: GraphBlock, tape: _BlockTape) -> np.
 
 def _block_tanh(tape: _BlockTape, gamma: Tensor, beta: Tensor,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """The block's tanh output, rebuilt by ``_batchnorm_forward``'s affine
-    step (channels are the last axis) and the forward's tanh, in order, into
-    ``out`` where given (``tape.normalized`` itself may take it)."""
+    """The block's tanh output: batch norm's affine step (channels are the
+    last axis), then the tanh, into ``out`` where given (``tape.normalized``
+    itself may take it)."""
     t = np.multiply(gamma.data, tape.normalized, out=out)
     t += beta.data
     return np.tanh(t, out=t)
@@ -764,8 +748,9 @@ def _block_tanh(tape: _BlockTape, gamma: Tensor, beta: Tensor,
 
 def _block_output(block: GraphBlock, tape: _BlockTape, rate: float,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """The block's output rebuilt bitwise, into ``out`` where given: its tanh
-    output times the keep mask and the scale, as the forward applied them."""
+    """The block's train-mode output, into ``out`` where given: its tanh
+    output times the keep mask and the scale.  The forward makes it so, and
+    the backward rebuilds it so, bitwise."""
     out = _block_tanh(tape, block.gamma, block.beta, out)
     if tape.keep is not None:
         out *= np.unpackbits(tape.keep, count=out.size).reshape(out.shape)
@@ -821,12 +806,13 @@ def _block_backward(grad_out: np.ndarray, x, need_x: bool, block: GraphBlock,
 
 
 def _check_layers(shape: tuple, blocks: list[GraphBlock], output: GraphConv | None):
-    """Raise ``DimensionError`` unless every layer takes its predecessor's
-    output (an input of ``shape`` for the entry block), every block's gamma
-    and beta have its output width and every residual pair returns its
-    input's width."""
-    if len(shape) != 3:
-        raise DimensionError(f"graph layers need a (B, P, C) input, got shape {shape}")
+    """Raise ``DimensionError`` unless the input of ``shape`` has a window,
+    every layer takes its predecessor's output (that input for the entry
+    block), every block's gamma and beta have its output width and every
+    residual pair returns its input's width."""
+    if len(shape) != 3 or not shape[0]:
+        raise DimensionError(f"graph layers need a (B, P, C) input of B >= 1 windows, "
+                             f"got shape {shape}")
     layers = list(blocks) + ([output] if output is not None else [])
     channels = shape[-1]
     for k, layer in enumerate(layers):
@@ -860,8 +846,8 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
     to its second block's output, and ``output``, where given, is a bare
     graph conv on the last pair's sum (the entry block's output at 0 pairs).
     Every layer's shape, gamma and beta included, is checked before any
-    running statistic moves, so an input that is not (B, P, C) raises
-    ``DimensionError`` with the statistics untouched.  Eval mode runs only
+    running statistic moves, so an input that is not (B, P, C) with B >= 1
+    raises ``DimensionError`` with the statistics untouched.  Eval mode runs only
     off the tape: with a tracked operand and grad enabled it raises
     ``TapeError`` before any block runs, so run it under ``no_grad``.  The
     arithmetic, its order and the dropout draws are those of the composed
@@ -872,7 +858,9 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
     the entry block's batch mean and std, each pair block's normalized
     activations and, under dropout, each block's keep mask packed to one bit
     per value, but no block's output.  The backward recomputes the rest with
-    the forward's own ops on the same arrays, so bit-identically.  First, in
+    the forward's own ops on the same arrays, so bit-identically: a train-mode
+    block's output is ``_block_output`` of its tape both when the forward makes
+    it and when the backward rebuilds it.  First, in
     forward order, it rebuilds the input of every pair but the first and of
     the output conv: the entry block's output (its normalized activations
     from h's narrow product, the mean and the std, then ``gamma *

@@ -9,10 +9,13 @@ block, residual pairs and an optional output conv) that of one ``matmul``,
 ``batchnorm``, ``tanh`` and ``dropout`` chain per block, an ``add`` per
 residual pair and two ``matmul``s for the output conv; the tests compose
 these ops as the bitwise reference (``conv1d``, ``composed_block``,
-``composed_module``).  The ``value_windows`` node, motion attention's
-summary, does the arithmetic of a ``take`` and a ``matmul`` per summary
-frame and one ``concat``, composed here as ``value_windows``, and
-``conv1d_relu``'s window copy (``tensor._unfold``) gives the bits of one
+``composed_module``).  The train-mode ``batchnorm`` and ``dropout`` share
+no arithmetic with ``tensor``: they compute their batch statistics,
+affine step, gradients and keep mask (``rng.random(shape) >= rate``)
+themselves, so a drift in the fused ops shows against them.  The
+``value_windows`` node, motion attention's summary, does the arithmetic
+of a ``take`` and a ``matmul`` per summary frame and one ``concat``,
+composed here as ``value_windows``, and ``conv1d_relu``'s window copy (``tensor._unfold``) gives the bits of one
 copy of numpy's ``sliding_window_view`` (``unfold``).  Batch norm's
 channels are the last axis; in eval mode, which the model runs only off
 the tape, ``batchnorm`` is an untracked numpy expression in the order of
@@ -32,11 +35,8 @@ from motionrefine.tensor import (
     RunningStats,
     Tensor,
     _accum,
-    _batchnorm_backward,
-    _batchnorm_forward,
     _check_affine,
     _dropout_active,
-    _dropout_draw,
     _result,
     add,
     as_tensor,
@@ -126,7 +126,7 @@ def dropout(inputs, rate: float, rng: np.random.Generator | None, mode: Mode) ->
     inputs = as_tensor(inputs)
     if not _dropout_active(rate, rng, mode):
         return inputs
-    _, keep = _dropout_draw(inputs.shape, rate, rng)
+    keep = rng.random(inputs.shape) >= rate
     return mul(inputs, Tensor(keep / (1.0 - rate)))
 
 
@@ -157,9 +157,11 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode) -> Tensor:
     """Normalize per channel (the last axis) over every other axis, then
     apply the affine pair.
 
-    Train mode uses batch statistics and folds them into ``stats`` with the
-    momentum ``BN_MOMENTUM`` (unbiased variance, like the usual convention);
-    the op is one tape node with the closed-form gradient.  Eval mode is the
+    Train mode computes its own batch statistics and folds them into
+    ``stats`` with the momentum ``BN_MOMENTUM`` (unbiased variance, like the
+    usual convention), with the ops of ``graph_blocks``' train-mode forward
+    in their order; the op is one tape node with the closed-form gradient,
+    its ops in the order of the fused backward's.  Eval mode is the
     fixed map from the running statistics as ``graph_blocks``' eval epilogue
     computes it, one per-channel scale and shift
     (``scale = gamma / sqrt(var + eps)``, ``shift = beta - mean * scale``,
@@ -175,16 +177,27 @@ def batchnorm(inputs, gamma, beta, stats: RunningStats, mode: Mode) -> Tensor:
     if not mode.training:
         scale = gamma.data / np.sqrt(stats.var + BN_EPS)
         return Tensor(inputs.data * scale + (beta.data - stats.mean * scale))
-    normalized = inputs.data.copy()
-    data, _mean, std = _batchnorm_forward(normalized, gamma.data, beta.data, stats)
-    out = _result(data, (inputs, gamma, beta), "batchnorm")
+    x = inputs.data.copy()
+    pooled = tuple(range(x.ndim - 1))
+    n = x.size // x.shape[-1]
+    mean = x.sum(axis=pooled) * (1.0 / n)
+    centered = x - mean
+    var = (centered * centered).sum(axis=pooled) * (1.0 / n)
+    std = np.sqrt(var + BN_EPS)
+    stats.update(mean, var * (n / (n - 1)) if n > 1 else var)
+    normalized = centered / std
+    out = _result(gamma.data * normalized + beta.data, (inputs, gamma, beta), "batchnorm")
     if out.requires_grad:
         def _bw(grad):
-            dgamma, dbeta, dx = _batchnorm_backward(grad, normalized, gamma.data, std,
-                                                    inputs.requires_grad)
+            # gamma/std * (g - mean(g) - normalized * mean(g * normalized))
+            dbeta = grad.sum(axis=pooled)
+            dgamma = (grad * normalized).sum(axis=pooled)
             _accum(gamma, dgamma)
             _accum(beta, dbeta)
-            _accum(inputs, dx)
+            if inputs.requires_grad:
+                dx = normalized * (dgamma * (-1.0 / n)) + grad - dbeta * (1.0 / n)
+                dx *= gamma.data / std
+                _accum(inputs, dx)
         out._backward = _bw
     return out
 

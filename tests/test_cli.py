@@ -651,6 +651,17 @@ class TestEval:
         assert ckpt.model_config.stages == 2
         assert len(ckpt.params.refinement.stages) == 2
 
+    def test_ablation_strips_key_and_value_as_set_does(self, corpus, trained, tmp_path):
+        assert resolve_config(None, [" attention_mode = copy "])["attention_mode"] == "copy"
+        ckpt = str(trained / "checkpoint.mckpt")
+        mpjpe = []
+        for item in ("attention_mode=copy", " attention_mode = copy "):
+            out = tmp_path / str(len(mpjpe))
+            assert main(["eval", ckpt, str(corpus), "--frames-ms", "40", "--out", str(out),
+                         "--ablation", item]) == 0
+            mpjpe.append(json.loads((out / "eval_record.json").read_text())["mpjpe"])
+        assert mpjpe[0] == mpjpe[1]
+
     def test_bad_ablation_key_exits_2(self, corpus, trained, capsys):
         rc = main(["eval", str(trained / "checkpoint.mckpt"), str(corpus),
                    "--frames-ms", "40", "--ablation", "latent_dim=8"])

@@ -470,6 +470,26 @@ class TestAutoregressive:
                           Mode.train(np.random.default_rng(2)))
         assert not any(stats.initialized for stats in named_running_stats(params).values())
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_empty_batch_raises_before_any_statistic_moves(self, training):
+        # a batch of no windows has no batch statistics to normalize by
+        cfg = tiny_config(future_len=10, history_len=20, query_len=4)
+        params = init_model_params(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        basis = dct_basis(cfg.window)
+        with no_grad():     # running statistics for eval mode
+            model_forward(params, Tensor(rng.normal(size=(2, cfg.pose_dim, cfg.history_len))),
+                          cfg, basis, Mode.train(np.random.default_rng(2)))
+        before = {name: (stats.mean.copy(), stats.var.copy())
+                  for name, stats in named_running_stats(params).items()}
+        mode = Mode.train(np.random.default_rng(3)) if training else Mode.eval()
+        with no_grad(), pytest.raises(DimensionError, match="B >= 1"):
+            model_forward(params, Tensor(np.zeros((0, cfg.pose_dim, cfg.history_len))), cfg,
+                          basis, mode)
+        after = named_running_stats(params)
+        assert all(np.array_equal(after[name].mean, mean) and np.array_equal(after[name].var, var)
+                   for name, (mean, var) in before.items())
+
     @staticmethod
     def _history(cfg):
         rng = np.random.default_rng(2)
