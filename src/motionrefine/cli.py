@@ -4,13 +4,13 @@ Each command declares only the options it reads: the run configuration is
 train's, and eval's ablations go through --ablation.
 
 Run configuration is a flat JSON document: ``data`` plus the fields of
-ModelConfig (less ``joints``), LossConfig, OptimizerConfig (with the ``adam_``
-prefix on ``beta1``, ``beta2`` and ``eps``) and TrainSettings.  Resolution
-order is package defaults (those dataclass defaults), then the --config file,
-then --set KEY=VALUE overrides, then dedicated flags; unknown keys and values
-of the wrong type are rejected.  ``train --dry-run`` builds no model, and a run
-whose parameters and Adam moments exceed physical memory exits 2 before it
-writes, as does a ``predict`` whose history, key-code cache and output would
+ModelConfig (less ``joints``), LossConfig, OptimizerConfig and TrainSettings,
+each keyed by its field name.  Resolution order is package defaults (those
+dataclass defaults), then the --config file, then --set KEY=VALUE overrides,
+then dedicated flags; unknown keys and values of the wrong type are rejected.
+``train --dry-run`` builds no model, and a run whose parameters and Adam
+moments exceed physical memory exits 2 before it writes, as does a
+``predict`` whose history, key-code cache and output would
 (``trainer.prediction_bytes``) and a ``gen-synth`` whose files would.
 ``train`` prints each epoch's metrics record as one JSON line as it ends,
 and writes into its output directory only once training has succeeded: the
@@ -52,7 +52,7 @@ from .errors import (
     StateError,
     TapeError,
 )
-from .kinematics import save_skeleton, synthetic_skeleton
+from .kinematics import SYNTH_BONE_LENGTH, save_skeleton, synthetic_skeleton
 from .losses import LossConfig
 from .model import ModelConfig, count_parameters, fits_field
 from .trainer import (
@@ -66,13 +66,10 @@ from .trainer import (
     train,
 )
 
-_ADAM_KEYS = {"beta1": "adam_beta1", "beta2": "adam_beta2", "eps": "adam_eps"}
-
-# flat configuration key -> (config dataclass, field); the joint count comes
-# from the dataset
+# flat configuration key, its field's name -> (config dataclass, field); the
+# joint count comes from the dataset
 CONFIG_FIELDS: dict[str, tuple[type, dataclasses.Field]] = {
-    _ADAM_KEYS.get(f.name, f.name) if cls is OptimizerConfig else f.name: (cls, f)
-    for cls in (ModelConfig, LossConfig, OptimizerConfig, TrainSettings)
+    f.name: (cls, f) for cls in (ModelConfig, LossConfig, OptimizerConfig, TrainSettings)
     for f in dataclasses.fields(cls) if f.name != "joints"}
 CONFIG_DEFAULTS: dict[str, object] = {
     "data": "", **{key: f.default for key, (_, f) in CONFIG_FIELDS.items()}}
@@ -373,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--frame-rate", type=float, default=SynthSpec.frame_rate)
     p_gen.add_argument("--chains", type=int, default=1)
     p_gen.add_argument("--joints-per-chain", type=int, default=4)
-    p_gen.add_argument("--bone-length", type=float, default=100.0)
+    p_gen.add_argument("--bone-length", type=float, default=SYNTH_BONE_LENGTH)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=SynthSpec.seed, help="seed of sequence 0")
     p_gen.set_defaults(func=cmd_gen_synth)

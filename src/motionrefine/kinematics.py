@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, FormatError, SkeletonError
 
 UNITS = ("millimeters", "meters")
+SYNTH_BONE_LENGTH = 100.0  # each bone of a synthetic skeleton unless one is given
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,8 @@ def default_humanoid_skeleton() -> Skeleton:
 
 
 def synthetic_skeleton(chain_count: int, joints_per_chain: int,
-                       bone_length: float = 100.0, units: str = "millimeters") -> Skeleton:
+                       bone_length: float = SYNTH_BONE_LENGTH,
+                       units: str = "millimeters") -> Skeleton:
     """Star-shaped skeleton: one shared root, ``chain_count`` straight chains."""
     if chain_count < 1:
         raise ConfigurationError("need at least one chain")

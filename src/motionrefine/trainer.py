@@ -15,9 +15,9 @@ format does not depend on the flat layout.
 Checkpoint format "MCKPT1": magic ``MCKPT001``, u32 header length, JSON
 header (format version, configs, epoch, optimizer step, rng state, embedded
 skeleton, array index, payload hash), then all arrays as little-endian
-float64 in index order.  Files are written as version 2.  A version-1 file
-loads only if the five model-config fields version 2 dropped hold their old
-defaults (``FORMAT1_MODEL_FIELDS``); one that set them otherwise must be retrained.
+float64 in index order.  Files are written as version 3.  An older file
+loads only if each field a later format dropped holds the value the code now
+fixes (``DROPPED_FIELDS``); one that set such a field otherwise must be retrained.
 """
 from __future__ import annotations
 
@@ -51,10 +51,13 @@ from .model import (
     named_parameters,
     named_running_stats,
 )
-from .tensor import Mode, Tensor, backward, no_grad, zero_grads
+from .tensor import BN_EPS, BN_MOMENTUM, Mode, Tensor, backward, no_grad, zero_grads
 from .transforms import dct_basis
 
 CKPT_MAGIC = b"MCKPT001"
+CKPT_VERSION = 3
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's, at Kingma & Ba's values (arXiv:1412.6980)
+EVAL_BATCH_SIZE = 64  # windows per no_grad forward when evaluating
 
 
 def _count(value) -> bool:
@@ -70,36 +73,31 @@ def _array_index(value) -> bool:
 
 # each required header field -> the type or the validator its JSON value must pass
 CKPT_HEADER_FIELDS = {
-    "version": lambda value: _count(value) and value in (1, 2),
+    "version": lambda value: _count(value) and 1 <= value <= CKPT_VERSION,
     "payload_sha256": str, "arrays": _array_index, "model_config": dict, "loss_config": dict,
     "optimizer_config": dict, "skeleton": str, "adam_step": _count, "rng_state": dict,
     "epoch": _count, "replay_settings": dict, "config_hash": str,
 }
 
-# model_config fields version 2 dropped -> the one value a version-1 file may hold
-FORMAT1_MODEL_FIELDS = {"use_summary": True, "supervise_stages": False,
-                        "attention_bias": True, "bn_eps": 1e-5, "bn_momentum": 0.1}
+# format that dropped them -> header object -> field -> the one value an older file may hold
+DROPPED_FIELDS = {
+    2: {"model_config": {"use_summary": True, "supervise_stages": False,
+                         "attention_bias": True, "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}},
+    3: {"optimizer_config": {"beta1": BETA1, "beta2": BETA2, "eps": EPS},
+        "replay_settings": {"window_stride": 1}},
+}
 
 
 @dataclass
 class OptimizerConfig:
     lr: float = 0.005
     lr_decay: float = 0.97
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("lr", "eps"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigurationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigurationError(
-                    f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 # the most values one whole-vector op of the Adam step covers, unless one
@@ -175,11 +173,9 @@ def lr_schedule(epoch: int, initial_lr: float, decay: float) -> float:
     return initial_lr * decay ** epoch
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
-              beta1: float = OptimizerConfig.beta1, beta2: float = OptimizerConfig.beta2,
-              eps: float = OptimizerConfig.eps):
-    """One in-place update of every parameter ``state`` holds; a missing
-    gradient counts as zero.
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
+    """One in-place Adam update, at ``BETA1``, ``BETA2`` and ``EPS``, of every
+    parameter ``state`` holds; a missing gradient counts as zero.
 
     A parameter whose ``data`` was rebound since is first copied back into
     its view of the flat vector.  Each segment's gradients are gathered into
@@ -206,8 +202,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
         grads.append(grad)
     state.step += 1
     t = state.step
-    correct1 = 1.0 - beta1 ** t
-    correct2 = 1.0 - beta2 ** t
+    correct1 = 1.0 - BETA1 ** t
+    correct2 = 1.0 - BETA2 ** t
     buffers = np.empty((3, state._scratch))
     for members, p, m, v in state._segments:
         n = p.size
@@ -218,18 +214,18 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
             g = pieces[0].reshape(-1)       # read in place
         else:                               # gathered, in C order
             g = np.concatenate(pieces, axis=None, out=buffers[0, :n])
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=delta)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=delta)
         m += delta
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=delta)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=delta)
         delta *= g
         v += delta
         np.divide(m, correct1, out=delta)
         delta *= lr
         np.divide(v, correct2, out=root)
         np.sqrt(root, out=root)
-        root += eps
+        root += EPS
         delta /= root
         p -= delta
 
@@ -240,10 +236,9 @@ class TrainSettings:
     batch_size: int = 32
     seed: int = 0
     val_fraction: float = 0.2
-    window_stride: int = 1
 
     def __post_init__(self):
-        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0), ("window_stride", 1)):
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigurationError(
                     f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -254,7 +249,7 @@ class TrainSettings:
     def replay_fields(self) -> dict:
         """The settings that must match for a resumed run to replay exactly."""
         return {"batch_size": self.batch_size, "seed": self.seed,
-                "val_fraction": self.val_fraction, "window_stride": self.window_stride}
+                "val_fraction": self.val_fraction}
 
 
 @dataclass
@@ -319,7 +314,7 @@ def _shared_key_codes(key_net: WindowEncoder, batch: list[TrainingWindow],
 
 
 def window_errors(windows: list[TrainingWindow], params: ModelParams, config: ModelConfig,
-                  batch_size: int = 64, loss_config: LossConfig | None = None,
+                  batch_size: int = EVAL_BATCH_SIZE, loss_config: LossConfig | None = None,
                   loss_weights: LossWeights | None = None
                   ) -> tuple[np.ndarray, float | None]:
     """Eval-mode future MPJPE of every window after every stage, in one no_grad pass.
@@ -371,25 +366,23 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
 
 
 def dataset_mpjpe(windows: list[TrainingWindow], params: ModelParams,
-                  config: ModelConfig, batch_size: int = 64) -> float:
+                  config: ModelConfig, batch_size: int = EVAL_BATCH_SIZE) -> float:
     """Eval-mode MPJPE of the final prediction over all future frames and windows."""
     return float(window_errors(windows, params, config, batch_size)[0][-1].mean())
 
 
 def split_windows(dataset: SequenceDataset, model_config: ModelConfig,
                   settings: TrainSettings) -> tuple[list[TrainingWindow], list[TrainingWindow]]:
-    """The training and validation windows: the last ``val_fraction`` of the
+    """Every training and validation window: the last ``val_fraction`` of the
     sequences validate.  Raises ConfigurationError when no training window fits."""
     n_val = int(len(dataset.sequences) * settings.val_fraction)
     n_train = len(dataset.sequences) - n_val
     train_set = SequenceDataset(dataset.skeleton, dataset.sequences[:n_train])
     val_set = SequenceDataset(dataset.skeleton, dataset.sequences[n_train:])
-    train_windows = extract_windows(train_set, model_config.history_len,
-                                    model_config.future_len, settings.window_stride)
+    train_windows = extract_windows(train_set, model_config.history_len, model_config.future_len)
     if not train_windows:
         raise ConfigurationError("dataset yields no training windows")
-    val_windows = extract_windows(val_set, model_config.history_len,
-                                  model_config.future_len, settings.window_stride)
+    val_windows = extract_windows(val_set, model_config.history_len, model_config.future_len)
     return train_windows, val_windows
 
 
@@ -447,7 +440,7 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
                         f"non-finite loss at epoch {epoch}, batch {batch_index} "
                         f"(windows {sources})")
                 backward(loss)
-                adam_step(named, adam, lr, opt.beta1, opt.beta2, opt.eps)
+                adam_step(named, adam, lr)
                 zero_grads(named.values())
                 batch_losses.append(float(loss.data))
                 counts.append(len(batch))
@@ -538,7 +531,7 @@ def frames_from_milliseconds(frames_ms, frame_rate: float, future_len: int) -> l
 
 def evaluate(dataset: SequenceDataset, params: ModelParams, config: ModelConfig,
              frames_ms, stride: int = 1, per_stage: bool = False,
-             loss_config: LossConfig | None = None, batch_size: int = 64) -> dict:
+             loss_config: LossConfig | None = None, batch_size: int = EVAL_BATCH_SIZE) -> dict:
     """Per-frame MPJPE table over all evaluation windows, optionally per action.
 
     With ``per_stage`` the table gains one row per refinement stage plus the
@@ -632,7 +625,7 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState,
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
                        for a in arrays.values())
     header = {
-        "version": 2,
+        "version": CKPT_VERSION,
         "epoch": epoch,
         "adam_step": adam.step,
         "rng_state": rng.bit_generator.state,
@@ -695,12 +688,16 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
 
-    if header["version"] == 1:
-        for key, old in FORMAT1_MODEL_FIELDS.items():
-            value = header["model_config"].pop(key, None)
-            if type(value) is not type(old) or value != old:
-                raise FormatError(f"{path}: model_config: version-1 field {key} is "
-                                  f"{value!r}, not {old!r}; the model must be retrained")
+    version = header["version"]
+    for dropped_by, objects in DROPPED_FIELDS.items():
+        if version >= dropped_by:
+            continue
+        for field, olds in objects.items():
+            for key, old in olds.items():
+                value = header[field].pop(key, None)
+                if type(value) is not type(old) or value != old:
+                    raise FormatError(f"{path}: {field}: version-{version} field {key} is "
+                                      f"{value!r}, not {old!r}; the model must be retrained")
     model_config, loss_config, optimizer_config = (
         config_from_dict(cls, header[field], f"{path}: {field}")
         for cls, field in ((ModelConfig, "model_config"), (LossConfig, "loss_config"),
@@ -757,8 +754,8 @@ def load_checkpoint(path) -> Checkpoint:
         rng.bit_generator.state = header["rng_state"]
     except (KeyError, TypeError, ValueError, OverflowError) as bad:
         raise FormatError(f"{path}: rng_state is not a generator state: {bad}") from None
-    # a version-1 hash also covers the dropped fields
-    config_hash = (header["config_hash"] if header["version"] == 2 else
+    # an older file's hash also covers the fields a later format dropped
+    config_hash = (header["config_hash"] if version == CKPT_VERSION else
                    _config_hash(model_config, loss_config, optimizer_config))
     return Checkpoint(params, adam, rng, header["epoch"], model_config, loss_config,
                       optimizer_config, header["replay_settings"], skeleton, config_hash)

@@ -62,11 +62,17 @@ def trained(corpus, tmp_path_factory):
 DEEP_JSON = b"[" * 200_000
 
 
+# configuration keys removed with the settings they named -> the value each held
+REMOVED_KEYS = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "window_stride": 1}
+
+
 @pytest.fixture(scope="module")
 def bad_configs(tmp_path_factory):
     out = tmp_path_factory.mktemp("configs")
     (out / "utf16.json").write_bytes(b"\xff\xfe" + '{"epochs": 1}'.encode("utf-16-le"))
     (out / "deep.json").write_bytes(DEEP_JSON)
+    for key, value in REMOVED_KEYS.items():
+        (out / f"{key}.json").write_text(json.dumps({key: value}))
     return out
 
 
@@ -127,8 +133,13 @@ REJECTED = {
                                       "--set", "val_fraction=1.5"], "val_fraction"),
     "train_val_fraction_negative": (["train", "--data", "{data}", "--out", "run",
                                      "--set", "val_fraction=-0.5"], "val_fraction"),
-    "train_adam_beta1_above_one": (["train", "--data", "{data}", "--out", "run",
-                                    "--set", "adam_beta1=2"], "beta1"),
+    # keys that named settings now fixed, even at the values they held
+    **{f"train_set_{key}": (["train", "--data", "{data}", "--out", "run", "--set",
+                             f"{key}={value}"], f"unknown configuration key {key!r}")
+       for key, value in REMOVED_KEYS.items()},
+    **{f"train_config_{key}": (["train", "--data", "{data}", "--out", "run", "--config",
+                                f"{{configs}}/{key}.json"], f"unknown configuration key {key!r}")
+       for key in REMOVED_KEYS},
     "train_lr_decay_negative": (["train", "--data", "{data}", "--out", "run",
                                  "--set", "lr_decay=-1"], "lr_decay"),
     "train_spatial_floor_nan": (["train", "--data", "{data}", "--out", "run",
@@ -465,10 +476,23 @@ def _train_dry_run(data):
     return ["train", "--data", str(data), "--dry-run", *TINY_MODEL]
 
 
+def _format2(meta):
+    """A version-2 writer's header: format 3 dropped these fields."""
+    meta["version"] = 2
+    meta["optimizer_config"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+    meta["replay_settings"].update(window_stride=1)
+
+
 def _format1_use_summary_off(meta):
+    _format2(meta)
     meta["version"] = 1
     meta["model_config"].update(use_summary=False, supervise_stages=False,
                                 attention_bias=True, bn_eps=1e-5, bn_momentum=0.1)
+
+
+def _format2_beta1_off(meta):
+    _format2(meta)
+    meta["optimizer_config"].update(beta1=0.8)
 
 
 def _eval(data):
@@ -494,6 +518,7 @@ BAD_FILES = {
     "mckpt_joints_not_a_number": (
         _checkpoint_header(lambda meta: meta["model_config"].update(joints="four")), _predict),
     "mckpt_format1_use_summary_off": (_checkpoint_header(_format1_use_summary_off), _eval),
+    "mckpt_format2_beta1_off": (_checkpoint_header(_format2_beta1_off), _eval),
     "mckpt_header_nested_too_deep": (
         lambda data: _splice_header(data, lambda header: DEEP_JSON), _predict),
     "mckpt_negative_running_variance_eval": (

@@ -154,8 +154,9 @@ class TestFlatAdam:
         state = AdamState(tables[0])
         for _ in range(5):
             _set_twin_grads(tables, rng)
-            adam_step(tables[0], state, 0.01, 0.8, 0.99, 1e-6)
-            adam_step_reference(tables[1], ref_state, 0.01, 0.8, 0.99, 1e-6)
+            adam_step(tables[0], state, 0.01)
+            adam_step_reference(tables[1], ref_state, 0.01, trainer_module.BETA1,
+                                trainer_module.BETA2, trainer_module.EPS)
         _assert_twins_equal(tables, state, ref_state)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -827,7 +828,7 @@ class TestCheckpoint:
         ("payload_sha256", 7), ("arrays", {}), ("arrays", [{"name": "x", "shape": [-1]}]),
         ("model_config", []), ("skeleton", None), ("adam_step", 1.5), ("adam_step", True),
         ("epoch", -1), ("rng_state", "pcg"), ("replay_settings", 3), ("config_hash", 0),
-        ("version", "x"), ("version", 3), ("version", True),
+        ("version", "x"), ("version", 4), ("version", True),
     ])
     def test_mistyped_header_field_raises_format_error(self, checkpoint_bytes, tmp_path,
                                                        field, value):
@@ -858,23 +859,39 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"{section}.*{key}"):
             load_checkpoint(path)
 
-    # the model_config fields a version-1 writer added, at the values it wrote
-    FORMAT1_FIELDS = {"use_summary": True, "supervise_stages": False,
-                      "attention_bias": True, "bn_eps": 1e-5, "bn_momentum": 0.1}
+    # format -> header object -> the fields that format dropped, at the values
+    # every older writer wrote
+    DROPPED = {
+        2: {"model_config": {"use_summary": True, "supervise_stages": False,
+                             "attention_bias": True, "bn_eps": 1e-5, "bn_momentum": 0.1}},
+        3: {"optimizer_config": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+            "replay_settings": {"window_stride": 1}},
+    }
 
-    def _format1(self, checkpoint_bytes, tmp_path, **changes):
+    def _older(self, checkpoint_bytes, tmp_path, version, section=None, **changes):
+        """The checkpoint as a version-``version`` writer wrote it, with
+        ``changes`` to header object ``section``."""
         def edit(meta):
-            meta["version"] = 1
-            meta["model_config"].update({**self.FORMAT1_FIELDS, **changes})
-            meta["config_hash"] = "0" * 64  # a version-1 hash covers those fields too
+            meta["version"] = version
+            for dropped_by, objects in self.DROPPED.items():
+                if version < dropped_by:
+                    for field, olds in objects.items():
+                        meta[field].update(olds)
+            if section is not None:
+                meta[section].update(changes)
+            meta["config_hash"] = "0" * 64  # an older hash covers the dropped fields too
         return self._rewrite_header(checkpoint_bytes, tmp_path, edit)
 
-    def test_format1_checkpoint_resumes_bit_identically(self, checkpoint_bytes, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_format_checkpoint_resumes_bit_identically(self, checkpoint_bytes, tmp_path,
+                                                             version):
         ds, cfg = tiny_dataset(), tiny_config()
         settings = TrainSettings(epochs=3, batch_size=4, seed=0, val_fraction=0.0)
         straight = train(ds, cfg, LossConfig(), OptimizerConfig(), settings)
-        ckpt = load_checkpoint(self._format1(checkpoint_bytes, tmp_path))
+        ckpt = load_checkpoint(self._older(checkpoint_bytes, tmp_path, version))
         assert ckpt.model_config == cfg and ckpt.epoch == 1
+        assert ckpt.optimizer_config == OptimizerConfig()
+        assert ckpt.replay_settings == settings.replay_fields()
         resumed = train(ds, cfg, LossConfig(), OptimizerConfig(), settings, resume=ckpt)
         a = named_parameters(straight.params)
         b = named_parameters(resumed.params)
@@ -886,8 +903,18 @@ class TestCheckpoint:
     ])
     def test_format1_non_default_field_raises_format_error(self, checkpoint_bytes, tmp_path,
                                                            key, value):
-        path = self._format1(checkpoint_bytes, tmp_path, **{key: value})
+        path = self._older(checkpoint_bytes, tmp_path, 1, "model_config", **{key: value})
         with pytest.raises(FormatError, match=f"model_config.*{key}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("optimizer_config", "beta1", 0.8), ("optimizer_config", "beta2", 0.99),
+        ("optimizer_config", "eps", 1e-6), ("replay_settings", "window_stride", 2),
+    ])
+    def test_format2_non_default_field_raises_format_error(self, checkpoint_bytes, tmp_path,
+                                                           section, key, value):
+        path = self._older(checkpoint_bytes, tmp_path, 2, section, **{key: value})
+        with pytest.raises(FormatError, match=f"{section}: version-2 field {key} is"):
             load_checkpoint(path)
 
     def test_bad_rng_state_raises_format_error(self, checkpoint_bytes, tmp_path):
