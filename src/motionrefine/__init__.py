@@ -12,12 +12,12 @@ from .attention import (
 from .data import (
     SequenceDataset,
     SynthSpec,
-    TrainingWindow,
     extract_windows,
     gen_synthetic,
     load_dataset,
     load_sequence,
     save_sequence,
+    window_index,
 )
 from .errors import (
     ConfigurationError,

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from .data import (
     SYNTH_KINDS,
+    WINDOW_STRIDE,
     SynthSpec,
     gen_synthetic,
     load_dataset,
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("data", help="dataset directory")
     p_eval.add_argument("--frames-ms", default="80,160,320,400",
                         help="comma-separated millisecond marks")
-    p_eval.add_argument("--stride", type=int, default=1)
+    p_eval.add_argument("--stride", type=int, default=WINDOW_STRIDE)
     p_eval.add_argument("--stages", action="store_true",
                         help="add one MPJPE row per refinement stage")
     p_eval.add_argument("--ablation", action="append", metavar="KEY=VALUE",

@@ -25,6 +25,7 @@ from .kinematics import PoseSequence, Skeleton, load_skeleton
 
 MAGIC = b"MSEQ0001"
 SYNTH_KINDS = ("sinusoid", "lissajous", "piecewise-constant-velocity")
+WINDOW_STRIDE = 1  # frames between consecutive windows' starts, unless a caller sets another
 
 
 @dataclass
@@ -151,25 +152,30 @@ def load_dataset(directory) -> SequenceDataset:
     return SequenceDataset(skeleton, sequences, labels)
 
 
-def extract_windows(dataset: SequenceDataset, history_len: int, future_len: int,
-                    stride: int = 1) -> list[TrainingWindow]:
-    """Every contiguous (history, target) pair at the given stride, in order.
-
-    The windows' arrays are views that share the sequences' memory, not copies.
-    """
+def window_index(dataset: SequenceDataset, history_len: int, future_len: int,
+                 stride: int = WINDOW_STRIDE) -> tuple[np.ndarray, np.ndarray]:
+    """Every contiguous (history, target) window at the given stride, in order,
+    as two int64 arrays: each window's sequence index and start frame."""
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
     if history_len < 1 or future_len < 1:
         raise ConfigurationError("history_len and future_len must be >= 1")
     span = history_len + future_len
-    windows = []
-    for seq_index, seq in enumerate(dataset.sequences):
-        for start in range(0, seq.frames - span + 1, stride):
-            windows.append(TrainingWindow(
-                history=seq.coords[start:start + history_len],
-                target=seq.coords[start + history_len:start + span],
-                source=(seq_index, start)))
-    return windows
+    # a slice step, unlike arange's, stays an integer at any stride
+    starts = [np.arange(max(seq.frames - span + 1, 0), dtype=np.int64)[::stride]
+              for seq in dataset.sequences]
+    sequence = np.repeat(np.arange(len(starts), dtype=np.int64), [len(s) for s in starts])
+    return sequence, np.concatenate([np.empty(0, np.int64), *starts])
+
+
+def extract_windows(dataset: SequenceDataset, history_len: int, future_len: int,
+                    stride: int = WINDOW_STRIDE) -> list[TrainingWindow]:
+    """``window_index``'s windows as ``TrainingWindow``s, whose arrays view the
+    sequences' memory: the per-window form of the index, for callers outside training."""
+    sequence, start = window_index(dataset, history_len, future_len, stride)
+    coords, span = [seq.coords for seq in dataset.sequences], history_len + future_len
+    return [TrainingWindow(coords[s][t:t + history_len], coords[s][t + history_len:t + span],
+                           (s, t)) for s, t in zip(sequence.tolist(), start.tolist())]
 
 
 @dataclass(frozen=True)

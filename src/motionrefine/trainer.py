@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import WindowEncoder, channels_to_poses, encode_span, poses_to_channels
-from .data import SequenceDataset, TrainingWindow, extract_windows
+from .data import WINDOW_STRIDE, SequenceDataset, window_index
 from .errors import ConfigurationError, DataError, DimensionError, FormatError
 from .kinematics import (
     PoseSequence,
@@ -262,27 +262,24 @@ class TrainResult:
     settings: TrainSettings
 
 
-def _window_batches(windows: list[TrainingWindow], order, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield [windows[i] for i in order[start:start + batch_size]]
-
-
 def _window_mean(batch_means: list[float], counts: list[int]) -> float:
     """The mean over windows of batch means; the largest batch weighs exactly 1,
     so batches of equal size give ``np.mean``'s bits."""
     return float(np.average(batch_means, weights=np.divide(counts, max(counts))))
 
 
-def _forward_batch(params, config, basis, batch, mode, key_codes=None):
-    histories = np.stack([w.history for w in batch])
-    targets = np.stack([w.target for w in batch])
-    truth = np.concatenate([histories[:, -config.query_len:], targets], axis=1)
+def _forward_batch(params, config, basis, dataset, windows, mode, key_codes=None):
+    sequence, start = windows
+    spans = [(dataset.sequences[s].coords, t) for s, t in zip(sequence.tolist(), start.tolist())]
+    histories = np.stack([coords[t:t + config.history_len] for coords, t in spans])
+    first = config.history_len - config.query_len     # the truth's first frame
+    truth = np.stack([coords[t + first:t + first + config.window] for coords, t in spans])
     out = model_forward(params, Tensor(poses_to_channels(histories)), config, basis, mode,
                         key_codes=key_codes)
     return out, truth
 
 
-def _shared_key_codes(key_net: WindowEncoder, batch: list[TrainingWindow],
+def _shared_key_codes(key_net: WindowEncoder, dataset: SequenceDataset, windows,
                       config: ModelConfig) -> np.ndarray:
     """The batch's (B, latent, count) key codes from one key-net pass.
 
@@ -294,37 +291,34 @@ def _shared_key_codes(key_net: WindowEncoder, batch: list[TrainingWindow],
     meet, the timeline also encodes the ``query_len - 1`` key windows that
     straddle the junction, whose codes no window takes.
     """
-    count = batch[0].history.shape[0] - config.window + 1
+    sequence, start = windows
+    count = config.history_len - config.window + 1
     span = count + config.query_len - 1
-    pieces, offsets, frames, previous = [], [], 0, None
-    for w in batch:
-        sequence, start = w.source
-        step = start - previous[1] if previous and previous[0] == sequence else 0
-        if 1 <= step <= count:          # the run goes on: its span grows by step frames
-            pieces.append(w.history[span - step:span])
-            offsets.append(offsets[-1] + step)
-        else:                           # a new run starts
-            step = span
-            pieces.append(w.history[:span])
-            offsets.append(frames)
-        frames += step
-        previous = w.source
-    codes = encode_span(key_net, poses_to_channels(np.concatenate(pieces)[None])).data[0]
-    return np.stack([codes[:, offset:offset + count] for offset in offsets])
+    step = np.diff(start)
+    opens = np.concatenate(([True], (np.diff(sequence) != 0) | (step < 1) | (step > count)))
+    first = np.flatnonzero(opens)                   # each run's first and last window
+    last = np.append(first[1:], len(start)) - 1
+    frames = start[last] + span - start[first]      # each run's length on the timeline
+    offsets = (np.cumsum(frames) - frames - start[first])[np.cumsum(opens) - 1] + start
+    timeline = np.concatenate([dataset.sequences[s].coords[a:b + span] for s, a, b in zip(
+        sequence[first].tolist(), start[first].tolist(), start[last].tolist())])
+    codes = encode_span(key_net, poses_to_channels(timeline[None])).data[0]
+    return np.stack([codes[:, offset:offset + count] for offset in offsets.tolist()])
 
 
-def window_errors(windows: list[TrainingWindow], params: ModelParams, config: ModelConfig,
+def window_errors(dataset: SequenceDataset, windows, params: ModelParams, config: ModelConfig,
                   batch_size: int = EVAL_BATCH_SIZE, loss_config: LossConfig | None = None,
                   loss_weights: LossWeights | None = None
                   ) -> tuple[np.ndarray, float | None]:
     """Eval-mode future MPJPE of every window after every stage, in one no_grad pass.
 
-    Returns ``(errors, mean_loss)``.  ``errors[n, w, f]`` is window w's error
-    at future frame f + 1 after stage n, where stage 0 is the repeat-last-pose
-    baseline and stage ``config.stages`` the final prediction; each stage's
-    (windows, future_len) slab is contiguous.  With a loss config,
-    ``mean_loss`` is the final prediction's objective averaged over windows,
-    otherwise None.
+    ``windows`` is ``data.window_index``'s ``(sequence, start)`` pair over
+    ``dataset``; an empty one is a ConfigurationError.  Returns ``(errors,
+    mean_loss)``.  ``errors[n, w, f]`` is window w's error at future frame f +
+    1 after stage n, where stage 0 is the repeat-last-pose baseline and stage
+    ``config.stages`` the final prediction; each stage's (windows, future_len)
+    slab is contiguous.  With a loss config, ``mean_loss`` is the final
+    prediction's objective averaged over windows, otherwise None.
 
     The key net runs once per batch (``_shared_key_codes``): windows of one
     sequence at stride 1 share all but one frame of their key spans, so the
@@ -336,18 +330,22 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    total = len(windows[0])
+    if not total:
+        raise ConfigurationError("no windows to score")
     basis = dct_basis(config.window)
     future = config.future_len
-    errors = np.empty((config.stages + 1, len(windows), future))
+    errors = np.empty((config.stages + 1, total, future))
     losses, counts = [], []
 
-    def score(start: int, batch: list[TrainingWindow]):
+    def score(rows: slice):
         """Fill the batch's rows of ``errors``; its arrays die with the call,
         before the next batch's forward."""
-        rows = slice(start, start + len(batch))
-        key_codes = (_shared_key_codes(params.attention.key_net, batch, config)
+        batch = tuple(index[rows] for index in windows)
+        key_codes = (_shared_key_codes(params.attention.key_net, dataset, batch, config)
                      if config.attention_mode == "attention" else None)
-        out, truth = _forward_batch(params, config, basis, batch, Mode.eval(), key_codes)
+        out, truth = _forward_batch(params, config, basis, dataset, batch, Mode.eval(),
+                                    key_codes)
         targets = truth[:, -future:]
         last_pose = truth[:, config.query_len - 1:config.query_len]
         errors[0, rows] = mpjpe_per_frame(np.repeat(last_pose, future, axis=1), targets)
@@ -357,33 +355,30 @@ def window_errors(windows: list[TrainingWindow], params: ModelParams, config: Mo
         if loss_config is not None:
             losses.append(float(loss_total(channels_to_poses(out.prediction), Tensor(truth),
                                            loss_weights, loss_config, future).data))
-            counts.append(len(batch))
+            counts.append(len(truth))
 
     with no_grad():
-        for start in range(0, len(windows), batch_size):
-            score(start, windows[start:start + batch_size])
+        for first in range(0, total, batch_size):
+            score(slice(first, first + batch_size))
     return errors, (_window_mean(losses, counts) if loss_config is not None else None)
 
 
-def dataset_mpjpe(windows: list[TrainingWindow], params: ModelParams,
+def dataset_mpjpe(dataset: SequenceDataset, windows, params: ModelParams,
                   config: ModelConfig, batch_size: int = EVAL_BATCH_SIZE) -> float:
     """Eval-mode MPJPE of the final prediction over all future frames and windows."""
-    return float(window_errors(windows, params, config, batch_size)[0][-1].mean())
+    return float(window_errors(dataset, windows, params, config, batch_size)[0][-1].mean())
 
 
 def split_windows(dataset: SequenceDataset, model_config: ModelConfig,
-                  settings: TrainSettings) -> tuple[list[TrainingWindow], list[TrainingWindow]]:
-    """Every training and validation window: the last ``val_fraction`` of the
-    sequences validate.  Raises ConfigurationError when no training window fits."""
+                  settings: TrainSettings) -> tuple[tuple, tuple]:
+    """The training and validation ``window_index`` pairs: the last ``val_fraction``
+    of the sequences validate.  Raises ConfigurationError when no window trains."""
     n_val = int(len(dataset.sequences) * settings.val_fraction)
-    n_train = len(dataset.sequences) - n_val
-    train_set = SequenceDataset(dataset.skeleton, dataset.sequences[:n_train])
-    val_set = SequenceDataset(dataset.skeleton, dataset.sequences[n_train:])
-    train_windows = extract_windows(train_set, model_config.history_len, model_config.future_len)
-    if not train_windows:
+    sequence, start = window_index(dataset, model_config.history_len, model_config.future_len)
+    trains = sequence < len(dataset.sequences) - n_val
+    if not trains.any():
         raise ConfigurationError("dataset yields no training windows")
-    val_windows = extract_windows(val_set, model_config.history_len, model_config.future_len)
-    return train_windows, val_windows
+    return (sequence[trains], start[trains]), (sequence[~trains], start[~trains])
 
 
 def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: LossConfig,
@@ -426,30 +421,30 @@ def train(dataset: SequenceDataset, model_config: ModelConfig, loss_config: Loss
     with np.errstate(all="ignore"):
         for epoch in range(start_epoch, settings.epochs):
             lr = lr_schedule(epoch, opt.lr, opt.lr_decay)
-            order = rng.permutation(len(train_windows))
+            order = rng.permutation(len(train_windows[0]))
             batch_losses, counts = [], []
-            for batch_index, batch in enumerate(_window_batches(train_windows, order,
-                                                                settings.batch_size)):
-                out, truth = _forward_batch(params, model_config, basis, batch,
+            for batch_index, first in enumerate(range(0, len(order), settings.batch_size)):
+                rows = order[first:first + settings.batch_size]
+                batch = tuple(index[rows] for index in train_windows)
+                out, truth = _forward_batch(params, model_config, basis, dataset, batch,
                                             Mode.train(rng))
                 loss = loss_total(channels_to_poses(out.prediction), Tensor(truth), weights,
                                   loss_config, model_config.future_len)
                 if not np.isfinite(loss.data):
-                    sources = [w.source for w in batch]
                     raise DataError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_index} "
-                        f"(windows {sources})")
+                        f"non-finite loss at epoch {epoch}, batch {batch_index} (windows "
+                        f"{list(zip(batch[0].tolist(), batch[1].tolist()))})")
                 backward(loss)
                 adam_step(named, adam, lr)
                 zero_grads(named.values())
                 batch_losses.append(float(loss.data))
-                counts.append(len(batch))
+                counts.append(len(rows))
 
             record = {"epoch": epoch, "lr": lr,
                       "train_loss": _window_mean(batch_losses, counts),
-                      "train_mpjpe": dataset_mpjpe(train_windows, params, model_config)}
-            if val_windows:
-                record["val_mpjpe"] = dataset_mpjpe(val_windows, params, model_config)
+                      "train_mpjpe": dataset_mpjpe(dataset, train_windows, params, model_config)}
+            if len(val_windows[0]):
+                record["val_mpjpe"] = dataset_mpjpe(dataset, val_windows, params, model_config)
             metrics.append(record)
             epochs_run = epoch + 1
             if on_epoch is not None and on_epoch(record):
@@ -530,7 +525,7 @@ def frames_from_milliseconds(frames_ms, frame_rate: float, future_len: int) -> l
 
 
 def evaluate(dataset: SequenceDataset, params: ModelParams, config: ModelConfig,
-             frames_ms, stride: int = 1, per_stage: bool = False,
+             frames_ms, stride: int = WINDOW_STRIDE, per_stage: bool = False,
              loss_config: LossConfig | None = None, batch_size: int = EVAL_BATCH_SIZE) -> dict:
     """Per-frame MPJPE table over all evaluation windows, optionally per action.
 
@@ -543,26 +538,24 @@ def evaluate(dataset: SequenceDataset, params: ModelParams, config: ModelConfig,
         raise ConfigurationError(f"sequences disagree on frame rate: {sorted(rates)}")
     frame_rate = rates.pop()
     indices = frames_from_milliseconds(frames_ms, frame_rate, config.future_len)
-    windows = extract_windows(dataset, config.history_len, config.future_len, stride)
-    if not windows:
-        raise ConfigurationError("dataset yields no evaluation windows")
+    windows = window_index(dataset, config.history_len, config.future_len, stride)
     weights = (build_loss_weights(dataset.skeleton, config.query_len,
                                   config.future_len, loss_config)
                if loss_config is not None else None)
-    errors, mean_loss = window_errors(windows, params, config, batch_size,
+    errors, mean_loss = window_errors(dataset, windows, params, config, batch_size,
                                       loss_config, weights)
     final = errors[-1]              # (windows, future frame)
     record = {
         "frames_ms": list(frames_ms),
         "frame_indices": indices,
-        "window_count": len(windows),
+        "window_count": len(windows[0]),
         "mpjpe": [float(final[:, i - 1].mean()) for i in indices],
     }
     if dataset.labels is not None:
         per_action = {}
-        window_labels = [dataset.labels[w.source[0]] for w in windows]
-        for label in sorted(set(window_labels)):
-            mask = np.array([wl == label for wl in window_labels])
+        window_labels = np.asarray(dataset.labels, dtype=object)[windows[0]]
+        for label in sorted(set(window_labels.tolist())):
+            mask = window_labels == label
             per_action[label] = {
                 "count": int(mask.sum()),
                 "mpjpe": [float(final[mask, i - 1].mean()) for i in indices],

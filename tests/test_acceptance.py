@@ -9,7 +9,7 @@ import numpy as np
 from gradcheck import assert_gradients_match
 from reference_ops import batchnorm, relu, tanh
 from motionrefine.attention import init_attention_params, summarize_history
-from motionrefine.data import SequenceDataset, SynthSpec, extract_windows, gen_synthetic
+from motionrefine.data import SequenceDataset, SynthSpec, gen_synthetic, window_index
 from motionrefine.kinematics import PoseSequence, synthetic_skeleton
 from motionrefine.losses import (
     LossConfig,
@@ -300,8 +300,8 @@ def test_criterion_06_overfit_experiment(trained_overfit):
 def test_criterion_07_stage_monotonicity(overfit_fixture, trained_overfit):
     dataset, config = overfit_fixture
     result, _ = trained_overfit
-    windows = extract_windows(dataset, config.history_len, config.future_len)
-    errors, _ = window_errors(windows, result.params, config)
+    windows = window_index(dataset, config.history_len, config.future_len)
+    errors, _ = window_errors(dataset, windows, result.params, config)
     stages = [float(stage.mean()) for stage in errors[1:]]
     monotone = all(stages[i + 1] <= stages[i] * 1.02 for i in range(len(stages) - 1))
     _report(7, "stage-wise MPJPE non-increasing within 2%: " +

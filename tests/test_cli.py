@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -14,10 +15,11 @@ import pytest
 import motionrefine
 from motionrefine import cli
 from motionrefine.cli import _apply_ablation, build_parser, main, resolve_config
-from motionrefine.data import SynthSpec, load_dataset, load_sequence
+from motionrefine.data import WINDOW_STRIDE, SynthSpec, load_dataset, load_sequence, window_index
 from motionrefine.errors import ConfigurationError
 from motionrefine.model import ModelConfig, named_parameters, named_running_stats
 from motionrefine.trainer import (
+    evaluate,
     frames_from_milliseconds,
     load_checkpoint,
     prediction_bytes,
@@ -385,6 +387,9 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == 1, err
         assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+        # the batch's windows, as plain (sequence, start) integer pairs
+        assert re.search(r"\(windows \[\(\d+, \d+\)(, \(\d+, \d+\))*\]\)$", err.strip())
+        assert "np.int64(" not in err
         assert [str(w.message) for w in recwarn] == []
         if existing:
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
@@ -627,6 +632,19 @@ class TestEval:
         frames = frames_from_milliseconds([float(ms) for ms in marks.split(",")],
                                           SynthSpec.frame_rate, ModelConfig.future_len)
         assert len(frames) == 4 and all(1 <= f <= ModelConfig.future_len for f in frames)
+
+    def test_default_stride_is_the_one_constant(self):
+        assert build_parser().parse_args(["eval", "CKPT", "DATA"]).stride == WINDOW_STRIDE
+        for function in (evaluate, window_index):
+            assert inspect.signature(function).parameters["stride"].default == WINDOW_STRIDE
+
+    def test_stride_past_every_sequence_exits_0(self, corpus, trained, tmp_path, capsys):
+        out = tmp_path / "evalout"
+        rc = main(["eval", str(trained / "checkpoint.mckpt"), str(corpus), "--frames-ms", "40",
+                   "--stride", str(2 ** 63), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        # one window from each of the corpus's four sequences
+        assert json.loads((out / "eval_record.json").read_text())["window_count"] == 4
 
     def test_default_marks_run_at_the_default_future_length(self, corpus, tmp_path, capsys):
         run = tmp_path / "run"

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from motionrefine.data import (
     load_sequence,
     rest_pose,
     save_sequence,
+    window_index,
 )
 from motionrefine.errors import ConfigurationError, DataError, FormatError, SkeletonError
 from motionrefine.kinematics import PoseSequence, save_skeleton, synthetic_skeleton
@@ -137,6 +139,52 @@ class TestExtractWindows:
     def test_bad_stride(self, skeleton):
         with pytest.raises(ConfigurationError):
             extract_windows(self.make_dataset(20, skeleton), 10, 5, 0)
+
+
+class TestWindowIndex:
+    @staticmethod
+    def make_dataset(skeleton, *frames):
+        return SequenceDataset(skeleton, [PoseSequence(np.zeros((n, skeleton.joint_count, 3)))
+                                          for n in frames])
+
+    @pytest.mark.parametrize("stride", [1, 2, 5, 40])
+    def test_pairs_are_the_extracted_windows_sources(self, skeleton, stride):
+        ds = self.make_dataset(skeleton, 20, 3, 31, 15)
+        sequence, start = window_index(ds, 10, 5, stride)
+        assert sequence.dtype == start.dtype == np.int64
+        assert list(zip(sequence.tolist(), start.tolist())) == [
+            w.source for w in extract_windows(ds, 10, 5, stride)]
+
+    @pytest.mark.parametrize("stride", [2 ** 63, 10 ** 30])
+    def test_a_stride_past_every_sequence_keeps_one_integer_window_each(self, skeleton,
+                                                                        stride):
+        sequence, start = window_index(self.make_dataset(skeleton, 20, 16, 15), 10, 5, stride)
+        assert start.dtype == np.int64
+        assert sequence.tolist() == [0, 1, 2] and start.tolist() == [0, 0, 0]
+
+    def test_no_sequence_gives_two_empty_integer_arrays(self, skeleton):
+        for index in window_index(self.make_dataset(skeleton), 10, 5):
+            assert index.dtype == np.int64 and index.shape == (0,)
+
+    @pytest.mark.parametrize("args", [(10, 5, 0), (0, 5, 1), (10, 0, 1)])
+    def test_bad_lengths_and_stride(self, skeleton, args):
+        with pytest.raises(ConfigurationError):
+            window_index(self.make_dataset(skeleton, 20), *args)
+
+    def test_holds_16_bytes_a_window(self):
+        # 4 x 100,000 frames of a 4-joint skeleton: the index holds two int64s
+        # a window, where a TrainingWindow list holds about 480 bytes
+        ds = self.make_dataset(synthetic_skeleton(1, 4, 100.0), *[100_000] * 4)
+        tracemalloc.start()
+        try:
+            sequence, start = window_index(ds, 50, 10)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        windows = 4 * (100_000 - 60 + 1)
+        assert len(sequence) == len(start) == windows
+        # two array objects beside their data
+        assert held <= 16 * windows + 1024 and peak <= 24 * windows + 4096
 
 
 class TestSyntheticMotion:

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from motionrefine import LossConfig, extract_windows, trainer
+from motionrefine import LossConfig, trainer, window_index
 from motionrefine.attention import channels_to_poses
 from motionrefine.losses import build_loss_weights, loss_total
 from motionrefine.model import ModelConfig, init_model_params, model_forward
@@ -51,10 +51,11 @@ def test_training_step_tape_node_count(overfit_fixture):
     # attention summary is one value_windows node, not a take and a matmul
     # per summary frame and a concat (87 nodes)
     dataset, config = overfit_fixture
-    windows = extract_windows(dataset, config.history_len, config.future_len)[:4]
+    windows = tuple(index[:4] for index in window_index(dataset, config.history_len,
+                                                        config.future_len))
     params = init_model_params(config, np.random.default_rng(0))
-    out, truth = trainer._forward_batch(params, config, dct_basis(config.window), windows,
-                                        Mode.train(np.random.default_rng(1)))
+    out, truth = trainer._forward_batch(params, config, dct_basis(config.window), dataset,
+                                        windows, Mode.train(np.random.default_rng(1)))
     weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
                                  LossConfig())
     loss = loss_total(channels_to_poses(out.prediction), Tensor(truth), weights, LossConfig(),

@@ -15,6 +15,7 @@ from motionrefine.data import (
     SynthSpec,
     extract_windows,
     gen_synthetic,
+    window_index,
 )
 from motionrefine.errors import ConfigurationError, DataError, DimensionError, FormatError
 from motionrefine.kinematics import (
@@ -942,17 +943,18 @@ class TestCheckpoint:
 def test_dataset_mpjpe_matches_manual_average(overfit_fixture):
     dataset, config = overfit_fixture
     params = init_model_params(config, np.random.default_rng(4))
-    windows = extract_windows(dataset, config.history_len, config.future_len)[:6]
+    views = extract_windows(dataset, config.history_len, config.future_len)[:6]
     basis = dct_basis(config.window)
-    hist = np.stack([w.history for w in windows]).reshape(len(windows),
-                                                          config.history_len, -1)
+    hist = np.stack([w.history for w in views]).reshape(len(views), config.history_len, -1)
     model_forward(params, Tensor(hist.transpose(0, 2, 1)), config, basis,
                   Mode.train(np.random.default_rng(0)))
-    got = dataset_mpjpe(windows, params, config, batch_size=4)
+    windows = tuple(index[:6] for index in window_index(dataset, config.history_len,
+                                                        config.future_len))
+    got = dataset_mpjpe(dataset, windows, params, config, batch_size=4)
     # the untrained model repeats the last observed pose
     manual = np.mean([
         np.linalg.norm(np.repeat(w.history[-1:], config.future_len, axis=0) - w.target,
-                       axis=-1).mean() for w in windows])
+                       axis=-1).mean() for w in views])
     assert abs(got - manual) < 1e-9
 
 
@@ -967,10 +969,11 @@ class TestWindowErrors:
         for glm in params.refinement.stages:  # nonzero output convs: every stage moves
             glm.output_gc.weights.data = rng.normal(scale=0.05,
                                                     size=glm.output_gc.weights.shape)
-        windows = extract_windows(dataset, config.history_len, config.future_len, stride=3)
-        hist = np.stack([w.history for w in windows[:4]]).reshape(4, config.history_len, -1)
+        views = extract_windows(dataset, config.history_len, config.future_len, stride=3)
+        hist = np.stack([w.history for w in views[:4]]).reshape(4, config.history_len, -1)
         model_forward(params, Tensor(hist.transpose(0, 2, 1)), config,
                       dct_basis(config.window), Mode.train(rng))  # batch-norm statistics
+        windows = window_index(dataset, config.history_len, config.future_len, stride=3)
         return dataset, config, params, windows
 
     def test_copy_mode_runs_no_key_net(self, model, monkeypatch):
@@ -985,47 +988,49 @@ class TestWindowErrors:
             calls.append(net)
             return real(net, span)
         monkeypatch.setattr(trainer_module, "encode_span", counting)
-        errors, loss = window_errors(windows, params, copy, 4, LossConfig(), weights)
+        errors, loss = window_errors(dataset, windows, params, copy, 4, LossConfig(), weights)
         assert calls == []
         # a model without attention parameters gives the same figures
         without = dataclasses.replace(params, attention=None)
-        expected, expected_loss = window_errors(windows, without, copy, 4, LossConfig(),
-                                                weights)
+        expected, expected_loss = window_errors(dataset, windows, without, copy, 4,
+                                                LossConfig(), weights)
         assert np.array_equal(errors, expected) and loss == expected_loss
 
     def test_stage_major_layout_with_baseline_as_stage_zero(self, model):
-        _, config, params, windows = model
-        errors, mean_loss = window_errors(windows, params, config, batch_size=4)
-        assert errors.shape == (config.stages + 1, len(windows), config.future_len)
+        dataset, config, params, windows = model
+        errors, mean_loss = window_errors(dataset, windows, params, config, batch_size=4)
+        assert errors.shape == (config.stages + 1, len(windows[0]), config.future_len)
         assert errors[1].flags["C_CONTIGUOUS"] and mean_loss is None
         baseline = np.stack([
             mpjpe_per_frame(np.repeat(w.history[-1:], config.future_len, axis=0), w.target)
-            for w in windows])
+            for w in extract_windows(dataset, config.history_len, config.future_len, 3)])
         assert np.array_equal(errors[0], baseline)
         assert not np.allclose(errors[-1], errors[0])
 
     def test_stage_rows_are_the_stage_outputs_future_errors(self, model):
         # against one forward of every window: poses of the whole window, then
         # its future frames (the batched pass's key codes may differ in ULPs)
-        _, config, params, windows = model
-        errors, _ = window_errors(windows, params, config, batch_size=4)
-        histories = np.stack([w.history for w in windows]).reshape(
-            len(windows), config.history_len, -1)
+        dataset, config, params, windows = model
+        errors, _ = window_errors(dataset, windows, params, config, batch_size=4)
+        views = extract_windows(dataset, config.history_len, config.future_len, 3)
+        histories = np.stack([w.history for w in views]).reshape(
+            len(views), config.history_len, -1)
         with no_grad():
             out = model_forward(params, Tensor(histories.transpose(0, 2, 1)), config,
                                 dct_basis(config.window), Mode.eval())
-        targets = np.stack([w.target for w in windows])
+        targets = np.stack([w.target for w in views])
         assert len(out.stage_outputs) == config.stages
         for n, stage in enumerate(out.stage_outputs, start=1):
             poses = stage.data.transpose(0, 2, 1).reshape(
-                len(windows), config.window, config.joints, 3)
+                len(views), config.window, config.joints, 3)
             expected = mpjpe_per_frame(poses[:, config.query_len:], targets)
             assert np.allclose(errors[n], expected, rtol=1e-9, atol=0.0)
 
     def test_dataset_mpjpe_is_the_final_stage_mean(self, model):
-        _, config, params, windows = model
-        errors, _ = window_errors(windows, params, config, batch_size=4)
-        assert dataset_mpjpe(windows, params, config, batch_size=4) == errors[-1].mean()
+        dataset, config, params, windows = model
+        errors, _ = window_errors(dataset, windows, params, config, batch_size=4)
+        assert (dataset_mpjpe(dataset, windows, params, config, batch_size=4)
+                == errors[-1].mean())
 
     def test_last_stage_row_is_the_mpjpe_row(self, model):
         dataset, config, params, windows = model
@@ -1034,20 +1039,21 @@ class TestWindowErrors:
         assert record["stage_mpjpe"][-1] == record["mpjpe"]
         weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
                                      LossConfig())
-        errors, mean_loss = window_errors(windows, params, config, loss_config=LossConfig(),
-                                          loss_weights=weights)
+        errors, mean_loss = window_errors(dataset, windows, params, config,
+                                          loss_config=LossConfig(), loss_weights=weights)
         assert record["stage_overall"] == [float(stage.mean()) for stage in errors]
         assert record["mean_loss"] == mean_loss
 
     def test_mean_loss_does_not_depend_on_the_batch_size(self, overfit_fixture):
         dataset, config = overfit_fixture
-        windows = extract_windows(dataset, config.history_len, config.future_len)
-        params = _warm_model(config, 8, windows)
+        windows = window_index(dataset, config.history_len, config.future_len)
+        params = _warm_model(config, 8, dataset, windows)
         weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
                                      LossConfig())
         # 168 windows: 50 and 64 leave a short last batch
-        losses = [window_errors(windows, params, config, batch_size, LossConfig(), weights)[1]
-                  for batch_size in (len(windows), 1, 7, 50, 64)]
+        losses = [window_errors(dataset, windows, params, config, batch_size, LossConfig(),
+                                weights)[1]
+                  for batch_size in (len(windows[0]), 1, 7, 50, 64)]
         assert all(abs(loss - losses[0]) <= 1e-12 * abs(losses[0]) for loss in losses)
 
     def test_reference_record_does_not_depend_on_the_batch_size(self):
@@ -1055,8 +1061,8 @@ class TestWindowErrors:
         # two batches of 64 or 128 of one
         config = ModelConfig(joints=22)
         dataset = _humanoid_corpus(3, 91)
-        params = _warm_model(config, 3, extract_windows(dataset, config.history_len,
-                                                        config.future_len))
+        params = _warm_model(config, 3, dataset, window_index(dataset, config.history_len,
+                                                              config.future_len))
         one, full = (evaluate(dataset, params, config, [40, 200, 400], per_stage=True,
                               batch_size=batch_size) for batch_size in (1, 64))
         assert one == full
@@ -1064,11 +1070,33 @@ class TestWindowErrors:
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_a_configuration_error(self, model, batch_size):
         dataset, config, params, windows = model
-        for call in (lambda: window_errors(windows, params, config, batch_size),
-                     lambda: dataset_mpjpe(windows, params, config, batch_size),
+        for call in (lambda: window_errors(dataset, windows, params, config, batch_size),
+                     lambda: dataset_mpjpe(dataset, windows, params, config, batch_size),
                      lambda: evaluate(dataset, params, config, [40], batch_size=batch_size)):
             with pytest.raises(ConfigurationError, match="batch_size"):
                 call()
+
+    def test_no_window_is_a_configuration_error(self, model):
+        dataset, config, params, windows = model
+        empty = tuple(index[:0] for index in windows)
+        short = SequenceDataset(dataset.skeleton, [PoseSequence(
+            dataset.sequences[0].coords[:config.history_len + config.future_len - 1])])
+        for call in (lambda: window_errors(dataset, empty, params, config,
+                                           loss_config=LossConfig()),
+                     lambda: dataset_mpjpe(dataset, empty, params, config),
+                     lambda: evaluate(short, params, config, [40])):
+            with pytest.raises(ConfigurationError, match="no windows"):
+                call()
+
+    @pytest.mark.parametrize("stride", [2 ** 63, 10 ** 30])
+    def test_a_stride_past_every_sequence_scores_one_window_each(self, model, stride):
+        dataset, config, params, _ = model
+        labelled = dataclasses.replace(dataset, labels=["a", "b"] * 4)
+        record, expected = (evaluate(labelled, params, config, [40, 200], stride=step,
+                                     per_stage=True, loss_config=LossConfig())
+                            for step in (stride, 10 ** 6))
+        assert record == expected
+        assert record["window_count"] == 8 and record["per_action"]["a"]["count"] == 4
 
 
 def _humanoid_corpus(seed, frames):
@@ -1080,13 +1108,15 @@ def _humanoid_corpus(seed, frames):
         period=rng.uniform(12.0, 32.0), frames=frames, seed=seed + i)) for i in range(4)])
 
 
-def _warm_model(config, seed, windows):
-    """Seeded parameters with random output convs and batch-norm statistics."""
+def _warm_model(config, seed, dataset, windows):
+    """Seeded parameters with random output convs and batch-norm statistics from
+    the first 32 of ``windows``, a ``window_index`` pair over ``dataset``."""
     rng = np.random.default_rng(seed)
     params = init_model_params(config, rng)
     for glm in params.refinement.stages:
         glm.output_gc.weights.data = rng.uniform(-1.0, 1.0, glm.output_gc.weights.shape)
-    hist = np.stack([w.history for w in windows[:32]])
+    hist = np.stack([dataset.sequences[s].coords[t:t + config.history_len]
+                     for s, t in zip(*(index[:32].tolist() for index in windows))])
     model_forward(params, Tensor(hist.reshape(len(hist), config.history_len, -1)
                                  .transpose(0, 2, 1)),
                   config, dct_basis(config.window), Mode.train(rng))
@@ -1097,12 +1127,14 @@ class TestSharedKeyCodes:
     """window_errors encodes each run of a sequence's windows once per batch."""
 
     @staticmethod
-    def _both_passes(monkeypatch, windows, params, config, batch_size, weights):
+    def _both_passes(monkeypatch, dataset, windows, params, config, batch_size, weights):
         """(shared-code result, per-window result) of one window_errors call."""
-        shared = window_errors(windows, params, config, batch_size, LossConfig(), weights)
+        shared = window_errors(dataset, windows, params, config, batch_size, LossConfig(),
+                               weights)
         with monkeypatch.context() as patch:
             patch.setattr(trainer_module, "_shared_key_codes", lambda *args: None)
-            alone = window_errors(windows, params, config, batch_size, LossConfig(), weights)
+            alone = window_errors(dataset, windows, params, config, batch_size, LossConfig(),
+                                  weights)
         return shared, alone
 
     # the sequence lengths of the eval_ref (91) and train_ref (67) bench corpora
@@ -1113,14 +1145,14 @@ class TestSharedKeyCodes:
                                                              seed, stride):
         config = ModelConfig(joints=22)
         dataset = _humanoid_corpus(seed, frames)
-        windows = extract_windows(dataset, config.history_len, config.future_len, stride)
-        params = _warm_model(config, seed, windows)
+        windows = window_index(dataset, config.history_len, config.future_len, stride)
+        params = _warm_model(config, seed, dataset, windows)
         weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
                                      LossConfig())
         # 64 and 32 mix sequences in one batch, 7 splits runs across batch edges
         for batch_size in (64, 32, 7):
             (errors, loss), (expected, expected_loss) = self._both_passes(
-                monkeypatch, windows, params, config, batch_size, weights)
+                monkeypatch, dataset, windows, params, config, batch_size, weights)
             assert np.array_equal(errors, expected) and loss == expected_loss
 
     # not bitwise here: OpenBLAS picks another GEMM kernel for the key net's
@@ -1130,13 +1162,13 @@ class TestSharedKeyCodes:
     def test_small_config_agrees_with_per_window_pass(self, monkeypatch, overfit_fixture,
                                                       seed, stride):
         dataset, config = overfit_fixture
-        windows = extract_windows(dataset, config.history_len, config.future_len, stride)
-        params = _warm_model(config, seed, windows)
+        windows = window_index(dataset, config.history_len, config.future_len, stride)
+        params = _warm_model(config, seed, dataset, windows)
         weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
                                      LossConfig())
         for batch_size in (64, 32, 7):
             (errors, loss), (expected, expected_loss) = self._both_passes(
-                monkeypatch, windows, params, config, batch_size, weights)
+                monkeypatch, dataset, windows, params, config, batch_size, weights)
             assert np.abs(errors - expected).max() <= 1e-12 * np.abs(expected).max()
             assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
 
@@ -1154,8 +1186,8 @@ class TestSharedKeyCodes:
     def test_key_net_runs_once_per_batch_on_fewer_windows(self, monkeypatch,
                                                           overfit_fixture):
         dataset, config = overfit_fixture
-        windows = extract_windows(dataset, config.history_len, config.future_len)
-        params = _warm_model(config, 5, windows)
+        windows = window_index(dataset, config.history_len, config.future_len)
+        params = _warm_model(config, 5, dataset, windows)
         encoded = []
         real = attention_module.encode_span
 
@@ -1167,30 +1199,63 @@ class TestSharedKeyCodes:
         monkeypatch.setattr(attention_module, "encode_span", counting)
         monkeypatch.setattr(trainer_module, "encode_span", counting)
         passed = self._key_codes_passed(monkeypatch)
-        window_errors(windows, params, config, batch_size=64)
+        window_errors(dataset, windows, params, config, batch_size=64)
         count = config.history_len - config.window + 1
-        sizes = [len(windows[start:start + 64]) for start in range(0, len(windows), 64)]
+        sizes = [len(windows[0][start:start + 64]) for start in range(0, len(windows[0]), 64)]
         assert len(encoded) == len(sizes) == len(passed) == 3
         assert all(n < size * count for n, size in zip(encoded, sizes))
         assert [codes.shape for codes in passed] == [
             (size, config.latent_dim, count) for size in sizes]
 
+    # 4 sequences of 130 frames at the reference config: count = 31 key windows
+    # of a 40-frame key span, so strides 31 and 32 both give starts 0, 31|32, 62|64.
+    # At stride 31 (= count) a sequence's windows join one run of 62 + 40 frames;
+    # at 32 each window is a run of its own.  A batch encodes its runs' frames
+    # less query_len - 1 key windows.
+    @pytest.mark.parametrize("stride, batch_size, encoded", [
+        (31, 64, [4 * 102 - 9]),
+        (31, 7, [102 + 102 + 40 - 9, 71 + 102 - 9]),
+        (32, 64, [12 * 40 - 9]),
+        (32, 7, [7 * 40 - 9, 5 * 40 - 9]),
+    ])
+    def test_runs_end_at_a_step_of_count_at_the_reference_config(
+            self, monkeypatch, stride, batch_size, encoded):
+        config = ModelConfig(joints=22)
+        assert config.history_len - config.window + 1 == 31
+        dataset = _humanoid_corpus(5, 130)
+        windows = window_index(dataset, config.history_len, config.future_len, stride)
+        params = _warm_model(config, 5, dataset, windows)
+        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
+                                     LossConfig())
+        widths = []
+        real = trainer_module.encode_span
+
+        def counting(net, span):
+            codes = real(net, span)
+            widths.append(codes.shape[-1])
+            return codes
+        monkeypatch.setattr(trainer_module, "encode_span", counting)
+        (errors, loss), (expected, expected_loss) = self._both_passes(
+            monkeypatch, dataset, windows, params, config, batch_size, weights)
+        assert widths == encoded
+        assert np.array_equal(errors, expected) and loss == expected_loss
+
     def test_stride_beyond_the_key_count_still_shares_key_codes(self, monkeypatch,
                                                                 overfit_fixture):
         dataset, config = overfit_fixture
         count = config.history_len - config.window + 1
-        windows = extract_windows(dataset, config.history_len, config.future_len,
-                                  stride=count + 1)
-        params = _warm_model(config, 6, windows)
+        windows = window_index(dataset, config.history_len, config.future_len,
+                               stride=count + 1)
+        params = _warm_model(config, 6, dataset, windows)
         weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
                                      LossConfig())
         passed = self._key_codes_passed(monkeypatch)
         for batch_size in (64, 7):
             passed.clear()
             (errors, loss), (expected, expected_loss) = self._both_passes(
-                monkeypatch, windows, params, config, batch_size, weights)
-            sizes = [len(windows[start:start + batch_size])
-                     for start in range(0, len(windows), batch_size)]
+                monkeypatch, dataset, windows, params, config, batch_size, weights)
+            sizes = [len(windows[0][start:start + batch_size])
+                     for start in range(0, len(windows[0]), batch_size)]
             # the shared pass's calls, then the per-window reference's
             assert [np.shape(codes) for codes in passed] == [
                 (size, config.latent_dim, count) for size in sizes] + [()] * len(sizes)
@@ -1200,13 +1265,13 @@ class TestSharedKeyCodes:
     def test_copy_mode_never_calls_the_key_net(self, monkeypatch, overfit_fixture):
         dataset, config = overfit_fixture
         config = dataclasses.replace(config, attention_mode="copy")
-        windows = extract_windows(dataset, config.history_len, config.future_len)
-        params = _warm_model(config, 7, windows)
+        windows = window_index(dataset, config.history_len, config.future_len)
+        params = _warm_model(config, 7, dataset, windows)
 
         def refuse(net, span):
             raise AssertionError("copy mode encoded a span")
         monkeypatch.setattr(attention_module, "encode_span", refuse)
         monkeypatch.setattr(trainer_module, "encode_span", refuse)
         passed = self._key_codes_passed(monkeypatch)
-        errors, _ = window_errors(windows, params, config, batch_size=64)
+        errors, _ = window_errors(dataset, windows, params, config, batch_size=64)
         assert np.isfinite(errors).all() and all(codes is None for codes in passed)
