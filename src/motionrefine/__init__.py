@@ -40,7 +40,6 @@ from .kinematics import (
 )
 from .losses import (
     LossConfig,
-    LossWeights,
     assemble_lambda,
     build_loss_weights,
     loss_st,

@@ -46,7 +46,8 @@ class SequenceDataset:
 
 @dataclass(frozen=True)
 class TrainingWindow:
-    """A (history, target) pair whose arrays view its sequence's ``coords``."""
+    """A (history, target) pair whose arrays view its sequence's ``coords``.
+    Kept only because ``bench/`` reads it: training uses ``window_index``."""
 
     history: np.ndarray   # (history_len, joints, 3)
     target: np.ndarray    # (future_len, joints, 3)
@@ -171,7 +172,7 @@ def window_index(dataset: SequenceDataset, history_len: int, future_len: int,
 def extract_windows(dataset: SequenceDataset, history_len: int, future_len: int,
                     stride: int = WINDOW_STRIDE) -> list[TrainingWindow]:
     """``window_index``'s windows as ``TrainingWindow``s, whose arrays view the
-    sequences' memory: the per-window form of the index, for callers outside training."""
+    sequences' memory.  Kept only because ``bench/`` calls it: training uses the index."""
     sequence, start = window_index(dataset, history_len, future_len, stride)
     coords, span = [seq.coords for seq in dataset.sequences], history_len + future_len
     return [TrainingWindow(coords[s][t:t + history_len], coords[s][t + history_len:t + span],

@@ -46,11 +46,6 @@ class LossConfig:
             raise ConfigurationError("all loss components disabled")
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    table: np.ndarray     # (window_frames, joints), sums to joints * window_frames
-
-
 def spatial_factors(skeleton: Skeleton, floor: float = LossConfig.spatial_floor) -> np.ndarray:
     """Per-joint factor (pos/bones) * ln(cumulative bone length), floored.
 
@@ -94,8 +89,8 @@ def temporal_factors(query_len: int, future_len: int,
     return t
 
 
-def assemble_lambda(spatial: np.ndarray, temporal: np.ndarray) -> LossWeights:
-    """Multiply the factors and rescale so the table sums to joints * frames."""
+def assemble_lambda(spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:
+    """The (frames, joints) table of the factors' product, rescaled to sum to joints * frames."""
     spatial = np.asarray(spatial, dtype=np.float64)
     temporal = np.asarray(temporal, dtype=np.float64)
     if spatial.ndim != 1 or temporal.ndim != 1:
@@ -106,12 +101,13 @@ def assemble_lambda(spatial: np.ndarray, temporal: np.ndarray) -> LossWeights:
     total = outer.sum()
     if total <= 0:
         raise ConfigurationError("all-zero weight product")
-    return LossWeights(outer * (outer.size / total))
+    return outer * (outer.size / total)
 
 
 def build_loss_weights(skeleton: Skeleton, query_len: int, future_len: int,
-                       config: LossConfig) -> LossWeights | None:
-    """Weight table for the supervised window, or None for uniform weighting.
+                       config: LossConfig) -> np.ndarray | None:
+    """The (frames, joints) weight table for the supervised window, or None
+    where ``use_st_weights`` is off: the one reader of the weighting settings.
 
     With query reconstruction off only the future branch of the temporal
     ramp survives and the table renormalizes over the shorter window.
@@ -137,16 +133,16 @@ def _check_pose_shapes(pred: Tensor, truth: Tensor, op: str):
         raise DimensionError(f"{op}: expected (..., frames, joints, 3), got {pred.shape}")
 
 
-def loss_st(pred, truth, weights: LossWeights | None = None) -> Tensor:
+def loss_st(pred, truth, weights: np.ndarray | None = None) -> Tensor:
     """Mean weighted per-joint Euclidean error over frames (and batch)."""
     pred, truth = as_tensor(pred), as_tensor(truth)
     _check_pose_shapes(pred, truth, "loss_st")
     distance = _joint_distance(pred, truth)  # (..., frames, joints)
     if weights is not None:
-        if weights.table.shape != pred.shape[-3:-1]:
+        if weights.shape != pred.shape[-3:-1]:
             raise DimensionError(
-                f"weight table {weights.table.shape} does not cover window {pred.shape[-3:-1]}")
-        distance = mul(distance, Tensor(weights.table))
+                f"weight table {weights.shape} does not cover window {pred.shape[-3:-1]}")
+        distance = mul(distance, Tensor(weights))
     return mul(tensor_sum(distance), 1.0 / distance.size)
 
 
@@ -162,13 +158,14 @@ def loss_velocity(pred, truth) -> Tensor:
     return mul(tensor_sum(distance), 1.0 / distance.size)
 
 
-def loss_total(pred, truth, weights: LossWeights | None, config: LossConfig,
+def loss_total(pred, truth, weights: np.ndarray | None, config: LossConfig,
                future_len: int) -> Tensor:
     """Sum of the enabled components over the supervised window.
 
     ``pred`` and ``truth`` always cover the full reconstruction+future
     window; with query reconstruction off both losses see only the last
     ``future_len`` frames (denominators renormalize automatically).
+    ``weights`` is ``build_loss_weights``' table (or None), used as given.
     """
     pred, truth = as_tensor(pred), as_tensor(truth)
     _check_pose_shapes(pred, truth, "loss_total")
@@ -177,7 +174,7 @@ def loss_total(pred, truth, weights: LossWeights | None, config: LossConfig,
         truth = truth[..., -future_len:, :, :]
     total = None
     if config.use_st:
-        total = loss_st(pred, truth, weights if config.use_st_weights else None)
+        total = loss_st(pred, truth, weights)
     if config.use_velocity:
         vel = loss_velocity(pred, truth)
         total = vel if total is None else total + vel

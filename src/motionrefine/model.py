@@ -127,8 +127,11 @@ def count_parameters(config: ModelConfig) -> int:
 
 @dataclass
 class ModelOutput:
-    prediction: Tensor
     stage_outputs: list[Tensor]
+
+    @property
+    def prediction(self) -> Tensor:
+        return self.stage_outputs[-1]
 
 
 def model_forward(params: ModelParams, histories, config: ModelConfig,
@@ -154,7 +157,7 @@ def model_forward(params: ModelParams, histories, config: ModelConfig,
     else:
         summary = pad_query(query, config.future_len)
     stage_outputs = refine(query, summary, params.refinement, basis, mode)
-    return ModelOutput(stage_outputs[-1], stage_outputs)
+    return ModelOutput(stage_outputs)
 
 
 # JSON types a config field of each annotated type accepts (a bool is no number)

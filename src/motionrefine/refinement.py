@@ -77,14 +77,16 @@ def pad_query(query, future_len: int) -> Tensor:
 
 
 def graph_conv(g, layer: GraphConv) -> Tensor:
-    """adjacency @ g @ weights over (..., pose_dim, channels) inputs."""
+    """adjacency @ g @ weights over (..., pose_dim, channels) inputs.  Kept
+    only because ``bench/`` times it: no model path calls it (ROADMAP item 2)."""
     return matmul(matmul(layer.adjacency, g), layer.weights)
 
 
 def graph_learning_block(g, layer: GraphBlock, mode: Mode,
                          dropout_rate: float = DROPOUT) -> Tensor:
     """Graph conv, batch norm over channels, tanh and dropout: one tape node
-    in train mode; eval mode runs only under ``no_grad`` (else ``TapeError``)."""
+    in train mode; eval mode runs only under ``no_grad`` (else ``TapeError``).
+    Kept only because ``bench/`` times it: no model path calls it (ROADMAP item 2)."""
     return graph_blocks(g, [layer], mode, dropout_rate)
 
 

@@ -46,6 +46,7 @@ copy.  All math is 64-bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -586,13 +587,13 @@ def _batchnorm_backward(g: np.ndarray, normalized: np.ndarray, gamma: np.ndarray
     return dgamma, dbeta, dx
 
 
-def _dropout_active(rate: float, rng: np.random.Generator | None, mode: Mode) -> bool:
-    """Validate an inverted-dropout call; False where it is the identity (eval or rate 0)."""
+def _dropout_active(rate: float, mode: Mode) -> bool:
+    """Validate a dropout call drawing ``mode.rng``; False for the identity (eval or rate 0)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
     if not mode.training or rate == 0.0:
         return False
-    if rng is None:
+    if mode.rng is None:
         raise ConfigurationError("train-mode dropout needs an rng")
     return True
 
@@ -666,6 +667,7 @@ class _BlockTape(NamedTuple):
     mean: np.ndarray                # the per-channel batch mean it was centred by
     std: np.ndarray                 # the per-channel std it was divided by
     keep: np.ndarray | None         # the dropout keep mask, one bit per value
+    scale: float                    # the inverted-dropout scale, 1 / (1 - rate)
 
 
 class GraphBlock(NamedTuple):
@@ -706,7 +708,7 @@ def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tr
     normalized activations where they are off the tape.
     """
     adjacency, weights, gamma, beta, stats = block
-    dropping = _dropout_active(rate, mode.rng, mode)
+    dropping = _dropout_active(rate, mode)
     if not mode.training:
         if not stats.initialized:
             raise StateError("eval-mode batchnorm before any training batch")
@@ -722,8 +724,8 @@ def _block_forward(x: np.ndarray, block: GraphBlock, mode: Mode, rate: float, tr
     normalized = _graph_product(adjacency.data, x, weights.data)
     mean, std = _batchnorm_forward(normalized, stats)
     keep = np.packbits(mode.rng.random(normalized.shape) >= rate) if dropping else None
-    tape = _BlockTape(normalized, mean, std, keep)
-    out = _block_output(block, tape, rate, out=None if tracked else normalized)
+    tape = _BlockTape(normalized, mean, std, keep, 1.0 / (1.0 - rate))
+    out = _block_output(block, tape, out=None if tracked else normalized)
     return out, tape if tracked else None
 
 
@@ -746,20 +748,25 @@ def _block_tanh(tape: _BlockTape, gamma: Tensor, beta: Tensor,
     return np.tanh(t, out=t)
 
 
-def _block_output(block: GraphBlock, tape: _BlockTape, rate: float,
+def _keep_mask(tape: _BlockTape, shape: tuple) -> np.ndarray:
+    """The block's dropout keep mask unpacked to ``shape``, as 0s and 1s."""
+    return np.unpackbits(tape.keep, count=math.prod(shape)).reshape(shape)
+
+
+def _block_output(block: GraphBlock, tape: _BlockTape,
                   out: np.ndarray | None = None) -> np.ndarray:
     """The block's train-mode output, into ``out`` where given: its tanh
-    output times the keep mask and the scale.  The forward makes it so, and
-    the backward rebuilds it so, bitwise."""
+    output times the keep mask and the tape's scale.  The forward makes it
+    so, and the backward rebuilds it so, bitwise."""
     out = _block_tanh(tape, block.gamma, block.beta, out)
     if tape.keep is not None:
-        out *= np.unpackbits(tape.keep, count=out.size).reshape(out.shape)
-        out *= 1.0 / (1.0 - rate)
+        out *= _keep_mask(tape, out.shape)
+        out *= tape.scale
     return out
 
 
 def _block_backward(grad_out: np.ndarray, x, need_x: bool, block: GraphBlock,
-                    tape: _BlockTape, rate: float, overwrite: bool):
+                    tape: _BlockTape, overwrite: bool):
     """Accumulate a block's parameter gradients for upstream ``grad_out``.
 
     ``x`` is the block's input array, or a function that rebuilds it into a
@@ -781,10 +788,8 @@ def _block_backward(grad_out: np.ndarray, x, need_x: bool, block: GraphBlock,
     if tape.keep is None:
         grad = np.multiply(grad_out, slope, out=out)
     else:
-        mask = np.unpackbits(tape.keep, count=slope.size).reshape(slope.shape)
-        grad = np.multiply(grad_out, mask, out=out)
-        del mask
-        grad *= 1.0 / (1.0 - rate)
+        grad = np.multiply(grad_out, _keep_mask(tape, slope.shape), out=out)
+        grad *= tape.scale
         grad *= slope
     need_mixed = adjacency.requires_grad or need_x
     # the spent slope takes the batch-norm backward's product
@@ -918,10 +923,10 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
                 # the entry block's output, over its rebuilt normalized
                 # activations, which no one else holds once the first sum exists
                 tape = entry_tape()
-                x = _block_output(blocks[0], tape, rate, out=tape.normalized)
+                x = _block_output(blocks[0], tape, out=tape.normalized)
                 del tape
                 for k in range(2, len(blocks) if output is not None else len(blocks) - 2, 2):
-                    inputs.append(_block_output(blocks[k], tapes[k], rate))
+                    inputs.append(_block_output(blocks[k], tapes[k]))
                     inputs[-1] += x
                     x = inputs[-1]
                 if not inputs:      # no pair: the output conv takes the entry block's output
@@ -936,8 +941,8 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
             entry = None
             for k in range(len(blocks) - 1, 0, -2):     # each pair's second block
                 upstream = grad
-                inner = functools.partial(_block_output, blocks[k - 1], tapes[k - 1], rate)
-                grad = _block_backward(grad, inner, need[k], blocks[k], tapes[k], rate,
+                inner = functools.partial(_block_output, blocks[k - 1], tapes[k - 1])
+                grad = _block_backward(grad, inner, need[k], blocks[k], tapes[k],
                                        overwrite=False)
                 tapes[k] = None
                 if grad is None:
@@ -946,9 +951,9 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
                     pair_input = inputs.pop()
                 else:
                     entry = entry_tape()
-                    pair_input = _block_output(blocks[0], entry, rate)
+                    pair_input = _block_output(blocks[0], entry)
                 grad = _block_backward(grad, pair_input, need[k - 1], blocks[k - 1],
-                                       tapes[k - 1], rate, overwrite=True)
+                                       tapes[k - 1], overwrite=True)
                 tapes[k - 1] = None
                 if grad is None:
                     return
@@ -959,7 +964,7 @@ def graph_blocks(h, blocks: list[GraphBlock], mode: Mode, rate: float,
             if entry is None:
                 entry = entry_tape()
             # grad is this closure's own unless it is the one it received
-            _accum(h, _block_backward(grad, h.data, need[0], blocks[0], entry, rate,
+            _accum(h, _block_backward(grad, h.data, need[0], blocks[0], entry,
                                       overwrite=len(blocks) > 1 or output is not None))
         out._backward = _bw
     return out

@@ -40,7 +40,7 @@ from .kinematics import (
     skeleton_from_text,
     skeleton_to_text,
 )
-from .losses import LossConfig, LossWeights, build_loss_weights, loss_total
+from .losses import LossConfig, build_loss_weights, loss_total
 from .model import (
     ModelConfig,
     ModelParams,
@@ -100,37 +100,23 @@ class OptimizerConfig:
             raise ConfigurationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
 
-# the most values one whole-vector op of the Adam step covers, unless one
-# leading-axis row of a parameter holds more: consecutive small parameters
-# share a segment, and a larger parameter is updated a block of rows at a time
+# the most values one whole-vector op of the Adam step covers
 _SEGMENT = 1 << 16
 
 
-def _segments(shapes: list[tuple]) -> list[tuple[int, int, list[tuple]]]:
-    """Cut the flat layout of parameters of these shapes into ``(start, stop,
-    members)`` segments of at most ``_SEGMENT`` values.  A member ``(index,
-    rows, shape)`` is parameter ``index``'s values ``[rows]``, of that shape:
-    a segment holds whole consecutive parameters (``rows`` is ``...``), or
-    one block of leading-axis rows of a parameter larger than a segment."""
-    segments, offset, grouping = [], 0, False
-    for index, shape in enumerate(shapes):
-        size = math.prod(shape)
-        if size > _SEGMENT:
-            row = size // shape[0]
-            step = max(1, _SEGMENT // row)
-            for r0 in range(0, shape[0], step):
-                r1 = min(r0 + step, shape[0])
-                segments.append((offset + r0 * row, offset + r1 * row,
-                                 [(index, slice(r0, r1), (r1 - r0,) + shape[1:])]))
-            grouping = False
-        else:
-            if not grouping or segments[-1][1] - segments[-1][0] + size > _SEGMENT:
-                segments.append((offset, offset, []))
-                grouping = True
-            start, stop, members = segments[-1]
-            members.append((index, ..., shape))
-            segments[-1] = (start, stop + size, members)
-        offset += size
+def _segments(sizes: list[int]) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """Cut the flat layout of parameters of these sizes into consecutive
+    ``(start, stop, members)`` slices of ``_SEGMENT`` values (the last may be
+    shorter).  A member ``(index, a, b)`` is values ``[a, b)`` of parameter
+    ``index``, flattened, and a slice's members cover it in order."""
+    bounds = np.cumsum([0, *sizes]).tolist()
+    segments = []
+    for start in range(0, bounds[-1], _SEGMENT):
+        stop = min(start + _SEGMENT, bounds[-1])
+        segments.append((start, stop, [
+            (i, max(start, first) - first, min(stop, last) - first)
+            for i, (first, last) in enumerate(zip(bounds, bounds[1:]))
+            if max(start, first) < min(stop, last)]))
     return segments
 
 
@@ -140,30 +126,28 @@ class AdamState:
     Construction copies every parameter into its view of ``flat_p`` and makes
     that view the tensor's ``data``; ``m`` and ``v`` map each name to its
     views of ``flat_m`` and ``flat_v``.  So ``adam_step`` updates every
-    parameter with a few whole-vector ops per segment.  Values written in
-    place (``tensor.data[...] = ...``) keep a tensor bound.
+    parameter with a few whole-vector ops per ``_segments`` slice.  Values
+    written in place (``tensor.data[...] = ...``) keep a tensor bound.
     """
 
     def __init__(self, params: dict[str, Tensor]):
-        shapes = [t.data.shape for t in params.values()]
-        total = sum(math.prod(shape) for shape in shapes)
+        sizes = [t.data.size for t in params.values()]
+        total = sum(sizes)
         self.flat_p = np.empty(total)
         self.flat_m = np.zeros(total)
         self.flat_v = np.zeros(total)
         self._views, self.m, self.v = {}, {}, {}
         offset = 0
-        for (name, tensor), shape in zip(params.items(), shapes):
-            span = slice(offset, offset + math.prod(shape))
+        for (name, tensor), size in zip(params.items(), sizes):
+            span, shape = slice(offset, offset + size), tensor.data.shape
             view = self._views[name] = self.flat_p[span].reshape(shape)
             view[...] = tensor.data
             tensor.data = view
             self.m[name] = self.flat_m[span].reshape(shape)
             self.v[name] = self.flat_v[span].reshape(shape)
             offset = span.stop
-        segments = _segments(shapes)
         self._segments = [(members, self.flat_p[start:stop], self.flat_m[start:stop],
-                           self.flat_v[start:stop]) for start, stop, members in segments]
-        self._scratch = max((stop - start for start, stop, _ in segments), default=0)
+                           self.flat_v[start:stop]) for start, stop, members in _segments(sizes)]
         self.step = 0
 
 
@@ -178,10 +162,10 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
     parameter ``state`` holds; a missing gradient counts as zero.
 
     A parameter whose ``data`` was rebound since is first copied back into
-    its view of the flat vector.  Each segment's gradients are gathered into
-    one buffer, unless the segment is one C-contiguous gradient (block),
-    which is read in place.  The update runs in place with the per-tensor
-    recurrence's arithmetic, in its order:
+    its view of the flat vector.  Each segment's flattened gradient ranges
+    are gathered into one buffer, unless the segment lies within one
+    C-contiguous gradient, which is read in place.  The update runs in place
+    with the per-tensor recurrence's arithmetic, in its order:
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
     ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.
     """
@@ -204,16 +188,16 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
     t = state.step
     correct1 = 1.0 - BETA1 ** t
     correct2 = 1.0 - BETA2 ** t
-    buffers = np.empty((3, state._scratch))
+    buffers = np.empty((3, min(_SEGMENT, state.flat_p.size)))
     for members, p, m, v in state._segments:
         n = p.size
         delta, root = buffers[1, :n], buffers[2, :n]
-        pieces = [np.broadcast_to(0.0, shape) if grads[i] is None else grads[i][rows]
-                  for i, rows, shape in members]
+        pieces = [np.broadcast_to(0.0, b - a) if grads[i] is None else grads[i].reshape(-1)[a:b]
+                  for i, a, b in members]
         if len(pieces) == 1 and pieces[0].flags.c_contiguous:
-            g = pieces[0].reshape(-1)       # read in place
+            g = pieces[0]                   # read in place
         else:                               # gathered, in C order
-            g = np.concatenate(pieces, axis=None, out=buffers[0, :n])
+            g = np.concatenate(pieces, out=buffers[0, :n])
         m *= BETA1
         np.multiply(g, 1.0 - BETA1, out=delta)
         m += delta
@@ -307,8 +291,7 @@ def _shared_key_codes(key_net: WindowEncoder, dataset: SequenceDataset, windows,
 
 
 def window_errors(dataset: SequenceDataset, windows, params: ModelParams, config: ModelConfig,
-                  batch_size: int = EVAL_BATCH_SIZE, loss_config: LossConfig | None = None,
-                  loss_weights: LossWeights | None = None
+                  batch_size: int = EVAL_BATCH_SIZE, loss_config: LossConfig | None = None
                   ) -> tuple[np.ndarray, float | None]:
     """Eval-mode future MPJPE of every window after every stage, in one no_grad pass.
 
@@ -318,7 +301,8 @@ def window_errors(dataset: SequenceDataset, windows, params: ModelParams, config
     1 after stage n, where stage 0 is the repeat-last-pose baseline and stage
     ``config.stages`` the final prediction; each stage's (windows, future_len)
     slab is contiguous.  With a loss config, ``mean_loss`` is the final
-    prediction's objective averaged over windows, otherwise None.
+    prediction's objective, under that config's ``build_loss_weights``
+    table, averaged over windows, otherwise None.
 
     The key net runs once per batch (``_shared_key_codes``): windows of one
     sequence at stride 1 share all but one frame of their key spans, so the
@@ -335,6 +319,8 @@ def window_errors(dataset: SequenceDataset, windows, params: ModelParams, config
         raise ConfigurationError("no windows to score")
     basis = dct_basis(config.window)
     future = config.future_len
+    weights = (build_loss_weights(dataset.skeleton, config.query_len, future, loss_config)
+               if loss_config is not None else None)
     errors = np.empty((config.stages + 1, total, future))
     losses, counts = [], []
 
@@ -354,7 +340,7 @@ def window_errors(dataset: SequenceDataset, windows, params: ModelParams, config
                                               targets)
         if loss_config is not None:
             losses.append(float(loss_total(channels_to_poses(out.prediction), Tensor(truth),
-                                           loss_weights, loss_config, future).data))
+                                           weights, loss_config, future).data))
             counts.append(len(truth))
 
     with no_grad():
@@ -364,9 +350,9 @@ def window_errors(dataset: SequenceDataset, windows, params: ModelParams, config
 
 
 def dataset_mpjpe(dataset: SequenceDataset, windows, params: ModelParams,
-                  config: ModelConfig, batch_size: int = EVAL_BATCH_SIZE) -> float:
+                  config: ModelConfig) -> float:
     """Eval-mode MPJPE of the final prediction over all future frames and windows."""
-    return float(window_errors(dataset, windows, params, config, batch_size)[0][-1].mean())
+    return float(window_errors(dataset, windows, params, config)[0][-1].mean())
 
 
 def split_windows(dataset: SequenceDataset, model_config: ModelConfig,
@@ -539,11 +525,7 @@ def evaluate(dataset: SequenceDataset, params: ModelParams, config: ModelConfig,
     frame_rate = rates.pop()
     indices = frames_from_milliseconds(frames_ms, frame_rate, config.future_len)
     windows = window_index(dataset, config.history_len, config.future_len, stride)
-    weights = (build_loss_weights(dataset.skeleton, config.query_len,
-                                  config.future_len, loss_config)
-               if loss_config is not None else None)
-    errors, mean_loss = window_errors(dataset, windows, params, config, batch_size,
-                                      loss_config, weights)
+    errors, mean_loss = window_errors(dataset, windows, params, config, batch_size, loss_config)
     final = errors[-1]              # (windows, future frame)
     record = {
         "frames_ms": list(frames_ms),

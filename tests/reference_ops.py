@@ -121,12 +121,13 @@ def relu(a) -> Tensor:
     return out
 
 
-def dropout(inputs, rate: float, rng: np.random.Generator | None, mode: Mode) -> Tensor:
-    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, eval identity."""
+def dropout(inputs, rate: float, mode: Mode) -> Tensor:
+    """Inverted dropout drawing ``mode.rng``: train-time zeroing with 1/(1-rate)
+    rescale, eval identity."""
     inputs = as_tensor(inputs)
-    if not _dropout_active(rate, rng, mode):
+    if not _dropout_active(rate, mode):
         return inputs
-    keep = rng.random(inputs.shape) >= rate
+    keep = mode.rng.random(inputs.shape) >= rate
     return mul(inputs, Tensor(keep / (1.0 - rate)))
 
 
@@ -206,7 +207,7 @@ def composed_block(g, layer, mode: Mode, dropout_rate: float = DROPOUT) -> Tenso
     """A graph block as separate tape ops."""
     h = matmul(matmul(layer.adjacency, g), layer.weights)
     h = batchnorm(h, layer.gamma, layer.beta, layer.stats, mode)
-    return dropout(tanh(h), dropout_rate, mode.rng, mode)
+    return dropout(tanh(h), dropout_rate, mode)
 
 
 def composed_module(g, glm, mode: Mode, block=composed_block) -> Tensor:

@@ -243,7 +243,7 @@ def test_criterion_05_loss_suite():
         form = "unit_final" if rng.random() < 0.5 else "zero_final"
         floor = float(rng.uniform(0.01, 0.5))
         table = assemble_lambda(spatial_factors(skeleton, floor),
-                                temporal_factors(query_len, future_len, form)).table
+                                temporal_factors(query_len, future_len, form))
         worst_sum = max(worst_sum, abs(table.sum() -
                                        skeleton.joint_count * (query_len + future_len)))
 
@@ -265,7 +265,7 @@ def test_criterion_05_loss_suite():
     for f in range(5):
         for j in range(4):
             d = sum((pred[f, j, c] - truth[f, j, c]) ** 2 for c in range(3)) ** 0.5
-            st_slow += weights.table[f, j] * d
+            st_slow += weights[f, j] * d
     st_slow /= 20.0
     vel_fast = float(loss_velocity(Tensor(pred), Tensor(truth)).data)
     vel_slow = 0.0

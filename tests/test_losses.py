@@ -83,21 +83,21 @@ class TestTemporalFactors:
 class TestAssembleLambda:
     def test_uniform_factors_give_all_ones(self):
         w = assemble_lambda(np.full(4, 3.0), np.full(6, 0.5))
-        assert np.allclose(w.table, 1.0, atol=1e-12)
+        assert np.allclose(w, 1.0, atol=1e-12)
 
     def test_sum_equals_joint_frame_product(self):
         rng = np.random.default_rng(0)
         spatial = rng.uniform(0.1, 5.0, 7)
         temporal = rng.uniform(0.1, 3.0, 9)
         w = assemble_lambda(spatial, temporal)
-        assert abs(w.table.sum() - 63.0) < 1e-9
+        assert abs(w.sum() - 63.0) < 1e-9
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         spatial = rng.uniform(0.1, 5.0, 4)
         temporal = rng.uniform(0.1, 3.0, 5)
-        assert np.allclose(assemble_lambda(spatial, temporal).table,
-                           assemble_lambda(10.0 * spatial, temporal).table, atol=1e-12)
+        assert np.allclose(assemble_lambda(spatial, temporal),
+                           assemble_lambda(10.0 * spatial, temporal), atol=1e-12)
 
     def test_all_zero_product(self):
         with pytest.raises(ConfigurationError):
@@ -127,7 +127,7 @@ class TestLossSt:
                 d = 0.0
                 for c in range(3):
                     d += (pred[f, j, c] - truth[f, j, c]) ** 2
-                total += weights.table[f, j] * d ** 0.5
+                total += weights[f, j] * d ** 0.5
         assert abs(got - total / (frames * joints)) < 1e-12
 
     def test_uniform_weights_reduce_to_plain_l2(self):
@@ -198,6 +198,16 @@ class TestLossTotal:
             float(loss_velocity(Tensor(pred), Tensor(truth)).data)
         assert abs(total - parts) < 1e-12
 
+    def test_uses_the_table_it_is_given(self, toy):
+        # build_loss_weights alone reads use_st_weights: a given table weighs
+        skeleton, L, F, pred, truth = toy
+        w = build_loss_weights(skeleton, L, F, LossConfig())
+        unweighted = float(loss_total(Tensor(pred), Tensor(truth), w,
+                                      LossConfig(use_st_weights=False), F).data)
+        assert unweighted == float(loss_total(Tensor(pred), Tensor(truth), w,
+                                              LossConfig(), F).data)
+        assert build_loss_weights(skeleton, L, F, LossConfig(use_st_weights=False)) is None
+
     def test_future_only_matches_restricted_oracle(self, toy):
         skeleton, L, F, pred, truth = toy
         config = LossConfig(reconstruct_query=False)
@@ -207,7 +217,7 @@ class TestLossTotal:
         expect = float(loss_st(Tensor(tail_pred), Tensor(tail_truth), w).data) + \
             float(loss_velocity(Tensor(tail_pred), Tensor(tail_truth)).data)
         assert abs(got - expect) < 1e-12
-        assert abs(w.table.sum() - skeleton.joint_count * F) < 1e-9
+        assert abs(w.sum() - skeleton.joint_count * F) < 1e-9
 
     def test_all_components_disabled(self, toy):
         skeleton, L, F, pred, truth = toy
@@ -252,5 +262,5 @@ class TestNormalizationInvariant:
         w = assemble_lambda(spatial_factors(skeleton),
                             temporal_factors(L, F, form))
         expected = skeleton.joint_count * (L + F)
-        assert abs(w.table.sum() - expected) < 1e-9
-        assert (w.table >= 0).all()
+        assert abs(w.sum() - expected) < 1e-9
+        assert (w >= 0).all()

@@ -476,22 +476,22 @@ class TestDropout:
     def test_rate_zero_identity_both_modes(self):
         x = Tensor(np.arange(6.0))
         rng = np.random.default_rng(12)
-        assert np.array_equal(dropout(x, 0.0, rng, Mode.train(rng)).data, x.data)
-        assert np.array_equal(dropout(x, 0.0, None, Mode.eval()).data, x.data)
+        assert np.array_equal(dropout(x, 0.0, Mode.train(rng)).data, x.data)
+        assert np.array_equal(dropout(x, 0.0, Mode.eval()).data, x.data)
 
     def test_eval_identity(self):
         x = Tensor(np.arange(6.0))
-        assert dropout(x, 0.3, None, Mode.eval()) is x
+        assert dropout(x, 0.3, Mode.eval()) is x
 
     def test_train_preserves_mean(self):
         rng = np.random.default_rng(13)
         x = Tensor(np.ones(100_000))
-        out = dropout(x, 0.5, rng, Mode.train(rng))
+        out = dropout(x, 0.5, Mode.train(rng))
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_bad_rate(self):
         with pytest.raises(ConfigurationError):
-            dropout(Tensor([1.0]), 1.0, np.random.default_rng(0), Mode.train(None))
+            dropout(Tensor([1.0]), 1.0, Mode.train(np.random.default_rng(0)))
 
 
 class TestBackward:
@@ -575,7 +575,7 @@ class TestDeterminism:
             x = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
             k = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
             out = conv1d_relu(tanh(x), k, Tensor(np.zeros(3)))
-            out = dropout(out, 0.3, rng, Mode.train(rng))
+            out = dropout(out, 0.3, Mode.train(rng))
             loss = tensor_sum(out * out)
             backward(loss)
             return loss.data.copy(), x.grad.copy(), k.grad.copy()
@@ -606,7 +606,7 @@ class TestTakeView:
                                      LossConfig())
         named = named_parameters(params)
         inputs = [Tensor(channels), Tensor(truth)]
-        for array in [t.data for t in inputs + list(named.values())] + [weights.table]:
+        for array in [t.data for t in inputs + list(named.values())] + [weights]:
             array.flags.writeable = False
         out = model_forward(params, inputs[0], config, dct_basis(config.window),
                             Mode.train(np.random.default_rng(1)))

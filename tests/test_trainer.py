@@ -24,7 +24,7 @@ from motionrefine.kinematics import (
     mpjpe_per_frame,
     synthetic_skeleton,
 )
-from motionrefine.losses import LossConfig, build_loss_weights
+from motionrefine.losses import LossConfig
 from motionrefine.model import (
     ModelConfig,
     init_model_params,
@@ -109,6 +109,7 @@ class TestAdam:
 FLAT_ADAM_CASES = {
     "mixed_with_scalar_and_empty": [(3, 4), (), (0,), (2, 0, 3), (5,), (1, 1, 7), (6, 2)],
     "larger_than_a_segment": [(7,), (150_000,), (3, 3), (400, 300)],
+    "rows_longer_than_a_segment": [(2, 70_000), (3,)],     # each row alone exceeds one
     "one_tensor": [(4, 5)],
 }
 
@@ -153,6 +154,7 @@ class TestFlatAdam:
         rng = np.random.default_rng(60)
         tables, ref_state = _twin_tables(FLAT_ADAM_CASES[case], rng)
         state = AdamState(tables[0])
+        assert max(p.size for _, p, _, _ in state._segments) <= trainer_module._SEGMENT
         for _ in range(5):
             _set_twin_grads(tables, rng)
             adam_step(tables[0], state, 0.01)
@@ -162,9 +164,8 @@ class TestFlatAdam:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_per_tensor_recurrence_across_segment_edges(self, seed, monkeypatch):
-        # segments of 8 values: runs of small parameters split at every edge, each
-        # parameter of more than 8 values is updated in blocks of leading-axis
-        # rows, and a row of more than 8 values is a block of its own
+        # segments of 8 values: runs of small parameters split at every edge, and
+        # a parameter of more than 8 values spans several segments
         monkeypatch.setattr(trainer_module, "_SEGMENT", 8)
         rng = np.random.default_rng(61 + seed)
         shapes = [tuple(rng.integers(0, 6, size=rng.integers(0, 4))) for _ in range(12)]
@@ -176,6 +177,20 @@ class TestFlatAdam:
             adam_step(tables[0], state, lr=0.005)
             adam_step_reference(tables[1], ref_state, lr=0.005)
         _assert_twins_equal(tables, state, ref_state)
+
+    @pytest.mark.parametrize("sizes", [
+        [], [0], [5], [1 << 16], [(1 << 16) + 1], [140_000], [3, 140_000, 5, 0, 70_000],
+        [1000] * 200, [7, 150_000, 9, 120_000]])
+    def test_segments_tile_the_flat_vector_in_bounded_slices(self, sizes):
+        bounds = np.cumsum([0] + sizes)
+        covered = 0
+        for start, stop, members in trainer_module._segments(sizes):
+            assert start == covered and 0 < stop - start <= trainer_module._SEGMENT
+            for index, a, b in members:     # in flat order, each a nonempty range
+                assert bounds[index] + a == covered and 0 <= a < b <= sizes[index]
+                covered += b - a
+            assert covered == stop
+        assert covered == sum(sizes)
 
     def test_parameters_and_moments_are_views_of_the_flat_vectors(self):
         rng = np.random.default_rng(62)
@@ -950,7 +965,7 @@ def test_dataset_mpjpe_matches_manual_average(overfit_fixture):
                   Mode.train(np.random.default_rng(0)))
     windows = tuple(index[:6] for index in window_index(dataset, config.history_len,
                                                         config.future_len))
-    got = dataset_mpjpe(dataset, windows, params, config, batch_size=4)
+    got = window_errors(dataset, windows, params, config, batch_size=4)[0][-1].mean()
     # the untrained model repeats the last observed pose
     manual = np.mean([
         np.linalg.norm(np.repeat(w.history[-1:], config.future_len, axis=0) - w.target,
@@ -979,8 +994,6 @@ class TestWindowErrors:
     def test_copy_mode_runs_no_key_net(self, model, monkeypatch):
         dataset, config, params, windows = model
         copy = dataclasses.replace(config, attention_mode="copy")
-        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
-                                     LossConfig())
         calls = []
         real = trainer_module.encode_span
 
@@ -988,12 +1001,12 @@ class TestWindowErrors:
             calls.append(net)
             return real(net, span)
         monkeypatch.setattr(trainer_module, "encode_span", counting)
-        errors, loss = window_errors(dataset, windows, params, copy, 4, LossConfig(), weights)
+        errors, loss = window_errors(dataset, windows, params, copy, 4, LossConfig())
         assert calls == []
         # a model without attention parameters gives the same figures
         without = dataclasses.replace(params, attention=None)
         expected, expected_loss = window_errors(dataset, windows, without, copy, 4,
-                                                LossConfig(), weights)
+                                                LossConfig())
         assert np.array_equal(errors, expected) and loss == expected_loss
 
     def test_stage_major_layout_with_baseline_as_stage_zero(self, model):
@@ -1028,19 +1041,16 @@ class TestWindowErrors:
 
     def test_dataset_mpjpe_is_the_final_stage_mean(self, model):
         dataset, config, params, windows = model
-        errors, _ = window_errors(dataset, windows, params, config, batch_size=4)
-        assert (dataset_mpjpe(dataset, windows, params, config, batch_size=4)
-                == errors[-1].mean())
+        errors, _ = window_errors(dataset, windows, params, config)
+        assert dataset_mpjpe(dataset, windows, params, config) == errors[-1].mean()
 
     def test_last_stage_row_is_the_mpjpe_row(self, model):
         dataset, config, params, windows = model
         record = evaluate(dataset, params, config, [40, 200], stride=3, per_stage=True,
                           loss_config=LossConfig())
         assert record["stage_mpjpe"][-1] == record["mpjpe"]
-        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
-                                     LossConfig())
         errors, mean_loss = window_errors(dataset, windows, params, config,
-                                          loss_config=LossConfig(), loss_weights=weights)
+                                          loss_config=LossConfig())
         assert record["stage_overall"] == [float(stage.mean()) for stage in errors]
         assert record["mean_loss"] == mean_loss
 
@@ -1048,11 +1058,8 @@ class TestWindowErrors:
         dataset, config = overfit_fixture
         windows = window_index(dataset, config.history_len, config.future_len)
         params = _warm_model(config, 8, dataset, windows)
-        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
-                                     LossConfig())
         # 168 windows: 50 and 64 leave a short last batch
-        losses = [window_errors(dataset, windows, params, config, batch_size, LossConfig(),
-                                weights)[1]
+        losses = [window_errors(dataset, windows, params, config, batch_size, LossConfig())[1]
                   for batch_size in (len(windows[0]), 1, 7, 50, 64)]
         assert all(abs(loss - losses[0]) <= 1e-12 * abs(losses[0]) for loss in losses)
 
@@ -1071,7 +1078,6 @@ class TestWindowErrors:
     def test_batch_size_below_one_is_a_configuration_error(self, model, batch_size):
         dataset, config, params, windows = model
         for call in (lambda: window_errors(dataset, windows, params, config, batch_size),
-                     lambda: dataset_mpjpe(dataset, windows, params, config, batch_size),
                      lambda: evaluate(dataset, params, config, [40], batch_size=batch_size)):
             with pytest.raises(ConfigurationError, match="batch_size"):
                 call()
@@ -1127,14 +1133,12 @@ class TestSharedKeyCodes:
     """window_errors encodes each run of a sequence's windows once per batch."""
 
     @staticmethod
-    def _both_passes(monkeypatch, dataset, windows, params, config, batch_size, weights):
+    def _both_passes(monkeypatch, dataset, windows, params, config, batch_size):
         """(shared-code result, per-window result) of one window_errors call."""
-        shared = window_errors(dataset, windows, params, config, batch_size, LossConfig(),
-                               weights)
+        shared = window_errors(dataset, windows, params, config, batch_size, LossConfig())
         with monkeypatch.context() as patch:
             patch.setattr(trainer_module, "_shared_key_codes", lambda *args: None)
-            alone = window_errors(dataset, windows, params, config, batch_size, LossConfig(),
-                                  weights)
+            alone = window_errors(dataset, windows, params, config, batch_size, LossConfig())
         return shared, alone
 
     # the sequence lengths of the eval_ref (91) and train_ref (67) bench corpora
@@ -1147,12 +1151,10 @@ class TestSharedKeyCodes:
         dataset = _humanoid_corpus(seed, frames)
         windows = window_index(dataset, config.history_len, config.future_len, stride)
         params = _warm_model(config, seed, dataset, windows)
-        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
-                                     LossConfig())
         # 64 and 32 mix sequences in one batch, 7 splits runs across batch edges
         for batch_size in (64, 32, 7):
             (errors, loss), (expected, expected_loss) = self._both_passes(
-                monkeypatch, dataset, windows, params, config, batch_size, weights)
+                monkeypatch, dataset, windows, params, config, batch_size)
             assert np.array_equal(errors, expected) and loss == expected_loss
 
     # not bitwise here: OpenBLAS picks another GEMM kernel for the key net's
@@ -1164,11 +1166,9 @@ class TestSharedKeyCodes:
         dataset, config = overfit_fixture
         windows = window_index(dataset, config.history_len, config.future_len, stride)
         params = _warm_model(config, seed, dataset, windows)
-        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
-                                     LossConfig())
         for batch_size in (64, 32, 7):
             (errors, loss), (expected, expected_loss) = self._both_passes(
-                monkeypatch, dataset, windows, params, config, batch_size, weights)
+                monkeypatch, dataset, windows, params, config, batch_size)
             assert np.abs(errors - expected).max() <= 1e-12 * np.abs(expected).max()
             assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
 
@@ -1225,8 +1225,6 @@ class TestSharedKeyCodes:
         dataset = _humanoid_corpus(5, 130)
         windows = window_index(dataset, config.history_len, config.future_len, stride)
         params = _warm_model(config, 5, dataset, windows)
-        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
-                                     LossConfig())
         widths = []
         real = trainer_module.encode_span
 
@@ -1236,7 +1234,7 @@ class TestSharedKeyCodes:
             return codes
         monkeypatch.setattr(trainer_module, "encode_span", counting)
         (errors, loss), (expected, expected_loss) = self._both_passes(
-            monkeypatch, dataset, windows, params, config, batch_size, weights)
+            monkeypatch, dataset, windows, params, config, batch_size)
         assert widths == encoded
         assert np.array_equal(errors, expected) and loss == expected_loss
 
@@ -1247,13 +1245,11 @@ class TestSharedKeyCodes:
         windows = window_index(dataset, config.history_len, config.future_len,
                                stride=count + 1)
         params = _warm_model(config, 6, dataset, windows)
-        weights = build_loss_weights(dataset.skeleton, config.query_len, config.future_len,
-                                     LossConfig())
         passed = self._key_codes_passed(monkeypatch)
         for batch_size in (64, 7):
             passed.clear()
             (errors, loss), (expected, expected_loss) = self._both_passes(
-                monkeypatch, dataset, windows, params, config, batch_size, weights)
+                monkeypatch, dataset, windows, params, config, batch_size)
             sizes = [len(windows[0][start:start + batch_size])
                      for start in range(0, len(windows[0]), batch_size)]
             # the shared pass's calls, then the per-window reference's
