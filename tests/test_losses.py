@@ -202,10 +202,10 @@ class TestLossTotal:
         # build_loss_weights alone reads use_st_weights: a given table weighs
         skeleton, L, F, pred, truth = toy
         w = build_loss_weights(skeleton, L, F, LossConfig())
-        unweighted = float(loss_total(Tensor(pred), Tensor(truth), w,
-                                      LossConfig(use_st_weights=False), F).data)
-        assert unweighted == float(loss_total(Tensor(pred), Tensor(truth), w,
-                                              LossConfig(), F).data)
+        flag_off = float(loss_total(Tensor(pred), Tensor(truth), w,
+                                    LossConfig(use_st_weights=False), F).data)
+        assert flag_off == float(loss_total(Tensor(pred), Tensor(truth), w,
+                                            LossConfig(), F).data)
         assert build_loss_weights(skeleton, L, F, LossConfig(use_st_weights=False)) is None
 
     def test_future_only_matches_restricted_oracle(self, toy):

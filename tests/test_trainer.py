@@ -289,7 +289,7 @@ class TestAdamMemory:
         # and no segment, so no scratch row, is larger than a segment's bound
         assert max(p.size for _, p, _, _ in state._segments) <= trainer_module._SEGMENT
         for tensor in named.values():
-            # the convolution kernels' gradients are transposed views, as in training
+            # transposed, so not C-contiguous: every segment's gradient is gathered
             grad = rng.normal(size=tensor.shape[::-1])
             tensor.grad = grad.T if tensor.ndim == 3 else grad.reshape(tensor.shape)
         assert not all(t.grad.flags.c_contiguous for t in named.values())
